@@ -13,17 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
-from .core import (AsympConstants, ConvergenceError, DomainError, GLParams,
-                   asymp_constants)
+from .core import ConvergenceError, DomainError, GLParams, asymp_constants
 from .coeigen import w_eval_wright
 from .quad import r_norm
 
 __all__ = [
     "SaddleState", "g_func", "g_func_prime", "varsigma_of_theta", "tau_star",
-    "saddle_state", "kappa_bar", "H_kappa", "H_star", "H_star_stationary",
-    "H_alpha_eta", "bound_region_check", "norm_envelope_check",
+    "saddle_state", "kappa_bar", "H_kappa", "H_star", "H_alpha_eta",
+    "bound_region_check", "norm_envelope_check",
 ]
 
 
@@ -141,16 +138,6 @@ def H_star(alpha: float, kappa: float, varsigma: float) -> float:
     out = H_kappa(alpha, kappa, varsigma)
     if varsigma > alpha / (1.0 + alpha):
         out += g_func(alpha, varsigma, tau_star(alpha, varsigma)) / varsigma
-    return out
-
-
-def H_star_stationary(alpha: float, theta: float) -> float:
-    """Stationary value of H_star along the saddle parametrisation."""
-    vs = varsigma_of_theta(alpha, theta)
-    ts = math.tan(theta)
-    sb = 1.0 - vs
-    out = -alpha / vs - math.log(vs / abs(sb))
-    out += 0.5 * math.log1p(ts * ts / (sb * sb))
     return out
 
 

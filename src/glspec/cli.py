@@ -4,17 +4,16 @@ suites (`glspec verify`).
 Output is CSV (17 significant digits, '.' decimal point, ',' delimiter,
 header row) or JSON, written to stdout or --out, deterministic for a given
 configuration.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 numerical failure.  GLSPEC_THREADS caps grid-evaluation
-parallelism.
+error, 3 numerical failure.  Grids are evaluated in one thread: mpmath's
+working precision is process-global, so concurrent escalations would
+overwrite each other's digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -52,22 +51,6 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise click.UsageError(f"cannot parse grid {spec!r}") from exc
 
 
-def _nthreads() -> int:
-    try:
-        return max(1, int(os.environ.get("GLSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, xs):
-    nt = _nthreads()
-    xs = list(xs)
-    if nt == 1:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=nt) as ex:
-        return list(ex.map(fn, xs))
-
-
 def _emit(rows, header, fmt: str, out):
     if fmt == "json":
         payload = [dict(zip(header, r)) for r in rows]
@@ -85,7 +68,7 @@ def _emit(rows, header, fmt: str, out):
         click.echo(text, nl=False)
 
 
-def _params_from(alpha, beta, precision, tol) -> GLParams:
+def _params_from(alpha, beta, precision) -> GLParams:
     try:
         return make_params(alpha, beta, parse_precision(precision))
     except DomainError as exc:
@@ -135,36 +118,36 @@ def main():
 def cmd_eval(subject, alpha, beta, precision, quad_order, tol, fmt, out,
              n, q, xgrid, ygrid, zgrid, tval, fexpr):
     """Tabulate the requested object over a grid."""
-    params = _params_from(alpha, beta, precision, tol)
+    params = _params_from(alpha, beta, precision)
     try:
         if subject == "P":
             xs = _parse_grid(xgrid)
             seq = eig.p_coeffs(params, n)
-            rows = _grid_map(lambda x: (float(x), eig.p_eval(seq, n, float(x))), xs)
+            rows = [(float(x), eig.p_eval(seq, n, float(x))) for x in xs]
             _emit(rows, ["x", f"P_{n}"], fmt, out)
         elif subject == "R":
             xs = _parse_grid(xgrid)
-            rows = _grid_map(lambda x: (float(x), ce.r_eval_bell(params, n, float(x))), xs)
+            rows = [(float(x), ce.r_eval_bell(params, n, float(x))) for x in xs]
             _emit(rows, ["x", f"R_{n}"], fmt, out)
         elif subject == "W":
             xs = _parse_grid(xgrid)
-            rows = _grid_map(lambda x: (float(x), ce.w_eval(params, n, float(x), q)), xs)
+            rows = [(float(x), ce.w_eval(params, n, float(x), q)) for x in xs]
             _emit(rows, ["x", f"W_{n}^({q})"], fmt, out)
         elif subject == "lambda":
             zs = _parse_grid(zgrid or "0:10:0.1")
-            rows = _grid_map(lambda z: (float(z), dens.lambda_value(params, float(z))), zs)
+            rows = [(float(z), dens.lambda_value(params, float(z))) for z in zs]
             _emit(rows, ["z", "lambda"], fmt, out)
         elif subject == "e_ab":
             xs = _parse_grid(xgrid)
             w = dens.weight_e_ab(params)
-            rows = _grid_map(lambda x: (float(x), dens.weight_eval(w, float(x))), xs)
+            rows = [(float(x), dens.weight_eval(w, float(x))) for x in xs]
             _emit(rows, ["x", "e_ab"], fmt, out)
         elif subject == "heat":
             xs = _parse_grid(xgrid)
             ys = _parse_grid(ygrid or "0.1:6:0.1")
             x0 = float(xs[0])
-            rows = _grid_map(lambda y: (x0, float(y),
-                                        sg.heat_kernel(params, tval, x0, float(y))), ys)
+            rows = [(x0, float(y), sg.heat_kernel(params, tval, x0, float(y)))
+                    for y in ys]
             mass, _ = sg.heat_kernel_mass(params, tval, x0,
                                           qd.build_rule(dens.weight_e_ab(params),
                                                         quad_order))
@@ -175,14 +158,14 @@ def cmd_eval(subject, alpha, beta, precision, quad_order, tol, fmt, out,
             f = _parse_fn(params, fexpr)
             rule = qd.build_rule(dens.weight_e_ab(params), quad_order)
             exp = sg.expand(params, f, tval, rule, tol=tol)
-            rows = _grid_map(lambda x: (float(x), sg.evaluate_expansion(exp, float(x))), xs)
+            rows = [(float(x), sg.evaluate_expansion(exp, float(x))) for x in xs]
             _emit(rows, ["x", f"P_t[{fexpr}]"], fmt, out)
         else:  # K
             xs = _parse_grid(xgrid)
             ys = _parse_grid(ygrid or "0.1:6:0.1")
             x0 = float(xs[0])
-            rows = _grid_map(lambda y: (x0, float(y),
-                                        sg.selfsimilar_kernel(params, tval, x0, float(y))), ys)
+            rows = [(x0, float(y), sg.selfsimilar_kernel(params, tval, x0, float(y)))
+                    for y in ys]
             _emit(rows, ["x", "y", "K_t"], fmt, out)
     except GlspecError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
@@ -201,9 +184,6 @@ def _parse_fn(params, token: str):
         return monomial(float(token[1:]))
     if token.startswith("L"):
         k = int(token[1:])
-        from .eigen import laguerre_eval
-        from .core import RealFn
-        import numpy as _np
         cs = [(-1.0) ** j * math.exp(math.lgamma(k + 1) - math.lgamma(j + 1)
                                      - math.lgamma(k - j + 1) - math.lgamma(j + 1))
               for j in range(k + 1)]
@@ -230,7 +210,7 @@ def _parse_fn(params, token: str):
 def cmd_verify(suite, alpha, beta, precision, quad_order, tol, fmt, out,
                n_cap, seed_check):
     """Run a named invariant suite; exit 0 iff every check passes."""
-    params = _params_from(alpha, beta, precision, tol)
+    params = _params_from(alpha, beta, precision)
     checks = []
     try:
         if suite in ("biorth", "all"):

@@ -15,7 +15,6 @@ R_n = L_n^(beta) classical at alpha = 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,12 +25,12 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.special import loggamma as sp_cloggamma
 
-from .core import (COND_THRESHOLD, ContourError, DomainError, GLParams,
-                   RealFn, mp_ctx)
+from .core import (ContourError, DomainError, GLParams, RealFn,
+                   dps_bucket_cache)
 from .density import weight_e_ab, weight_eval
 from .eigen import laguerre_eval
-from .specfun import (SeriesResult, bell_table, bell_table_mp, eval_series,
-                      gamma_sign, log_abs_gamma)
+from .specfun import (_escalating_horner, bell_table, bell_table_mp,
+                      gamma_series, gamma_sign, log_abs_gamma)
 
 __all__ = ["r_coeffs", "r_eval_bell", "r_fn", "w_eval_wright", "w_eval_mellin",
            "w_eval", "w_fn", "w_crude_bound_check", "ContourSpec"]
@@ -73,47 +72,37 @@ def r_coeffs(params: GLParams, n: int) -> np.ndarray:
                 continue
             s += (math.exp(lbin[k] + lgtop - gammaln(k + b + 1.0 / a))
                   * (-1.0) ** (k + j) * B)
-        out[j] = s / 1.0
+        out[j] = s
     out /= math.exp(gammaln(n + 1.0))
     return out
 
 
-_MP_DPS_BUCKET = 16
-
-
+@dps_bucket_cache
 def r_coeffs_mp(params: GLParams, n: int):
     """mpmath variant of r_coeffs at (at least) the current working precision.
 
-    The list is cached per (params, n, dps bucket) and computed at the top of
-    the bucket, so repeated extended-precision evaluation of R_n (one per
-    quadrature node, say) builds the O(n^3) Bell table only once.
+    Cached, so repeated extended-precision evaluation of R_n builds the
+    O(n^3) Bell table only once.
     """
-    dps = -(-mp.mp.dps // _MP_DPS_BUCKET) * _MP_DPS_BUCKET
-    return list(_r_coeffs_mp_at(params, n, dps))
-
-
-@lru_cache(maxsize=256)
-def _r_coeffs_mp_at(params: GLParams, n: int, dps: int) -> tuple:
-    with mp.workdps(dps):
-        am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
-        if params.is_classical:
-            return tuple((-1) ** k * mp.gamma(n + bm + 1) / (mp.gamma(k + bm + 1)
-                         * mp.factorial(n - k) * mp.factorial(k)) for k in range(n + 1))
-        if n == 0:
-            return (mp.mpf(1),)
-        _, T = bell_table_mp(params, n)
-        top = mp.gamma(n + bm + 1 / am)
-        out = []
-        for j in range(n + 1):
-            s = mp.mpf(0)
-            for k in range(j if j else 0, n + 1):
-                B = T.get((k, j), mp.mpf(1) if (k, j) == (0, 0) else mp.mpf(0))
-                if B == 0:
-                    continue
-                s += mp.binomial(n, k) * top / mp.gamma(k + bm + 1 / am) \
-                    * (-1) ** (k + j) * B
-            out.append(s / mp.factorial(n))
-        return tuple(out)
+    am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
+    if params.is_classical:
+        return [(-1) ** k * mp.gamma(n + bm + 1) / (mp.gamma(k + bm + 1)
+                * mp.factorial(n - k) * mp.factorial(k)) for k in range(n + 1)]
+    if n == 0:
+        return [mp.mpf(1)]
+    _, T = bell_table_mp(params, n)
+    top = mp.gamma(n + bm + 1 / am)
+    out = []
+    for j in range(n + 1):
+        s = mp.mpf(0)
+        for k in range(j if j else 0, n + 1):
+            B = T.get((k, j), mp.mpf(1) if (k, j) == (0, 0) else mp.mpf(0))
+            if B == 0:
+                continue
+            s += math.comb(n, k) * top / mp.gamma(k + bm + 1 / am) \
+                * (-1) ** (k + j) * B
+        out.append(s / mp.factorial(n))
+    return out
 
 
 def r_eval_bell(params: GLParams, n: int, x: float) -> float:
@@ -122,35 +111,15 @@ def r_eval_bell(params: GLParams, n: int, x: float) -> float:
         raise DomainError("co-eigenfunctions are evaluated on x > 0")
     if params.is_classical:
         return laguerre_eval(n, params.beta, x)
-    cs = r_coeffs(params, n)
-    y = x ** (1.0 / params.alpha)
-    p = 0.0
-    cond = 0.0
-    for c in cs[::-1]:
-        p = p * y + c
-        cond = cond * y + abs(c)
-    if p != 0.0 and cond / abs(p) <= COND_THRESHOLD and params.precision.is_double:
-        return p
-    condr = cond / abs(p) if p != 0.0 else 1e40
-    dps = max(params.precision.dps, 20 + int(math.log10(max(condr, 10.0))))
-    with mp_ctx(dps):
-        cs_mp = r_coeffs_mp(params, n)
-        ym = mp.mpf(x) ** (1 / mp.mpf(params.alpha))
-        acc = mp.mpf(0)
-        for c in reversed(cs_mp):
-            acc = acc * ym + c
-        return float(acc)
+    return _escalating_horner(
+        r_coeffs(params, n), x ** (1.0 / params.alpha), params,
+        lambda: (r_coeffs_mp(params, n), mp.mpf(x) ** (1 / mp.mpf(params.alpha))))
 
 
 def r_fn(params: GLParams, n: int) -> RealFn:
     """R_n as a RealFn carrying its generalized power expansion."""
-    inv = 1.0 / params.alpha
-    if params.is_classical:
-        cs = r_coeffs(params, n)
-        pw = tuple((float(c), float(j)) for j, c in enumerate(cs))
-    else:
-        cs = r_coeffs(params, n)
-        pw = tuple((float(c), j * inv) for j, c in enumerate(cs))
+    inv = 1.0 / params.alpha          # 1.0 on the classical branch
+    pw = tuple((float(c), j * inv) for j, c in enumerate(r_coeffs(params, n)))
     return RealFn(lambda x: r_eval_bell(params, n, x),
                   description=f"R_{n}", powers=pw)
 
@@ -171,52 +140,23 @@ def w_eval_wright(params: GLParams, n: int, q: int = 0, x: float = 1.0,
         raise DomainError("W_n is evaluated on x > 0")
     if q < 0 or n < 0:
         raise DomainError("orders must be >= 0")
-    a, b = params.alpha, params.beta
-    ba = params.beta_alpha
     if params.is_classical:
         # W_n = L_n^(beta) e_beta; finite Leibniz expansion over derivatives
-        w = weight_e_ab(params)
+        b = params.beta
         acc = 0.0
         for i in range(q + 1):
             binom = math.exp(gammaln(q + 1.0) - gammaln(i + 1.0) - gammaln(q - i + 1.0))
             acc += binom * laguerre_eval(n, b, x, derivative=i) * _e_classical_deriv(params, q - i, x)
         return (acc, None) if full else acc
-    lpref = -(gammaln(n + 1.0) + math.log(a) + gammaln(a * b + 1.0))
-    lx = math.log(x)
-    A = n + ba + 1.0
-    Bq = ba + 1.0 - q
 
-    def fterm(k):
-        ka = k / a
-        w = ka + Bq
-        sgn = (-1.0) ** k
-        if w > 0.0:
-            lt = gammaln(ka + A) - gammaln(w)
-        elif w == round(w):
-            return 0.0
-        else:
-            sgn *= gamma_sign(w)
-            lt = gammaln(ka + A) - log_abs_gamma(w)
-        lt += (ka + ba - q) * lx - gammaln(k + 1.0) + lpref
-        return sgn * math.exp(lt) if lt < 700.0 else sgn * math.inf
+    def spec(a, b, ops):
+        ba = b + 1 / a - 1
+        xs = ops.num(x)
+        lpref = (ba - q) * ops.log(xs) \
+            - (ops.lgamma(n + 1) + ops.log(a) + ops.lgamma(a * b + 1))
+        return lpref, -xs ** (1 / a), ((1 / a, n + ba + 1),), ((1 / a, ba + 1 - q),)
 
-    mp_state = {}
-
-    def mpterm(k):
-        st = mp_state.get(mp.mp.dps)
-        if st is None:
-            am, bm = mp.mpf(a), mp.mpf(b)
-            bam = bm + 1 / am - 1
-            pref = 1 / (mp.factorial(n) * am * mp.gamma(am * bm + 1))
-            st = (am, bam, pref, mp.mpf(x))
-            mp_state[mp.mp.dps] = st
-        am, bam, pref, xm = st
-        ka = mp.mpf(k) / am
-        return (pref * (-1) ** k * mp.gamma(ka + n + bam + 1)
-                * mp.rgamma(ka + bam + 1 - q) * xm ** (ka + bam - q)
-                / mp.factorial(k))
-
-    res = eval_series(fterm, mpterm, params, note=f"w_wright(n={n},q={q})")
+    res = gamma_series(params, spec, note=f"w_wright(n={n},q={q})")
     return (res.value.real, res) if full else res.value.real
 
 

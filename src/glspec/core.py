@@ -8,6 +8,8 @@ them from scratch so tests can assert agreement to the last ulp.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -137,13 +139,6 @@ class NeumaierSum:
         return self.s + self.c
 
 
-def neumaier_sum(values) -> float:
-    acc = NeumaierSum()
-    for v in values:
-        acc.add(v)
-    return acc.value
-
-
 # --------------------------------------------------------------------------
 # Parameters
 # --------------------------------------------------------------------------
@@ -230,15 +225,10 @@ def phi(params: GLParams, s) -> complex:
     bot = top - a
     # 1/Gamma is entire; route through it so denominator poles yield 0.
     from .specfun import log_gamma, rgamma_c
-    out = _cexp(log_gamma(top)) * rgamma_c(bot)
+    out = cmath.exp(log_gamma(top)) * rgamma_c(bot)
     if isinstance(s, (int, float)) and abs(out.imag) < 1e-13 * (1.0 + abs(out.real)):
         return complex(out.real, 0.0)
     return out
-
-
-def _cexp(z: complex) -> complex:
-    import cmath
-    return cmath.exp(z)
 
 
 # --------------------------------------------------------------------------
@@ -362,3 +352,28 @@ def mp_ctx(dps: int):
     if dps > MAX_ESCALATED_DPS:
         raise PrecisionError(f"requested {dps} digits exceeds cap {MAX_ESCALATED_DPS}")
     return mp.workdps(dps)
+
+
+_MP_DPS_BUCKET = 16
+
+
+def dps_bucket_cache(build):
+    """Cache ``build(params, n)``, an mpmath coefficient list, per (params, n,
+    working precision rounded up to a multiple of 16 digits).
+
+    Each entry is computed at the top of its bucket, so it holds at least
+    the caller's precision, and every call returns a fresh list.  Repeated
+    extended-precision evaluations (one per quadrature node, say) thus build
+    their coefficients once.
+    """
+    @functools.lru_cache(maxsize=256)
+    def at(params, n: int, dps: int) -> tuple:
+        with mp.workdps(dps):
+            return tuple(build(params, n))
+
+    @functools.wraps(build)
+    def cached(params, n: int) -> list:
+        return list(at(params, n, -(-mp.mp.dps // _MP_DPS_BUCKET) * _MP_DPS_BUCKET))
+
+    cached.cache_info = at.cache_info
+    return cached

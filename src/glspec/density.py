@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, roots_jacobi, roots_legendre
 
-from .core import (ContourError, ConvergenceError, DomainError, GLParams, RealFn,
-                   mp_ctx)
-from .specfun import (SeriesResult, eval_series, gamma_sign, log_abs_gamma,
+from .core import ContourError, DomainError, GLParams, mp_ctx
+from .specfun import (SeriesResult, gamma_series, gamma_sign, log_abs_gamma,
                       log_gamma, rgamma_c)
 
 __all__ = [
@@ -170,40 +168,15 @@ def lambda_density(params: GLParams, z: float) -> SeriesResult:
         raise DomainError("boundary beta = 1 - 1/alpha: series form degenerates")
     if z < 0.0:
         raise DomainError("density argument must be >= 0")
-    lg0 = gammaln(a * params.beta + 1.0)
-    if z == 0.0:
-        v = math.exp(lg0 - gammaln(bb))
-        return SeriesResult(complex(v), v, 1, True)
-    lz = math.log(z)
+    return gamma_series(params, _lambda_spec(z), note="lambda_density")
 
-    def fterm(k):
-        w = bb - a * k
-        sgn = (-1.0) ** k
-        if w > 0.0:
-            lt = lg0 - gammaln(w) - gammaln(k + 1.0) + k * lz
-        elif w == round(w):
-            return 0.0
-        else:
-            sgn *= gamma_sign(w)
-            lt = lg0 - log_abs_gamma(w) - gammaln(k + 1.0) + k * lz
-        return sgn * math.exp(lt) if lt < 700.0 else sgn * math.inf
 
-    mp_state = {}
-
-    def mpterm(k):
-        # arguments are assembled in mp arithmetic: the escalated path exists
-        # precisely because term-level relative errors get amplified by the
-        # cancellation, so float-combined arguments would defeat it
-        st = mp_state.get(mp.mp.dps)
-        if st is None:
-            am = mp.mpf(a)
-            bm = mp.mpf(params.beta)
-            st = (mp.gamma(am * bm + 1), am * bm + 1 - am, am, mp.mpf(z))
-            mp_state[mp.mp.dps] = st
-        g0, bbm, am, zz = st
-        return g0 * (-1) ** k * mp.rgamma(bbm - am * k) * zz ** k / mp.factorial(k)
-
-    return eval_series(fterm, mpterm, params, note="lambda_density")
+def _lambda_spec(z: float):
+    """gamma_series spec of the residue series of lambda at z."""
+    def spec(a, b, ops):
+        ab1 = a * b + 1
+        return ops.lgamma(ab1), -ops.num(z), (), ((-a, ab1 - a),)
+    return spec
 
 
 def lambda_density_sine_form(params: GLParams, z: float, terms: int = 400) -> float:
@@ -294,59 +267,20 @@ def lambda_value(params: GLParams, z: float, clamp: bool = True) -> float:
     Series for well-conditioned arguments, saddle-contour Mellin inversion
     once float64 cancellation would exceed the conditioning threshold.
     """
-    from .core import COND_THRESHOLD
-    from .specfun import _sum_float
-    r = None
+    v = None
     if params.precision.is_double and params.alpha < 1.0 and z > 0.0:
-        # cheap float attempt; fall through to the contour when ill-conditioned
-        try:
-            probe = lambda_density
-            res = _probe_lambda_float(params, z)
-            if res is not None:
-                r = res
-        except (OverflowError, ValueError):
-            r = None
-    if r is None:
+        # cheap float attempt; the contour takes over when ill-conditioned
+        r = gamma_series(params, _lambda_spec(z), _float_only=True)
+        if r.converged and r.condition <= 1e6:
+            v = r.real
+    if v is None:
         if params.alpha < 1.0 and z > 2.0:
             v = lambda_mellin_value(params, z)
         else:
             v = lambda_density(params, z).value.real
-    else:
-        v = r
     if v < 0.0 and clamp:
         return 0.0
     return v
-
-
-def _probe_lambda_float(params: GLParams, z: float):
-    """Float64 series attempt; None when conditioning demands escalation."""
-    from .core import COND_THRESHOLD
-    from .specfun import _sum_float
-    a = params.alpha
-    bb = params.bar_beta_alpha
-    if bb <= 0.0:
-        raise DomainError("boundary beta = 1 - 1/alpha: series form degenerates")
-    lg0 = gammaln(a * params.beta + 1.0)
-    lz = math.log(z)
-
-    def fterm(k):
-        w = bb - a * k
-        sgn = (-1.0) ** k
-        if w > 0.0:
-            lt = lg0 - gammaln(w) - gammaln(k + 1.0) + k * lz
-        elif w == round(w):
-            return 0.0
-        else:
-            sgn *= gamma_sign(w)
-            lt = lg0 - log_abs_gamma(w) - gammaln(k + 1.0) + k * lz
-        return sgn * math.exp(lt) if lt < 700.0 else sgn * math.inf
-
-    val, abs_sum, used, ok = _sum_float(fterm, 1e-17, 10000)
-    if not ok or not math.isfinite(val.real) or abs(val) == 0.0:
-        return None
-    if abs_sum / abs(val) > 1e6:
-        return None
-    return val.real
 
 
 # --------------------------------------------------------------------------
@@ -414,8 +348,7 @@ def _lambda_grid(params: GLParams, npanel: int = 12, deg: int = 32):
     return out
 
 
-def markov_lambda_apply(params: GLParams, f, x: float, quad=None,
-                        tol: float = 1e-9) -> float:
+def markov_lambda_apply(params: GLParams, f, x: float) -> float:
     """Markov image (Lf)(x) = int f(x y) lambda(y) dy.
 
     Uses the multiplier shortcut for generalized polynomials carrying a
@@ -441,8 +374,7 @@ def markov_lambda_apply(params: GLParams, f, x: float, quad=None,
     return float(np.sum(wts * lam * vals))
 
 
-def markov_lambda_adjoint_apply(params: GLParams, f, x: float, quad=None,
-                                tol: float = 1e-9) -> float:
+def markov_lambda_adjoint_apply(params: GLParams, f, x: float) -> float:
     """Adjoint image (L* f)(x) computed from
 
         e_ref(x) L* f(x) = int f(x/w) e(x/w) lambda(w) dw / w,

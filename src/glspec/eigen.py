@@ -5,8 +5,8 @@ and generating-function checks.
 
 P_0 = 1, P_n(0) = 1, the coefficients alternate in sign, and the family is
 not orthogonal for alpha < 1, so there is no three-term recurrence: monomial
-coefficients with compensated Horner are the only evaluation route, falling
-back to extended precision when the Horner condition number explodes.  At
+coefficients with Horner are the only evaluation route, falling back to
+extended precision when the Horner condition number explodes.  At
 alpha = 1 evaluation dispatches to the stable classical Laguerre recurrence
 rescaled so the constant term is 1.
 """
@@ -21,9 +21,9 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln
 
-from .core import (COND_THRESHOLD, ConvergenceError, DomainError, GLParams,
-                   mp_ctx, monomial, RealFn)
-from .specfun import frak_I, cal_I
+from .core import (ConvergenceError, DomainError, GLParams, RealFn,
+                   dps_bucket_cache)
+from .specfun import _escalating_horner, cal_I
 
 __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
            "p_growth_bound_check", "laguerre_eval", "p_sup"]
@@ -62,11 +62,13 @@ def p_coeffs(params: GLParams, N: int) -> PolySeq:
     return PolySeq(params, N, sign, logmag, coeff)
 
 
+@dps_bucket_cache
 def _coeffs_mp(params: GLParams, n: int):
-    """Exact-argument coefficient list of P_n at current mp precision."""
+    """Exact-argument coefficient list of P_n at (at least) the current mp
+    precision."""
     am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
     g0 = mp.gamma(am * bm + 1)
-    return [g0 * (-1) ** k * mp.binomial(n, k) / mp.gamma(am * k + am * bm + 1)
+    return [g0 * (-1) ** k * math.comb(n, k) / mp.gamma(am * k + am * bm + 1)
             for k in range(n + 1)]
 
 
@@ -85,17 +87,6 @@ def laguerre_eval(n: int, beta: float, x: float, derivative: int = 0) -> float:
     for k in range(1, n):
         lm1, l = l, ((2.0 * k + 1.0 + beta - x) * l - (k + beta) * lm1) / (k + 1.0)
     return l
-
-
-def _horner_compensated(coeffs: np.ndarray, x: float):
-    """Horner value plus the classical running condition estimate."""
-    p = 0.0
-    cond = 0.0
-    ax = abs(x)
-    for c in coeffs[::-1]:
-        p = p * x + c
-        cond = cond * ax + abs(c)
-    return p, (cond / abs(p) if p != 0.0 else math.inf)
 
 
 def p_eval(seq: PolySeq, n: int, x: float, p: int = 0) -> float:
@@ -123,17 +114,8 @@ def p_eval(seq: PolySeq, n: int, x: float, p: int = 0) -> float:
         b2 = math.exp(gammaln(n + 1.0) + gammaln(params.beta + 1.0)
                       - gammaln(n + params.beta + 1.0))
         return b2 * laguerre_eval(n, params.beta, x)
-    val, cond = _horner_compensated(seq.coeff[n, :n + 1], x)
-    if cond <= COND_THRESHOLD and params.precision.is_double:
-        return val
-    dps = max(params.precision.dps, 17 + int(math.log10(max(cond, 10.0))))
-    with mp_ctx(dps):
-        cs = _coeffs_mp(params, n)
-        xm = mp.mpf(x)
-        acc = mp.mpf(0)
-        for c in reversed(cs):
-            acc = acc * xm + c
-        return float(acc)
+    return _escalating_horner(seq.coeff[n, :n + 1], x, params,
+                              lambda: (_coeffs_mp(params, n), mp.mpf(x)))
 
 
 def p_fn(params: GLParams, n: int) -> RealFn:

@@ -19,17 +19,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, logsumexp, roots_legendre
 
-from .core import (DomainError, GLParams, QuadratureError, RealFn, mp_ctx)
-from .density import Weight, weight_classical, weight_e_ab
-from .eigen import p_coeffs, p_eval, p_fn
-from .coeigen import r_coeffs, r_coeffs_mp, r_fn
+from .core import DomainError, GLParams, QuadratureError, mp_ctx
+from .density import Weight, weight_e_ab
+from .eigen import _coeffs_mp, p_coeffs, p_eval
+from .coeigen import r_coeffs, r_coeffs_mp
 
 __all__ = ["QuadRule", "build_rule", "integrate", "inner", "inner_with_error",
            "gram_biorth", "bessel_check", "r_norm", "inner_exact"]
@@ -199,7 +199,12 @@ def _apply(rule: QuadRule, f) -> float:
             raise TypeError
     except Exception:
         vals = np.array([float(f(float(x))) for x in rule.nodes])
-    return float(rule.weights @ vals)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = float(rule.weights @ vals)
+    if not math.isfinite(out):
+        raise QuadratureError(f"rule sum is {out}: the integrand overflows at "
+                              "the rule's far nodes")
+    return out
 
 
 def integrate(rule: QuadRule, f) -> float:
@@ -250,15 +255,21 @@ def inner_exact(params: GLParams, fpowers, gpowers) -> float:
 
 
 def _inner_exact_mp(params: GLParams, fpowers, gpowers):
+    """inner_exact at the current mp precision; pass the exponents as mp
+    values, so the gamma arguments are exact at working precision."""
     am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
     g0 = mp.gamma(am * bm + 1)
     acc = mp.mpf(0)
     for cf, pf in fpowers:
         for cg, pg in gpowers:
-            if cf == 0 or cg == 0:
-                continue
             acc += cf * cg * mp.gamma(am * (pf + pg) + am * bm + 1) / g0
     return acc
+
+
+def _r_powers_mp(params: GLParams, n: int) -> list:
+    """(coefficient, exponent) pairs of R_n at the current mp precision."""
+    step = 1 if params.is_classical else 1 / mp.mpf(params.alpha)
+    return [(c, j * step) for j, c in enumerate(r_coeffs_mp(params, n))]
 
 
 def gram_biorth(params: GLParams, N: int, rule: Optional[QuadRule] = None) -> np.ndarray:
@@ -277,33 +288,15 @@ def gram_biorth(params: GLParams, N: int, rule: Optional[QuadRule] = None) -> np
         seq = p_coeffs(params, N)
         Pm = np.array([[p_eval(seq, n, float(x)) for x in rule.nodes]
                        for n in range(N + 1)])
-        inv = 1.0 / params.alpha
-        if params.is_classical:
-            Rm = np.array([[np.polynomial.polynomial.polyval(x, r_coeffs(params, midx))
-                            for x in rule.nodes] for midx in range(N + 1)])
-        else:
-            ys = np.power(rule.nodes, inv)
-            Rm = np.array([np.polynomial.polynomial.polyval(ys, r_coeffs(params, midx))
-                           for midx in range(N + 1)])
+        ys = rule.nodes if params.is_classical else np.power(rule.nodes, 1.0 / params.alpha)
+        Rm = np.array([np.polynomial.polynomial.polyval(ys, r_coeffs(params, midx))
+                       for midx in range(N + 1)])
         return (Pm * rule.weights) @ Rm.T
-    dps = max(params.precision.dps, 40)
-    with mp_ctx(dps):
-        am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
-        g0 = mp.gamma(am * bm + 1)
-        inv = 1 / am
-        from .eigen import _coeffs_mp
-        pc = [_coeffs_mp(params, n) for n in range(N + 1)]
-        rc = [r_coeffs_mp(params, midx) for midx in range(N + 1)]
-        G = np.zeros((N + 1, N + 1))
-        for n in range(N + 1):
-            for midx in range(N + 1):
-                acc = mp.mpf(0)
-                for k, ck in enumerate(pc[n]):
-                    for j, cj in enumerate(rc[midx]):
-                        s = am * k + j if not params.is_classical else am * (k + j)
-                        acc += ck * cj * mp.gamma(s + am * bm + 1) / g0
-                G[n, midx] = float(acc)
-        return G
+    with mp_ctx(max(params.precision.dps, 40)):
+        pw = [[(c, k) for k, c in enumerate(_coeffs_mp(params, n))] for n in range(N + 1)]
+        rw = [_r_powers_mp(params, m) for m in range(N + 1)]
+        return np.array([[float(_inner_exact_mp(params, p, r)) for r in rw]
+                         for p in pw])
 
 
 @dataclass
@@ -351,24 +344,12 @@ def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
         raise DomainError("gamma must lie in (0, alpha)")
     use_mp = (n > 8) or params.is_classical or not params.precision.is_double
     if not use_mp:
-        cs = r_coeffs(params, n)
-        if params.is_classical:
-            pw = tuple((float(c), float(j)) for j, c in enumerate(cs))
-        else:
-            pw = tuple((float(c), j / a) for j, c in enumerate(cs))
+        pw = tuple((float(c), j / a) for j, c in enumerate(r_coeffs(params, n)))
         nrm2 = inner_exact(params, pw, pw)
     else:
-        dps = max(params.precision.dps, 30 + 2 * n)
-        with mp_ctx(dps):
-            cs = r_coeffs_mp(params, n)
-            am, bm = mp.mpf(a), mp.mpf(b)
-            g0 = mp.gamma(am * bm + 1)
-            acc = mp.mpf(0)
-            for j, cj in enumerate(cs):
-                for i, ci in enumerate(cs):
-                    s = (i + j) if not params.is_classical else am * (i + j)
-                    acc += ci * cj * mp.gamma(s + am * bm + 1) / g0
-            nrm2 = float(acc)
+        with mp_ctx(max(params.precision.dps, 30 + 2 * n)):
+            pw = _r_powers_mp(params, n)
+            nrm2 = float(_inner_exact_mp(params, pw, pw))
     if nrm2 < 0.0:
         raise QuadratureError(f"norm^2 of R_{n} came out negative: {nrm2:.3e}")
     # auxiliary norm: (1/(a G(ab+1)^2)) Int R_n(u^a)^2 u^(ab) e^(-2u - eta u^(a/g)) du

@@ -19,19 +19,18 @@ finitely and are valid for every t > 0 (the small-space regime).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import (DomainError, GLParams, RealFn, TruncationError, monomial,
-                   phi)
-from .coeigen import r_coeffs, r_fn, w_eval, w_eval_wright
+from .core import DomainError, GLParams, RealFn, TruncationError, phi
+from .coeigen import r_fn, w_eval
 from .density import (markov_lambda_apply, mellin_lambda, weight_classical,
                       weight_e_ab, weight_eval)
-from .eigen import laguerre_eval, p_coeffs, p_eval, p_fn, p_sup
+from .eigen import laguerre_eval, p_coeffs, p_eval, p_sup
 from .quad import QuadRule, build_rule, inner_exact
 from .specfun import gauss_2f1, gauss_2f1_w1
 
@@ -96,8 +95,7 @@ def _generator_grid(params: GLParams):
     return y, gt * wts
 
 
-def generator_apply(params: GLParams, f: RealFn, x: float,
-                    quad=None) -> float:
+def generator_apply(params: GLParams, f: RealFn, x: float) -> float:
     """Generator value L f(x) for twice-differentiable f.
 
     Uses exact derivatives when the RealFn carries them, central finite

@@ -5,16 +5,21 @@ Gauss hypergeometric series with its z -> 1-z connection formula, the
 Wright-type series, two entire auxiliary functions, and partial Bell
 polynomial tables.
 
-Every series follows one precision policy: compensated float64 summation
-first, automatic escalation to software extended precision when the
-conditioning estimate sum|terms| / |sum| exceeds COND_THRESHOLD.
+``gamma_series`` is the one series engine: every gamma-product series of
+the package (W_n, the kernel density, the entire functions below) is a spec
+of a few lines handed to it.  Series and the finite expansions of P_n and
+R_n (``_escalating_horner``) follow one precision policy: float64 first
+(series with compensated summation), automatic escalation to software
+extended precision when the conditioning estimate sum|terms| / |sum|
+exceeds COND_THRESHOLD.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import mpmath as mp
@@ -26,8 +31,8 @@ from .core import (COND_THRESHOLD, MAX_ESCALATED_DPS, ConvergenceError,
                    PrecisionError, mp_ctx)
 
 __all__ = [
-    "SeriesResult", "BellTable", "log_gamma", "rgamma_c", "gammaln_ratio",
-    "log_abs_gamma", "gamma_sign", "gauss_2f1", "wright_1psi1", "frak_I",
+    "SeriesResult", "BellTable", "log_gamma", "rgamma_c", "log_abs_gamma",
+    "gamma_sign", "gamma_series", "gauss_2f1", "wright_1psi1", "frak_I",
     "gauss_2f1_w1", "cal_I", "bell_table", "bell_args",
 ]
 
@@ -114,13 +119,6 @@ def rgamma_c(z) -> complex:
     if lg.real > 700.0:
         return cmath.inf
     return cmath.exp(lg)
-
-
-def gammaln_ratio(x: float, y: float) -> float:
-    """Gamma(x)/Gamma(y) for positive arguments, via log difference."""
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("gammaln_ratio requires positive arguments")
-    return math.exp(_sp_gammaln(x) - _sp_gammaln(y))
 
 
 def log_abs_gamma(x: float) -> float:
@@ -264,6 +262,116 @@ def eval_series(fterm, mpterm, params: GLParams, tol: float = 1e-17,
     raise PrecisionError(f"series failed to stabilise under escalation ({note})")
 
 
+#: arithmetic a gamma-series spec is evaluated in: float64, or mpmath at the
+#: current working precision
+_FLOAT_OPS = SimpleNamespace(num=lambda v: v, log=math.log, lgamma=_sp_gammaln)
+_MP_OPS = SimpleNamespace(num=mp.mpmathify, log=mp.log, lgamma=mp.loggamma)
+
+
+def _float_term(lpref, z, num, den):
+    """float64 term k of exp(lpref) prod G(A k + B)^(+-1) z^k / k!.
+
+    Logs are added in a fixed order (prefactor, numerators, denominators,
+    log k!, k log|z|); real z stays in real arithmetic, its sign carried
+    apart.  Numerator arguments must be positive; a denominator at a pole
+    zeroes the term.
+    """
+    if isinstance(z, complex):
+        lz, exp, neg = cmath.log(z), cmath.exp, False
+    else:
+        lz, exp, neg = math.log(abs(z)) if z else 0.0, math.exp, z < 0.0
+
+    def term(k):
+        lt = lpref
+        sgn = -1.0 if neg and k & 1 else 1.0
+        for A, B in num:
+            lt += _sp_gammaln(A * k + B)
+        for A, B in den:
+            w = A * k + B
+            if w > 0.0:
+                lt -= _sp_gammaln(w)
+            elif w == round(w):
+                return 0.0
+            else:
+                sgn *= gamma_sign(w)
+                lt -= log_abs_gamma(w)
+        lt = lt - _sp_gammaln(k + 1.0) + k * lz
+        return sgn * exp(lt) if lt.real < 700.0 else sgn * math.inf
+
+    return term
+
+
+def _mp_term(lpref, z, num, den):
+    """mpmath term k of the same series; every argument was assembled at
+    working precision, since the escalated pass exists because term-level
+    relative errors get amplified by the cancellation."""
+    pref = mp.exp(lpref)
+
+    def term(k):
+        t = pref * z ** k / mp.factorial(k)
+        for A, B in num:
+            t *= mp.gamma(A * k + B)
+        for A, B in den:
+            t *= mp.rgamma(A * k + B)
+        return t
+
+    return term
+
+
+def gamma_series(params: GLParams, spec, note: str = "",
+                 _float_only: bool = False) -> SeriesResult:
+    """sum_k exp(lpref) prod_i G(A_i k + B_i) / prod_j G(A_j k + B_j) z^k / k!
+    under the package precision policy.
+
+    ``spec(alpha, beta, ops)`` returns ``(lpref, z, num, den)``, with num and
+    den sequences of (A, B) pairs.  It is evaluated once with float alpha,
+    beta and float64 ``ops`` (``num``, ``log``, ``lgamma``), and once per
+    escalated precision with mpmath values and mpmath ``ops``.
+    ``_float_only`` returns the float64 pass as it came out, converged or
+    not, for a caller with its own fallback.
+    """
+    a, b = params.alpha, params.beta
+    lpref, z, num, den = spec(a, b, _FLOAT_OPS)
+    fterm = _float_term(lpref, z, num, den)
+    if z == 0:
+        v = complex(fterm(0))        # only the k = 0 term survives
+        return SeriesResult(v, abs(v), 1, True)
+    if _float_only:
+        return SeriesResult(*_sum_float(fterm, 1e-17, _SERIES_CAP), note=note)
+    at = [None, None]                # (dps, term) of the current escalation
+
+    def mpterm(k):
+        if at[0] != mp.mp.dps:
+            at[:] = mp.mp.dps, _mp_term(*spec(mp.mpf(a), mp.mpf(b), _MP_OPS))
+        return at[1](k)
+
+    return eval_series(fterm, mpterm, params, note=note)
+
+
+def _escalating_horner(coeffs, y: float, params: GLParams, mp_args) -> float:
+    """sum_j coeffs[j] y^j by Horner under the package precision policy.
+
+    The float64 pass carries the condition number sum |c_j y^j| / |sum|;
+    past COND_THRESHOLD, or at extended precision, the sum is redone at
+    20 + log10(cond) digits on ``mp_args()``, which returns the mpmath
+    coefficients and y at that working precision.
+    """
+    p = cond = 0.0
+    ay = abs(y)
+    for c in coeffs[::-1]:
+        p = p * y + c
+        cond = cond * ay + abs(c)
+    cond = cond / abs(p) if p != 0.0 else 1e40
+    if cond <= COND_THRESHOLD and params.precision.is_double:
+        return p
+    with mp_ctx(max(params.precision.dps, 20 + int(math.log10(max(cond, 10.0))))):
+        cs, ym = mp_args()
+        acc = mp.mpf(0)
+        for c in reversed(cs):
+            acc = acc * ym + c
+        return float(acc)
+
+
 # --------------------------------------------------------------------------
 # Gauss hypergeometric 2F1 on [0, 1)
 # --------------------------------------------------------------------------
@@ -360,10 +468,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float, tol: float = 1e-16,
 # Wright-type series and entire auxiliaries
 # --------------------------------------------------------------------------
 
-def _clog(z: complex) -> complex:
-    return cmath.log(z)
-
-
 def wright_1psi1(params: GLParams, n: int, z) -> SeriesResult:
     """sum_k Gamma(k/a + n + b + 1/a) / Gamma(k/a + b + 1/a) * z^k / k!.
 
@@ -371,62 +475,18 @@ def wright_1psi1(params: GLParams, n: int, z) -> SeriesResult:
     """
     if n < 0:
         raise DomainError("order n must be >= 0")
-    a, b = params.alpha, params.beta
-    A = n + b + 1.0 / a
-    B = b + 1.0 / a
-    zc = complex(z)
-    if zc == 0:
-        v = gammaln_ratio(A, B)
-        return SeriesResult(complex(v), abs(v), 1, True)
-    lz = _clog(zc)
+    def spec(a, b, ops):
+        return 0, ops.num(z), ((1 / a, n + b + 1 / a),), ((1 / a, b + 1 / a),)
 
-    def fterm(k):
-        lt = _sp_gammaln(k / a + A) - _sp_gammaln(k / a + B) - _sp_gammaln(k + 1.0)
-        return cmath.exp(lt + k * lz)
-
-    mp_state = {}
-
-    def mpterm(k):
-        st = mp_state.get(mp.mp.dps)
-        if st is None:
-            am = mp.mpf(a)
-            bm = mp.mpf(b)
-            st = (mp.mpc(zc) if zc.imag else mp.mpf(zc.real),
-                  am, n + bm + 1 / am, bm + 1 / am)
-            mp_state[mp.mp.dps] = st
-        zz, am, Am, Bm = st
-        ka = mp.mpf(k) / am
-        return mp.gamma(ka + Am) / mp.gamma(ka + Bm) / mp.factorial(k) * zz ** k
-
-    return eval_series(fterm, mpterm, params, note=f"wright_1psi1(n={n})")
+    return gamma_series(params, spec, note=f"wright_1psi1(n={n})")
 
 
 def frak_I(params: GLParams, z) -> SeriesResult:
     """Entire series sum_k z^k / (Gamma(k/a + b + 1/a) k!)."""
-    a, b = params.alpha, params.beta
-    B = b + 1.0 / a
-    zc = complex(z)
-    if zc == 0:
-        v = math.exp(-_sp_gammaln(B))
-        return SeriesResult(complex(v), abs(v), 1, True)
-    lz = _clog(zc)
+    def spec(a, b, ops):
+        return 0, ops.num(z), (), ((1 / a, b + 1 / a),)
 
-    def fterm(k):
-        return cmath.exp(-_sp_gammaln(k / a + B) - _sp_gammaln(k + 1.0) + k * lz)
-
-    mp_state = {}
-
-    def mpterm(k):
-        st = mp_state.get(mp.mp.dps)
-        if st is None:
-            am = mp.mpf(a)
-            st = (mp.mpc(zc) if zc.imag else mp.mpf(zc.real),
-                  am, mp.mpf(b) + 1 / am)
-            mp_state[mp.mp.dps] = st
-        zz, am, Bm = st
-        return zz ** k / mp.gamma(mp.mpf(k) / am + Bm) / mp.factorial(k)
-
-    return eval_series(fterm, mpterm, params, note="frak_I")
+    return gamma_series(params, spec, note="frak_I")
 
 
 def cal_I(params: GLParams, z) -> SeriesResult:
@@ -434,31 +494,10 @@ def cal_I(params: GLParams, z) -> SeriesResult:
 
     Entire of order 1/(a+1); its growth type is params.frak_t.
     """
-    a, b = params.alpha, params.beta
-    ab1 = a * b + 1.0
-    lg0 = _sp_gammaln(ab1)
-    zc = complex(z)
-    if zc == 0:
-        return SeriesResult(1.0 + 0.0j, 1.0, 1, True)
-    lz = _clog(zc)
+    def spec(a, b, ops):
+        return ops.lgamma(a * b + 1), ops.num(z), (), ((a, a * b + 1),)
 
-    def fterm(k):
-        return cmath.exp(lg0 - _sp_gammaln(a * k + ab1) - _sp_gammaln(k + 1.0) + k * lz)
-
-    mp_state = {}
-
-    def mpterm(k):
-        st = mp_state.get(mp.mp.dps)
-        if st is None:
-            am = mp.mpf(a)
-            ab1m = am * mp.mpf(b) + 1
-            st = (mp.gamma(ab1m), am, ab1m,
-                  mp.mpc(zc) if zc.imag else mp.mpf(zc.real))
-            mp_state[mp.mp.dps] = st
-        g0, am, ab1m, zz = st
-        return g0 / mp.gamma(am * k + ab1m) / mp.factorial(k) * zz ** k
-
-    return eval_series(fterm, mpterm, params, note="cal_I")
+    return gamma_series(params, spec, note="cal_I")
 
 
 # --------------------------------------------------------------------------
@@ -534,6 +573,6 @@ def bell_table_mp(params: GLParams, K: int):
         for j in range(1, k + 1):
             s = mp.mpf(0)
             for i in range(1, k - j + 2):
-                s += mp.binomial(k - 1, i - 1) * a[i] * T.get((k - i, j - 1), mp.mpf(0))
+                s += math.comb(k - 1, i - 1) * a[i] * T.get((k - i, j - 1), mp.mpf(0))
             T[(k, j)] = s
     return a, T

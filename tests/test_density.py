@@ -101,8 +101,10 @@ def test_lambda_nonnegative_grid(p_half):
     assert min(vals) >= 0.0
 
 
-def test_lambda_series_vs_contour(p_half, p_three_quarter):
-    for p in (p_half, p_three_quarter):
+def test_lambda_series_vs_contour(p_half, p_three_quarter, p_half_ext,
+                                  p_three_quarter_ext):
+    # the ext128 pair runs the series in mpmath arithmetic from its first term
+    for p in (p_half, p_three_quarter, p_half_ext, p_three_quarter_ext):
         for z in (2.5, 4.0, 6.0):
             s = d.lambda_density(p, z).value.real
             m = d.lambda_mellin_value(p, z)

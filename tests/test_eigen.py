@@ -111,7 +111,7 @@ def test_non_orthogonality(p_half):
 
 
 def test_eval_stability_large_n(p_half):
-    # compensated Horner against the mp coefficients route
+    # escalated Horner against the mp coefficients route
     import mpmath as mp
     seq = eg.p_coeffs(p_half, 40)
     x = 9.5
@@ -123,3 +123,8 @@ def test_eval_stability_large_n(p_half):
             acc = acc * mp.mpf(x) + c
         ref = float(acc)
     assert got == pytest.approx(ref, rel=1e-7)
+    # repeated escalations reuse the mp coefficients instead of rebuilding them
+    built = eg._coeffs_mp.cache_info().misses
+    for _ in range(3):
+        assert eg.p_eval(seq, 40, x) == got
+    assert eg._coeffs_mp.cache_info().misses == built

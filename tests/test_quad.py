@@ -66,6 +66,11 @@ def test_build_rule_domain(p_half):
         q.build_rule(d.weight_e_ab(p_half), 501)
     with pytest.raises(DomainError):
         q.build_rule(d.weight_e_bar(p_half, 0.25), 50)
+    # x**149 overflows at the far nodes: at order 200 against a weight that
+    # underflowed to 0 (0 * inf = nan), at order 120 against a finite one
+    for m in (200, 120):
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError):
+            q.integrate(rule_for(make_params(1, 0), m), lambda x: x ** 149)
 
 
 def test_inner_trivial_and_moment(p_half):

@@ -155,19 +155,19 @@ def test_frak_I_trivial_and_bessel(p_half):
     assert sf.frak_I(p_half, 0.0).value.real == pytest.approx(
         1.0 / math.gamma(b + 1.0 / a), rel=1e-14)
     from scipy.special import iv
-    p1 = make_params(1, 0)
-    for x in (0.5, 2.0, 7.0):
-        assert sf.frak_I(p1, x).value.real == pytest.approx(
-            float(iv(0, 2.0 * math.sqrt(x))), rel=1e-12)
+    for p1 in (make_params(1, 0), make_params(1, 0, precision="ext128")):
+        for x in (0.5, 2.0, 7.0):
+            assert sf.frak_I(p1, x).value.real == pytest.approx(
+                float(iv(0, 2.0 * math.sqrt(x))), rel=1e-12)
 
 
 def test_cal_I_trivial_and_bessel(p_half):
     assert sf.cal_I(p_half, 0.0).value.real == 1.0
     from scipy.special import iv
-    p1 = make_params(1, 0)
-    for x in (0.5, 2.0, 7.0):
-        assert sf.cal_I(p1, x).value.real == pytest.approx(
-            float(iv(0, 2.0 * math.sqrt(x))), rel=1e-12)
+    for p1 in (make_params(1, 0), make_params(1, 0, precision="ext128")):
+        for x in (0.5, 2.0, 7.0):
+            assert sf.cal_I(p1, x).value.real == pytest.approx(
+                float(iv(0, 2.0 * math.sqrt(x))), rel=1e-12)
 
 
 def test_cal_I_growth_envelope(p_half):
