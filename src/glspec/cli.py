@@ -61,6 +61,10 @@ def _emit(rows, header, fmt: str, out):
             lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
                                   for v in r))
         text = "\n".join(lines) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -75,17 +79,14 @@ def _params_from(alpha, beta, precision) -> GLParams:
         raise click.UsageError(str(exc)) from exc
 
 
-common_options = [
+param_options = [
     click.option("--alpha", type=float, default=0.5, show_default=True),
     click.option("--beta", type=float, default=1.0, show_default=True),
     click.option("--precision", type=click.Choice(["double", "ext128", "ext256"]),
                  default="double", show_default=True),
-    click.option("--quad-order", type=int, default=160, show_default=True),
-    click.option("--tol", type=float, default=1e-9, show_default=True),
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                 default="csv", show_default=True),
-    click.option("--out", type=click.Path(), default=None),
 ]
+out_option = click.option("--out", type=click.Path(), default=None,
+                          help="write to this file instead of stdout")
 
 
 def add_options(opts):
@@ -105,7 +106,12 @@ def main():
 @main.command("eval")
 @click.argument("subject", type=click.Choice(
     ["P", "R", "W", "lambda", "e_ab", "heat", "expand", "K"]))
-@add_options(common_options)
+@add_options(param_options)
+@click.option("--quad-order", type=int, default=160, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+              default="csv", show_default=True)
+@out_option
 @click.option("--n", type=int, default=3, show_default=True)
 @click.option("--q", type=int, default=0, show_default=True,
               help="derivative order for W")
@@ -202,13 +208,16 @@ def _parse_fn(params, token: str):
 @click.argument("suite", type=click.Choice(
     ["biorth", "eigen", "intertwine", "mellin", "representations", "bounds",
      "norms", "all"]))
-@add_options(common_options)
+@add_options(param_options)
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
+              default="text", show_default=True,
+              help="json: a list of {name, value, bound, pass}")
+@out_option
 @click.option("--n", "n_cap", type=int, default=None,
               help="override the suite's matrix/order size")
 @click.option("--seed-check", is_flag=True, default=False,
               help="quick smoke subset of 'all'")
-def cmd_verify(suite, alpha, beta, precision, quad_order, tol, fmt, out,
-               n_cap, seed_check):
+def cmd_verify(suite, alpha, beta, precision, fmt, out, n_cap, seed_check):
     """Run a named invariant suite; exit 0 iff every check passes."""
     params = _params_from(alpha, beta, precision)
     checks = []
@@ -275,12 +284,16 @@ def cmd_verify(suite, alpha, beta, precision, quad_order, tol, fmt, out,
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
-    failed = False
-    for name, value, bound in checks:
-        ok = value <= bound
-        failed |= not ok
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} "
-                   f"(tolerance {bound:.3e})")
+    verdicts = [(name, float(value), bound, bool(value <= bound))
+                for name, value, bound in checks]
+    if fmt == "json":
+        text = json.dumps([{"name": name, "value": value, "bound": bound, "pass": ok}
+                           for name, value, bound, ok in verdicts], indent=1) + "\n"
+    else:
+        text = "".join(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} "
+                       f"(tolerance {bound:.3e})\n" for name, value, bound, ok in verdicts)
+    _write(text, out)
+    failed = not all(ok for *_, ok in verdicts)
     sys.exit(EXIT_VERIFY_FAIL if failed else EXIT_OK)
 
 

@@ -1,10 +1,15 @@
 """Co-eigenfunctions R_n and densities W_n = R_n * e, through three
 independent computational paths that cross-validate each other:
 
-  bell     finite expansion of R_n in powers x^(j/alpha) with partial-Bell
-           coefficients (exact finite formula; best at small x)
+  bell     finite expansion of R_n in powers x^(j/alpha); its coefficients
+           (the partial-Bell formula of r_coeffs) come from one table per
+           (alpha, beta), built once in mpmath by a cancellation-free
+           recurrence in n.  The production route: R_n, and W_n = R_n e at
+           every x > 0
   wright   term-by-term differentiated exponential series for W_n
-           (entire; alternating, so conditioning degrades with n x)
+           (entire; alternating, so conditioning degrades with n x).  The
+           route for the derivatives W_n^(q), q >= 1, and the independent
+           check of the first
   mellin   trapezoid Mellin-Barnes inversion on a vertical contour
            (oscillatory but cancellation-free)
 
@@ -16,6 +21,7 @@ R_n = L_n^(beta) classical at alpha = 1.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -25,95 +31,130 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.special import loggamma as sp_cloggamma
 
-from .core import (ContourError, DomainError, GLParams, RealFn,
-                   dps_bucket_cache)
-from .density import weight_e_ab, weight_eval
+from .core import ContourError, DomainError, GLParams, RealFn, mp_ctx
+from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
-from .specfun import (_escalating_horner, bell_table, bell_table_mp,
-                      gamma_series, gamma_sign, log_abs_gamma)
+from .specfun import (_escalating_horner, gamma_series, gamma_sign,
+                      log_abs_gamma)
 
-__all__ = ["r_coeffs", "r_eval_bell", "r_fn", "w_eval_wright", "w_eval_mellin",
-           "w_eval", "w_fn", "w_crude_bound_check", "ContourSpec"]
+__all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_wright",
+           "w_eval_mellin", "w_eval", "w_fn", "w_crude_bound_check",
+           "ContourSpec"]
 
 
 # --------------------------------------------------------------------------
-# Bell-polynomial path
+# Coefficient table and the finite expansion of R_n
 # --------------------------------------------------------------------------
+
+#: parameter pairs whose coefficient table is held; a caller that sweeps
+#: (alpha, beta) leaves tables no later call uses, so the least recently
+#: used are dropped
+TABLES_HELD = 16
+
+#: fewest digits a table is built at; its float64 rounding is then correct
+_TABLE_MIN_DPS = 32
+
+_tables: "OrderedDict[GLParams, _Table]" = OrderedDict()
+
+
+@dataclass
+class _Table:
+    """Rows 0..N of the coefficients c_{n,j} of R_n in mpmath, built at dps
+    decimal digits."""
+
+    dps: int
+    rows: list
+
+
+def _extend(rows: list, params: GLParams, n: int) -> None:
+    """Append rows len(rows)..n, at the current working precision, by
+
+        n c_{n,j} = (j/alpha + beta_alpha + n) c_{n-1,j} - c_{n-1,j-1} / alpha.
+
+    Writing x^n e(x) as its power series in y = x^(1/alpha) and
+    differentiating term by term gives R_n(x) = (1/n!) e^y
+    sum_m (-1)^m f_n(m) y^m / m! with f_n(m) = prod_{i=1..n}(m/alpha +
+    beta_alpha + i).  In the falling-factorial basis of m, where
+    f_n = f_{n-1} (m/alpha + beta_alpha + n), the sum over m collapses to
+    c_{n,j} = (-1)^j psi_{n,j} / n!, and every term of the psi recurrence
+    is positive (beta_alpha >= 0): the coefficients alternate in sign and
+    are built without cancellation.
+    """
+    inv = 1 / mp.mpf(params.alpha)
+    ba = mp.mpf(params.beta) + inv - 1
+    for m in range(len(rows), n + 1):
+        prev = rows[-1]
+        row = [(ba + m) * prev[0] / m]
+        row += [((ba + m + j * inv) * prev[j] - prev[j - 1] * inv) / m
+                for j in range(1, m)]
+        row.append(-prev[-1] * inv / m)
+        rows.append(row)
+
+
+def _rows(params: GLParams, n: int, dps: int) -> list:
+    """The coefficient table of params, holding rows 0..n at no fewer than
+    dps digits.
+
+    A table is extended in n as larger orders are asked for, and rebuilt
+    only for a caller that needs more digits than it holds, at dps rounded
+    up to a multiple of 16 (and at least 32).
+    """
+    if n < 0:
+        raise DomainError("order must be >= 0")
+    table = _tables.pop(params, None)
+    if table is None or table.dps < dps:
+        table = _Table(max(_TABLE_MIN_DPS, -(-dps // 16) * 16), [[mp.mpf(1)]])
+    if len(table.rows) <= n:
+        with mp_ctx(table.dps):
+            _extend(table.rows, params, n)
+    _tables[params] = table
+    if len(_tables) > TABLES_HELD:
+        _tables.popitem(last=False)
+    return table.rows
+
+
+def r_coeffs_mp(params: GLParams, n: int) -> list:
+    """Coefficients of R_n (see r_coeffs) as mpmath numbers with at least the
+    current working precision: row n of the params' coefficient table, in a
+    fresh list."""
+    return list(_rows(params, n, mp.mp.dps)[n])
+
 
 @lru_cache(maxsize=256)
 def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     """Coefficients c_j with R_n(x) = sum_j c_j x^(j/alpha), j = 0..n.
 
-    c_j = (1/n!) sum_{k>=j} C(n,k) [G(n+b+1/a)/G(k+b+1/a)] (-1)^(k+j) B_{k,j}.
-    At alpha = 1 these are the classical Laguerre monomial coefficients.
+    c_j = (1/n!) sum_{k>=j} C(n,k) [G(n+b+1/a)/G(k+b+1/a)] (-1)^(k+j) B_{k,j}
+    with partial Bell polynomials B_{k,j}.  The coefficient table builds the
+    same numbers by a cancellation-free recurrence in n (see _extend); this
+    is its row n, correctly rounded to float64.  At alpha = 1 these are the
+    classical Laguerre monomial coefficients.
     """
+    return np.array([float(c) for c in _rows(params, n, _TABLE_MIN_DPS)[n]])
+
+
+def _r_horner(params: GLParams, n: int, x: float, log: bool):
+    """R_n(x) from its finite expansion in powers of y = x^(1/alpha) (the
+    classical Laguerre recurrence at alpha = 1); with log, (sign, log|R_n|)."""
+    if x <= 0.0:
+        raise DomainError("co-eigenfunctions are evaluated on x > 0")
     if n < 0:
         raise DomainError("order must be >= 0")
-    a, b = params.alpha, params.beta
     if params.is_classical:
-        out = np.array([(-1.0) ** k * math.exp(
-            gammaln(n + b + 1.0) - gammaln(k + b + 1.0) - gammaln(n - k + 1.0)
-            - gammaln(k + 1.0)) for k in range(n + 1)])
-        return out
-    out = np.zeros(n + 1)
-    if n == 0:
-        out[0] = 1.0
-        return out
-    bt = bell_table(params, n)
-    lgtop = gammaln(n + b + 1.0 / a)
-    lbin = [gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-            for k in range(n + 1)]
-    for j in range(n + 1):
-        s = 0.0
-        kmin = j if j > 0 else 0
-        for k in range(kmin, n + 1):
-            B = bt.B(k, j)
-            if B == 0.0:
-                continue
-            s += (math.exp(lbin[k] + lgtop - gammaln(k + b + 1.0 / a))
-                  * (-1.0) ** (k + j) * B)
-        out[j] = s
-    out /= math.exp(gammaln(n + 1.0))
-    return out
-
-
-@dps_bucket_cache
-def r_coeffs_mp(params: GLParams, n: int):
-    """mpmath variant of r_coeffs at (at least) the current working precision.
-
-    Cached, so repeated extended-precision evaluation of R_n builds the
-    O(n^3) Bell table only once.
-    """
-    am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
-    if params.is_classical:
-        return [(-1) ** k * mp.gamma(n + bm + 1) / (mp.gamma(k + bm + 1)
-                * mp.factorial(n - k) * mp.factorial(k)) for k in range(n + 1)]
-    if n == 0:
-        return [mp.mpf(1)]
-    _, T = bell_table_mp(params, n)
-    top = mp.gamma(n + bm + 1 / am)
-    out = []
-    for j in range(n + 1):
-        s = mp.mpf(0)
-        for k in range(j if j else 0, n + 1):
-            B = T.get((k, j), mp.mpf(1) if (k, j) == (0, 0) else mp.mpf(0))
-            if B == 0:
-                continue
-            s += math.comb(n, k) * top / mp.gamma(k + bm + 1 / am) \
-                * (-1) ** (k + j) * B
-        out.append(s / mp.factorial(n))
-    return out
+        v = laguerre_eval(n, params.beta, x)
+        if not log:
+            return v
+        return math.copysign(1.0, v), (math.log(abs(v)) if v else -math.inf)
+    return _escalating_horner(
+        r_coeffs(params, n), x ** (1.0 / params.alpha), params,
+        lambda: (r_coeffs_mp(params, n), mp.mpf(x) ** (1 / mp.mpf(params.alpha))),
+        log=log)
 
 
 def r_eval_bell(params: GLParams, n: int, x: float) -> float:
-    """R_n(x) from the finite power expansion in y = x^(1/alpha)."""
-    if x <= 0.0:
-        raise DomainError("co-eigenfunctions are evaluated on x > 0")
-    if params.is_classical:
-        return laguerre_eval(n, params.beta, x)
-    return _escalating_horner(
-        r_coeffs(params, n), x ** (1.0 / params.alpha), params,
-        lambda: (r_coeffs_mp(params, n), mp.mpf(x) ** (1 / mp.mpf(params.alpha))))
+    """R_n(x) from the finite power expansion in y = x^(1/alpha), with the
+    coefficients of the cached table."""
+    return _r_horner(params, n, x, log=False)
 
 
 def r_fn(params: GLParams, n: int) -> RealFn:
@@ -245,15 +286,18 @@ def w_eval_mellin(params: GLParams, n: int, x: float,
 def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
     """Default W_n^(q)(x) evaluation path.
 
-    Small arguments go through the finite Bell expansion (q = 0), moderate
-    ones through the differentiated series; the series escalates its own
-    precision when its conditioning explodes, which is the regime where the
-    Mellin path serves as the cancellation-free cross-check.
+    q = 0: R_n(x) e(x) at every x > 0, from the cached coefficient table,
+    formed as sign * exp(log|R_n(x)| + log e(x)) so that a huge R_n and an
+    underflowed e(x) give the correctly rounded product, not a false 0 or
+    an overflow (W_5(2) at alpha = 0.1 is about -9.1e-424 and comes back
+    as -0.0).  q >= 1: the differentiated Wright series, which escalates
+    its own precision when its conditioning explodes.
     """
-    if q == 0 and x <= 1.0:
-        w = weight_e_ab(params)
-        return r_eval_bell(params, n, x) * weight_eval(w, x)
-    return w_eval_wright(params, n, q, x)
+    if q:
+        return w_eval_wright(params, n, q, x)
+    sign, lr = _r_horner(params, n, x, log=True)
+    lw = lr + log_weight_eval(weight_e_ab(params), x)
+    return sign * math.inf if lw > 709.78 else math.copysign(math.exp(lw), sign)
 
 
 def w_fn(params: GLParams, n: int, q: int = 0) -> RealFn:

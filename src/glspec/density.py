@@ -26,6 +26,7 @@ from .specfun import (SeriesResult, gamma_series, gamma_sign, log_abs_gamma,
 
 __all__ = [
     "Weight", "weight_e_ab", "weight_e_bar", "weight_classical", "weight_eval",
+    "log_weight_eval",
     "moment", "moment_s", "mellin_e", "mellin_lambda", "lambda_density",
     "lambda_value", "markov_lambda_apply", "markov_lambda_adjoint_apply",
 ]
@@ -79,21 +80,25 @@ def weight_classical(params: GLParams, beta: Optional[float] = None) -> Weight:
     return Weight("e_classical", params, cl_beta=b)
 
 
-def weight_eval(w: Weight, x: float) -> float:
-    """Pointwise weight value; DomainError for x <= 0."""
+def log_weight_eval(w: Weight, x: float) -> float:
+    """Log of the pointwise weight value; finite where the value itself
+    under- or overflows.  DomainError for x <= 0."""
     if x <= 0.0:
         raise DomainError(f"weights live on (0, inf), got x = {x}")
     p = w.params
     if w.kind == "e_ab":
         a, b = p.alpha, p.beta
-        lg = (b + 1.0 / a - 1.0) * math.log(x) - x ** (1.0 / a) - math.log(w.normalizer)
-        return math.exp(lg)
+        return (b + 1.0 / a - 1.0) * math.log(x) - x ** (1.0 / a) - math.log(w.normalizer)
     if w.kind == "e_classical":
         b = w.cl_beta
-        return math.exp(b * math.log(x) - x - gammaln(b + 1.0))
+        return b * math.log(x) - x - gammaln(b + 1.0)
     a = p.alpha
-    return math.exp((p.beta + 1.0 / a - 1.0) * math.log(x)
-                    + w.eta_bar * x ** (1.0 / w.gamma_))
+    return (p.beta + 1.0 / a - 1.0) * math.log(x) + w.eta_bar * x ** (1.0 / w.gamma_)
+
+
+def weight_eval(w: Weight, x: float) -> float:
+    """Pointwise weight value; DomainError for x <= 0."""
+    return math.exp(log_weight_eval(w, x))
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +214,9 @@ def lambda_mellin_value(params: GLParams, z: float) -> float:
     The abscissa minimises z^{-a} Gamma(a) / Gamma(alpha a + bb), which keeps
     the trapezoid integrand at the same scale as the result, so plain float64
     suffices even deep in the tail where the series cancels catastrophically.
+    The integrand is divided by its value at the saddle, and that log added
+    back at the end: the decay test is then relative, and a lambda below
+    the double range comes back correctly rounded, as 0.0.
     """
     from scipy.special import digamma, loggamma as sp_cloggamma
     a_, b_ = params.alpha, params.beta
@@ -238,17 +246,17 @@ def lambda_mellin_value(params: GLParams, z: float) -> float:
     h = min(0.08, 0.5 / max(1.0, lz), sigma / 6.0)
     lg0 = gammaln(a_ * b_ + 1.0)
 
-    def block(t):
-        s = a0 + 1j * t
-        return np.exp(-s * lz + sp_cloggamma(s) + lg0 - sp_cloggamma(a_ * s + bb))
+    def log_integrand(s):
+        return -s * lz + sp_cloggamma(s) + lg0 - sp_cloggamma(a_ * s + bb)
 
+    l0 = float(log_integrand(a0).real)
     acc = 0.0
     peak = 0.0
     t0 = 0.0
     nchunk = 2048
     for _ in range(400):
         t = t0 + h * np.arange(nchunk)
-        vals = block(t)
+        vals = np.exp(log_integrand(a0 + 1j * t) - l0)
         if t0 == 0.0:
             vals[0] *= 0.5
         acc += float(np.sum(vals.real))
@@ -258,7 +266,8 @@ def lambda_mellin_value(params: GLParams, z: float) -> float:
         t0 += nchunk * h
     else:
         raise ContourError("kernel contour failed to decay below tolerance")
-    return acc * h / math.pi
+    v = acc * h / math.pi
+    return math.copysign(math.exp(math.log(abs(v)) + l0), v) if v else v
 
 
 def lambda_value(params: GLParams, z: float, clamp: bool = True) -> float:
@@ -278,7 +287,7 @@ def lambda_value(params: GLParams, z: float, clamp: bool = True) -> float:
             v = lambda_mellin_value(params, z)
         else:
             v = lambda_density(params, z).value.real
-    if v < 0.0 and clamp:
+    if v <= 0.0 and clamp:          # -0.0 too: a density has no signed zero
         return 0.0
     return v
 

@@ -2,8 +2,7 @@
 
 Complex log-gamma (Lanczos at double precision, mpmath at extended), the
 Gauss hypergeometric series with its z -> 1-z connection formula, the
-Wright-type series, two entire auxiliary functions, and partial Bell
-polynomial tables.
+Wright-type series and two entire auxiliary functions.
 
 ``gamma_series`` is the one series engine: every gamma-product series of
 the package (W_n, the kernel density, the entire functions below) is a spec
@@ -23,7 +22,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 import mpmath as mp
-import numpy as np
 from scipy.special import gammaln as _sp_gammaln
 
 from .core import (COND_THRESHOLD, MAX_ESCALATED_DPS, ConvergenceError,
@@ -31,9 +29,9 @@ from .core import (COND_THRESHOLD, MAX_ESCALATED_DPS, ConvergenceError,
                    PrecisionError, mp_ctx)
 
 __all__ = [
-    "SeriesResult", "BellTable", "log_gamma", "rgamma_c", "log_abs_gamma",
-    "gamma_sign", "gamma_series", "gauss_2f1", "wright_1psi1", "frak_I",
-    "gauss_2f1_w1", "cal_I", "bell_table", "bell_args",
+    "SeriesResult", "log_gamma", "rgamma_c", "log_abs_gamma", "gamma_sign",
+    "gamma_series", "gauss_2f1", "wright_1psi1", "frak_I", "gauss_2f1_w1",
+    "cal_I",
 ]
 
 _LOG_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
@@ -174,6 +172,10 @@ class SeriesResult:
 
 _SERIES_CAP = 10000
 _CONSECUTIVE = 3
+
+#: largest float64 Horner condition number taken at its word: below it the
+#: float64 sum keeps enough correct digits to size the escalated precision
+_HORNER_TRUSTED_COND = 1.0e13
 
 
 def _sum_float(term: Callable[[int], complex], tol: float, cap: int):
@@ -348,28 +350,46 @@ def gamma_series(params: GLParams, spec, note: str = "",
     return eval_series(fterm, mpterm, params, note=note)
 
 
-def _escalating_horner(coeffs, y: float, params: GLParams, mp_args) -> float:
-    """sum_j coeffs[j] y^j by Horner under the package precision policy.
+def _escalating_horner(coeffs, y: float, params: GLParams, mp_args,
+                       log: bool = False):
+    """sum_j coeffs[j] y^j (coeffs a float64 array) by Horner under the
+    package precision policy.
 
     The float64 pass carries the condition number sum |c_j y^j| / |sum|;
     past COND_THRESHOLD, or at extended precision, the sum is redone at
     20 + log10(cond) digits on ``mp_args()``, which returns the mpmath
-    coefficients and y at that working precision.
+    coefficients and y at that working precision.  Where the float64
+    estimate cannot be trusted (it overflowed, or cond > 1e13 left it
+    without correct digits) the mpmath pass measures its own condition
+    number and repeats with more digits until 17 of them are left.
+    With ``log`` the result is (sign, log|sum|), finite where the sum
+    leaves the double range.
     """
     p = cond = 0.0
     ay = abs(y)
-    for c in coeffs[::-1]:
+    for c in coeffs[::-1].tolist():     # Python floats overflow to inf quietly
         p = p * y + c
         cond = cond * ay + abs(c)
-    cond = cond / abs(p) if p != 0.0 else 1e40
+    cond = cond / abs(p) if p != 0.0 else math.inf
     if cond <= COND_THRESHOLD and params.precision.is_double:
-        return p
-    with mp_ctx(max(params.precision.dps, 20 + int(math.log10(max(cond, 10.0))))):
-        cs, ym = mp_args()
-        acc = mp.mpf(0)
-        for c in reversed(cs):
-            acc = acc * ym + c
-        return float(acc)
+        return (math.copysign(1.0, p), math.log(abs(p))) if log else p
+    trusted = cond <= _HORNER_TRUSTED_COND
+    dps = max(params.precision.dps, (20 + int(math.log10(cond))) if trusted else 40)
+    while True:
+        with mp_ctx(dps):
+            cs, ym = mp_args()
+            acc = mag = mp.mpf(0)
+            aym = abs(ym)
+            for c in reversed(cs):
+                acc = acc * ym + c
+                if not trusted:
+                    mag = mag * aym + abs(c)
+            lost = 0 if trusted or acc == 0 else int(mp.log10(mag / abs(acc))) + 1
+            if lost <= dps - 17:
+                if not log:
+                    return float(acc)
+                return (-1.0 if acc < 0 else 1.0), float(mp.log(abs(acc)))
+        dps = lost + 20
 
 
 # --------------------------------------------------------------------------
@@ -498,81 +518,3 @@ def cal_I(params: GLParams, z) -> SeriesResult:
         return ops.lgamma(a * b + 1), ops.num(z), (), ((a, a * b + 1),)
 
     return gamma_series(params, spec, note="cal_I")
-
-
-# --------------------------------------------------------------------------
-# Bell polynomial table
-# --------------------------------------------------------------------------
-
-def bell_args(alpha: float, K: int):
-    """Argument sequence a_i = Gamma(i - 1/alpha)/Gamma(-1/alpha), i = 1..K.
-
-    Computed as the finite product prod_{m=0}^{i-1} (m - 1/alpha), which stays
-    finite even where the individual gamma factors have poles.
-    """
-    inv = 1.0 / alpha
-    out = np.empty(K + 1)
-    out[0] = np.nan  # index 0 unused
-    acc = 1.0
-    for i in range(1, K + 1):
-        acc *= (i - 1) - inv
-        out[i] = acc
-    return out
-
-
-@dataclass(frozen=True)
-class BellTable:
-    """Triangular table of partial Bell polynomials B_{k,j} at bell_args."""
-
-    alpha: float
-    K: int
-    args: np.ndarray            # a_1..a_K at indices 1..K
-    table: np.ndarray           # (K+1, K+1), entry [k, j]
-
-    def B(self, k: int, j: int) -> float:
-        if k == 0 and j == 0:
-            return 1.0
-        if j < 1 or j > k or k > self.K:
-            return 0.0
-        return float(self.table[k, j])
-
-
-def bell_table(params: GLParams, K: int) -> BellTable:
-    """Partial Bell polynomials via B_{k,j} = sum_i C(k-1, i-1) a_i B_{k-i,j-1}."""
-    if K < 1:
-        raise DomainError("K must be >= 1")
-    if params.alpha >= 1.0:
-        raise DomainError("Bell path is for alpha < 1; use the classical branch")
-    a = bell_args(params.alpha, K)
-    T = np.zeros((K + 1, K + 1))
-    T[0, 0] = 1.0
-    binom = np.zeros((K + 1, K + 1))
-    for k in range(K + 1):
-        binom[k, 0] = 1.0
-        for j in range(1, k + 1):
-            binom[k, j] = binom[k - 1, j - 1] + binom[k - 1, j]
-    for k in range(1, K + 1):
-        for j in range(1, k + 1):
-            s = 0.0
-            for i in range(1, k - j + 2):
-                s += binom[k - 1, i - 1] * a[i] * T[k - i, j - 1]
-            T[k, j] = s
-    return BellTable(params.alpha, K, a, T)
-
-
-def bell_table_mp(params: GLParams, K: int):
-    """mpmath variant of bell_table (current working precision)."""
-    inv = mp.mpf(1) / params.alpha
-    a = [mp.mpf(0)] * (K + 1)
-    acc = mp.mpf(1)
-    for i in range(1, K + 1):
-        acc *= (i - 1) - inv
-        a[i] = acc
-    T = {(0, 0): mp.mpf(1)}
-    for k in range(1, K + 1):
-        for j in range(1, k + 1):
-            s = mp.mpf(0)
-            for i in range(1, k - j + 2):
-                s += math.comb(k - 1, i - 1) * a[i] * T.get((k - i, j - 1), mp.mpf(0))
-            T[(k, j)] = s
-    return a, T

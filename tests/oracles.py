@@ -105,6 +105,64 @@ def bell_partitions(k: int, j: int, a: list) -> float:
     return total
 
 
+def bell_args(alpha, K: int, num=float) -> list:
+    """Argument sequence a_i = Gamma(i - 1/alpha)/Gamma(-1/alpha), i = 1..K,
+    as the finite product prod_{m=0}^{i-1} (m - 1/alpha); a[0] is unused.
+    ``num`` is float, or mp.mpf for values at the mpmath working precision."""
+    inv = 1 / num(alpha)
+    out = [math.nan]
+    acc = num(1)
+    for i in range(1, K + 1):
+        acc *= (i - 1) - inv
+        out.append(acc)
+    return out
+
+
+class BellTable:
+    """Partial Bell polynomials B_{k,j}, k <= K, at the arguments ``args``."""
+
+    def __init__(self, args: list, rows: list):
+        self.args, self.rows = args, rows
+
+    def B(self, k: int, j: int):
+        return self.rows[k][j] if 0 <= j <= k < len(self.rows) else 0.0
+
+
+def bell_table(params, K: int, num=float) -> BellTable:
+    """Partial Bell polynomials at bell_args by the recurrence
+    B_{k,j} = sum_i C(k-1, i-1) a_i B_{k-i,j-1}.  The package's DomainError
+    for alpha = 1 (no Bell structure) and for K < 1."""
+    from glspec.core import DomainError
+    if K < 1:
+        raise DomainError("K must be >= 1")
+    if params.alpha >= 1.0:
+        raise DomainError("Bell path is for alpha < 1; use the classical branch")
+    a = bell_args(params.alpha, K, num)
+    rows = [[num(1)]]
+    for k in range(1, K + 1):
+        rows.append([num(0)] + [
+            sum((math.comb(k - 1, i - 1) * a[i] * rows[k - i][j - 1]
+                 for i in range(1, k - j + 2)), num(0))
+            for j in range(1, k + 1)])
+    return BellTable(a, rows)
+
+
+def r_coeffs_bell_mp(params, n: int, dps: int = 80) -> list:
+    """Coefficients c_j of R_n(x) = sum_j c_j x^(j/alpha) by the partial-Bell
+    formula, at dps digits with mp.gamma (alpha < 1):
+
+        c_j = (1/n!) sum_{k>=j} C(n,k) [G(n+b+1/a)/G(k+b+1/a)] (-1)^(k+j) B_{k,j}.
+
+    alpha and beta are the exact binary values of the floats."""
+    with mp.workdps(dps):
+        am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
+        bt = bell_table(params, max(n, 1), mp.mpf)
+        top = mp.gamma(n + bm + 1 / am)
+        return [mp.fsum(math.comb(n, k) * top / mp.gamma(k + bm + 1 / am)
+                        * (-1) ** (k + j) * bt.B(k, j) for k in range(j, n + 1))
+                / mp.factorial(n) for j in range(n + 1)]
+
+
 def richardson_derivative(f, x: float, order: int, h0: float = 1e-2,
                           levels: int = 4) -> float:
     """order-th derivative by iterated central differences with Richardson

@@ -1,13 +1,15 @@
 import math
+import time
 
-import numpy as np
+import mpmath as mp
 import pytest
 
 from glspec.core import DomainError, make_params
 from glspec import coeigen as ce
 from glspec import density as d
 
-from oracles import classical_laguerre, richardson_derivative, w_density_mp
+from oracles import (classical_laguerre, r_coeffs_bell_mp, richardson_derivative,
+                     w_density_mp)
 
 
 def test_r0_is_one(p_half):
@@ -141,3 +143,108 @@ def test_crude_bound_domain_and_ratios(p_half, p_three_quarter):
 def test_trivial_crude_bound_small_n(p_half):
     r = ce.w_crude_bound_check(p_half, 5, 0, 0.3)
     assert math.isfinite(r["ratio"])
+
+
+# --------------------------------------------------------------------------
+# Coefficient table and the R_n e route of W_n
+# --------------------------------------------------------------------------
+
+def _w_oracle(alpha, beta, n, x):
+    """w_density_mp with terms and digits enough for x^(1/alpha) <= 36."""
+    y = x ** (1.0 / alpha)
+    return w_density_mp(alpha, beta, n, 0, x, kmax=int(4 * y + 2 * n + 60),
+                        dps=60 + int(y) + n)
+
+
+def _r_oracle(params, n, x):
+    """R_n(x) from the 80-digit partial-Bell coefficients."""
+    with mp.workdps(80):
+        y = mp.mpf(x) ** (1 / mp.mpf(params.alpha))
+        acc = mp.mpf(0)
+        for c in reversed(r_coeffs_bell_mp(params, n)):
+            acc = acc * y + c
+        return float(acc)
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(2.0 / 3.0, 0.0, 40), (0.75, 0.5, 37),
+                                            (1.0 / math.sqrt(2.0), 0.3, 40),
+                                            (0.1, 0.0, 30)])
+def test_r_coeffs_correctly_rounded(alpha, beta, n):
+    p = make_params(alpha, beta)
+    got = ce.r_coeffs(p, n)
+    ref = r_coeffs_bell_mp(p, n)
+    assert len(got) == n + 1
+    for j, (c, r) in enumerate(zip(got, ref)):
+        assert abs(mp.mpf(c) - r) <= 2e-16 * abs(r), (j, c)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (2.0 / 3.0, 0.0), (0.75, 0.5),
+                                         (1.0, 0.0), (1.0 / math.sqrt(2.0), 0.3)])
+def test_w_eval_beyond_one_matches_wright_oracle(alpha, beta):
+    p = make_params(alpha, beta)
+    for n in (1, 17, 40):
+        for x in (1.2, 3.1, 6.0):
+            ref = _w_oracle(alpha, beta, n, x)
+            assert ce.w_eval(p, n, x) == pytest.approx(ref, rel=1e-8), (n, x)
+
+
+def test_near_tolerance_points(p_three_quarter):
+    # the Horner sum of R_37(1.01) has condition 4.8e6: coefficient errors show
+    assert ce.r_eval_bell(p_three_quarter, 37, 1.01) == pytest.approx(
+        _r_oracle(p_three_quarter, 37, 1.01), rel=1e-9)
+    assert ce.w_eval(p_three_quarter, 38, 0.675) == pytest.approx(
+        _w_oracle(0.75, 0.5, 38, 0.675), rel=1e-9)
+
+
+def test_w_below_double_range_is_signed_zero():
+    # W_5(2) at alpha = 0.1 is -9.06e-424: R_5(2) = -9.2e17 times e(2) = 1e-441
+    p = make_params(0.1, 0.0)
+    t0 = time.perf_counter()
+    got = ce.w_eval(p, 5, 2.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+
+def test_horner_past_float64_range():
+    # R_150(6) at (1/2, 1): the float64 Horner pass keeps no correct digit,
+    # so its condition estimate (> 1e13) cannot size the escalation
+    p = make_params(0.5, 1.0)
+    assert ce.w_eval(p, 150, 6.0) == pytest.approx(
+        _w_oracle(0.5, 1.0, 150, 6.0), rel=1e-8)
+    # R_50(6) at alpha = 0.1 overflows float64; e(6) = e^(-6^10) wins in W
+    p = make_params(0.1, 0.0)
+    assert ce.r_eval_bell(p, 50, 6.0) == math.inf
+    assert ce.w_eval(p, 50, 6.0) == 0.0
+
+
+def test_table_extends_once_per_order(monkeypatch):
+    p = make_params(0.61, 0.37)
+    ce._tables.pop(p, None)
+    calls = []
+    extend = ce._extend
+
+    def spy(rows, params, n):
+        calls.append((id(rows), len(rows), n))
+        extend(rows, params, n)
+
+    monkeypatch.setattr(ce, "_extend", spy)
+    for n in range(41):
+        ce.r_coeffs_mp(p, n)
+    rows_id = calls[0][0]
+    assert calls == [(rows_id, n, n) for n in range(1, 41)]
+    assert ce._tables[p].dps == 32
+    # more digits rebuild the table once; fewer reuse it
+    with mp.workdps(40):
+        ce.r_coeffs_mp(p, 40)
+    with mp.workdps(20):
+        ce.r_coeffs_mp(p, 40)
+    assert ce._tables[p].dps == 48
+    assert len(calls) == 41 and calls[-1][0] != rows_id
+
+
+def test_tables_held_are_bounded():
+    fresh = [make_params(0.55 + 0.001 * i, 0.2) for i in range(ce.TABLES_HELD + 3)]
+    for p in fresh:
+        ce.r_coeffs_mp(p, 3)
+    assert len(ce._tables) == ce.TABLES_HELD
+    assert fresh[0] not in ce._tables and fresh[-1] in ce._tables

@@ -111,6 +111,13 @@ def test_lambda_series_vs_contour(p_half, p_three_quarter, p_half_ext,
             assert m == pytest.approx(s, rel=2e-9), (p.alpha, z)
 
 
+def test_lambda_below_double_range_is_zero():
+    # at (0.9, 0) the log-integrand at the saddle is -2,289 for z = 3
+    p = make_params(0.9, 0.0)
+    for z in (3.0, 6.0):
+        assert d.lambda_value(p, z) == 0.0
+
+
 def test_lambda_sine_form_nondegenerate():
     # away from integer a(b-1) the sine form is a valid cross-check
     p = make_params(0.6, 1.3)

@@ -7,8 +7,8 @@ import pytest
 from glspec.core import ConvergenceError, DomainError, PoleError, make_params
 from glspec import specfun as sf
 
-from oracles import (bell_partitions, binet_log_gamma, euler_2f1,
-                     g_kernel_integral, wright_series_mp)
+from oracles import (bell_args, bell_partitions, bell_table, binet_log_gamma,
+                     euler_2f1, g_kernel_integral, wright_series_mp)
 
 
 # --------------------------------------------------------------------------
@@ -183,18 +183,18 @@ def test_series_convergence_error(p_half):
 
 
 # --------------------------------------------------------------------------
-# Bell table
+# Bell table (the oracle behind the R_n coefficient checks of test_coeigen)
 # --------------------------------------------------------------------------
 
 def test_bell_args_ratio_identity(p_half):
-    a = sf.bell_args(0.5, 4)
+    a = bell_args(0.5, 4)
     assert a[1] == pytest.approx(-2.0)          # = -1/alpha
     assert a[2] == pytest.approx(-2.0 * (1.0 - 2.0))
     assert a[3] == pytest.approx(a[2] * (2.0 - 2.0))
 
 
 def test_bell_identities(p_half):
-    bt = sf.bell_table(p_half, 5)
+    bt = bell_table(p_half, 5)
     a = bt.args
     for k in range(1, 6):
         assert bt.B(k, k) == pytest.approx(a[1] ** k, rel=1e-13)
@@ -202,7 +202,7 @@ def test_bell_identities(p_half):
 
 
 def test_bell_against_partition_enumeration(p_half):
-    bt = sf.bell_table(p_half, 6)
+    bt = bell_table(p_half, 6)
     a = list(bt.args)
     for k in range(1, 7):
         for j in range(1, k + 1):
@@ -214,6 +214,6 @@ def test_bell_against_partition_enumeration(p_half):
 
 def test_bell_table_domain():
     with pytest.raises(DomainError):
-        sf.bell_table(make_params(1, 0), 3)
+        bell_table(make_params(1, 0), 3)
     with pytest.raises(DomainError):
-        sf.bell_table(make_params(0.5, 1), 0)
+        bell_table(make_params(0.5, 1), 0)
