@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import ConvergenceError, DomainError, GLParams, asymp_constants
-from .coeigen import w_eval_wright
+from .coeigen import w_eval
 from .quad import r_norm
 
 __all__ = [
@@ -160,19 +160,19 @@ def H_alpha_eta(alpha: float, eta: float) -> float:
 _REGIONS = ("fixed_x", "middle", "suboptimal", "large")
 
 
-def _w_abs(params: GLParams, n: int, x: float) -> float:
-    return abs(w_eval_wright(params, n, 0, x))
-
-
 def bound_region_check(params: GLParams, n: int, region: str,
                        samples: Optional[Iterable[float]] = None,
                        eps: Optional[float] = None,
                        eta: float = 0.9, theta: float = 0.5) -> list:
     """|W_n| against the claimed envelope of the given region.
 
-    Returns one report per sample with the computed ratio; out-of-region
-    samples raise DomainError.  Envelope constants with a free epsilon use
-    the midpoint defaults documented in the module.
+    W_n is the production value ``coeigen.w_eval``: R_n(x) e(x) from the
+    cached coefficient table, in log form, so it stays accurate (and
+    cheap) at the large n and x the regions sample, where the alternating
+    Wright series needs extended precision.  Returns one report per sample
+    with the computed ratio; out-of-region samples raise DomainError.
+    Envelope constants with a free epsilon use the midpoint defaults
+    documented in the module.
     """
     a, b = params.alpha, params.beta
     if region not in _REGIONS:
@@ -190,7 +190,7 @@ def bound_region_check(params: GLParams, n: int, region: str,
             env = math.exp((1.5 - aa) * math.log(n)
                            + n * math.log(1.0 / math.sin((a - eps) * math.pi / 2.0))
                            - aa * math.log(x))
-            v = _w_abs(params, n, x)
+            v = abs(w_eval(params, n, x))
             out.append({"region": region, "n": n, "x": x, "value": v,
                         "envelope": env, "ratio": v / env})
         return out
@@ -201,7 +201,7 @@ def bound_region_check(params: GLParams, n: int, region: str,
                 / math.sin(a * theta)
                 + math.log(math.sin(theta) / math.sin(a * theta)))
         env = math.exp(ba * math.log(x) + n * expo)
-        v = _w_abs(params, n, x)
+        v = abs(w_eval(params, n, x))
         return [{"region": region, "n": n, "x": x, "theta": theta, "value": v,
                  "envelope": env, "ratio": v / env}]
     if region == "suboptimal":
@@ -215,7 +215,7 @@ def bound_region_check(params: GLParams, n: int, region: str,
             if not ((cons.C_bar + eps) * n ** a <= x <= cons.A_bar * n ** a):
                 raise DomainError(f"x = {x} outside the suboptimal region")
             env = math.exp(ba * math.log(x) - 0.5 * x ** (1.0 / a) + n * expo)
-            v = _w_abs(params, n, x)
+            v = abs(w_eval(params, n, x))
             out.append({"region": region, "n": n, "x": x, "value": v,
                         "envelope": env, "ratio": v / env})
         return out
@@ -228,7 +228,7 @@ def bound_region_check(params: GLParams, n: int, region: str,
             raise DomainError(f"x = {x} below the large-region boundary")
         env = (a ** -2.5) * math.exp(ba * math.log(x) - eta * x ** (1.0 / a)
                                      + n * H_alpha_eta(a, eta))
-        v = _w_abs(params, n, x)
+        v = abs(w_eval(params, n, x))
         out.append({"region": region, "n": n, "x": x, "value": v,
                     "envelope": env, "ratio": v / env})
     return out

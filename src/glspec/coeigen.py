@@ -31,7 +31,8 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.special import loggamma as sp_cloggamma
 
-from .core import ContourError, DomainError, GLParams, RealFn, mp_ctx
+from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
+                   RealFn, mp_ctx, real_pow)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
 from .specfun import (_escalating_horner, gamma_series, gamma_sign,
@@ -146,7 +147,7 @@ def _r_horner(params: GLParams, n: int, x: float, log: bool):
             return v
         return math.copysign(1.0, v), (math.log(abs(v)) if v else -math.inf)
     return _escalating_horner(
-        r_coeffs(params, n), x ** (1.0 / params.alpha), params,
+        r_coeffs(params, n), real_pow(x, 1.0 / params.alpha), params,
         lambda: (r_coeffs_mp(params, n), mp.mpf(x) ** (1 / mp.mpf(params.alpha))),
         log=log)
 
@@ -297,7 +298,7 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
         return w_eval_wright(params, n, q, x)
     sign, lr = _r_horner(params, n, x, log=True)
     lw = lr + log_weight_eval(weight_e_ab(params), x)
-    return sign * math.inf if lw > 709.78 else math.copysign(math.exp(lw), sign)
+    return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
 
 
 def w_fn(params: GLParams, n: int, q: int = 0) -> RealFn:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
+import numpy as np
 from scipy.special import gammaln
 
 
@@ -263,6 +264,35 @@ class RealFn:
             return self.d2(x)
         h = 6e-4 * max(1.0, abs(x))
         return (self.f(x + h) - 2.0 * self.f(x) + self.f(x - h)) / (h * h)
+
+
+def eval_on(f, xs: np.ndarray) -> np.ndarray:
+    """f at every point of the float array xs.
+
+    One call on the whole array where f accepts one and returns a value of
+    its shape; otherwise (f written for scalars only, or constant) one call
+    per point, where an error f raises for a point propagates.
+    """
+    try:
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape == xs.shape:
+            return vals
+    except Exception:
+        pass
+    return np.array([float(f(float(x))) for x in xs.ravel()]).reshape(xs.shape)
+
+
+#: log of the largest double; math.exp raises OverflowError beyond it
+LOG_DOUBLE_MAX = 709.78
+
+
+def real_pow(x: float, p: float) -> float:
+    """x ** p for x > 0, +inf where the power leaves the double range (the
+    float ``**`` raises OverflowError there)."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
 
 
 def const_fn(c: float = 1.0) -> RealFn:

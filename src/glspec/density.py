@@ -20,7 +20,8 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, roots_jacobi, roots_legendre
 
-from .core import ContourError, DomainError, GLParams, mp_ctx
+from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
+                   eval_on, mp_ctx, real_pow)
 from .specfun import (SeriesResult, gamma_series, gamma_sign, log_abs_gamma,
                       log_gamma, rgamma_c)
 
@@ -88,17 +89,21 @@ def log_weight_eval(w: Weight, x: float) -> float:
     p = w.params
     if w.kind == "e_ab":
         a, b = p.alpha, p.beta
-        return (b + 1.0 / a - 1.0) * math.log(x) - x ** (1.0 / a) - math.log(w.normalizer)
+        return ((b + 1.0 / a - 1.0) * math.log(x) - real_pow(x, 1.0 / a)
+                - math.log(w.normalizer))
     if w.kind == "e_classical":
         b = w.cl_beta
         return b * math.log(x) - x - gammaln(b + 1.0)
     a = p.alpha
-    return (p.beta + 1.0 / a - 1.0) * math.log(x) + w.eta_bar * x ** (1.0 / w.gamma_)
+    return ((p.beta + 1.0 / a - 1.0) * math.log(x)
+            + w.eta_bar * real_pow(x, 1.0 / w.gamma_))
 
 
 def weight_eval(w: Weight, x: float) -> float:
-    """Pointwise weight value; DomainError for x <= 0."""
-    return math.exp(log_weight_eval(w, x))
+    """Pointwise weight value; DomainError for x <= 0.  Past the double
+    range it is 0.0 (e_ab, e_classical) or inf (the growing e_bar)."""
+    lw = log_weight_eval(w, x)
+    return math.inf if lw > LOG_DOUBLE_MAX else math.exp(lw)
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +368,9 @@ def markov_lambda_apply(params: GLParams, f, x: float) -> float:
     Uses the multiplier shortcut for generalized polynomials carrying a
     ``powers`` expansion; otherwise quadrature against the cached kernel
     grid.  At alpha = 1 the operator degenerates: the identity for beta = 0,
-    a beta-type averaging kernel for beta > 0.
+    a beta-type averaging kernel for beta > 0.  The quadrature routes call
+    f once on the array of all x * node values, and once per node only when
+    f does not accept an array (``core.eval_on``).
     """
     if x <= 0.0:
         raise DomainError("markov operator acts on functions of x > 0")
@@ -377,10 +384,9 @@ def markov_lambda_apply(params: GLParams, f, x: float) -> float:
         b = params.beta
         t, w = roots_jacobi(80, b - 1.0, 0.0)
         yv = 0.5 * (t + 1.0)
-        return float(b * 2.0 ** (-b) * np.sum(w * np.array([f(x * y) for y in yv])))
+        return float(b * 2.0 ** (-b) * np.sum(w * eval_on(f, x * yv)))
     nodes, wts, lam, _ = _lambda_grid(params)
-    vals = np.array([f(x * float(y)) for y in nodes])
-    return float(np.sum(wts * lam * vals))
+    return float(np.sum(wts * lam * eval_on(f, x * nodes)))
 
 
 def markov_lambda_adjoint_apply(params: GLParams, f, x: float) -> float:

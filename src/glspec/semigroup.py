@@ -26,11 +26,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DomainError, GLParams, RealFn, TruncationError, phi
+from .core import (DomainError, GLParams, RealFn, TruncationError, eval_on,
+                   make_params, phi)
 from .coeigen import r_fn, w_eval
 from .density import (markov_lambda_apply, mellin_lambda, weight_classical,
                       weight_e_ab, weight_eval)
-from .eigen import laguerre_eval, p_coeffs, p_eval, p_sup
+from .eigen import p_coeffs, p_eval, p_sup
 from .quad import QuadRule, build_rule, inner_exact
 from .specfun import gauss_2f1, gauss_2f1_w1
 
@@ -311,40 +312,46 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
     return masses, kmin
 
 
-def laguerre_semigroup(beta: float, t: float, f, x: float,
-                       tol: float = 1e-12, nmax: int = _NMAX_DEFAULT) -> float:
+def laguerre_semigroup(beta: float, t: float, f, x,
+                       tol: float = 1e-12, nmax: int = _NMAX_DEFAULT):
     """Classical reference semigroup of order beta via its eigenexpansion.
 
     Q_t f(x) = sum_n e^{-nt} <f, L_n> L_n(x) / ||L_n||^2 with the classical
     Laguerre polynomials; coefficients by the order-beta Gauss rule, which is
-    exact for polynomial f.
+    exact for polynomial f.  x is a scalar or an array (the result has its
+    shape).  f is evaluated on the rule's nodes once (``core.eval_on``),
+    each coefficient is formed once, and one three-term recurrence runs
+    over the nodes and every x together.  Each x stops on its own
+    small-term test, so an array gives the values of the scalar calls.
     """
     if t < 0.0:
         raise DomainError("time must be >= 0")
-    from .core import make_params
     pref = make_params(1.0, max(beta, 0.0))
     rule = build_rule(weight_classical(pref, beta), 180)
-    small = 0
-    acc = 0.0
+    m = rule.nodes.size
+    xa = np.asarray(x, dtype=float)
+    fv = eval_on(f, rule.nodes)
+    z = np.concatenate([rule.nodes, xa.ravel()])
+    lm1, ln = None, np.ones_like(z)        # L_{n-1}, L_n at nodes and x
+    acc = np.zeros(xa.size)
+    small = np.zeros(xa.size, dtype=int)
+    live = np.ones(xa.size, dtype=bool)
     for n in range(nmax + 1):
-        ln = np.array([laguerre_eval(n, beta, float(xx)) for xx in rule.nodes])
-        try:
-            fv = np.asarray(f(rule.nodes), dtype=float)
-            if fv.shape != rule.nodes.shape:
-                raise TypeError
-        except Exception:
-            fv = np.array([float(f(float(xx))) for xx in rule.nodes])
-        cn = float(rule.weights @ (ln * fv))
+        if n == 1:
+            lm1, ln = ln, 1.0 + beta - z
+        elif n > 1:
+            k = n - 1
+            lm1, ln = ln, ((2.0 * k + 1.0 + beta - z) * ln - (k + beta) * lm1) / (k + 1.0)
+        cn = float(rule.weights @ (ln[:m] * fv))
         norm2 = math.exp(gammaln(n + beta + 1.0) - gammaln(n + 1.0)
                          - gammaln(beta + 1.0))
-        term = math.exp(-n * t) * cn / norm2 * laguerre_eval(n, beta, x)
-        acc += term
-        if abs(term) <= tol * max(abs(acc), 1.0):
-            small += 1
-            if small >= 3:
-                return acc
-        else:
-            small = 0
+        term = math.exp(-n * t) * cn / norm2 * ln[m:]
+        acc[live] += term[live]
+        tiny = np.abs(term) <= tol * np.maximum(np.abs(acc), 1.0)
+        small = np.where(tiny, small + 1, 0)
+        live &= small < 3
+        if not live.any():
+            return float(acc[0]) if xa.ndim == 0 else acc.reshape(xa.shape)
     raise TruncationError(f"classical expansion cap {nmax} reached")
 
 

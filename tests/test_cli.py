@@ -1,0 +1,34 @@
+import json
+
+from click.testing import CliRunner
+
+from glspec.cli import EXIT_OK, EXIT_USAGE, main
+
+VERIFY_ALL_CHECKS = [
+    "biorth ||G-I||_max",
+    "eigen max residual/sup",
+    "mellin factorization",
+    "representation agreement",
+    "intertwine p_2",
+    "bound region fixed_x ratio40/ratio20",
+    "bound region middle ratio40/ratio20",
+    "bound region suboptimal ratio40/ratio20",
+    "bound region large ratio40/ratio20",
+    "norm envelope slack (main)",
+    "norm envelope slack (aux)",
+]
+
+
+def test_verify_all_json():
+    res = CliRunner().invoke(main, ["verify", "all", "--format", "json"])
+    assert res.exit_code == EXIT_OK, res.output
+    report = json.loads(res.stdout)
+    assert [c["name"] for c in report] == VERIFY_ALL_CHECKS
+    assert all(c["pass"] is True for c in report)
+    assert all(c["value"] <= c["bound"] for c in report)
+
+
+def test_verify_rejects_csv_format():
+    res = CliRunner().invoke(main, ["verify", "all", "--format", "csv"])
+    assert res.exit_code == EXIT_USAGE
+    assert "Invalid value for '--format'" in res.output

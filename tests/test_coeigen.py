@@ -248,3 +248,13 @@ def test_tables_held_are_bounded():
         ce.r_coeffs_mp(p, 3)
     assert len(ce._tables) == ce.TABLES_HELD
     assert fresh[0] not in ce._tables and fresh[-1] in ce._tables
+
+
+def test_overflowing_power_gives_limits():
+    # x^(1/alpha) = 1e400 is past the double range: R_n is +-inf, W_n 0
+    p = make_params(0.01, 0)
+    assert ce.r_eval_bell(p, 0, 1e4) == 1.0
+    assert ce.r_eval_bell(p, 1, 1e4) == -math.inf
+    assert ce.r_eval_bell(p, 2, 1e4) == math.inf
+    for n in (0, 1, 5, 40):
+        assert ce.w_eval(p, n, 1e4) == 0.0

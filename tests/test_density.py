@@ -205,3 +205,26 @@ def test_multiplier_vertical_decay(p_half):
     for b in (10.0, 20.0):
         val = abs(d.mellin_lambda(p_half, 1j * b))
         assert val <= c0 * math.exp(-rate * b) * 1.0001
+
+
+def test_weight_past_double_range():
+    p = make_params(0.01, 0)
+    assert d.weight_eval(d.weight_e_ab(p), 1e4) == 0.0
+    assert d.log_weight_eval(d.weight_e_ab(p), 1e4) == -math.inf
+    # the growing weight overflows to inf, not to an exception
+    assert d.weight_eval(d.weight_e_bar(p, 0.005), 1e4) == math.inf
+    assert d.weight_eval(d.weight_e_bar(p, 0.005), 2.0) == math.inf
+
+
+def test_markov_scalar_only_f_matches_vector_twin(p_half):
+    # an f that rejects arrays is evaluated node by node, with equal results
+    def scalar_f(y):
+        return math.exp(-y) if y > 1 else 1.0
+
+    def vector_f(y):
+        return np.where(y > 1, np.exp(-np.maximum(y, 1.0)), 1.0)
+
+    for p in (p_half, make_params(1, 2)):
+        for x in (0.5, 2.0):
+            assert d.markov_lambda_apply(p, scalar_f, x) == pytest.approx(
+                d.markov_lambda_apply(p, vector_f, x), rel=1e-14)

@@ -263,3 +263,21 @@ def test_selfsimilar_heat_kernel_relation(p_half):
     K = sg.selfsimilar_kernel(p_half, s, x, y)
     hk = sg.heat_kernel(p_half, math.log1p(s), x, y / (1.0 + s)) / (1.0 + s)
     assert K == pytest.approx(hk, rel=1e-6)
+
+
+def test_laguerre_semigroup_array_x():
+    calls = []
+
+    def f(y):
+        calls.append(np.shape(y))
+        return np.exp(-0.5 * y) * (1.0 + y)
+
+    xs = np.array([0.05, 0.7, 1.0, 3.3, 12.0])
+    got = sg.laguerre_semigroup(0.0, 0.4, f, xs)
+    # f is evaluated once, on the whole array of rule nodes
+    assert calls == [(180,)]
+    assert got.shape == xs.shape
+    for x, g in zip(xs, got):
+        assert g == pytest.approx(sg.laguerre_semigroup(0.0, 0.4, f, float(x)),
+                                  rel=1e-14)
+    assert isinstance(sg.laguerre_semigroup(0.0, 0.4, f, 1.0), float)
