@@ -141,7 +141,7 @@ def cmd_eval(subject, alpha, beta, precision, quad_order, tol, fmt, out,
             _emit(rows, ["x", f"W_{n}^({q})"], fmt, out)
         elif subject == "lambda":
             zs = _parse_grid(zgrid or "0:10:0.1")
-            rows = [(float(z), dens.lambda_value(params, float(z))) for z in zs]
+            rows = list(zip(zs.tolist(), dens.lambda_values(params, zs).tolist()))
             _emit(rows, ["z", "lambda"], fmt, out)
         elif subject == "e_ab":
             xs = _parse_grid(xgrid)

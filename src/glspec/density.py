@@ -8,26 +8,31 @@ The invariant density is
 normalised to unit mass, so that its Mellin moments are
 Gamma(alpha*s + alpha*beta + 1) / Gamma(alpha*beta + 1) and the multiplier
 factorisation M_lambda(s) * M_e(s) = Gamma(s + 1) holds exactly.
+
+The kernel density lambda (Mellin transform M_lambda) is computed on arrays
+of points: a float64 residue series over (points x terms), and a saddle-point
+Mellin-Barnes contour where that sum cancels or does not converge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from scipy.special import (digamma, gammaln, gammasgn, loggamma, polygamma,
+                           roots_jacobi, roots_legendre)
 
 from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
-                   eval_on, mp_ctx, real_pow)
-from .specfun import (SeriesResult, gamma_series, gamma_sign, log_abs_gamma,
-                      log_gamma, rgamma_c)
+                   eval_on, real_pow)
+from .specfun import _SERIES_CAP, SeriesResult, gamma_series, log_gamma, rgamma_c
 
 __all__ = [
     "Weight", "weight_e_ab", "weight_e_bar", "weight_classical", "weight_eval",
-    "log_weight_eval",
+    "log_weight_eval", "lambda_values",
     "moment", "moment_s", "mellin_e", "mellin_lambda", "lambda_density",
     "lambda_value", "markov_lambda_apply", "markov_lambda_adjoint_apply",
 ]
@@ -159,16 +164,15 @@ def mellin_lambda(params: GLParams, s) -> complex:
 # --------------------------------------------------------------------------
 
 def lambda_density(params: GLParams, z: float) -> SeriesResult:
-    """Entire-series value of the kernel density at z >= 0.
+    """Entire-series value of the kernel density at z >= 0 under the
+    package precision policy (``lambda_values`` of extended params).
 
     Residues of the inverse Mellin integral at the left poles give
 
         lambda(z) = Gamma(a b + 1) * sum_k (-1)^k z^k / (Gamma(bb - a k) k!)
 
-    with bb = a b + 1 - a; reciprocal gammas keep every term finite.  The
-    value at 0 is Gamma(a b + 1)/Gamma(bb).  For alpha = 1 the kernel
-    degenerates to a point mass and callers must dispatch; the boundary
-    bb = 0 is rejected for the same reason.
+    with bb = a b + 1 - a.  At alpha = 1 the kernel is a point mass and
+    callers must dispatch; the boundary bb = 0 is rejected likewise.
     """
     a = params.alpha
     bb = params.bar_beta_alpha
@@ -178,123 +182,179 @@ def lambda_density(params: GLParams, z: float) -> SeriesResult:
         raise DomainError("boundary beta = 1 - 1/alpha: series form degenerates")
     if z < 0.0:
         raise DomainError("density argument must be >= 0")
-    return gamma_series(params, _lambda_spec(z), note="lambda_density")
 
-
-def _lambda_spec(z: float):
-    """gamma_series spec of the residue series of lambda at z."""
     def spec(a, b, ops):
         ab1 = a * b + 1
         return ops.lgamma(ab1), -ops.num(z), (), ((-a, ab1 - a),)
-    return spec
+
+    return gamma_series(params, spec, note="lambda_density")
 
 
-def lambda_density_sine_form(params: GLParams, z: float, terms: int = 400) -> float:
-    """Cross-check form with explicit sine factors; away from degenerate
-    parameters only (individual factors blow up when a(b-1) nears an integer)."""
-    a, b = params.alpha, params.beta
-    if z < 0.0:
-        raise DomainError("density argument must be >= 0")
-    acc = 0.0
-    lg0 = gammaln(a * b + 1.0)
-    for k in range(terms):
-        arg = a * k + a * (1.0 - b)
-        s = math.sin(a * (k + 1.0 - b) * math.pi) * (-1.0) ** k
-        if s == 0.0:
-            continue
-        klz = k * math.log(z) if z > 0.0 else (0.0 if k == 0 else None)
-        if klz is None:
-            continue
-        if arg > 0.0:
-            acc += (s / math.pi) * math.exp(lg0 + gammaln(arg) - gammaln(k + 1.0) + klz)
-        elif arg != round(arg):
-            acc += (s / math.pi) * gamma_sign(arg) * math.exp(
-                lg0 + log_abs_gamma(arg) - gammaln(k + 1.0) + klz)
-    return acc
+#: a node keeps its float64 residue sum up to this condition sum|t_k| / |sum|:
+#: each term carries a few ulps, so 1e6 would let errors reach 1e-9
+_SERIES_COND = 1.0e4
+
+
+@lru_cache(maxsize=32)
+def _residue_coeffs(params: GLParams, n: int):
+    """log|c_k| and sign c_k, k < n, of lambda(z) = sum_k c_k z^k, c_k =
+    Gamma(ab + 1) (-1)^k / (Gamma(bb - a k) k!), with bb rounded from its
+    exact value (ab + 1 - a cancels near beta = 1 - 1/alpha, c_0 ~ bb)."""
+    k, a = np.arange(float(n)), Fraction(params.alpha)
+    w = float(a * Fraction(params.beta) + 1 - a) - params.alpha * k
+    lc = gammaln(params.alpha * params.beta + 1.0) - gammaln(w) - gammaln(k + 1.0)
+    return lc, np.where(k % 2 == 1, -1.0, 1.0) * np.nan_to_num(gammasgn(w))
+
+
+def _residue_sums(params: GLParams, z: np.ndarray):
+    """Residue series at every z > 0 in float64, one (nodes x terms) array
+    per block of terms (128 wide, doubling to 512, up to the series cap).  A
+    node stops at its third consecutive term below 1e-17 of its partial sum;
+    its terms are summed correctly rounded, earlier blocks carried as a pair
+    (s, e).  Returns the sums and which converged with condition at most
+    _SERIES_COND."""
+    n = z.size
+    s, e, abs_sum, ok = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, bool)
+    tail = np.zeros((n, 2), bool)           # whether the last two terms were small
+    live, k0, k1 = np.arange(n), 0, 128
+    while live.size and k0 < _SERIES_CAP:
+        lc, sign = _residue_coeffs(params, 1 << (k1 - 1).bit_length())
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = sign[k0:k1] * np.exp(lc[k0:k1] + np.arange(k0, k1) * np.log(z[live, None]))
+            part = (s[live] + e[live])[:, None] + np.cumsum(t, axis=1)
+            mags = abs_sum[live, None] + np.cumsum(np.abs(t), axis=1)
+        small = np.hstack([tail[live], np.abs(t) <= 1e-17 * (np.abs(part) + 1e-300)])
+        run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+        stop = run.any(axis=1)
+        rows, last = np.arange(live.size), np.where(stop, run.argmax(axis=1), k1 - k0 - 1)
+        abs_sum[live] = mags[rows, last]
+        good = np.isfinite(part[rows, last]) & np.isfinite(abs_sum[live])
+        for r in np.flatnonzero(good).tolist():
+            i = live[r]
+            terms = [s[i], e[i]] + t[r, :last[r] + 1].tolist()
+            s[i] = math.fsum(terms)
+            e[i] = 0.0 if stop[r] else math.fsum(terms + [-s[i]])
+        done = live[stop & good]
+        ok[done] = abs_sum[done] <= _SERIES_COND * np.abs(s[done])
+        tail[live] = small[:, -2:]
+        live, k0, k1 = live[~stop & good], k1, min(k1 + min(k1, 512), _SERIES_CAP)
+    return s, ok
+
+
+def _saddle(params: GLParams, lz: np.ndarray):
+    """Real minimum a0 of z^-a Gamma(a) / Gamma(alpha a + bb) at each log z
+    in lz, and the curvature of its log there.  The slope -log z + psi(a) -
+    alpha psi(alpha a + bb) increases in a, so a0 is its root: Newton in
+    log a from the large- or small-a asymptote, steps <= 2, bisecting in
+    [e^-30, e^700].  a0 = inf where the slope is still negative at e^700
+    (lambda < exp(-(1 - alpha) e^700))."""
+    al, bb = params.alpha, params.bar_beta_alpha
+    slope = lambda u, lzu: -lzu + digamma(np.exp(u)) - al * digamma(al * np.exp(u) + bb)
+    curvature = lambda a: polygamma(1, a) - al * al * polygamma(1, al * a + bb)
+    lo, hi = np.full(lz.shape, -30.0), np.full(lz.shape, 700.0)
+    beyond = slope(hi, lz) < 0.0
+    u = np.clip(np.maximum((lz + al * math.log(al)) / (1.0 - al),
+                           -np.log1p(np.maximum(-lz, 0.0))), -30.0, 700.0)
+    live = np.flatnonzero(~beyond)
+    for _ in range(100):
+        if not live.size:
+            a0 = np.where(beyond, np.inf, np.exp(u))
+            return a0, curvature(np.where(beyond, 1.0, a0))
+        ul = u[live]
+        g = slope(ul, lz[live])
+        lo[live] = np.where(g < 0.0, ul, lo[live])
+        hi[live] = np.where(g > 0.0, ul, hi[live])
+        un = ul - np.clip(g / (np.exp(ul) * curvature(np.exp(ul))), -2.0, 2.0)
+        u[live] = np.where((un >= lo[live]) & (un <= hi[live]), un, 0.5 * (lo[live] + hi[live]))
+        live = live[np.abs(u[live] - ul) > 1e-12 * np.maximum(1.0, np.abs(ul))]
+    raise ContourError("kernel saddle search did not converge")
+
+
+def _contour_values(params: GLParams, z: np.ndarray) -> np.ndarray:
+    """Kernel density at every z > 0 by Mellin-Barnes inversion,
+
+        lambda(z) = (1/pi) int_0^inf Re f(t) dt,
+        f(t) = z^-s Gamma(s) Gamma(ab + 1) / Gamma(alpha s + bb),  s = a0 + i t,
+
+    on the line through the saddle a0, where f / e^l0 peaks at 1, close to
+    a Gaussian of width sigma = curvature^(-1/2): float64 suffices where
+    the series cancels.  Trapezoid rule at h = sigma/6 (Trefethen &
+    Weideman, SIAM Rev. 56, 2014), in passes of 128 points until the last
+    is below 1e-17; h is halved while the rule on the even points (step 2h)
+    differs by more than 1e-13, or the rounding of log f, of h sum|f|.  0.0
+    where l0 puts lambda below the double range.  Each node is independent.
+    """
+    al, bb = params.alpha, params.bar_beta_alpha
+    lg0 = gammaln(al * params.beta + 1.0)
+    lz = np.log(z)
+    a0, curv = _saddle(params, lz)
+    sigma, out, a = 1.0 / np.sqrt(curv), np.zeros(z.size), np.where(np.isinf(a0), 1.0, a0)
+    parts = np.array([-a * lz, loggamma(a + 0j).real, np.full(z.size, lg0),
+                      -loggamma(al * a + bb + 0j).real])
+    l0 = np.where(np.isinf(a0), -np.inf, parts.sum(axis=0))
+    tol = np.maximum(1e-13, np.finfo(float).eps * np.abs(parts).sum(axis=0))
+    todo = np.flatnonzero(l0 + np.log(sigma + 1.0 / (1.0 - al)) >= -760.0)
+    h = sigma[todo] / 6.0
+    for _ in range(6):
+        S, S2, A = np.zeros(todo.size), np.zeros(todo.size), np.zeros(todo.size)
+        live, j = np.arange(todo.size), np.arange(128.0)
+        while live.size:
+            if j[0] >= 1 << 20:
+                raise ContourError("kernel contour failed to decay below tolerance")
+            i = todo[live, None]
+            s = a0[i] + 1j * (h[live, None] * j)
+            v = np.exp(-s * lz[i] + loggamma(s) + lg0 - loggamma(al * s + bb) - l0[i])
+            v[:, 0] *= 0.5 if j[0] == 0 else 1.0
+            S[live] += np.cumsum(v.real, axis=1)[:, -1]
+            S2[live] += np.cumsum(v.real[:, ::2], axis=1)[:, -1]
+            A[live] += np.cumsum(np.abs(v.real), axis=1)[:, -1]
+            live, j = live[~(np.abs(v[:, -1]) < 1e-17)], j + 128
+        good = np.abs(S - 2.0 * S2) <= tol[todo] * A
+        v = S[good] * h[good] / math.pi
+        with np.errstate(divide="ignore"):
+            out[todo[good]] = np.copysign(np.exp(np.log(np.abs(v)) + l0[todo[good]]), v)
+        todo, h = todo[~good], h[~good] / 2.0
+        if not todo.size:
+            return out
+    raise ContourError("kernel contour sums did not settle under step halving")
 
 
 def lambda_mellin_value(params: GLParams, z: float) -> float:
-    """Kernel density by Mellin-Barnes inversion on a saddle-point contour.
+    """Kernel density at one z by the saddle-point contour alone."""
+    if params.alpha >= 1.0 or z <= 0.0:
+        return lambda_value(params, z)      # its domain errors, or z = 0
+    return float(_contour_values(params, np.array([float(z)]))[0])
 
-    The abscissa minimises z^{-a} Gamma(a) / Gamma(alpha a + bb), which keeps
-    the trapezoid integrand at the same scale as the result, so plain float64
-    suffices even deep in the tail where the series cancels catastrophically.
-    The integrand is divided by its value at the saddle, and that log added
-    back at the end: the decay test is then relative, and a lambda below
-    the double range comes back correctly rounded, as 0.0.
-    """
-    from scipy.special import digamma, loggamma as sp_cloggamma
-    a_, b_ = params.alpha, params.beta
-    bb = params.bar_beta_alpha
-    if a_ >= 1.0:
+
+def lambda_values(params: GLParams, z) -> np.ndarray:
+    """Kernel density at every point of the array z >= 0: Gamma(ab + 1) /
+    Gamma(bb) at 0, else the residue sum where it converged with condition
+    <= _SERIES_COND, else the saddle-point contour; extended precision,
+    point by point, the contour past z = 2 and the escalating series below.
+    Round-off below 0 is 0.0.  Each value depends on its own z only."""
+    zs = np.asarray(z, dtype=float)
+    if params.alpha >= 1.0:
         raise DomainError("alpha = 1: kernel is a point mass, no density")
-    if z <= 0.0:
-        return lambda_density(params, z).value.real
-    lz = math.log(z)
-
-    def slope(a):
-        return -lz + digamma(a) - a_ * digamma(a_ * a + bb)
-
-    lo, hi = 1e-3, 4.0
-    while slope(hi) < 0.0 and hi < 1e6:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    a0 = 0.5 * (lo + hi)
-    from scipy.special import polygamma
-    curv = float(polygamma(1, a0) - a_ * a_ * polygamma(1, a_ * a0 + bb))
-    sigma = 1.0 / math.sqrt(max(curv, 1e-12))
-    h = min(0.08, 0.5 / max(1.0, lz), sigma / 6.0)
-    lg0 = gammaln(a_ * b_ + 1.0)
-
-    def log_integrand(s):
-        return -s * lz + sp_cloggamma(s) + lg0 - sp_cloggamma(a_ * s + bb)
-
-    l0 = float(log_integrand(a0).real)
-    acc = 0.0
-    peak = 0.0
-    t0 = 0.0
-    nchunk = 2048
-    for _ in range(400):
-        t = t0 + h * np.arange(nchunk)
-        vals = np.exp(log_integrand(a0 + 1j * t) - l0)
-        if t0 == 0.0:
-            vals[0] *= 0.5
-        acc += float(np.sum(vals.real))
-        peak = max(peak, float(np.max(np.abs(vals))))
-        if float(np.abs(vals[-1])) < 1e-20 * peak:
-            break
-        t0 += nchunk * h
+    if not np.all(zs >= 0.0):
+        raise DomainError("density argument must be >= 0")
+    flat = zs.ravel()
+    if not params.precision.is_double:
+        out = np.array([lambda_mellin_value(params, t) if t > 2.0
+                        else lambda_density(params, t).real for t in flat.tolist()])
     else:
-        raise ContourError("kernel contour failed to decay below tolerance")
-    v = acc * h / math.pi
-    return math.copysign(math.exp(math.log(abs(v)) + l0), v) if v else v
+        lc, sign = _residue_coeffs(params, 128)
+        out = np.full(flat.shape, sign[0] * math.exp(lc[0]))
+        pos = np.flatnonzero(flat > 0.0)
+        for c in (pos[i:i + 64] for i in range(0, pos.size, 64)):   # bounds temporaries
+            out[c], ok = _residue_sums(params, flat[c])
+            if not ok.all():
+                out[c[~ok]] = _contour_values(params, flat[c[~ok]])
+    return np.where(out <= 0.0, 0.0, out).reshape(zs.shape)
 
 
-def lambda_value(params: GLParams, z: float, clamp: bool = True) -> float:
-    """Kernel density value; tiny negative round-off is clamped to 0.
-
-    Series for well-conditioned arguments, saddle-contour Mellin inversion
-    once float64 cancellation would exceed the conditioning threshold.
-    """
-    v = None
-    if params.precision.is_double and params.alpha < 1.0 and z > 0.0:
-        # cheap float attempt; the contour takes over when ill-conditioned
-        r = gamma_series(params, _lambda_spec(z), _float_only=True)
-        if r.converged and r.condition <= 1e6:
-            v = r.real
-    if v is None:
-        if params.alpha < 1.0 and z > 2.0:
-            v = lambda_mellin_value(params, z)
-        else:
-            v = lambda_density(params, z).value.real
-    if v <= 0.0 and clamp:          # -0.0 too: a density has no signed zero
-        return 0.0
-    return v
+def lambda_value(params: GLParams, z: float) -> float:
+    """Kernel density at one z >= 0: the scalar face of ``lambda_values``."""
+    return float(lambda_values(params, float(z)))
 
 
 # --------------------------------------------------------------------------
@@ -305,29 +365,28 @@ _GRID_CACHE: dict = {}
 
 
 def _chernoff_log_tail(params: GLParams):
-    """log P(Y > y) bound from the integer moments; returns a callable."""
+    """log P(Y > y) bound from the integer moments, a callable of y > 1."""
     ks = np.arange(1.0, 121.0)
     lg0 = gammaln(params.alpha * params.beta + 1.0)
     lmom = gammaln(ks + 1.0) + lg0 - gammaln(params.alpha * ks
                                              + params.alpha * params.beta + 1.0)
 
-    def bound(y: float) -> float:
-        return float(np.min(lmom - ks * math.log(y))) if y > 1.0 else 0.0
+    def bound(y):
+        return np.min(lmom - ks * np.log(np.asarray(y, dtype=float))[..., None], axis=-1)
 
     return bound
 
 
-def _lambda_tail_cut(params: GLParams, log_target: float = -60.0) -> float:
-    """Upper cutoff Y with P(Y > y) below exp(log_target)."""
-    bound = _chernoff_log_tail(params)
-    y = 2.0
-    while y < 400.0 and bound(y) >= log_target:
-        y *= 1.2
-    return y
+def _first_past(bound, cap: float, log_target: float, step: float) -> float:
+    """First y of 2, 2 step, 2 step^2, ... with y >= cap or bound(y) below
+    log_target (the products of y *= step, rounded as that loop rounds)."""
+    ys = np.cumprod(np.r_[2.0, np.full(64, step)])
+    return float(ys[np.argmax((ys >= cap) | (bound(ys) < log_target))])
 
 
 def _lambda_grid(params: GLParams, npanel: int = 12, deg: int = 32):
-    """Composite Legendre nodes on (0, Y] with cached kernel values.
+    """Composite Legendre nodes on (0, Y] with cached kernel values, from
+    one ``lambda_values`` call.
 
     Nodes whose Chernoff bound puts the density below 1e-30 are skipped;
     they are irrelevant at the 1e-9 quadrature tolerances used here.
@@ -335,28 +394,18 @@ def _lambda_grid(params: GLParams, npanel: int = 12, deg: int = 32):
     key = (params, npanel, deg)
     if key in _GRID_CACHE:
         return _GRID_CACHE[key]
-    Y = _lambda_tail_cut(params)
     bound = _chernoff_log_tail(params)
+    Y = _first_past(bound, 400.0, -60.0, 1.2)       # P(Y > y) below e^-60
     xl, wl = roots_legendre(deg)
     # bulk panels cover the mass; a single panel spans the expensive far tail
-    T = 2.0
-    while T < Y and bound(T) >= -23.0:
-        T *= 1.15
-    T = min(T, 0.98 * Y)
+    T = min(_first_past(bound, Y, -23.0, 1.15), 0.98 * Y)
     edges = np.concatenate([[0.0], np.geomspace(Y / 256.0, T, npanel - 1), [Y]])
-    nodes, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (hi - lo) * xl + 0.5 * (hi + lo))
-        wts.append(0.5 * (hi - lo) * wl)
-    nodes = np.concatenate(nodes)
-    wts = np.concatenate(wts)
-    lam = np.empty_like(nodes)
-    for i, t in enumerate(nodes):
-        y = float(t)
-        if y > 2.0 and bound(0.85 * y) - math.log(max(y, 1.0)) < math.log(1e-30):
-            lam[i] = 0.0
-        else:
-            lam[i] = lambda_value(params, y)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = (0.5 * (hi - lo) * xl + 0.5 * (hi + lo)).ravel()
+    wts = (0.5 * (hi - lo) * wl).ravel()
+    skip = (nodes > 2.0) & (bound(0.85 * nodes) - np.log(nodes) < math.log(1e-30))
+    lam = np.zeros_like(nodes)
+    lam[~skip] = lambda_values(params, nodes[~skip])
     out = (nodes, wts, lam, Y)
     _GRID_CACHE[key] = out
     return out
@@ -417,20 +466,3 @@ def markov_lambda_adjoint_apply(params: GLParams, f, x: float) -> float:
         acc += wq * f(z) * ez * lv / wn
     return acc / math.exp(-x)
 
-
-def mellin_e_quad(params: GLParams, s, dps: int = 30) -> complex:
-    """Numerical Mellin transform of the invariant density (tanh-sinh).
-
-    Independent cross-check path for the multiplier factorisation; the
-    production route is the closed gamma form ``mellin_e``.
-    """
-    a, b = params.alpha, params.beta
-    sc = complex(s)
-    with mp_ctx(dps):
-        az = mp.mpf(a)
-        bz = mp.mpf(b)
-        norm = az * mp.gamma(az * bz + 1)
-        fn = lambda u: (u ** (az * mp.mpc(sc) + az * bz)) * mp.e ** (-u) / mp.gamma(az * bz + 1)
-        # substituted u = x**(1/a): integrand has pure Laguerre form
-        val = mp.quad(fn, [0, mp.inf])
-        return complex(val)

@@ -320,17 +320,14 @@ def _mp_term(lpref, z, num, den):
     return term
 
 
-def gamma_series(params: GLParams, spec, note: str = "",
-                 _float_only: bool = False) -> SeriesResult:
+def gamma_series(params: GLParams, spec, note: str = "") -> SeriesResult:
     """sum_k exp(lpref) prod_i G(A_i k + B_i) / prod_j G(A_j k + B_j) z^k / k!
-    under the package precision policy.
+    under the package precision policy (``eval_series``).
 
     ``spec(alpha, beta, ops)`` returns ``(lpref, z, num, den)``, with num and
     den sequences of (A, B) pairs.  It is evaluated once with float alpha,
     beta and float64 ``ops`` (``num``, ``log``, ``lgamma``), and once per
     escalated precision with mpmath values and mpmath ``ops``.
-    ``_float_only`` returns the float64 pass as it came out, converged or
-    not, for a caller with its own fallback.
     """
     a, b = params.alpha, params.beta
     lpref, z, num, den = spec(a, b, _FLOAT_OPS)
@@ -338,8 +335,6 @@ def gamma_series(params: GLParams, spec, note: str = "",
     if z == 0:
         v = complex(fterm(0))        # only the k = 0 term survives
         return SeriesResult(v, abs(v), 1, True)
-    if _float_only:
-        return SeriesResult(*_sum_float(fterm, 1e-17, _SERIES_CAP), note=note)
     at = [None, None]                # (dps, term) of the current escalation
 
     def mpterm(k):

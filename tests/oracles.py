@@ -62,6 +62,84 @@ def series_oracle(term_log_sign, kmax: int, dps: int = 80) -> float:
                              for lg, sgn in (term_log_sign(k) for k in range(kmax))))
 
 
+def lambda_contour_mp(alpha, beta, z, dps: int = 30) -> float:
+    """Kernel density lambda(z), z > 0, from its Mellin-Barnes integral
+
+        lambda(z) = (1/pi) Int_0^inf Re[z^-s Gamma(s) Gamma(ab+1)
+                                        / Gamma(alpha s + ab + 1 - alpha)] dt
+
+    on the vertical line s = c + i t through the real saddle c of the
+    integrand, found by bisection in log c.  Trapezoid rule at step
+    h = sigma/12, sigma = (second log-derivative at c)^(-1/2), until four
+    points in a row are below 1e-25 of the first; its even-indexed points
+    give the rule at 2h = sigma/6, and the two must agree to 1e-20.  Near
+    the pole of Gamma(s) at 0 (c not many sigma away from it) they may
+    not; h is then halved, at most three times (else ArithmeticError).
+    0.0 where the saddle lies beyond e^700.
+    """
+    with mp.workdps(dps):
+        am, bm = mp.mpf(alpha), mp.mpf(beta)
+        bb = am * bm + 1 - am
+        lz = mp.log(mp.mpf(z))
+
+        def slope(u):
+            c = mp.exp(u)
+            return -lz + mp.digamma(c) - am * mp.digamma(am * c + bb)
+
+        lo, hi = mp.mpf(-30), mp.mpf(700)
+        if slope(hi) < 0:
+            return 0.0
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+        c = mp.exp((lo + hi) / 2)
+        h = 1 / mp.sqrt(mp.psi(1, c) - am ** 2 * mp.psi(1, am * c + bb)) / 12
+        lg0 = mp.loggamma(am * bm + 1)
+
+        def logf(s):
+            return -s * lz + mp.loggamma(s) + lg0 - mp.loggamma(am * s + bb)
+
+        l0 = mp.re(logf(c))
+        for _ in range(4):
+            vals = [mp.mpf(1) / 2]
+            tiny = 0
+            while tiny < 4:
+                if len(vals) > 200000:
+                    raise ArithmeticError(f"lambda contour oracle did not decay at z={z}")
+                v = mp.exp(logf(c + 1j * h * len(vals)) - l0)
+                tiny = tiny + 1 if abs(v) < mp.mpf("1e-25") else 0
+                vals.append(mp.re(v))
+            fine = mp.fsum(vals) * h
+            coarse = mp.fsum(vals[::2]) * 2 * h
+            if abs(fine - coarse) <= mp.mpf("1e-20") * abs(fine):
+                break
+            h /= 2
+        else:
+            raise ArithmeticError(f"lambda contour oracle unresolved at z={z}")
+        return float(mp.exp(l0) * fine / mp.pi)
+
+
+def lambda_sine_form(alpha, beta, z, terms: int = 400, dps: int = 30) -> float:
+    """Kernel density from its residue series with the reciprocal gammas
+    reflected, 1/Gamma(bb - a k) = sin(pi a (k + 1 - b)) Gamma(a (k + 1 - b))
+    / pi; away from integer a (k + 1 - b), where a gamma factor has a pole."""
+    with mp.workdps(dps):
+        am, bm, zm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        return float(mp.gamma(am * bm + 1) / mp.pi * mp.fsum(
+            (-zm) ** k * mp.sinpi(am * (k + 1 - bm)) * mp.gamma(am * (k + 1 - bm))
+            / mp.factorial(k) for k in range(terms)))
+
+
+def mellin_e_quad(alpha, beta, s, dps: int = 30) -> complex:
+    """Mellin transform int x^s e(x) dx of the invariant density, by
+    tanh-sinh quadrature in u = x^(1/alpha), where the integrand is
+    u^(alpha s + alpha beta) e^-u / Gamma(alpha beta + 1)."""
+    with mp.workdps(dps):
+        am, bm = mp.mpf(alpha), mp.mpf(beta)
+        return complex(mp.quad(lambda u: u ** (am * mp.mpc(s) + am * bm) * mp.e ** (-u),
+                               [0, mp.inf]) / mp.gamma(am * bm + 1))
+
+
 def wright_series_mp(alpha, beta, n, z, kmax: int = 400, dps: int = 80) -> complex:
     """Direct summation of the Wright-type series at high precision."""
     with mp.workdps(dps):
@@ -73,8 +151,18 @@ def wright_series_mp(alpha, beta, n, z, kmax: int = 400, dps: int = 80) -> compl
         return complex(s)
 
 
-def w_density_mp(alpha, beta, n, q, x, kmax: int = 600, dps: int = 60) -> float:
-    """Direct summation of W_n^(q)(x) with the unit-mass normalisation."""
+def w_density_mp(alpha, beta, n, q, x, kmax: int = None, dps: int = None) -> float:
+    """Direct summation of W_n^(q)(x) with the unit-mass normalisation.
+
+    The series alternates; with y = x^(1/alpha) its terms peak near k = y,
+    at up to about exp(2y) (y/alpha)^n times the result.  kmax and dps
+    left out are sized from that: terms to well past the peak, and digits
+    for the cancellation plus 40."""
+    y = float(x) ** (1.0 / float(alpha))
+    if kmax is None:
+        kmax = int(2 * y + 20 * math.sqrt(y) + 4 * n + 100)
+    if dps is None:
+        dps = int((2 * y + n * math.log1p(y / float(alpha))) / math.log(10)) + 40
     with mp.workdps(dps):
         am, bm = mp.mpf(str(alpha)), mp.mpf(str(beta))
         xm = mp.mpf(str(x))

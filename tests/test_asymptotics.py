@@ -24,3 +24,14 @@ def test_bound_region_value_vs_oracle(region):
     p = make_params(0.4, 2.4368)
     rep = asy.bound_region_check(p, 40, region)[0]
     assert rep["value"] == pytest.approx(_w_oracle(p, 40, rep["x"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("region", ["middle", "large"])
+def test_w_oracle_sizes_its_defaults(region):
+    # with kmax and dps left out, w_density_mp sizes both from x^(1/alpha)
+    # and n; its old fixed 600 terms at 60 digits were off by 1e44 (middle)
+    # and 6e87 (large) here
+    p = make_params(0.4, 2.4368)
+    x = asy.bound_region_check(p, 40, region)[0]["x"]
+    assert abs(w_density_mp(p.alpha, p.beta, 40, 0, x)) == pytest.approx(
+        _w_oracle(p, 40, x), rel=1e-12, abs=0.0)

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 from click.testing import CliRunner
 
 from glspec.cli import EXIT_OK, EXIT_USAGE, main
+from glspec.core import make_params
+from glspec.density import lambda_values
 
 VERIFY_ALL_CHECKS = [
     "biorth ||G-I||_max",
@@ -32,3 +35,13 @@ def test_verify_rejects_csv_format():
     res = CliRunner().invoke(main, ["verify", "all", "--format", "csv"])
     assert res.exit_code == EXIT_USAGE
     assert "Invalid value for '--format'" in res.output
+
+
+def test_eval_lambda_near_alpha_one():
+    res = CliRunner().invoke(main, ["eval", "lambda", "--alpha", "0.95"])
+    assert res.exit_code == EXIT_OK, res.output
+    lines = res.stdout.strip().splitlines()
+    assert lines[0] == "z,lambda"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows[0, 0] == 0.0 and len(rows) == 101
+    assert rows[:, 1].tolist() == lambda_values(make_params(0.95, 1.0), rows[:, 0]).tolist()

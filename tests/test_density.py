@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from glspec.core import DomainError, make_params, monomial, poly_fn
 from glspec import density as d
 from glspec.specfun import log_gamma
 
-from oracles import quad_against_weight
+from oracles import (lambda_contour_mp, lambda_sine_form, mellin_e_quad,
+                     quad_against_weight, series_oracle)
 
 
 def test_weight_classical_case():
@@ -76,7 +78,7 @@ def test_mellin_factorization(p_half):
 
 def test_mellin_e_numeric_cross(p_half):
     for s in (0.3, 1.7 + 0.4j, -0.2 + 1.0j):
-        got = d.mellin_e_quad(p_half, s)
+        got = mellin_e_quad(p_half.alpha, p_half.beta, s)
         assert abs(got - d.mellin_e(p_half, s)) <= 1e-11 * abs(got)
 
 
@@ -112,23 +114,106 @@ def test_lambda_series_vs_contour(p_half, p_three_quarter, p_half_ext,
 
 
 def test_lambda_below_double_range_is_zero():
-    # at (0.9, 0) the log-integrand at the saddle is -2,289 for z = 3
+    # at (0.9, 0) the log-integrand at the saddle is -2,289 for z = 3; at
+    # z = 6 the saddle lies near a = 2.4e7, and the contour must pass there
+    from scipy.special import digamma
     p = make_params(0.9, 0.0)
     for z in (3.0, 6.0):
         assert d.lambda_value(p, z) == 0.0
+        a0, _ = d._saddle(p, np.array([math.log(z)]))
+        slope = (-math.log(z) + digamma(a0[0])
+                 - 0.9 * digamma(0.9 * a0[0] + p.bar_beta_alpha))
+        assert abs(slope) <= 1e-10 * (1.0 + abs(math.log(z)))
 
 
 def test_lambda_sine_form_nondegenerate():
     # away from integer a(b-1) the sine form is a valid cross-check
     p = make_params(0.6, 1.3)
     for z in (0.5, 2.0, 4.0):
-        assert d.lambda_density_sine_form(p, z) == pytest.approx(
+        assert lambda_sine_form(p.alpha, p.beta, z) == pytest.approx(
             d.lambda_value(p, z), rel=1e-8)
 
 
 def test_lambda_alpha_one_dispatch():
     with pytest.raises(DomainError):
         d.lambda_density(make_params(1, 0), 1.0)
+    with pytest.raises(DomainError):
+        d.lambda_values(make_params(1, 0), np.array([0.5, 1.0]))
+
+
+def _lambda_series_ref(alpha, beta, z):
+    """lambda(z) by series_oracle: terms until they fall 40 digits under the
+    largest, at enough digits for the sum to keep 30 above its rounding."""
+    lz = math.log(z) if z > 0.0 else 0.0
+
+    def log_term(k):                 # float estimate of log |t_k|
+        w = alpha * beta + 1.0 - alpha - alpha * k
+        lg = float(mp.log(abs(mp.gamma(w)))) if w != round(w) or w > 0 else math.inf
+        return k * lz - math.lgamma(k + 1.0) - lg
+
+    logs = [log_term(0)]            # -inf at the poles of Gamma(bb - a k)
+    while z > 0.0 and not (len(logs) > 10 and logs[-1] < max(logs[-8:-1])
+                           and max(logs[-8:]) < max(logs) - 40 * math.log(10)):
+        logs.append(log_term(len(logs)))
+    peak = max(max(logs) + math.lgamma(alpha * beta + 1.0), 0.0) / math.log(10)
+
+    def term(k):
+        am, bm = mp.mpf(alpha), mp.mpf(beta)
+        r = mp.rgamma(am * bm + 1 - am - am * k)
+        if r == 0:
+            return mp.ninf, 0
+        lt = mp.loggamma(am * bm + 1) + mp.log(abs(r)) - mp.loggamma(k + 1)
+        if k:
+            lt += k * mp.log(mp.mpf(z))
+        return lt, (-1) ** k * mp.sign(r)
+
+    dps = int(peak) + 40
+    while True:
+        value = series_oracle(term, len(logs), dps)
+        lost = int(peak - math.log10(abs(value))) if value else dps
+        if lost <= dps - 30:
+            return value
+        dps = lost + 40
+
+
+LAMBDA_ORACLE_PAIRS = [(0.5, 1.0), (0.75, 0.5), (1.0 / math.sqrt(2.0), 0.3),
+                       (1.0 / math.sqrt(2.0), 1.0 - math.sqrt(2.0) + 1e-9),
+                       (0.875, 1.38)]
+
+
+@pytest.mark.parametrize("alpha, beta", LAMBDA_ORACLE_PAIRS)
+def test_lambda_values_vs_oracles(alpha, beta):
+    # series oracle up to z = 2, contour oracle from z = 2; both at z = 2
+    p = make_params(alpha, beta)
+    zs = np.array([0.0, 0.3, 1.0, 2.0, 2.75, 4.0, 5.0, 6.0, 9.0, 12.0])
+    got = d.lambda_values(p, zs)
+    for z, v in zip(zs.tolist(), got.tolist()):
+        refs = ([_lambda_series_ref(alpha, beta, z)] if z <= 2.0 else []) \
+            + ([lambda_contour_mp(alpha, beta, z)] if z >= 2.0 else [])
+        for ref in refs:
+            if abs(ref) > 1e-300:
+                assert v == pytest.approx(ref, rel=1e-10, abs=0.0), (z, ref)
+
+
+def test_lambda_near_alpha_one_vs_oracle():
+    # at (0.95, 1) the series cancels at every z, and lambda_density used to
+    # run out of its 10,000 terms
+    p = make_params(0.95, 1.0)
+    zs = np.array([0.05, 0.5, 1.0])
+    for z, v in zip(zs.tolist(), d.lambda_values(p, zs).tolist()):
+        assert v == pytest.approx(_lambda_series_ref(0.95, 1.0, z), rel=1e-12, abs=0.0), z
+
+
+def test_lambda_values_equal_scalar_calls(p_half, p_three_quarter):
+    # series nodes, contour nodes, z = 0 and values below the double range,
+    # in any batch and any shape
+    for p in (p_half, p_three_quarter, make_params(0.95, 1.0)):
+        zs = np.concatenate([[0.0], np.linspace(0.05, 14.0, 60)])
+        got = d.lambda_values(p, zs)
+        assert got.tolist() == [d.lambda_value(p, float(z)) for z in zs]
+        assert d.lambda_values(p, zs[::-1].reshape(-1, 1)).ravel().tolist() \
+            == got[::-1].tolist()
+        assert d.lambda_mellin_value(p, 9.0) == d.lambda_values(p, np.array([9.0]))[0]
 
 
 def test_markov_preserves_constants(p_half):

@@ -227,6 +227,13 @@ def test_intertwine_on_laguerre_and_constants(p_half):
     assert rep1["max_discrepancy"] <= 1e-9
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.95, 1.0), (0.92, 0.5)])
+def test_intertwine_alpha_near_one(alpha, beta):
+    # every kernel node the residue series cannot sum takes the contour
+    rep = sg.intertwine_check(make_params(alpha, beta), monomial(2), 1.0, [1.0])
+    assert rep["max_discrepancy"] <= 1e-6
+
+
 def test_selfsimilar_mass_and_moments(p_half):
     # mass by quadrature at a kernel-series-friendly time
     tt = 0.8
