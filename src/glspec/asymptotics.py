@@ -168,8 +168,7 @@ def bound_region_check(params: GLParams, n: int, region: str,
 
     W_n is the production value ``coeigen.w_eval``: R_n(x) e(x) from the
     cached coefficient table, in log form, so it stays accurate (and
-    cheap) at the large n and x the regions sample, where the alternating
-    Wright series needs extended precision.  Returns one report per sample
+    cheap) at the large n and x the regions sample.  Returns one report per sample
     with the computed ratio; out-of-region samples raise DomainError.
     Envelope constants with a free epsilon use the midpoint defaults
     documented in the module.

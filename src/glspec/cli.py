@@ -256,9 +256,9 @@ def cmd_verify(suite, alpha, beta, precision, fmt, out, n_cap, seed_check):
             for n in (1, nmax // 2, nmax):
                 for x in (0.5, 1.0) if seed_check else (0.1, 0.5, 1.0, 2.0, 5.0):
                     bell = ce.r_eval_bell(params, n, x) * dens.weight_eval(w, x)
-                    wr = ce.w_eval_wright(params, n, 0, x)
-                    me = ce.w_eval_mellin(params, n, x) if params.alpha < 1 else wr
-                    r = max(abs(bell - wr), abs(bell - me)) / max(abs(bell), 1e-300)
+                    wt = ce.w_eval(params, n, x)
+                    me = ce.w_eval_mellin(params, n, x) if params.alpha < 1 else wt
+                    r = max(abs(bell - wt), abs(bell - me)) / max(abs(bell), 1e-300)
                     worst = max(worst, r)
             checks.append(("representation agreement", worst, 5e-7))
         if suite in ("intertwine", "all") and not seed_check:

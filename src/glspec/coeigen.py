@@ -1,17 +1,14 @@
-"""Co-eigenfunctions R_n and densities W_n = R_n * e, through three
-independent computational paths that cross-validate each other:
+"""Co-eigenfunctions R_n and densities W_n = R_n * e, through two
+independent computational routes that cross-validate each other:
 
-  bell     finite expansion of R_n in powers x^(j/alpha); its coefficients
+  table    finite expansion of R_n in powers x^(j/alpha); its coefficients
            (the partial-Bell formula of r_coeffs) come from one table per
            (alpha, beta), built once in mpmath by a cancellation-free
-           recurrence in n.  The production route: R_n, and W_n = R_n e at
-           every x > 0
-  wright   term-by-term differentiated exponential series for W_n
-           (entire; alternating, so conditioning degrades with n x).  The
-           route for the derivatives W_n^(q), q >= 1, and the independent
-           check of the first
+           recurrence in n.  The production route: R_n, W_n = R_n e and the
+           derivatives W_n^(q) at every x > 0
   mellin   trapezoid Mellin-Barnes inversion on a vertical contour
-           (oscillatory but cancellation-free)
+           (oscillatory but cancellation-free); the check route of
+           ``glspec verify representations``
 
 R_n is normalised by the unsigned weighted Rodrigues form
 R_n = (1/(n! e)) d^n/dx^n (x^n e); then <P_n, R_m> = delta_{nm} and
@@ -35,12 +32,10 @@ from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
                    RealFn, mp_ctx, real_pow)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
-from .specfun import (_escalating_horner, gamma_series, gamma_sign,
-                      log_abs_gamma)
+from .specfun import _escalating_horner
 
-__all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_wright",
-           "w_eval_mellin", "w_eval", "w_fn", "w_crude_bound_check",
-           "ContourSpec"]
+__all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_mellin",
+           "w_eval", "w_fn", "w_crude_bound_check", "ContourSpec"]
 
 
 # --------------------------------------------------------------------------
@@ -166,57 +161,33 @@ def r_fn(params: GLParams, n: int) -> RealFn:
                   description=f"R_{n}", powers=pw)
 
 
-# --------------------------------------------------------------------------
-# Wright-series path for W_n and derivatives
-# --------------------------------------------------------------------------
+def _w_coeffs_mp(params: GLParams, n: int, q: int) -> list:
+    """Coefficients d_j of W_n^(q)(x) = x^(-q) e(x) sum_j d_j y^j,
+    y = x^(1/alpha), in mpmath at the current working precision.
 
-def w_eval_wright(params: GLParams, n: int, q: int = 0, x: float = 1.0,
-                  full: bool = False):
-    """q-th derivative of W_n at x > 0 from the differentiated series
+    d = row n of the table for q = 0, then differentiating x^(ba - k) y^j
+    e^(-y) term by term, with ba = beta + 1/alpha - 1,
 
-    W_n^(q)(x) = pref * sum_k (-1)^k G(k/a+n+ba+1) rg(k/a+ba+1-q) x^(k/a+ba-q)/k!
+        d^(k+1)_j = (ba - k + j/alpha) d^(k)_j - d^(k)_(j-1) / alpha.
 
-    with ba = beta + 1/alpha - 1 and pref = 1/(n! alpha Gamma(alpha beta+1)).
+    ba is formed as 1/alpha + (beta - 1), exact where beta - 1 is, so that
+    the exact zeros of W_n^(q) (W_0'(1) at beta = 1) stay exact.
     """
-    if x <= 0.0:
-        raise DomainError("W_n is evaluated on x > 0")
-    if q < 0 or n < 0:
-        raise DomainError("orders must be >= 0")
-    if params.is_classical:
-        # W_n = L_n^(beta) e_beta; finite Leibniz expansion over derivatives
-        b = params.beta
-        acc = 0.0
-        for i in range(q + 1):
-            binom = math.exp(gammaln(q + 1.0) - gammaln(i + 1.0) - gammaln(q - i + 1.0))
-            acc += binom * laguerre_eval(n, b, x, derivative=i) * _e_classical_deriv(params, q - i, x)
-        return (acc, None) if full else acc
-
-    def spec(a, b, ops):
-        ba = b + 1 / a - 1
-        xs = ops.num(x)
-        lpref = (ba - q) * ops.log(xs) \
-            - (ops.lgamma(n + 1) + ops.log(a) + ops.lgamma(a * b + 1))
-        return lpref, -xs ** (1 / a), ((1 / a, n + ba + 1),), ((1 / a, ba + 1 - q),)
-
-    res = gamma_series(params, spec, note=f"w_wright(n={n},q={q})")
-    return (res.value.real, res) if full else res.value.real
+    inv = 1 / mp.mpf(params.alpha)
+    ba = inv + (mp.mpf(params.beta) - 1)
+    d = r_coeffs_mp(params, n)
+    for k in range(q):
+        d = [(ba - k + j * inv) * c - (d[j - 1] * inv if j else 0)
+             for j, c in enumerate(d)] + [-d[-1] * inv]
+    return d
 
 
-def _e_classical_deriv(params: GLParams, q: int, x: float) -> float:
-    """q-th derivative of the classical weight x^b e^{-x} / Gamma(b+1)."""
-    b = params.beta
-    acc = 0.0
-    for k in range(q + 1):
-        binom = math.exp(gammaln(q + 1.0) - gammaln(k + 1.0) - gammaln(q - k + 1.0))
-        # d^k/dx^k x^b = G(b+1)/G(b-k+1) x^(b-k); d^(q-k) e^{-x} = (-1)^(q-k) e^{-x}
-        w = b - k + 1.0
-        if w <= 0.0 and w == round(w):
-            continue
-        term = binom * gamma_sign(w) * math.exp(
-            gammaln(b + 1.0) - log_abs_gamma(w) + (b - k) * math.log(x) - x
-            - gammaln(b + 1.0))
-        acc += term * (-1.0) ** (q - k)
-    return acc
+@lru_cache(maxsize=256)
+def _w_coeffs(params: GLParams, n: int, q: int) -> np.ndarray:
+    """The d_j of ``_w_coeffs_mp``, formed at 32 digits and rounded to
+    float64."""
+    with mp_ctx(_TABLE_MIN_DPS):
+        return np.array([float(c) for c in _w_coeffs_mp(params, n, q)])
 
 
 # --------------------------------------------------------------------------
@@ -281,22 +252,31 @@ def w_eval_mellin(params: GLParams, n: int, x: float,
 
 
 # --------------------------------------------------------------------------
-# Dispatcher and wrappers
+# W_n^(q) and wrappers
 # --------------------------------------------------------------------------
 
 def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
-    """Default W_n^(q)(x) evaluation path.
+    """W_n^(q)(x) at every x > 0 from the cached coefficient table.
 
-    q = 0: R_n(x) e(x) at every x > 0, from the cached coefficient table,
-    formed as sign * exp(log|R_n(x)| + log e(x)) so that a huge R_n and an
-    underflowed e(x) give the correctly rounded product, not a false 0 or
-    an overflow (W_5(2) at alpha = 0.1 is about -9.1e-424 and comes back
-    as -0.0).  q >= 1: the differentiated Wright series, which escalates
-    its own precision when its conditioning explodes.
+    q = 0: R_n(x) e(x); q >= 1: x^(-q) e(x) sum_j d_j x^(j/alpha) with the
+    coefficients of ``_w_coeffs``.  The sum goes through the package's
+    escalating Horner and is formed as sign * exp(log|sum| + log e(x) -
+    q log x), so that a huge sum and an underflowed e(x) give the correctly
+    rounded product, not a false 0 or an overflow (W_5(2) at alpha = 0.1 is
+    about -9.1e-424 and comes back as -0.0).
     """
-    if q:
-        return w_eval_wright(params, n, q, x)
-    sign, lr = _r_horner(params, n, x, log=True)
+    if q < 0:
+        raise DomainError("derivative order must be >= 0")
+    if q == 0:
+        sign, lr = _r_horner(params, n, x, log=True)
+    else:
+        if x <= 0.0:
+            raise DomainError("W_n is evaluated on x > 0")
+        sign, lr = _escalating_horner(
+            _w_coeffs(params, n, q), real_pow(x, 1.0 / params.alpha), params,
+            lambda: (_w_coeffs_mp(params, n, q), mp.mpf(x) ** (1 / mp.mpf(params.alpha))),
+            log=True)
+        lr -= q * math.log(x)
     lw = lr + log_weight_eval(weight_e_ab(params), x)
     return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
 
@@ -314,7 +294,7 @@ def w_crude_bound_check(params: GLParams, n: int, q: int, x: float) -> dict:
     xmax = math.exp(-2.0 * a) * ((1.0 + a) / a) ** a * n ** a
     if not (0.0 < x < xmax):
         raise DomainError(f"x must lie in (0, {xmax:.4g}) for n = {n}")
-    val = w_eval_wright(params, n, q, x)
+    val = w_eval(params, n, x, q)
     expo = b + 1.0 / a - q
     env = math.exp(expo * math.log(x)
                    + (abs(b + 1.0 / a - 1.0 - q) + 2.0) * math.log(max(n, 2))

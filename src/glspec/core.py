@@ -59,8 +59,8 @@ class PrecisionError(GlspecError, ArithmeticError):
 # Precision policy
 # --------------------------------------------------------------------------
 
-#: conditioning threshold (sum |terms| / |sum terms|) beyond which series
-#: evaluation switches from compensated float64 to software extended precision
+#: conditioning threshold (sum |terms| / |sum terms|) beyond which a Horner
+#: sum switches from float64 to software extended precision
 COND_THRESHOLD = 1.0e8
 
 #: hard cap on escalated working precision, in decimal digits
@@ -69,7 +69,13 @@ MAX_ESCALATED_DPS = 1200
 
 @dataclass(frozen=True)
 class Precision:
-    """Evaluation precision: plain binary64 or software extended precision."""
+    """Evaluation precision: plain binary64 or software extended precision.
+
+    Extended precision runs the Horner sums of P_n, R_n and W_n^(q), and
+    the exact inner products of ``gram_biorth`` and ``r_norm``, in mpmath
+    at no fewer than ``dps`` digits.  The kernel density lambda is float64
+    at every precision.
+    """
 
     kind: str = "double"          # "double" | "extended"
     mantissa_bits: int = 128

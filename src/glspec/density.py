@@ -9,9 +9,10 @@ normalised to unit mass, so that its Mellin moments are
 Gamma(alpha*s + alpha*beta + 1) / Gamma(alpha*beta + 1) and the multiplier
 factorisation M_lambda(s) * M_e(s) = Gamma(s + 1) holds exactly.
 
-The kernel density lambda (Mellin transform M_lambda) is computed on arrays
-of points: a float64 residue series over (points x terms), and a saddle-point
-Mellin-Barnes contour where that sum cancels or does not converge.
+The kernel density lambda (Mellin transform M_lambda) has one route at every
+precision, in float64 on arrays of points: a residue series over (points x
+terms), and a saddle-point Mellin-Barnes contour where that sum cancels or
+does not converge.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from scipy.special import (digamma, gammaln, gammasgn, loggamma, polygamma,
 
 from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
                    eval_on, real_pow)
-from .specfun import _SERIES_CAP, SeriesResult, gamma_series, log_gamma, rgamma_c
+from .specfun import _SERIES_CAP, log_gamma, rgamma_c
 
 __all__ = [
     "Weight", "weight_e_ab", "weight_e_bar", "weight_classical", "weight_eval",
     "log_weight_eval", "lambda_values",
-    "moment", "moment_s", "mellin_e", "mellin_lambda", "lambda_density",
-    "lambda_value", "markov_lambda_apply", "markov_lambda_adjoint_apply",
+    "moment", "moment_s", "mellin_e", "mellin_lambda", "lambda_value",
+    "markov_lambda_apply", "markov_lambda_adjoint_apply",
 ]
 
 
@@ -162,33 +163,6 @@ def mellin_lambda(params: GLParams, s) -> complex:
 # --------------------------------------------------------------------------
 # Kernel density lambda
 # --------------------------------------------------------------------------
-
-def lambda_density(params: GLParams, z: float) -> SeriesResult:
-    """Entire-series value of the kernel density at z >= 0 under the
-    package precision policy (``lambda_values`` of extended params).
-
-    Residues of the inverse Mellin integral at the left poles give
-
-        lambda(z) = Gamma(a b + 1) * sum_k (-1)^k z^k / (Gamma(bb - a k) k!)
-
-    with bb = a b + 1 - a.  At alpha = 1 the kernel is a point mass and
-    callers must dispatch; the boundary bb = 0 is rejected likewise.
-    """
-    a = params.alpha
-    bb = params.bar_beta_alpha
-    if a >= 1.0:
-        raise DomainError("alpha = 1: kernel is a point mass, no density")
-    if bb <= 0.0:
-        raise DomainError("boundary beta = 1 - 1/alpha: series form degenerates")
-    if z < 0.0:
-        raise DomainError("density argument must be >= 0")
-
-    def spec(a, b, ops):
-        ab1 = a * b + 1
-        return ops.lgamma(ab1), -ops.num(z), (), ((-a, ab1 - a),)
-
-    return gamma_series(params, spec, note="lambda_density")
-
 
 #: a node keeps its float64 residue sum up to this condition sum|t_k| / |sum|:
 #: each term carries a few ulps, so 1e6 would let errors reach 1e-9
@@ -327,28 +301,24 @@ def lambda_mellin_value(params: GLParams, z: float) -> float:
 
 
 def lambda_values(params: GLParams, z) -> np.ndarray:
-    """Kernel density at every point of the array z >= 0: Gamma(ab + 1) /
-    Gamma(bb) at 0, else the residue sum where it converged with condition
-    <= _SERIES_COND, else the saddle-point contour; extended precision,
-    point by point, the contour past z = 2 and the escalating series below.
-    Round-off below 0 is 0.0.  Each value depends on its own z only."""
+    """Kernel density at every point of the array z >= 0, in float64 at
+    every precision of params: Gamma(ab + 1) / Gamma(bb) at 0, else the
+    residue sum where it converged with condition <= _SERIES_COND, else the
+    saddle-point contour.  Round-off below 0 is 0.0.  Each value depends on
+    its own z only."""
     zs = np.asarray(z, dtype=float)
     if params.alpha >= 1.0:
         raise DomainError("alpha = 1: kernel is a point mass, no density")
     if not np.all(zs >= 0.0):
         raise DomainError("density argument must be >= 0")
     flat = zs.ravel()
-    if not params.precision.is_double:
-        out = np.array([lambda_mellin_value(params, t) if t > 2.0
-                        else lambda_density(params, t).real for t in flat.tolist()])
-    else:
-        lc, sign = _residue_coeffs(params, 128)
-        out = np.full(flat.shape, sign[0] * math.exp(lc[0]))
-        pos = np.flatnonzero(flat > 0.0)
-        for c in (pos[i:i + 64] for i in range(0, pos.size, 64)):   # bounds temporaries
-            out[c], ok = _residue_sums(params, flat[c])
-            if not ok.all():
-                out[c[~ok]] = _contour_values(params, flat[c[~ok]])
+    lc, sign = _residue_coeffs(params, 128)
+    out = np.full(flat.shape, sign[0] * math.exp(lc[0]))
+    pos = np.flatnonzero(flat > 0.0)
+    for c in (pos[i:i + 64] for i in range(0, pos.size, 64)):   # bounds temporaries
+        out[c], ok = _residue_sums(params, flat[c])
+        if not ok.all():
+            out[c[~ok]] = _contour_values(params, flat[c[~ok]])
     return np.where(out <= 0.0, 0.0, out).reshape(zs.shape)
 
 

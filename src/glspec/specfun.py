@@ -1,16 +1,11 @@
 """Special-function kernel.
 
-Complex log-gamma (Lanczos at double precision, mpmath at extended), the
-Gauss hypergeometric series with its z -> 1-z connection formula, the
-Wright-type series and two entire auxiliary functions.
-
-``gamma_series`` is the one series engine: every gamma-product series of
-the package (W_n, the kernel density, the entire functions below) is a spec
-of a few lines handed to it.  Series and the finite expansions of P_n and
-R_n (``_escalating_horner``) follow one precision policy: float64 first
-(series with compensated summation), automatic escalation to software
+Complex log-gamma (Lanczos at double precision), the Gauss hypergeometric
+series with its z -> 1-z connection formula, the positive-term entire
+function cal_I, and ``_escalating_horner``: the finite expansions of P_n,
+R_n and W_n^(q) are summed by Horner in float64 and redone in software
 extended precision when the conditioning estimate sum|terms| / |sum|
-exceeds COND_THRESHOLD.
+exceeds COND_THRESHOLD, or when extended precision is asked for.
 """
 
 from __future__ import annotations
@@ -18,20 +13,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Callable
 
 import mpmath as mp
 from scipy.special import gammaln as _sp_gammaln
 
-from .core import (COND_THRESHOLD, MAX_ESCALATED_DPS, ConvergenceError,
-                   DomainError, GLParams, NeumaierSum, PoleError,
-                   PrecisionError, mp_ctx)
+from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, ConvergenceError,
+                   DomainError, GLParams, NeumaierSum, PoleError, mp_ctx)
 
 __all__ = [
     "SeriesResult", "log_gamma", "rgamma_c", "log_abs_gamma", "gamma_sign",
-    "gamma_series", "gauss_2f1", "wright_1psi1", "frak_I", "gauss_2f1_w1",
-    "cal_I",
+    "gauss_2f1", "gauss_2f1_w1", "cal_I",
 ]
 
 _LOG_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
@@ -139,7 +130,7 @@ def gamma_sign(x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Series engine
+# Series results and the escalating Horner sum
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -154,18 +145,6 @@ class SeriesResult:
     note: str = ""
 
     @property
-    def condition(self) -> float:
-        v = abs(self.value)
-        return math.inf if v == 0.0 else self.abs_term_sum / v
-
-    @property
-    def est_rel_error(self) -> float:
-        """Crude relative-accuracy estimate: conditioning times the working
-        precision's term-construction noise (~50 eps at double)."""
-        unit = 1e-14 if self.dps_used == 0 else 10.0 ** (-self.dps_used + 2)
-        return min(1.0, self.condition * unit)
-
-    @property
     def real(self) -> float:
         return self.value.real if isinstance(self.value, complex) else float(self.value)
 
@@ -176,173 +155,6 @@ _CONSECUTIVE = 3
 #: largest float64 Horner condition number taken at its word: below it the
 #: float64 sum keeps enough correct digits to size the escalated precision
 _HORNER_TRUSTED_COND = 1.0e13
-
-
-def _sum_float(term: Callable[[int], complex], tol: float, cap: int):
-    re, im = NeumaierSum(), NeumaierSum()
-    small = 0
-    k = 0
-    ok = False
-    while k < cap:
-        t = term(k)
-        tr = complex(t)
-        if not (math.isfinite(tr.real) and math.isfinite(tr.imag)):
-            return complex(math.nan, 0.0), math.inf, k, False
-        re.add(tr.real)
-        im.add(tr.imag)
-        mag = abs(tr)
-        part = abs(complex(re.value, im.value))
-        if mag <= tol * (part + 1e-300):
-            small += 1
-            if small >= _CONSECUTIVE:
-                ok = True
-                k += 1
-                break
-        else:
-            small = 0
-        k += 1
-    return complex(re.value, im.value), re.abs_sum + im.abs_sum, k, ok
-
-
-def _sum_mp(mpterm: Callable[[int], "mp.mpf"], tol, cap: int):
-    s = mp.mpf(0) * 1  # may become mpc
-    abs_sum = mp.mpf(0)
-    small = 0
-    k = 0
-    ok = False
-    while k < cap:
-        t = mpterm(k)
-        s += t
-        abs_sum += abs(t)
-        if abs(t) <= tol * (abs(s) + mp.mpf(10) ** (-mp.mp.dps * 2)):
-            small += 1
-            if small >= _CONSECUTIVE:
-                ok = True
-                k += 1
-                break
-        else:
-            small = 0
-        k += 1
-    return s, abs_sum, k, ok
-
-
-def eval_series(fterm, mpterm, params: GLParams, tol: float = 1e-17,
-                cap: int = _SERIES_CAP, note: str = "") -> SeriesResult:
-    """Run a series under the package precision policy.
-
-    ``fterm(k)`` yields float64 terms, ``mpterm(k)`` mpmath terms under the
-    current working precision.  Escalates when ill-conditioned.
-    """
-    force_mp = not params.precision.is_double
-    if not force_mp:
-        val, abs_sum, used, ok = _sum_float(fterm, tol, cap)
-        finite = math.isfinite(abs(val)) and math.isfinite(abs_sum)
-        cond = abs_sum / abs(val) if (finite and abs(val) > 0.0) else math.inf
-        if ok and finite and cond <= COND_THRESHOLD:
-            return SeriesResult(val, abs_sum, used, True, 0, note)
-        if not ok and finite and cond <= COND_THRESHOLD:
-            raise ConvergenceError(f"series did not converge in {cap} terms ({note})")
-        est_cond = cond
-    else:
-        est_cond = 1.0
-
-    dps = max(params.precision.dps, 30)
-    for _ in range(6):
-        if math.isfinite(est_cond) and est_cond > 1.0:
-            dps = max(dps, int(math.log10(est_cond)) + 25)
-        if dps > MAX_ESCALATED_DPS:
-            raise PrecisionError(f"series needs > {MAX_ESCALATED_DPS} digits ({note})")
-        with mp_ctx(dps):
-            val, abs_sum, used, ok = _sum_mp(mpterm, mp.mpf(10) ** (-dps + 3), cap)
-            if not ok:
-                raise ConvergenceError(f"series did not converge in {cap} terms ({note})")
-            if abs(val) > 0 and abs_sum / abs(val) < mp.mpf(10) ** (dps - 10):
-                v = complex(val)
-                return SeriesResult(v, float(abs_sum), used, True, dps, note)
-            est_cond = float(abs_sum / abs(val)) if abs(val) > 0 else 10.0 ** (dps + 20)
-        dps = int(dps * 1.6) + 10
-    raise PrecisionError(f"series failed to stabilise under escalation ({note})")
-
-
-#: arithmetic a gamma-series spec is evaluated in: float64, or mpmath at the
-#: current working precision
-_FLOAT_OPS = SimpleNamespace(num=lambda v: v, log=math.log, lgamma=_sp_gammaln)
-_MP_OPS = SimpleNamespace(num=mp.mpmathify, log=mp.log, lgamma=mp.loggamma)
-
-
-def _float_term(lpref, z, num, den):
-    """float64 term k of exp(lpref) prod G(A k + B)^(+-1) z^k / k!.
-
-    Logs are added in a fixed order (prefactor, numerators, denominators,
-    log k!, k log|z|); real z stays in real arithmetic, its sign carried
-    apart.  Numerator arguments must be positive; a denominator at a pole
-    zeroes the term.
-    """
-    if isinstance(z, complex):
-        lz, exp, neg = cmath.log(z), cmath.exp, False
-    else:
-        lz, exp, neg = math.log(abs(z)) if z else 0.0, math.exp, z < 0.0
-
-    def term(k):
-        lt = lpref
-        sgn = -1.0 if neg and k & 1 else 1.0
-        for A, B in num:
-            lt += _sp_gammaln(A * k + B)
-        for A, B in den:
-            w = A * k + B
-            if w > 0.0:
-                lt -= _sp_gammaln(w)
-            elif w == round(w):
-                return 0.0
-            else:
-                sgn *= gamma_sign(w)
-                lt -= log_abs_gamma(w)
-        lt = lt - _sp_gammaln(k + 1.0) + k * lz
-        return sgn * exp(lt) if lt.real < 700.0 else sgn * math.inf
-
-    return term
-
-
-def _mp_term(lpref, z, num, den):
-    """mpmath term k of the same series; every argument was assembled at
-    working precision, since the escalated pass exists because term-level
-    relative errors get amplified by the cancellation."""
-    pref = mp.exp(lpref)
-
-    def term(k):
-        t = pref * z ** k / mp.factorial(k)
-        for A, B in num:
-            t *= mp.gamma(A * k + B)
-        for A, B in den:
-            t *= mp.rgamma(A * k + B)
-        return t
-
-    return term
-
-
-def gamma_series(params: GLParams, spec, note: str = "") -> SeriesResult:
-    """sum_k exp(lpref) prod_i G(A_i k + B_i) / prod_j G(A_j k + B_j) z^k / k!
-    under the package precision policy (``eval_series``).
-
-    ``spec(alpha, beta, ops)`` returns ``(lpref, z, num, den)``, with num and
-    den sequences of (A, B) pairs.  It is evaluated once with float alpha,
-    beta and float64 ``ops`` (``num``, ``log``, ``lgamma``), and once per
-    escalated precision with mpmath values and mpmath ``ops``.
-    """
-    a, b = params.alpha, params.beta
-    lpref, z, num, den = spec(a, b, _FLOAT_OPS)
-    fterm = _float_term(lpref, z, num, den)
-    if z == 0:
-        v = complex(fterm(0))        # only the k = 0 term survives
-        return SeriesResult(v, abs(v), 1, True)
-    at = [None, None]                # (dps, term) of the current escalation
-
-    def mpterm(k):
-        if at[0] != mp.mp.dps:
-            at[:] = mp.mp.dps, _mp_term(*spec(mp.mpf(a), mp.mpf(b), _MP_OPS))
-        return at[1](k)
-
-    return eval_series(fterm, mpterm, params, note=note)
 
 
 def _escalating_horner(coeffs, y: float, params: GLParams, mp_args,
@@ -480,36 +292,33 @@ def gauss_2f1(a: float, b: float, c: float, z: float, tol: float = 1e-16,
 
 
 # --------------------------------------------------------------------------
-# Wright-type series and entire auxiliaries
+# Entire auxiliary
 # --------------------------------------------------------------------------
 
-def wright_1psi1(params: GLParams, n: int, z) -> SeriesResult:
-    """sum_k Gamma(k/a + n + b + 1/a) / Gamma(k/a + b + 1/a) * z^k / k!.
-
-    Entire in z; equals exp(z) when n = 0.
-    """
-    if n < 0:
-        raise DomainError("order n must be >= 0")
-    def spec(a, b, ops):
-        return 0, ops.num(z), ((1 / a, n + b + 1 / a),), ((1 / a, b + 1 / a),)
-
-    return gamma_series(params, spec, note=f"wright_1psi1(n={n})")
-
-
-def frak_I(params: GLParams, z) -> SeriesResult:
-    """Entire series sum_k z^k / (Gamma(k/a + b + 1/a) k!)."""
-    def spec(a, b, ops):
-        return 0, ops.num(z), (), ((1 / a, b + 1 / a),)
-
-    return gamma_series(params, spec, note="frak_I")
-
-
 def cal_I(params: GLParams, z) -> SeriesResult:
-    """Gamma(a b + 1) * sum_n z^n / (Gamma(a n + a b + 1) n!).
+    """Gamma(a b + 1) * sum_n z^n / (Gamma(a n + a b + 1) n!) for z >= 0.
 
-    Entire of order 1/(a+1); its growth type is params.frak_t.
+    Entire of order 1/(a+1); its growth type is params.frak_t.  At z >= 0
+    every term is positive, so the float64 sum is well conditioned: the
+    terms come from their logs until three in a row fall below 1e-17 of the
+    largest, and are added correctly rounded (math.fsum) relative to it.
+    DomainError for z < 0, where the terms alternate.
     """
-    def spec(a, b, ops):
-        return ops.lgamma(a * b + 1), ops.num(z), (), ((a, a * b + 1),)
-
-    return gamma_series(params, spec, note="cal_I")
+    z = float(z)
+    if z < 0.0:
+        raise DomainError("cal_I is summed for z >= 0 only")
+    a, b = params.alpha, params.beta
+    lg0, lz = _sp_gammaln(a * b + 1.0), math.log(z) if z > 0.0 else -math.inf
+    logs, top, small = [], -math.inf, 0
+    while small < _CONSECUTIVE:
+        k = len(logs)
+        if k == _SERIES_CAP:
+            raise ConvergenceError(f"cal_I did not converge in {k} terms")
+        lt = lg0 - _sp_gammaln(a * k + a * b + 1.0) - _sp_gammaln(k + 1.0) \
+            + (k * lz if k else 0.0)
+        logs.append(lt)
+        top = max(top, lt)
+        small = small + 1 if lt < top - 17.0 * math.log(10.0) else 0
+    total = math.fsum(math.exp(lt - top) for lt in logs)
+    value = math.exp(top) * total if top <= LOG_DOUBLE_MAX else math.inf
+    return SeriesResult(complex(value), value, len(logs), True)

@@ -62,6 +62,55 @@ def series_oracle(term_log_sign, kmax: int, dps: int = 80) -> float:
                              for lg, sgn in (term_log_sign(k) for k in range(kmax))))
 
 
+def lambda_series_mp(alpha, beta, z) -> float:
+    """Kernel density lambda(z), z >= 0, from its residue series
+
+        lambda(z) = Gamma(ab + 1) sum_k (-1)^k z^k / (Gamma(ab + 1 - a - a k) k!)
+
+    by series_oracle: terms until they fall 30 digits below the value, at
+    digits enough for the sum to keep 30 above its rounding.  The terms may
+    peak far above the value (near 1e57 against 1.4e-60 at (3/4, 1/2),
+    z = 6), and both sizes depend on the value, so the sum is redone with
+    more terms and digits until they hold."""
+    ln10 = math.log(10.0)
+    lg0 = math.lgamma(alpha * beta + 1.0)
+    lz = math.log(z) if z > 0.0 else 0.0
+
+    def log_term(k):                 # float estimate of log |t_k|
+        w = alpha * beta + 1.0 - alpha - alpha * k
+        lg = float(mp.log(abs(mp.gamma(w)))) if w != round(w) or w > 0 else math.inf
+        return lg0 + k * lz - math.lgamma(k + 1.0) - lg
+
+    def term(k):
+        am, bm = mp.mpf(alpha), mp.mpf(beta)
+        r = mp.rgamma(am * bm + 1 - am - am * k)
+        if r == 0:
+            return mp.ninf, 0
+        lt = mp.loggamma(am * bm + 1) + mp.log(abs(r)) - mp.loggamma(k + 1)
+        if k:
+            lt += k * mp.log(mp.mpf(z))
+        return lt, (-1) ** k * mp.sign(r)
+
+    logs = [log_term(0)]            # -inf at the poles of Gamma(bb - a k)
+    cut, dps = math.inf, 0          # the tail's level from the value, once known
+
+    def floor():                    # 40 digits under the largest term, or cut
+        return min(max(logs) - 40 * ln10, cut)
+
+    while True:
+        while z > 0.0 and not (len(logs) > 10 and logs[-1] < max(logs[-8:-1])
+                               and max(logs[-8:]) < floor()):
+            logs.append(log_term(len(logs)))
+        peak = max(max(logs), 0.0) / ln10
+        dps = max(dps, int(peak) + 40)
+        value = series_oracle(term, len(logs), dps)
+        lv = math.log10(abs(value)) if value else -330.0
+        lost = int(peak - lv) + 1
+        if lost <= dps - 30 and floor() <= (lv - 30) * ln10:
+            return value
+        dps, cut = max(dps, lost + 40), min(cut, (lv - 40) * ln10)
+
+
 def lambda_contour_mp(alpha, beta, z, dps: int = 30) -> float:
     """Kernel density lambda(z), z > 0, from its Mellin-Barnes integral
 
@@ -151,18 +200,52 @@ def wright_series_mp(alpha, beta, n, z, kmax: int = 400, dps: int = 80) -> compl
         return complex(s)
 
 
+def frak_I_mp(alpha, beta, z, dps: int = 30) -> float:
+    """Entire series sum_k z^k / (Gamma(k/alpha + beta + 1/alpha) k!) by
+    direct summation, past k = |z| until a term falls below the working
+    epsilon of the sum."""
+    with mp.workdps(dps):
+        am, bm, zm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        s, k = mp.mpf(0), 0
+        while True:
+            t = zm ** k * mp.rgamma(k / am + bm + 1 / am) / mp.factorial(k)
+            s += t
+            if k > abs(zm) and abs(t) <= mp.eps * abs(s):
+                return float(s)
+            k += 1
+
+
+#: largest x^(1/alpha) for which w_density_mp sizes its own kmax and dps:
+#: past it the sum needs thousands of terms at about y digits
+W_ORACLE_Y_CAP = 200.0
+
+
 def w_density_mp(alpha, beta, n, q, x, kmax: int = None, dps: int = None) -> float:
     """Direct summation of W_n^(q)(x) with the unit-mass normalisation.
 
     The series alternates; with y = x^(1/alpha) its terms peak near k = y,
-    at up to about exp(2y) (y/alpha)^n times the result.  kmax and dps
-    left out are sized from that: terms to well past the peak, and digits
-    for the cancellation plus 40."""
-    y = float(x) ** (1.0 / float(alpha))
+    at up to about exp(2y) (y/alpha)^(n+q) times the result, which is of
+    the order of exp(-y).  kmax and dps left out are sized from that:
+    terms until they fall 40 digits below exp(-y), past the peak, and
+    digits for the cancellation plus 40.  Left out past y = W_ORACLE_Y_CAP
+    they raise ValueError."""
+    a, y = float(alpha), float(x) ** (1.0 / float(alpha))
+    if (kmax is None or dps is None) and y > W_ORACLE_Y_CAP:
+        raise ValueError(f"x^(1/alpha) = {y:.4g} is past the cap {W_ORACLE_Y_CAP} "
+                         "for default kmax and dps")
     if kmax is None:
-        kmax = int(2 * y + 20 * math.sqrt(y) + 4 * n + 100)
+        ba = float(beta) + 1.0 / a - 1.0
+
+        def log_term(k):             # log |term k|, without the common x^(ba - q)
+            return (math.lgamma(k / a + n + ba + 1.0) - math.lgamma(k / a + ba + 1.0 - q)
+                    + k * math.log(y) - math.lgamma(k + 1.0))
+
+        kmax = int(y) + q + 2
+        while not (log_term(kmax) < -y - 40.0 * math.log(10.0)
+                   and log_term(kmax) < log_term(kmax - 1)):
+            kmax += 1
     if dps is None:
-        dps = int((2 * y + n * math.log1p(y / float(alpha))) / math.log(10)) + 40
+        dps = int((2 * y + (n + q) * math.log1p(y / a)) / math.log(10)) + 40
     with mp.workdps(dps):
         am, bm = mp.mpf(str(alpha)), mp.mpf(str(beta))
         xm = mp.mpf(str(x))

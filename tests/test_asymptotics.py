@@ -1,11 +1,12 @@
 import math
+import time
 
 import pytest
 
 from glspec import asymptotics as asy
 from glspec.core import make_params
 
-from oracles import w_density_mp
+from oracles import W_ORACLE_Y_CAP, w_density_mp
 
 
 def _w_oracle(params, n, x):
@@ -35,3 +36,18 @@ def test_w_oracle_sizes_its_defaults(region):
     x = asy.bound_region_check(p, 40, region)[0]["x"]
     assert abs(w_density_mp(p.alpha, p.beta, 40, 0, x)) == pytest.approx(
         _w_oracle(p, 40, x), rel=1e-12, abs=0.0)
+
+
+def test_w_oracle_refuses_defaults_past_cap():
+    # at (0.1, 0), x = 2 (y = 1024) the old defaults stopped where the terms
+    # were near e^(0.6 y) and returned -8.6e19 (q = 0) and -2.44e32 (q = 3),
+    # after 36-46 s, for a value below the double range
+    t0 = time.perf_counter()
+    for q in (0, 3):
+        with pytest.raises(ValueError):
+            w_density_mp(0.1, 0.0, 10, q, 2.0)
+    assert time.perf_counter() - t0 < 1.0
+    # just under the cap the defaults give the value of a generous explicit sum
+    x = (0.99 * W_ORACLE_Y_CAP) ** 0.1
+    assert w_density_mp(0.1, 0.0, 10, 3, x) == pytest.approx(
+        w_density_mp(0.1, 0.0, 10, 3, x, kmax=1200, dps=300), rel=1e-12, abs=0.0)

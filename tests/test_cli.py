@@ -45,3 +45,11 @@ def test_eval_lambda_near_alpha_one():
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert rows[0, 0] == 0.0 and len(rows) == 101
     assert rows[:, 1].tolist() == lambda_values(make_params(0.95, 1.0), rows[:, 0]).tolist()
+
+
+def test_eval_w_derivative_below_double_range():
+    # W_10'''(2) at (0.1, 0) is below the double range: -0, not a numerical failure
+    res = CliRunner().invoke(main, ["eval", "W", "--q", "3", "--alpha", "0.1", "--beta", "0",
+                                    "--n", "10", "--x", "2"])
+    assert res.exit_code == EXIT_OK, res.output
+    assert res.stdout.strip().splitlines() == ["x,W_10^(3)", "2,-0"]

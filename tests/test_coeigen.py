@@ -37,47 +37,47 @@ def test_bell_vs_wright_cross(p_half):
     for n in (1, 2, 4):
         for x in (0.2, 1.0):
             bell = ce.r_eval_bell(p_half, n, x) * d.weight_eval(w, x)
-            assert ce.w_eval_wright(p_half, n, 0, x) == pytest.approx(
+            assert w_density_mp(0.5, 1.0, n, 0, x) == pytest.approx(
                 bell, rel=1e-10)
 
 
 def test_w0_is_the_weight(p_half):
     w = d.weight_e_ab(p_half)
     for x in (0.4, 1.7):
-        assert ce.w_eval_wright(p_half, 0, 0, x) == pytest.approx(
+        assert ce.w_eval(p_half, 0, x) == pytest.approx(
             d.weight_eval(w, x), rel=1e-13)
 
 
 def test_w_classical_value():
     p = make_params(1, 0)
-    assert ce.w_eval_wright(p, 2, 0, 1.0) == pytest.approx(
+    assert ce.w_eval(p, 2, 1.0) == pytest.approx(
         -0.5 * math.exp(-1.0), rel=1e-13)
 
 
 def test_w_oracle_highprec(p_half):
     # frozen from the 60-digit direct summation
-    assert ce.w_eval_wright(p_half, 2, 0, 1.5) == pytest.approx(
+    assert ce.w_eval(p_half, 2, 1.5) == pytest.approx(
         -2.2076434937136202, rel=1e-11)
-    got = ce.w_eval_wright(p_half, 5, 0, 3.0)
+    got = ce.w_eval(p_half, 5, 3.0)
     assert got == pytest.approx(w_density_mp(0.5, 1.0, 5, 0, 3.0), rel=1e-9)
 
 
 def test_w_derivative_finite_difference(p_half, p_three_quarter):
-    got = ce.w_eval_wright(p_half, 3, 1, 0.8)
-    fd = richardson_derivative(lambda t: ce.w_eval_wright(p_half, 3, 0, t),
+    got = ce.w_eval(p_half, 3, 0.8, 1)
+    fd = richardson_derivative(lambda t: ce.w_eval(p_half, 3, t),
                                0.8, 1, h0=1e-2)
     assert got == pytest.approx(fd, rel=1e-7)
-    got = ce.w_eval_wright(p_three_quarter, 30, 1, 0.2)
+    got = ce.w_eval(p_three_quarter, 30, 0.2, 1)
     fd = richardson_derivative(
-        lambda t: ce.w_eval_wright(p_three_quarter, 30, 0, t), 0.2, 1, h0=2e-3)
+        lambda t: ce.w_eval(p_three_quarter, 30, t), 0.2, 1, h0=2e-3)
     assert got == pytest.approx(fd, rel=1e-5)
 
 
 def test_w_classical_derivative():
     p = make_params(1, 0)
     x = 1.3
-    got = ce.w_eval_wright(p, 2, 1, x)
-    fd = richardson_derivative(lambda t: ce.w_eval_wright(p, 2, 0, t), x, 1)
+    got = ce.w_eval(p, 2, x, 1)
+    fd = richardson_derivative(lambda t: ce.w_eval(p, 2, t), x, 1)
     assert got == pytest.approx(fd, rel=1e-9)
 
 
@@ -88,13 +88,14 @@ def test_mellin_matches_weight_at_n0(p_half):
 
 
 def test_representation_cross_agreement(p_half_ext, p_three_quarter_ext):
-    # three independent paths agree pointwise (extended precision)
+    # the table route, the Mellin route and the mpmath Wright series agree
+    # pointwise (extended precision)
     for p in (p_half_ext, p_three_quarter_ext):
         w = d.weight_e_ab(p)
         for n in (2, 5, 8):
             for x in (0.1, 0.5, 1.0, 2.0, 5.0):
                 bell = ce.r_eval_bell(p, n, x) * d.weight_eval(w, x)
-                wr = ce.w_eval_wright(p, n, 0, x)
+                wr = w_density_mp(p.alpha, p.beta, n, 0, x)
                 me = ce.w_eval_mellin(p, n, x)
                 scale = max(abs(bell), 1e-280)
                 assert abs(bell - wr) / scale < 1e-7, (p.alpha, n, x)
@@ -126,7 +127,7 @@ def test_rodrigues_oracle(p_half):
         num = richardson_derivative(
             lambda t, n=n: t ** n * d.weight_eval(w, t), x, n, h0=h)
         assert num == pytest.approx(
-            math.factorial(n) * ce.w_eval_wright(p_half, n, 0, x), rel=1e-5), n
+            math.factorial(n) * ce.w_eval(p_half, n, x), rel=1e-5), n
 
 
 def test_crude_bound_domain_and_ratios(p_half, p_three_quarter):
@@ -258,3 +259,31 @@ def test_overflowing_power_gives_limits():
     assert ce.r_eval_bell(p, 2, 1e4) == math.inf
     for n in (0, 1, 5, 40):
         assert ce.w_eval(p, n, 1e4) == 0.0
+
+
+# --------------------------------------------------------------------------
+# Derivatives W_n^(q) from the table
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.75, 0.5), (0.1, 0.0), (1.0, 0.0),
+                                         (1.0 / math.sqrt(2.0), 0.3)])
+def test_w_derivatives_match_wright_oracle(alpha, beta):
+    p = make_params(alpha, beta)
+    for n in (0, 5, 30):
+        for q in (1, 2, 3):
+            for y in (0.05, 1.5, 12.0, 60.0):
+                x = y ** alpha
+                ref = w_density_mp(alpha, beta, n, q, x)
+                if abs(ref) > 1e-300:
+                    assert ce.w_eval(p, n, x, q) == pytest.approx(ref, rel=1e-8, abs=0.0), \
+                        (n, q, x)
+
+
+def test_w_derivative_specific_points():
+    # W_10^(3)(2) at (1/2, 1); at (0.1, 0) the same value is below the double range
+    assert ce.w_eval(make_params(0.5, 1.0), 10, 2.0, 3) == pytest.approx(
+        21887.1009976769, rel=1e-10)
+    assert abs(ce.w_eval(make_params(0.1, 0.0), 10, 2.0, 3)) < 1e-300
+    # W_0' = e (ba - y / alpha) / x vanishes at x = 1 when beta = 1
+    for alpha in (0.5, 0.95):
+        assert ce.w_eval(make_params(alpha, 1.0), 0, 1.0, 1) == 0.0

@@ -1,7 +1,6 @@
 import cmath
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +10,8 @@ from glspec.core import DomainError, make_params, monomial, poly_fn
 from glspec import density as d
 from glspec.specfun import log_gamma
 
-from oracles import (lambda_contour_mp, lambda_sine_form, mellin_e_quad,
-                     quad_against_weight, series_oracle)
+from oracles import (lambda_contour_mp, lambda_series_mp, lambda_sine_form,
+                     mellin_e_quad, quad_against_weight)
 
 
 def test_weight_classical_case():
@@ -85,8 +84,7 @@ def test_mellin_e_numeric_cross(p_half):
 def test_lambda_at_zero(p_half):
     # k = 0 residue: Gamma(a b + 1)/Gamma(a b + 1 - a)
     expect = math.gamma(1.5) / math.gamma(1.0)
-    assert d.lambda_density(p_half, 0.0).value.real == pytest.approx(expect,
-                                                                     rel=1e-14)
+    assert d.lambda_value(p_half, 0.0) == pytest.approx(expect, rel=1e-14)
 
 
 def test_lambda_mass_and_moments(p_half, p_three_quarter):
@@ -105,12 +103,15 @@ def test_lambda_nonnegative_grid(p_half):
 
 def test_lambda_series_vs_contour(p_half, p_three_quarter, p_half_ext,
                                   p_three_quarter_ext):
-    # the ext128 pair runs the series in mpmath arithmetic from its first term
-    for p in (p_half, p_three_quarter, p_half_ext, p_three_quarter_ext):
+    # the contour alone against the mpmath residue series; lambda is float64
+    # at every precision, so ext128 gives the double values bit for bit
+    zs = np.array([0.0, 0.5, 2.5, 4.0, 6.0, 12.0])
+    for p, p_ext in ((p_half, p_half_ext), (p_three_quarter, p_three_quarter_ext)):
         for z in (2.5, 4.0, 6.0):
-            s = d.lambda_density(p, z).value.real
+            s = lambda_series_mp(p.alpha, p.beta, z)
             m = d.lambda_mellin_value(p, z)
             assert m == pytest.approx(s, rel=2e-9), (p.alpha, z)
+        assert d.lambda_values(p_ext, zs).tolist() == d.lambda_values(p, zs).tolist()
 
 
 def test_lambda_below_double_range_is_zero():
@@ -136,44 +137,7 @@ def test_lambda_sine_form_nondegenerate():
 
 def test_lambda_alpha_one_dispatch():
     with pytest.raises(DomainError):
-        d.lambda_density(make_params(1, 0), 1.0)
-    with pytest.raises(DomainError):
         d.lambda_values(make_params(1, 0), np.array([0.5, 1.0]))
-
-
-def _lambda_series_ref(alpha, beta, z):
-    """lambda(z) by series_oracle: terms until they fall 40 digits under the
-    largest, at enough digits for the sum to keep 30 above its rounding."""
-    lz = math.log(z) if z > 0.0 else 0.0
-
-    def log_term(k):                 # float estimate of log |t_k|
-        w = alpha * beta + 1.0 - alpha - alpha * k
-        lg = float(mp.log(abs(mp.gamma(w)))) if w != round(w) or w > 0 else math.inf
-        return k * lz - math.lgamma(k + 1.0) - lg
-
-    logs = [log_term(0)]            # -inf at the poles of Gamma(bb - a k)
-    while z > 0.0 and not (len(logs) > 10 and logs[-1] < max(logs[-8:-1])
-                           and max(logs[-8:]) < max(logs) - 40 * math.log(10)):
-        logs.append(log_term(len(logs)))
-    peak = max(max(logs) + math.lgamma(alpha * beta + 1.0), 0.0) / math.log(10)
-
-    def term(k):
-        am, bm = mp.mpf(alpha), mp.mpf(beta)
-        r = mp.rgamma(am * bm + 1 - am - am * k)
-        if r == 0:
-            return mp.ninf, 0
-        lt = mp.loggamma(am * bm + 1) + mp.log(abs(r)) - mp.loggamma(k + 1)
-        if k:
-            lt += k * mp.log(mp.mpf(z))
-        return lt, (-1) ** k * mp.sign(r)
-
-    dps = int(peak) + 40
-    while True:
-        value = series_oracle(term, len(logs), dps)
-        lost = int(peak - math.log10(abs(value))) if value else dps
-        if lost <= dps - 30:
-            return value
-        dps = lost + 40
 
 
 LAMBDA_ORACLE_PAIRS = [(0.5, 1.0), (0.75, 0.5), (1.0 / math.sqrt(2.0), 0.3),
@@ -188,7 +152,7 @@ def test_lambda_values_vs_oracles(alpha, beta):
     zs = np.array([0.0, 0.3, 1.0, 2.0, 2.75, 4.0, 5.0, 6.0, 9.0, 12.0])
     got = d.lambda_values(p, zs)
     for z, v in zip(zs.tolist(), got.tolist()):
-        refs = ([_lambda_series_ref(alpha, beta, z)] if z <= 2.0 else []) \
+        refs = ([lambda_series_mp(alpha, beta, z)] if z <= 2.0 else []) \
             + ([lambda_contour_mp(alpha, beta, z)] if z >= 2.0 else [])
         for ref in refs:
             if abs(ref) > 1e-300:
@@ -196,12 +160,11 @@ def test_lambda_values_vs_oracles(alpha, beta):
 
 
 def test_lambda_near_alpha_one_vs_oracle():
-    # at (0.95, 1) the series cancels at every z, and lambda_density used to
-    # run out of its 10,000 terms
+    # at (0.95, 1) the residue series cancels at every z
     p = make_params(0.95, 1.0)
     zs = np.array([0.05, 0.5, 1.0])
     for z, v in zip(zs.tolist(), d.lambda_values(p, zs).tolist()):
-        assert v == pytest.approx(_lambda_series_ref(0.95, 1.0, z), rel=1e-12, abs=0.0), z
+        assert v == pytest.approx(lambda_series_mp(0.95, 1.0, z), rel=1e-12, abs=0.0), z
 
 
 def test_lambda_values_equal_scalar_calls(p_half, p_three_quarter):

