@@ -71,10 +71,10 @@ MAX_ESCALATED_DPS = 1200
 class Precision:
     """Evaluation precision: plain binary64 or software extended precision.
 
-    Extended precision runs the Horner sums of P_n, R_n and W_n^(q), and
-    the exact inner products of ``gram_biorth`` and ``r_norm``, in mpmath
-    at no fewer than ``dps`` digits.  The kernel density lambda is float64
-    at every precision.
+    Extended precision runs the Horner sums of P_n, R_n and W_n^(q) in
+    mpmath at no fewer than ``dps`` digits.  Exact inner products are sized
+    from their coefficient magnitudes at every precision, ``dps`` only a
+    floor; the kernel density lambda is float64 at every precision.
     """
 
     kind: str = "double"          # "double" | "extended"

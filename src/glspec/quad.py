@@ -1,16 +1,13 @@
 """Quadrature against the invariant density, inner products, norms,
 biorthogonality matrices, and Bessel-inequality checks.
 
-For rational alpha = p/q the substitution v = x**(1/p) turns every power
-x**k (eigenpolynomials) and x**(j/alpha) (co-eigenfunctions) into an integer
-power of v, and the weight into p * v**(p b + q - 1) exp(-v**q).  A Gauss
-rule for that weight -- three-term recurrence by the discretized Stieltjes
-procedure, nodes by Golub-Welsch, weights as Christoffel numbers
-1 / sum_k p_k(node)^2 from the recurrence -- therefore integrates every
-eigen/co-eigen product exactly up to degree 2m-1 in v; each such rule is
-checked against the exact v-moments of that degree range.  Irrational alpha
-falls back to the u = x**(1/alpha) generalized Gauss-Laguerre rule, built
-the same way.
+Products of generalized polynomials (P_n, R_n, any f with a power
+expansion) use no rule: ``_moment_form`` sums their exact moments in
+mpmath.  The rules of ``build_rule`` integrate general f.  For rational
+alpha = p/q, v = x**(1/p) turns the weight into p v**(p b + q - 1) exp(-v**q),
+whose Gauss rule (Stieltjes recurrence, Golub-Welsch nodes, Christoffel
+weights) is checked against its exact moments of degree 0..2m-1; irrational
+alpha falls back to the u = x**(1/alpha) generalized Gauss-Laguerre rule.
 """
 
 from __future__ import annotations
@@ -184,15 +181,15 @@ def build_rule(w: Weight, m: int) -> QuadRule:
                 break
         else:
             raise QuadratureError("Stieltjes recurrence failed its moment check")
-        nodes = np.power(vn, p)
-        weights = wn / mu0
-        return QuadRule(w, nodes, weights, m, half)
+        return QuadRule(w, np.power(vn, p), wn / mu0, m, half)
     # irrational alpha: u-substitution generalized Gauss-Laguerre
     un, uw = _classical_laguerre_rule(a * b, m)
     return QuadRule(w, np.power(un, a), uw / uw.sum(), m, half)
 
 
-def _apply(rule: QuadRule, f) -> float:
+def integrate(rule: QuadRule, f) -> float:
+    """Integral of f against the rule's weight (mass-normalized); f is called
+    on the node array, or node by node where that fails."""
     try:
         vals = np.asarray(f(rule.nodes), dtype=float)
         if vals.shape != rule.nodes.shape:
@@ -207,19 +204,13 @@ def _apply(rule: QuadRule, f) -> float:
     return out
 
 
-def integrate(rule: QuadRule, f) -> float:
-    """Integral of f against the rule's weight (mass-normalized)."""
-    return _apply(rule, f)
-
-
 def inner_with_error(rule: QuadRule, f, g):
     """Inner product <f, g> with an order-m vs order-m/2 error estimate."""
-    fg = lambda x: (np.asarray(f(x)) * np.asarray(g(x))
-                    if isinstance(x, np.ndarray) else f(x) * g(x))
-    full = _apply(rule, fg)
+    fg = lambda x: np.asarray(f(x)) * np.asarray(g(x))
+    full = integrate(rule, fg)
     if rule.half is None:
         return full, math.inf
-    coarse = _apply(rule.half, fg)
+    coarse = integrate(rule.half, fg)
     return full, abs(full - coarse)
 
 
@@ -238,65 +229,60 @@ def inner(rule: QuadRule, f, g, rtol: Optional[float] = None) -> float:
 # Exact bilinear forms for generalized polynomials
 # --------------------------------------------------------------------------
 
-def inner_exact(params: GLParams, fpowers, gpowers) -> float:
-    """<f, g> against the invariant density for generalized polynomials,
-    through the exact fractional moments of the weight."""
-    a, b = params.alpha, params.beta
-    lg0 = gammaln(a * b + 1.0)
-    acc = 0.0
-    for cf, pf in fpowers:
-        if cf == 0.0:
-            continue
-        for cg, pg in gpowers:
-            if cg == 0.0:
-                continue
-            acc += cf * cg * math.exp(gammaln(a * (pf + pg) + a * b + 1.0) - lg0)
-    return acc
-
-
-def _inner_exact_mp(params: GLParams, fpowers, gpowers):
-    """inner_exact at the current mp precision; pass the exponents as mp
-    values, so the gamma arguments are exact at working precision."""
-    am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
-    g0 = mp.gamma(am * bm + 1)
-    acc = mp.mpf(0)
-    for cf, pf in fpowers:
-        for cg, pg in gpowers:
-            acc += cf * cg * mp.gamma(am * (pf + pg) + am * bm + 1) / g0
-    return acc
-
-
-def _r_powers_mp(params: GLParams, n: int) -> list:
-    """(coefficient, exponent) pairs of R_n at the current mp precision."""
-    step = 1 if params.is_classical else 1 / mp.mpf(params.alpha)
-    return [(c, j * step) for j, c in enumerate(r_coeffs_mp(params, n))]
-
-
-def gram_biorth(params: GLParams, N: int, rule: Optional[QuadRule] = None) -> np.ndarray:
-    """Matrix G_{nm} = <P_n, R_m> for n, m <= N; identity when everything
-    works.
-
-    Double precision uses the quadrature rule (exact in exact arithmetic for
-    rational alpha); extended precision uses the mp-moment bilinear form with
-    arguments assembled at working precision.
+def _moment_form(params: GLParams, la, s, lb, t, rows) -> np.ndarray:
+    """F = A M B^T: F_nm = <f_n, g_m> for f_n = sum_k a_nk x^(s_k/alpha) and
+    g_m = sum_j b_mj x^(t_j/alpha), M_kj = Gamma(s_k + t_j + ab + 1) /
+    Gamma(ab + 1) the exact moments.  la, lb = log|a|, log|b| (-inf at 0)
+    and s, t in float64 give S = max_nm sum_kj |a_nk| M_kj |b_mj|; at
+    max(precision dps, 20 + log10 S) digits each entry is right to about
+    1e-20 however far its terms cancel.  rows() gives A, s, B, t in mpmath
+    there, the exponents exact (alpha k for P_n, j for R_m).
     """
+    ab = params.alpha * params.beta
+    lM = gammaln(np.add.outer(s, t) + ab + 1.0) - gammaln(ab + 1.0)
+    with np.errstate(divide="ignore"):
+        lam = logsumexp(la[:, :, None] + lM, axis=1)
+        lS = float(np.max(logsumexp(lam[:, None, :] + lb, axis=2)))
+    dps = params.precision.dps
+    with mp_ctx(max(dps, 20 + math.ceil(lS / math.log(10.0))) if lS > -math.inf else dps):
+        A, s, B, t = rows()
+        ab1 = mp.mpf(params.alpha) * params.beta + 1
+        M = [[mp.gamma(sk + tj + ab1) for tj in t] for sk in s]
+        BM = [[mp.fdot(bm, Mk) for Mk in M] for bm in B]
+        g0 = mp.gamma(ab1)
+        return np.array([[float(mp.fdot(an, c) / g0) for c in BM] for an in A])
+
+
+def _log_abs(rows) -> np.ndarray:
+    """log|c| of coefficient rows, padded with -inf to the longest."""
+    w = max(map(len, rows))
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs([list(r) + [0.0] * (w - len(r)) for r in rows]))
+
+
+def inner_exact(params: GLParams, fpowers, gpowers) -> float:
+    """<f, g> against the invariant density for generalized polynomials
+    given as (coefficient, x-exponent) pairs: the 1 x 1 ``_moment_form``."""
+    a = params.alpha
+    (cf, pf), (cg, pg) = (([c for c, _ in w], [p for _, p in w]) for w in (fpowers, gpowers))
+    rows = lambda: ([list(map(mp.mpf, cf))], [a * mp.mpf(p) for p in pf],
+                    [list(map(mp.mpf, cg))], [a * mp.mpf(p) for p in pg])
+    return float(_moment_form(params, _log_abs([cf]), a * np.array(pf),
+                              _log_abs([cg]), a * np.array(pg), rows)[0, 0])
+
+
+def gram_biorth(params: GLParams, N: int) -> np.ndarray:
+    """Matrix G_{nm} = <P_n, R_m> for n, m <= N; identity when everything
+    works.  The ``_moment_form`` with rows P_n (s_k = alpha k) and R_m
+    (t_j = j) at every precision."""
     if N < 0:
         raise DomainError("N must be >= 0")
-    if params.precision.is_double:
-        if rule is None:
-            rule = build_rule(weight_e_ab(params), max(120, 2 * N + 30))
-        seq = p_coeffs(params, N)
-        Pm = np.array([[p_eval(seq, n, float(x)) for x in rule.nodes]
-                       for n in range(N + 1)])
-        ys = rule.nodes if params.is_classical else np.power(rule.nodes, 1.0 / params.alpha)
-        Rm = np.array([np.polynomial.polynomial.polyval(ys, r_coeffs(params, midx))
-                       for midx in range(N + 1)])
-        return (Pm * rule.weights) @ Rm.T
-    with mp_ctx(max(params.precision.dps, 40)):
-        pw = [[(c, k) for k, c in enumerate(_coeffs_mp(params, n))] for n in range(N + 1)]
-        rw = [_r_powers_mp(params, m) for m in range(N + 1)]
-        return np.array([[float(_inner_exact_mp(params, p, r)) for r in rw]
-                         for p in pw])
+    ns = range(N + 1)
+    rows = lambda: ([_coeffs_mp(params, n) + [0] * (N - n) for n in ns],
+                    [mp.mpf(params.alpha) * k for k in ns],
+                    [r_coeffs_mp(params, m) + [0] * (N - m) for m in ns], ns)
+    return _moment_form(params, p_coeffs(params, N).logmag, params.alpha * np.arange(N + 1),
+                        _log_abs([r_coeffs(params, m) for m in ns]), np.arange(N + 1.0), rows)
 
 
 @dataclass
@@ -321,8 +307,7 @@ def bessel_check(params: GLParams, f, N: int, rule: Optional[QuadRule] = None) -
     seq = p_coeffs(params, N)
     coefs = []
     for n in range(N + 1):
-        pn = lambda x, n=n: p_eval(seq, n, float(x)) if not isinstance(x, np.ndarray) \
-            else np.array([p_eval(seq, n, float(t)) for t in x])
+        pn = lambda x, n=n: p_eval(seq, n, float(x))   # integrate goes node by node
         coefs.append(inner(rule, f, pn) ** 2)
     return BesselReport(np.cumsum(coefs), norm2)
 
@@ -332,7 +317,8 @@ def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
     """(||R_n|| in the invariant-density space, ||R_n e/ebar|| in the
     auxiliary space).
 
-    The first norm is an exact moment bilinear form (mp for n > 15); the
+    The first norm is the moment form of ``_moment_form`` with R_n on both
+    sides, sized from the coefficient magnitudes at every precision; the
     second integrates a nonnegative integrand by tanh-sinh quadrature in the
     u = x**(1/alpha) variable, where the auxiliary exponent becomes
     eta_bar * u**(alpha/gamma).
@@ -342,14 +328,9 @@ def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
         gamma_ = 0.5 * a
     if not (0.0 < gamma_ < a) and a < 1.0:
         raise DomainError("gamma must lie in (0, alpha)")
-    use_mp = (n > 8) or params.is_classical or not params.precision.is_double
-    if not use_mp:
-        pw = tuple((float(c), j / a) for j, c in enumerate(r_coeffs(params, n)))
-        nrm2 = inner_exact(params, pw, pw)
-    else:
-        with mp_ctx(max(params.precision.dps, 30 + 2 * n)):
-            pw = _r_powers_mp(params, n)
-            nrm2 = float(_inner_exact_mp(params, pw, pw))
+    lr, js = _log_abs([r_coeffs(params, n)]), np.arange(n + 1.0)
+    rows = lambda: ([r_coeffs_mp(params, n)], js.tolist()) * 2   # R_n on both sides
+    nrm2 = _moment_form(params, lr, js, lr, js, rows)[0, 0]
     if nrm2 < 0.0:
         raise QuadratureError(f"norm^2 of R_{n} came out negative: {nrm2:.3e}")
     # auxiliary norm: (1/(a G(ab+1)^2)) Int R_n(u^a)^2 u^(ab) e^(-2u - eta u^(a/g)) du

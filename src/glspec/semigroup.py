@@ -152,11 +152,9 @@ class SpectralExpansion:
 
 
 def _coeff_against_r(params: GLParams, f, n: int, rule: QuadRule) -> float:
-    powers = getattr(f, "powers", None)
+    powers, rn = getattr(f, "powers", None), r_fn(params, n)
     if powers is not None:
-        rfn = r_fn(params, n)
-        return inner_exact(params, powers, rfn.powers)
-    rn = r_fn(params, n)
+        return inner_exact(params, powers, rn.powers)
     fg = np.array([float(f(float(x))) * rn(float(x)) for x in rule.nodes])
     return float(rule.weights @ fg)
 

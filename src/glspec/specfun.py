@@ -141,7 +141,6 @@ class SeriesResult:
     abs_term_sum: float
     terms_used: int
     converged: bool
-    dps_used: int = 0            # 0 means plain float64
     note: str = ""
 
     @property
@@ -287,7 +286,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float, tol: float = 1e-16,
     out = gauss_2f1_w1(a, b, c, 1.0 - z, tol, max_terms)
     if z > _2F1_NEAR_ONE:
         return SeriesResult(out.value, out.abs_term_sum, out.terms_used,
-                            False, out.dps_used, "diverging")
+                            False, "diverging")
     return out
 
 

@@ -334,6 +334,19 @@ def r_coeffs_bell_mp(params, n: int, dps: int = 80) -> list:
                 / mp.factorial(n) for j in range(n + 1)]
 
 
+def inner_exact_mp(alpha, beta, fpowers, gpowers, dps: int = 80):
+    """<f, g> against the invariant density for generalized polynomials
+    given as (coefficient, exponent) pairs, by the pairwise sum of the exact
+    moments Gamma(alpha (p + q) + ab + 1) / Gamma(ab + 1) at dps digits.
+    Pass the exponents as mp values (j / mp.mpf(alpha), say) so that the
+    gamma arguments are exact at that precision."""
+    with mp.workdps(dps):
+        am, bm = mp.mpf(alpha), mp.mpf(beta)
+        g0 = mp.gamma(am * bm + 1)
+        return mp.fsum(cf * cg * mp.gamma(am * (pf + pg) + am * bm + 1) / g0
+                       for cf, pf in fpowers for cg, pg in gpowers)
+
+
 def richardson_derivative(f, x: float, order: int, h0: float = 1e-2,
                           levels: int = 4) -> float:
     """order-th derivative by iterated central differences with Richardson

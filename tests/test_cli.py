@@ -31,6 +31,13 @@ def test_verify_all_json():
     assert all(c["value"] <= c["bound"] for c in report)
 
 
+def test_verify_biorth_irrational_alpha_and_high_order():
+    res = CliRunner().invoke(main, ["verify", "biorth", "--alpha", "0.7071067811865476"])
+    assert res.exit_code == EXIT_OK, res.output
+    res = CliRunner().invoke(main, ["verify", "biorth", "--n", "40"])
+    assert res.exit_code == EXIT_OK, res.output
+
+
 def test_verify_rejects_csv_format():
     res = CliRunner().invoke(main, ["verify", "all", "--format", "csv"])
     assert res.exit_code == EXIT_USAGE

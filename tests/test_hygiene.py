@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-exports a name it does not define, or imports the test suite."""
+"""Source hygiene: no module of the package or of the test suite imports a
+name it never uses, and no package module exports a name it does not
+define or imports the test suite."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ from pathlib import Path
 import glspec
 
 SRC = Path(glspec.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -30,9 +32,9 @@ def _unused_imports(tree: ast.Module) -> list:
 
 def test_no_unused_imports():
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         for line, name in _unused_imports(ast.parse(path.read_text())):
-            found.append(f"{path.name}:{line} {name}")
+            found.append(f"{path.parent.name}/{path.name}:{line} {name}")
     assert not found, "unused imports: " + ", ".join(found)
 
 

@@ -1,15 +1,19 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glspec.core import DomainError, QuadratureError, make_params, monomial, poly_fn
+from glspec.core import (DomainError, Precision, QuadratureError, make_params,
+                         monomial, poly_fn)
 from glspec import density as d
 from glspec import quad as q
 from glspec.eigen import p_fn
 from glspec.coeigen import r_fn
+
+from oracles import inner_exact_mp, r_coeffs_bell_mp
 
 
 def rule_for(p, m=120):
@@ -114,6 +118,46 @@ def test_gram_trivial_and_classical(p_half, p_classical):
     assert G0.shape == (1, 1) and G0[0, 0] == pytest.approx(1.0, rel=1e-12)
     G = q.gram_biorth(p_classical, 12)
     assert np.abs(G - np.eye(13)).max() <= 1e-8
+
+
+#: (alpha, beta, N) where the former quadrature or fixed-digit routes missed
+#: the identity: five irrational-alpha verify ops, alpha = 1/sqrt 2, and
+#: orders where the coefficients cancel over many digits
+HARD_GRAM_CASES = [
+    (0.4569958847736624, -0.43966843764070296, 5),
+    (0.8314814814814815, 0.27175501113585754, 10),
+    (0.9117283950617283, -0.006068788083954113, 5),
+    (0.8100823045267491, 1.2758942341884687, 5),
+    (0.8956790123456788, 1.822451550654721, 9),
+    (1.0 / math.sqrt(2.0), 1.0, 8),
+    (0.5, 1.0, 40),
+    (0.35, 0.0, 30),
+    (0.1, 0.0, 20),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, N", HARD_GRAM_CASES)
+def test_gram_identity_hard_cases(alpha, beta, N):
+    G = q.gram_biorth(make_params(alpha, beta), N)
+    assert np.abs(G - np.eye(N + 1)).max() <= 1e-20
+
+
+def test_gram_identity_high_order_extended():
+    p = make_params(0.5, 1.0, precision=Precision("extended", 128))
+    G = q.gram_biorth(p, 40)
+    assert np.abs(G - np.eye(41)).max() <= 1e-20
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.35, 0.0), (0.4, 0.73)])
+def test_r_norm_matches_pairwise_oracle(alpha, beta):
+    p = make_params(alpha, beta)
+    for n in (5, 8):
+        with mp.workdps(60):
+            pw = [(c, j / mp.mpf(alpha))
+                  for j, c in enumerate(r_coeffs_bell_mp(p, n, dps=60))]
+            ref = float(inner_exact_mp(alpha, beta, pw, pw, dps=60))
+        got = q.r_norm(p, n)[0] ** 2
+        assert got == pytest.approx(ref, rel=1e-14), n
 
 
 @settings(max_examples=15, deadline=None)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from glspec.core import (DomainError, RealFn, TruncationError, const_fn,
-                         make_params, monomial, phi)
+from glspec.core import (RealFn, TruncationError, const_fn, make_params,
+                         monomial, phi)
 from glspec import semigroup as sg
 from glspec import density as d
 from glspec import quad as q
 from glspec.eigen import laguerre_eval, p_coeffs, p_eval, p_fn, p_sup
-from glspec.coeigen import w_eval
 
 from oracles import moment_ode_evolution
 
@@ -67,6 +66,16 @@ def test_expand_eigenfunction_is_delta(p_half):
     expect[3] = math.exp(-3.0 * t)
     assert np.allclose(e.coeffs, expect, atol=1e-8)
     assert e.regime == "small_space"
+
+
+@pytest.mark.parametrize("alpha, beta, k", [(0.5, 1.0, 10), (0.35, 0.0, 12),
+                                            (1.0 / math.sqrt(2.0), 1.0, 8)])
+def test_expand_of_p_k_is_delta(alpha, beta, k):
+    # exact inner products of P_k against every R_n; what error is left comes
+    # from the float64 coefficients that p_fn carries
+    p = make_params(alpha, beta)
+    c = sg.expand(p, p_fn(p, k), 0.0).coeffs
+    assert np.abs(c - np.eye(len(c))[k]).max() <= 1e-9
 
 
 def test_expand_constant(p_half):
