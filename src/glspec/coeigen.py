@@ -129,27 +129,36 @@ def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     return np.array([float(c) for c in _rows(params, n, _TABLE_MIN_DPS)[n]])
 
 
-def _r_horner(params: GLParams, n: int, x: float, log: bool):
+def _r_horner(params: GLParams, n: int, x, log: bool):
     """R_n(x) from its finite expansion in powers of y = x^(1/alpha) (the
-    classical Laguerre recurrence at alpha = 1); with log, (sign, log|R_n|)."""
-    if x <= 0.0:
+    classical Laguerre recurrence at alpha = 1), at a float x or at every
+    point of an ndarray x; with log, (sign, log|R_n|) at a float x."""
+    arr = isinstance(x, np.ndarray)
+    if (x <= 0.0).any() if arr else x <= 0.0:
         raise DomainError("co-eigenfunctions are evaluated on x > 0")
     if n < 0:
         raise DomainError("order must be >= 0")
     if params.is_classical:
         v = laguerre_eval(n, params.beta, x)
+        if arr:
+            return v + np.zeros(x.shape)
         if not log:
             return v
         return math.copysign(1.0, v), (math.log(abs(v)) if v else -math.inf)
+    if arr:
+        with np.errstate(over="ignore"):
+            y = np.power(x, 1.0 / params.alpha)
+    else:
+        y = real_pow(x, 1.0 / params.alpha)
     return _escalating_horner(
-        r_coeffs(params, n), real_pow(x, 1.0 / params.alpha), params,
-        lambda: (r_coeffs_mp(params, n), mp.mpf(x) ** (1 / mp.mpf(params.alpha))),
+        r_coeffs(params, n), y, params,
+        lambda i: (r_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i]) ** (1 / mp.mpf(params.alpha))),
         log=log)
 
 
-def r_eval_bell(params: GLParams, n: int, x: float) -> float:
+def r_eval_bell(params: GLParams, n: int, x):
     """R_n(x) from the finite power expansion in y = x^(1/alpha), with the
-    coefficients of the cached table."""
+    coefficients of the cached table; x a float or an ndarray."""
     return _r_horner(params, n, x, log=False)
 
 
@@ -274,7 +283,7 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
             raise DomainError("W_n is evaluated on x > 0")
         sign, lr = _escalating_horner(
             _w_coeffs(params, n, q), real_pow(x, 1.0 / params.alpha), params,
-            lambda: (_w_coeffs_mp(params, n, q), mp.mpf(x) ** (1 / mp.mpf(params.alpha))),
+            lambda _: (_w_coeffs_mp(params, n, q), mp.mpf(x) ** (1 / mp.mpf(params.alpha))),
             log=True)
         lr -= q * math.log(x)
     lw = lr + log_weight_eval(weight_e_ab(params), x)

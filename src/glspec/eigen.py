@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (ConvergenceError, DomainError, GLParams, RealFn,
-                   dps_bucket_cache)
+                   dps_bucket_cache, make_params)
 from .specfun import _escalating_horner, cal_I
 
 __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
@@ -89,8 +89,15 @@ def laguerre_eval(n: int, beta: float, x: float, derivative: int = 0) -> float:
     return l
 
 
-def p_eval(seq: PolySeq, n: int, x: float, p: int = 0) -> float:
-    """p-th derivative of P_n at x.
+@lru_cache(maxsize=64)
+def _shifted(params: GLParams, p: int) -> GLParams:
+    """The (beta + p) parameters of the index-shift identity for P_n^(p)."""
+    return make_params(params.alpha, params.beta + p, params.precision, params.eps)
+
+
+def p_eval(seq: PolySeq, n: int, x, p: int = 0):
+    """p-th derivative of P_n at a float x, or at every point of an ndarray
+    x (the result then has x's shape).
 
     Derivatives reduce to the (beta + p) family through the index-shift
     identity, so only plain evaluations remain.
@@ -102,24 +109,25 @@ def p_eval(seq: PolySeq, n: int, x: float, p: int = 0) -> float:
     params = seq.params
     if p > 0:
         if p > n:
-            return 0.0
+            return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
         a, b = params.alpha, params.beta
-        from .core import make_params
-        shifted = make_params(a, b + p, params.precision, params.eps)
         fac = ((-1.0) ** p) * math.exp(
             gammaln(n + 1.0) - gammaln(n - p + 1.0)
             + gammaln(a * b + 1.0) - gammaln(a * b + a * p + 1.0))
-        return fac * p_eval(p_coeffs(shifted, n - p), n - p, x, 0)
+        return fac * p_eval(p_coeffs(_shifted(params, p), n - p), n - p, x, 0)
     if params.is_classical:
         b2 = math.exp(gammaln(n + 1.0) + gammaln(params.beta + 1.0)
                       - gammaln(n + params.beta + 1.0))
+        if n == 0 and isinstance(x, np.ndarray):
+            return np.full(x.shape, b2)
         return b2 * laguerre_eval(n, params.beta, x)
     return _escalating_horner(seq.coeff[n, :n + 1], x, params,
-                              lambda: (_coeffs_mp(params, n), mp.mpf(x)))
+                              lambda i: (_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i])))
 
 
 def p_fn(params: GLParams, n: int) -> RealFn:
-    """P_n wrapped as a RealFn with exact derivatives and power expansion."""
+    """P_n wrapped as a RealFn with exact derivatives and power expansion;
+    the value and both derivatives take a float or an ndarray."""
     seq = p_coeffs(params, n)
     pw = tuple((float(seq.coeff[n, k]), float(k)) for k in range(n + 1))
     return RealFn(
@@ -134,8 +142,7 @@ def p_fn(params: GLParams, n: int) -> RealFn:
 def p_sup(params: GLParams, n: int, lo: float = 0.0, hi: float = 10.0,
           grid: int = 33) -> float:
     """Grid sup of |P_n| on [lo, hi], used by truncation estimates."""
-    seq = p_coeffs(params, n)
-    return max(abs(p_eval(seq, n, x)) for x in np.linspace(lo, hi, grid))
+    return float(np.max(np.abs(p_eval(p_coeffs(params, n), n, np.linspace(lo, hi, grid)))))
 
 
 def jensen_check(params: GLParams, x: float, t: float, N: int) -> float:

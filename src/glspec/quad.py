@@ -3,11 +3,13 @@ biorthogonality matrices, and Bessel-inequality checks.
 
 Products of generalized polynomials (P_n, R_n, any f with a power
 expansion) use no rule: ``_moment_form`` sums their exact moments in
-mpmath.  The rules of ``build_rule`` integrate general f.  For rational
-alpha = p/q, v = x**(1/p) turns the weight into p v**(p b + q - 1) exp(-v**q),
-whose Gauss rule (Stieltjes recurrence, Golub-Welsch nodes, Christoffel
-weights) is checked against its exact moments of degree 0..2m-1; irrational
-alpha falls back to the u = x**(1/alpha) generalized Gauss-Laguerre rule.
+mpmath; the auxiliary norm of R_n, against a growing weight, is a float64
+double-exponential rule.  The rules of ``build_rule`` integrate general f.
+For rational alpha = p/q, v = x**(1/p) turns the weight into
+p v**(p b + q - 1) exp(-v**q), whose Gauss rule (Stieltjes recurrence,
+Golub-Welsch nodes, Christoffel weights) is checked against its exact
+moments of degree 0..2m-1; irrational alpha falls back to the
+u = x**(1/alpha) generalized Gauss-Laguerre rule.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, logsumexp, roots_legendre
 
-from .core import DomainError, GLParams, QuadratureError, mp_ctx
+from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError,
+                   mp_ctx)
 from .density import Weight, weight_e_ab
 from .eigen import _coeffs_mp, p_coeffs, p_eval
 from .coeigen import r_coeffs, r_coeffs_mp
+from .specfun import _escalating_horner
 
 __all__ = ["QuadRule", "build_rule", "integrate", "inner", "inner_with_error",
            "gram_biorth", "bessel_check", "r_norm", "inner_exact"]
@@ -158,13 +162,13 @@ def build_rule(w: Weight, m: int) -> QuadRule:
     """Quadrature rule of order m for the given weight.
 
     DomainError for m outside [1, 500] and for the growing auxiliary weight,
-    which is handled by adaptive quadrature in ``r_norm`` instead.
+    whose norms ``r_norm`` takes by its own double-exponential rule.
     """
     if not (1 <= m <= _MAX_ORDER):
         raise DomainError(f"order must lie in [1, {_MAX_ORDER}]")
     if w.kind == "e_bar":
         raise DomainError("no fixed rule for the growing weight; "
-                          "norms against it use adaptive quadrature")
+                          "r_norm integrates against it by its own rule")
     params = w.params
     half = build_rule(w, m // 2) if m >= 2 else None
     if w.kind == "e_classical" or params.alpha == 1.0:
@@ -307,23 +311,71 @@ def bessel_check(params: GLParams, f, N: int, rule: Optional[QuadRule] = None) -
     seq = p_coeffs(params, N)
     coefs = []
     for n in range(N + 1):
-        pn = lambda x, n=n: p_eval(seq, n, float(x))   # integrate goes node by node
-        coefs.append(inner(rule, f, pn) ** 2)
+        coefs.append(inner(rule, f, lambda x, n=n: p_eval(seq, n, x)) ** 2)
     return BesselReport(np.cumsum(coefs), norm2)
+
+
+#: step h of the auxiliary norm's double-exponential rule; the rule of step
+#: 2h on every other node is its error estimate
+_AUX_STEP = 1.0 / 64.0
+
+#: relative agreement of the step-h and step-2h rules the auxiliary norm
+#: must reach, or QuadratureError
+_AUX_RTOL = 1e-10
+
+#: condition number up to which the auxiliary norm sums R_n in float64: its
+#: rounding, about 1e-16 times this per node, stays well below _AUX_RTOL
+_AUX_COND = 1e5
+
+
+def _log_aux_norm2(params: GLParams, n: int, gamma_: float, eta_bar: float) -> float:
+    """log ||R_n e/ebar||^2.  The norm is Int R_n(x)^2 e(x)^2 / ebar(x) dx,
+    that is, with x = u**alpha and R_n(u**alpha) = sum_j c_j u^j,
+
+        (1 / (alpha Gamma(ab+1)^2)) Int_0^inf R_n(u^alpha)^2 u^(ab)
+                                      e^(-2u - eta_bar u^(alpha/gamma)) du,
+
+    by the double-exponential rule of Takahasi & Mori (1974) for integrands
+    that decay exponentially: u = exp(t - e^-t), step h in t.  The nodes
+    run from u^(ab+1) = e^-50 to e (4n + 60), past which u^(2n) e^(-2u)
+    is negligible.  R_n goes through the escalating Horner on all nodes at
+    once, the rest of the integrand is summed in log form.
+    """
+    a, ab, h = params.alpha, params.alpha * params.beta, _AUX_STEP
+    lo = -math.log(50.0 / (ab + 1.0) + 1.0)
+    hi = math.log(4.0 * n + 60.0) + 1.0
+    k = np.arange(2 * math.floor(lo / (2.0 * h)), math.ceil(hi / h) + 1)
+    t = k * h
+    lu = t - np.exp(-t)
+    u = np.exp(lu)
+    _, lr = _escalating_horner(r_coeffs(params, n), u, params,
+                               lambda i: (r_coeffs_mp(params, n), mp.mpf(u[i])),
+                               log=True, cond_max=_AUX_COND)
+    with np.errstate(over="ignore"):
+        lf = (2.0 * lr + (ab + 1.0) * lu + np.log1p(np.exp(-t)) - 2.0 * u
+              - eta_bar * np.exp(lu * (a / gamma_)))
+    top = float(lf.max())
+    f = np.exp(lf - top)
+    full, coarse = h * float(f.sum()), 2.0 * h * float(f[k % 2 == 0].sum())
+    if not abs(full - coarse) <= _AUX_RTOL * full:
+        raise QuadratureError(f"auxiliary norm of R_{n}: step-h and step-2h rules "
+                              f"differ by {abs(full - coarse) / full:.2e} relative")
+    return top + math.log(full) - math.log(a) - 2.0 * gammaln(ab + 1.0)
 
 
 def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
            eta_bar: float = 1.0) -> tuple:
     """(||R_n|| in the invariant-density space, ||R_n e/ebar|| in the
-    auxiliary space).
+    auxiliary space), ebar(x) = x^(beta + 1/alpha - 1) e^(eta_bar x^(1/gamma)).
 
     The first norm is the moment form of ``_moment_form`` with R_n on both
-    sides, sized from the coefficient magnitudes at every precision; the
-    second integrates a nonnegative integrand by tanh-sinh quadrature in the
-    u = x**(1/alpha) variable, where the auxiliary exponent becomes
-    eta_bar * u**(alpha/gamma).
+    sides, sized from the coefficient magnitudes at every precision.  The
+    second is the float64 double-exponential rule of ``_log_aux_norm2`` in
+    u = x**(1/alpha), where R_n is the polynomial sum_j c_j u^j; it raises
+    QuadratureError when its step-h and step-2h sums differ by more than
+    1e-10 relative.
     """
-    a, b = params.alpha, params.beta
+    a = params.alpha
     if gamma_ is None:
         gamma_ = 0.5 * a
     if not (0.0 < gamma_ < a) and a < 1.0:
@@ -333,25 +385,6 @@ def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
     nrm2 = _moment_form(params, lr, js, lr, js, rows)[0, 0]
     if nrm2 < 0.0:
         raise QuadratureError(f"norm^2 of R_{n} came out negative: {nrm2:.3e}")
-    # auxiliary norm: (1/(a G(ab+1)^2)) Int R_n(u^a)^2 u^(ab) e^(-2u - eta u^(a/g)) du
-    dps = max(params.precision.dps, 25 + 2 * n)
-    with mp_ctx(dps):
-        am, bm = mp.mpf(a), mp.mpf(b)
-        gm = mp.mpf(gamma_)
-        em = mp.mpf(eta_bar)
-        cs = r_coeffs_mp(params, n)
-        g0 = mp.gamma(am * bm + 1)
-
-        def integrand(u):
-            if u <= 0:
-                return mp.mpf(0)
-            ua = u ** am if not params.is_classical else u
-            rv = mp.mpf(0)
-            for c in reversed(cs):
-                rv = rv * ua + c
-            return rv * rv * u ** (am * bm) * mp.e ** (-2 * u - em * u ** (am / gm))
-
-        hi = 400.0
-        val = mp.quad(integrand, [0, float(n) + 1.0, 4.0 * n + 40.0, hi])
-        aux2 = float(val / (am * g0 ** 2))
-    return math.sqrt(nrm2), math.sqrt(max(aux2, 0.0))
+    log_aux = 0.5 * _log_aux_norm2(params, n, gamma_, eta_bar)
+    aux = math.exp(log_aux) if log_aux <= LOG_DOUBLE_MAX else math.inf
+    return math.sqrt(nrm2), aux

@@ -28,7 +28,7 @@ from scipy.special import gammaln
 
 from .core import (DomainError, GLParams, RealFn, TruncationError, eval_on,
                    make_params, phi)
-from .coeigen import r_fn, w_eval
+from .coeigen import r_eval_bell, r_fn, w_eval
 from .density import (markov_lambda_apply, mellin_lambda, weight_classical,
                       weight_e_ab, weight_eval)
 from .eigen import p_coeffs, p_eval, p_sup
@@ -100,7 +100,9 @@ def generator_apply(params: GLParams, f: RealFn, x: float) -> float:
     """Generator value L f(x) for twice-differentiable f.
 
     Uses exact derivatives when the RealFn carries them, central finite
-    differences otherwise.
+    differences otherwise.  f'' is taken on the whole x * y node array of
+    the singular integral in one call (``core.eval_on``), or point by point
+    where it takes floats only.
     """
     if x <= 0.0:
         raise DomainError("generator acts on functions of x > 0")
@@ -108,7 +110,7 @@ def generator_apply(params: GLParams, f: RealFn, x: float) -> float:
     if params.is_classical:
         return x * f.deriv2(x) + (b + 1.0 - x) * f.deriv1(x)
     y, gw = _generator_grid(params)
-    vals = np.array([f.deriv2(float(x * yy)) for yy in y])
+    vals = eval_on(f.deriv2, x * y)
     return (params.d_ab - x) * f.deriv1(x) + x * float(gw @ vals)
 
 
@@ -273,7 +275,8 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
     """Row mass Int P_t(x, y) dy and min kernel value over the rule's nodes.
 
     Works through P_t(x, y)/e(y) = sum_n e^{-nt} R_n(y) P_n(x) so the
-    co-eigenfunction node values are shared across all requested x.  Nodes
+    co-eigenfunction node values are shared across all requested x; per n,
+    R_n on the nodes and P_n on the x are one array evaluation each.  Nodes
     whose quadrature weight is below 1e-20 of the maximum are skipped: their
     contribution is orders of magnitude below the tolerance, while the
     kernel series there is at its most expensive.
@@ -284,13 +287,12 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
     keep = rule.weights >= 1e-20 * rule.weights.max()
     nodes = rule.nodes[keep]
     wts = rule.weights[keep]
-    from .coeigen import r_eval_bell
     seq = p_coeffs(params, min(nmax, _NMAX_DEFAULT))
     acc = np.zeros((len(xs), nodes.size))
     small = 0
     for n in range(nmax + 1):
-        rn = np.array([r_eval_bell(params, n, float(yy)) for yy in nodes])
-        pn = np.array([p_eval(seq, n, float(xx)) for xx in xs])
+        rn = r_eval_bell(params, n, nodes)
+        pn = p_eval(seq, n, xs)
         term = math.exp(-n * t) * np.outer(pn, rn)
         acc += term
         rel = np.max(np.abs(term) * wts)

@@ -3,9 +3,10 @@
 Complex log-gamma (Lanczos at double precision), the Gauss hypergeometric
 series with its z -> 1-z connection formula, the positive-term entire
 function cal_I, and ``_escalating_horner``: the finite expansions of P_n,
-R_n and W_n^(q) are summed by Horner in float64 and redone in software
-extended precision when the conditioning estimate sum|terms| / |sum|
-exceeds COND_THRESHOLD, or when extended precision is asked for.
+R_n and W_n^(q) are summed by Horner in float64, at a float or over a whole
+ndarray of points at once, and each point whose conditioning estimate
+sum|terms| / |sum| exceeds COND_THRESHOLD is redone on its own in software
+extended precision (every point, when extended precision is asked for).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
 from scipy.special import gammaln as _sp_gammaln
 
 from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, ConvergenceError,
@@ -156,34 +158,74 @@ _CONSECUTIVE = 3
 _HORNER_TRUSTED_COND = 1.0e13
 
 
-def _escalating_horner(coeffs, y: float, params: GLParams, mp_args,
-                       log: bool = False):
+def _escalating_horner(coeffs, y, params: GLParams, mp_args,
+                       log: bool = False, cond_max: float = COND_THRESHOLD):
     """sum_j coeffs[j] y^j (coeffs a float64 array) by Horner under the
-    package precision policy.
+    package precision policy, at a float y or at every point of an ndarray
+    y (the result then has y's shape).
 
-    The float64 pass carries the condition number sum |c_j y^j| / |sum|;
-    past COND_THRESHOLD, or at extended precision, the sum is redone at
-    20 + log10(cond) digits on ``mp_args()``, which returns the mpmath
-    coefficients and y at that working precision.  Where the float64
-    estimate cannot be trusted (it overflowed, or cond > 1e13 left it
-    without correct digits) the mpmath pass measures its own condition
-    number and repeats with more digits until 17 of them are left.
-    With ``log`` the result is (sign, log|sum|), finite where the sum
-    leaves the double range.
+    The float64 pass carries the condition number sum |c_j y^j| / |sum|,
+    over a whole array at once.  Each point past ``cond_max``, or every
+    point at extended precision, is redone on its own by ``_horner_mp`` from
+    ``mp_args(i)``, which returns the mpmath coefficients and point i (the
+    flat index into y; 0 for a float).  cond_max is COND_THRESHOLD unless a
+    caller needs more than its 1e-8 relative accuracy.  With ``log`` the
+    result is (sign, log|sum|), finite where the sum leaves the double
+    range.
     """
+    if isinstance(y, np.ndarray):
+        return _horner_array(coeffs, y, params, mp_args, log, cond_max)
     p = cond = 0.0
     ay = abs(y)
     for c in coeffs[::-1].tolist():     # Python floats overflow to inf quietly
         p = p * y + c
         cond = cond * ay + abs(c)
     cond = cond / abs(p) if p != 0.0 else math.inf
-    if cond <= COND_THRESHOLD and params.precision.is_double:
+    if cond <= cond_max and params.precision.is_double:
         return (math.copysign(1.0, p), math.log(abs(p))) if log else p
+    return _horner_mp(cond, params, mp_args, 0, log)
+
+
+def _horner_array(coeffs, y: np.ndarray, params: GLParams, mp_args, log: bool,
+                  cond_max: float):
+    """The float64 pass of ``_escalating_horner`` on an ndarray y, with the
+    same operations per point as the float one, so each value is bitwise
+    that of the scalar call."""
+    yf = y.ravel()
+    p = np.zeros(yf.size)
+    cond = np.zeros(yf.size)
+    ay = np.abs(yf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for c in coeffs[::-1].tolist():
+            p = p * yf + c
+            cond = cond * ay + abs(c)
+        cond = np.where(p != 0.0, cond / np.abs(p), math.inf)
+        out = [np.copysign(1.0, p), np.log(np.abs(p))] if log else [p]
+    redo = np.flatnonzero(~(cond <= cond_max)) if params.precision.is_double \
+        else range(yf.size)
+    for i in redo:
+        v = _horner_mp(float(cond[i]), params, mp_args, int(i), log)
+        for o, vo in zip(out, v if log else (v,)):
+            o[i] = vo
+    out = [o.reshape(y.shape) for o in out]
+    return tuple(out) if log else out[0]
+
+
+def _horner_mp(cond: float, params: GLParams, mp_args, i: int, log: bool):
+    """Point i of ``_escalating_horner`` redone in mpmath, given its float64
+    condition number.
+
+    The sum is redone at 20 + log10(cond) digits on ``mp_args(i)``.  Where
+    the float64 estimate cannot be trusted (it overflowed, or cond > 1e13
+    left it without correct digits) the mpmath pass measures its own
+    condition number and repeats with more digits until 17 of them are
+    left.
+    """
     trusted = cond <= _HORNER_TRUSTED_COND
     dps = max(params.precision.dps, (20 + int(math.log10(cond))) if trusted else 40)
     while True:
         with mp_ctx(dps):
-            cs, ym = mp_args()
+            cs, ym = mp_args(i)
             acc = mag = mp.mpf(0)
             aym = abs(ym)
             for c in reversed(cs):

@@ -347,6 +347,31 @@ def inner_exact_mp(alpha, beta, fpowers, gpowers, dps: int = 80):
                        for cf, pf in fpowers for cg, pg in gpowers)
 
 
+def r_aux_norm_mp(params, n: int, gamma_: float, eta_bar: float = 1.0,
+                  dps: int = None) -> float:
+    """||R_n e/ebar|| = (Int R_n(x)^2 e(x)^2 / ebar(x) dx)^(1/2) with
+    ebar(x) = x^(beta + 1/alpha - 1) e^(eta_bar x^(1/gamma)), by mp.quad in
+    u = x^(1/alpha), where R_n(x) = sum_j c_j u^j (coefficients from
+    ``r_coeffs_bell_mp``, Horner in u) and the integral is
+
+        (1/(alpha Gamma(ab+1)^2)) Int_0^inf R_n^2 u^(ab) e^(-2u - eta_bar u^(alpha/gamma)) du.
+    """
+    dps = dps or 30 + n
+    cs = r_coeffs_bell_mp(params, n, dps=dps)
+    with mp.workdps(dps):
+        am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
+        ex, em = am / mp.mpf(gamma_), mp.mpf(eta_bar)
+
+        def integrand(u):
+            rv = mp.mpf(0)
+            for c in reversed(cs):
+                rv = rv * u + c
+            return rv * rv * u ** (am * bm) * mp.exp(-2 * u - em * u ** ex)
+
+        val = mp.quad(integrand, [0, n + 1, 4 * n + 40, mp.inf])
+        return float(mp.sqrt(val / am) / mp.gamma(am * bm + 1))
+
+
 def richardson_derivative(f, x: float, order: int, h0: float = 1e-2,
                           levels: int = 4) -> float:
     """order-th derivative by iterated central differences with Richardson

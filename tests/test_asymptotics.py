@@ -51,3 +51,15 @@ def test_w_oracle_refuses_defaults_past_cap():
     x = (0.99 * W_ORACLE_Y_CAP) ** 0.1
     assert w_density_mp(0.1, 0.0, 10, 3, x) == pytest.approx(
         w_density_mp(0.1, 0.0, 10, 3, x, kmax=1200, dps=300), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.75, 0.5), (0.4, 0.73), (1.0 / 3.0, 2.0),
+                                         (0.9, 0.0)])
+def test_norm_envelope_holds_over_15_to_25(alpha, beta):
+    rep = asy.norm_envelope_check(make_params(alpha, beta), 15, 25)
+    assert rep["ns"] == list(range(15, 26))
+    assert rep["main_ok"] and rep["aux_ok"], (max(rep["main_rates"]), max(rep["aux_rates"]))
+    if (alpha, beta) == (0.5, 1.0):
+        # the auxiliary norm of R_n, the polynomial sum_j c_j u^j in u = x^2
+        assert max(rep["aux_rates"]) == pytest.approx(0.731, abs=5e-4)
+        assert rep["aux_bound"] == pytest.approx(4.14, abs=5e-3)

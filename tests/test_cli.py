@@ -60,3 +60,12 @@ def test_eval_w_derivative_below_double_range():
                                     "--n", "10", "--x", "2"])
     assert res.exit_code == EXIT_OK, res.output
     assert res.stdout.strip().splitlines() == ["x,W_10^(3)", "2,-0"]
+
+
+def test_verify_norms_at_the_defaults():
+    # norm envelopes over n = 15..25, both norms of each R_n
+    res = CliRunner().invoke(main, ["verify", "norms"])
+    assert res.exit_code == EXIT_OK, res.output
+    lines = res.stdout.strip().splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS  norm envelope slack (main)", "PASS  norm envelope slack (aux)"]

@@ -2,6 +2,7 @@ import math
 import time
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from glspec.core import DomainError, make_params
@@ -15,6 +16,20 @@ from oracles import (classical_laguerre, r_coeffs_bell_mp, richardson_derivative
 def test_r0_is_one(p_half):
     assert ce.r_eval_bell(p_half, 0, 0.7) == 1.0
     assert ce.r_eval_bell(p_half, 0, 5.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0 / 3.0, 2.0), (1.0, 0.0)])
+def test_r_eval_bell_on_arrays(alpha, beta):
+    # y = x^(1/alpha) is np.power on an array, the float ** on a scalar
+    p = make_params(alpha, beta)
+    xs = np.linspace(0.05, 12.0, 30).reshape(5, 6)
+    for n in (0, 5, 25):
+        got = ce.r_eval_bell(p, n, xs)
+        assert got.shape == xs.shape
+        want = [ce.r_eval_bell(p, n, float(x)) for x in xs.ravel()]
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+    with pytest.raises(DomainError):
+        ce.r_eval_bell(p, 3, np.array([1.0, 0.0]))
 
 
 def test_classical_dispatch():

@@ -128,3 +128,56 @@ def test_eval_stability_large_n(p_half):
     for _ in range(3):
         assert eg.p_eval(seq, 40, x) == got
     assert eg._coeffs_mp.cache_info().misses == built
+
+
+_ARRAY_XS = np.linspace(0.05, 9.5, 40)
+
+
+@pytest.mark.parametrize("alpha, beta, precision", [
+    (0.5, 1.0, "double"), (0.5, 1.0, "ext128"), (0.75, 0.5, "double"), (1.0, 0.7, "double")])
+def test_p_eval_array_equals_scalar_calls(alpha, beta, precision):
+    # the grid reaches the escalated points (n >= 20 at alpha = 1/2 past x of
+    # about 1, n = 40 at x = 9.5); at ext128 every point escalates
+    p = make_params(alpha, beta, precision)
+    seq = eg.p_coeffs(p, 40)
+    for n in (0, 1, 6, 20, 40):
+        for d in (0, 1, 2):
+            got = eg.p_eval(seq, n, _ARRAY_XS, d)
+            want = [eg.p_eval(seq, n, float(x), d) for x in _ARRAY_XS]
+            assert got.shape == _ARRAY_XS.shape
+            assert got.tolist() == want, (n, d)
+
+
+def test_p_eval_keeps_the_shape_of_x(p_half):
+    # P_40 at x = 9.5 escalates: its value is written back into the array
+    seq = eg.p_coeffs(p_half, 40)
+    xs = np.linspace(0.1, 9.5, 12).reshape(3, 4)
+    for d in (0, 2):
+        two_d = eg.p_eval(seq, 40, xs, d)
+        assert two_d.shape == (3, 4)
+        assert two_d.ravel().tolist() == [eg.p_eval(seq, 40, float(x), d) for x in xs.ravel()]
+        zero_d = eg.p_eval(seq, 40, np.array(9.5), d)
+        assert zero_d.shape == () and float(zero_d) == eg.p_eval(seq, 40, 9.5, d)
+    assert type(eg.p_eval(seq, 40, 9.5)) is float
+    assert type(eg.p_eval(seq, 40, 0.5, 2)) is float
+    assert eg.p_eval(seq, 1, xs, 2).shape == (3, 4)     # p > n: zeros of x's shape
+    classical = eg.p_coeffs(make_params(1.0, 0.7), 3)
+    assert eg.p_eval(classical, 0, xs).shape == (3, 4)
+
+
+def test_p_sup_is_the_grid_max_of_scalar_calls(p_half):
+    seq = eg.p_coeffs(p_half, 20)
+    want = max(abs(eg.p_eval(seq, 20, float(x))) for x in np.linspace(0.0, 10.0, 33))
+    assert eg.p_sup(p_half, 20) == want
+
+
+def test_shifted_parameters_built_once(p_half, monkeypatch):
+    built = []
+    monkeypatch.setattr(eg, "make_params", lambda *a: built.append(a) or make_params(*a))
+    eg._shifted.cache_clear()
+    seq = eg.p_coeffs(p_half, 8)
+    for x in (0.3, 1.1, 2.9):
+        for d in (1, 2):
+            eg.p_eval(seq, 8, x, d)
+    assert built == [(0.5, 2.0, p_half.precision, p_half.eps),
+                     (0.5, 3.0, p_half.precision, p_half.eps)]

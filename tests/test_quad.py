@@ -11,9 +11,9 @@ from glspec.core import (DomainError, Precision, QuadratureError, make_params,
 from glspec import density as d
 from glspec import quad as q
 from glspec.eigen import p_fn
-from glspec.coeigen import r_fn
+from glspec.coeigen import r_eval_bell, r_fn
 
-from oracles import inner_exact_mp, r_coeffs_bell_mp
+from oracles import inner_exact_mp, r_aux_norm_mp, r_coeffs_bell_mp
 
 
 def rule_for(p, m=120):
@@ -216,6 +216,58 @@ def test_r_norm_classical_formula():
         expect = math.sqrt(math.exp(math.lgamma(n + 1.7) - math.lgamma(n + 1.0)
                                     - math.lgamma(1.7)))
         assert got == pytest.approx(expect, rel=1e-10), n
+
+
+# (alpha, beta, n, ||R_n e/ebar||) at gamma = alpha/2, eta_bar = 1
+_AUX_ROWS = [(0.5, 1.0, 3, 3.1759), (0.75, 0.5, 5, 1.1481), (0.4, 0.73, 8, 32.453)]
+
+
+@pytest.mark.parametrize("alpha, beta, n, value", _AUX_ROWS)
+def test_r_aux_norm_oracle_matches_x_space_integral(alpha, beta, n, value):
+    # Int R_n(x)^2 e(x)^2 / ebar(x) dx in x itself, R_n by the table route
+    p = make_params(alpha, beta)
+    ex = beta + 1.0 / alpha - 1.0
+    with mp.workdps(20):
+        f = lambda x: (mp.mpf(r_eval_bell(p, n, float(x))) ** 2 * x ** ex
+                       * mp.exp(-2 * x ** (1 / alpha) - x ** (2 / alpha)))
+        direct = math.sqrt(float(mp.quad(f, [0, 1, 2, 200 ** alpha]))) \
+            / (alpha * math.gamma(alpha * beta + 1.0))
+    oracle = r_aux_norm_mp(p, n, 0.5 * alpha)
+    assert oracle == pytest.approx(direct, rel=1e-12)
+    assert oracle == pytest.approx(value, rel=2e-5)
+
+
+def _aux_cases():
+    """Every alpha at beta = 1 and at its boundary 1 - 1/alpha + 1e-9, each
+    pair with three (n, gamma/alpha): over a beta pair's two halves each
+    alpha meets all six n, and each pair all three gamma/alpha."""
+    ns, gs = (0, 3, 8, 12, 20, 25), (0.2, 0.5, 0.9)
+    for i, a in enumerate((1.0 / 3.0, 0.35, 0.4, 0.5, 0.6, 0.75, 0.9)):
+        for j, b in enumerate((1.0 - 1.0 / a + 1e-9, 1.0)):
+            for k in range(3):
+                yield a, b, ns[(i + 3 * j + k) % 6], gs[(i + j + k) % 3]
+
+
+@pytest.mark.parametrize("alpha, beta, n, g", list(_aux_cases()))
+def test_r_aux_norm_matches_oracle(alpha, beta, n, g):
+    p = make_params(alpha, beta)
+    got = q.r_norm(p, n, gamma_=g * alpha)[1]
+    assert got == pytest.approx(r_aux_norm_mp(p, n, g * alpha), rel=1e-9)
+
+
+def test_r_norm_calls_no_mp_quad(p_half, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.quad called")
+    monkeypatch.setattr(mp, "quad", refuse)
+    for n in (0, 8, 25):
+        nrm, aux = q.r_norm(p_half, n)
+        assert math.isfinite(nrm) and math.isfinite(aux) and aux > 0.0
+
+
+def test_r_aux_norm_error_test_raises_on_a_coarse_step(p_half, monkeypatch):
+    monkeypatch.setattr(q, "_AUX_STEP", 0.25)
+    with pytest.raises(QuadratureError, match="step-h and step-2h"):
+        q.r_norm(p_half, 12)
 
 
 def test_u_rule_fallback_irrational_alpha():

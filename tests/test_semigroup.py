@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from glspec.core import (RealFn, TruncationError, const_fn, make_params,
-                         monomial, phi)
+                         monomial, phi, poly_fn)
 from glspec import semigroup as sg
 from glspec import density as d
 from glspec import quad as q
+from glspec.coeigen import r_eval_bell
 from glspec.eigen import laguerre_eval, p_coeffs, p_eval, p_fn, p_sup
 
 from oracles import moment_ode_evolution
@@ -51,6 +52,35 @@ def test_generator_finite_difference_fallback(p_half):
     got = sg.generator_apply(p_half, f, 1.1)
     expect = 3.0 * phi(p_half, 3).real * 1.1 ** 2 - 3.0 * 1.1 ** 3
     assert got == pytest.approx(expect, rel=1e-5)
+
+
+def _generator_point_by_point(p, f, x):
+    """L f(x) with f'' taken one node at a time, as a scalar-only f needs."""
+    y, gw = sg._generator_grid(p)
+    vals = np.array([f.deriv2(float(x * yy)) for yy in y])
+    return (p.d_ab - x) * f.deriv1(x) + x * float(gw @ vals)
+
+
+def test_generator_array_second_derivative_matches_point_by_point(p_half, p_three_quarter):
+    fns = [monomial(3), monomial(2.5), poly_fn([1.0, -2.0, 0.5, 3.0], 0.5), const_fn(2.0),
+           RealFn(lambda x: x ** 3)]               # the last has no d2: finite differences
+    for p in (p_half, p_three_quarter):
+        for x in (0.3, 1.7, 6.0):
+            got = sg.generator_apply(p, p_fn(p, 6), x)
+            assert got == _generator_point_by_point(p, p_fn(p, 6), x)
+            for f in fns:
+                assert sg.generator_apply(p, f, x) == pytest.approx(
+                    _generator_point_by_point(p, f, x), rel=1e-14, abs=1e-14)
+
+
+def test_generator_takes_f2_once_per_call(p_half):
+    # one array evaluation of P_6'' for the whole singular integral
+    f = p_fn(p_half, 6)
+    seen = []
+    counted = RealFn(f.f, d1=f.d1, d2=lambda x: seen.append(np.shape(x)) or f.d2(x))
+    got = sg.generator_apply(p_half, counted, 1.3)
+    assert len(seen) == 1 and seen[0] == sg._generator_grid(p_half)[0].shape
+    assert got == sg.generator_apply(p_half, f, 1.3)
 
 
 def test_moment_identity(p_half, p_three_quarter):
@@ -182,6 +212,31 @@ def test_heat_kernel_mass_and_positivity(p_half):
     masses, kmin = sg.heat_kernel_mass(p_half, t, [0.5, 1.0, 3.0])
     assert np.allclose(masses, 1.0, atol=1e-6)
     assert kmin >= -1e-8
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0 / 3.0, 2.0), (1.0, 0.0)])
+def test_heat_kernel_mass_matches_scalar_loop(alpha, beta):
+    # the same sums with R_n and P_n taken one point at a time
+    p = make_params(alpha, beta)
+    t, xs = p.t_alpha + 0.5, np.array([0.5, 1.0, 3.0])
+    masses, kmin = sg.heat_kernel_mass(p, t, xs)
+    rule = q.build_rule(d.weight_e_ab(p), 120)
+    keep = rule.weights >= 1e-20 * rule.weights.max()
+    nodes, wts = rule.nodes[keep], rule.weights[keep]
+    seq = p_coeffs(p, 200)
+    acc = np.zeros((xs.size, nodes.size))
+    small = 0
+    for n in range(201):
+        rn = np.array([r_eval_bell(p, n, float(yy)) for yy in nodes])
+        pn = np.array([p_eval(seq, n, float(xx)) for xx in xs])
+        term = math.exp(-n * t) * np.outer(pn, rn)
+        acc += term
+        small = small + 1 if np.max(np.abs(term) * wts) <= 1e-10 else 0
+        if small >= 3:
+            break
+    dens = np.array([d.weight_eval(d.weight_e_ab(p), float(yy)) for yy in nodes])
+    np.testing.assert_allclose(masses, acc @ wts, rtol=1e-14)
+    assert kmin == pytest.approx(float((acc * dens).min()), rel=1e-14)
 
 
 def test_heat_kernel_symmetry_breaking(p_half):

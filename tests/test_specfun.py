@@ -1,10 +1,11 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from glspec.core import DomainError, PoleError, make_params
+from glspec.core import COND_THRESHOLD, DomainError, PoleError, make_params
 from glspec import specfun as sf
 
 from oracles import (bell_args, bell_partitions, bell_table, binet_log_gamma,
@@ -207,3 +208,26 @@ def test_bell_table_domain():
         bell_table(make_params(1, 0), 3)
     with pytest.raises(DomainError):
         bell_table(make_params(0.5, 1), 0)
+
+
+# --------------------------------------------------------------------------
+# escalating Horner on arrays
+# --------------------------------------------------------------------------
+
+def test_escalating_horner_array_log_form_and_cond_max(p_half):
+    # P_20 at alpha = 1/2: float64 below x of about 1, escalated past it
+    from glspec.eigen import _coeffs_mp, p_coeffs
+    cs = p_coeffs(p_half, 20).coeff[20]
+    ys = np.linspace(0.1, 9.0, 25)
+    mp_args = lambda i: (_coeffs_mp(p_half, 20), mp.mpf(ys[i]))
+    sign, lv = sf._escalating_horner(cs, ys, p_half, mp_args, log=True)
+    for i, y in enumerate(ys.tolist()):
+        s1, l1 = sf._escalating_horner(cs, y, p_half, lambda _: mp_args(i), log=True)
+        assert sign[i] == s1 and lv[i] == pytest.approx(l1, rel=1e-15, abs=1e-15)
+    # a tighter cond_max sends more points to mpmath, each then right to 1e-15
+    with mp.workdps(60):
+        exact = [float(mp.polyval(_coeffs_mp(p_half, 20)[::-1], mp.mpf(y))) for y in ys]
+    loose = sf._escalating_horner(cs, ys, p_half, mp_args)
+    tight = sf._escalating_horner(cs, ys, p_half, mp_args, cond_max=1.0)
+    np.testing.assert_allclose(tight, exact, rtol=1e-15)
+    assert np.max(np.abs(loose / exact - 1.0)) <= COND_THRESHOLD * 1e-15
