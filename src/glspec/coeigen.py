@@ -2,10 +2,10 @@
 independent computational routes that cross-validate each other:
 
   table    finite expansion of R_n in powers x^(j/alpha); its coefficients
-           (the partial-Bell formula of r_coeffs) come from one table per
-           (alpha, beta), built once in mpmath by a cancellation-free
-           recurrence in n.  The production route: R_n, W_n = R_n e and the
-           derivatives W_n^(q) at every x > 0
+           (the partial-Bell formula of r_coeffs) are the "R" rows of
+           ``core.coeff_rows``, the package's one mpmath coefficient cache,
+           built by a cancellation-free recurrence in n.  The production
+           route: R_n, W_n = R_n e and the derivatives W_n^(q) at every x > 0
   mellin   trapezoid Mellin-Barnes inversion on a vertical contour
            (oscillatory but cancellation-free); the check route of
            ``glspec verify representations``
@@ -18,7 +18,6 @@ R_n = L_n^(beta) classical at alpha = 1.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -28,8 +27,8 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.special import loggamma as sp_cloggamma
 
-from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
-                   RealFn, mp_ctx, real_pow)
+from .core import (LOG_DOUBLE_MAX, TABLE_MIN_DPS, ContourError, DomainError,
+                   GLParams, RealFn, coeff_rows, mp_ctx, real_pow)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
 from .specfun import _escalating_horner
@@ -41,26 +40,6 @@ __all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_mellin",
 # --------------------------------------------------------------------------
 # Coefficient table and the finite expansion of R_n
 # --------------------------------------------------------------------------
-
-#: parameter pairs whose coefficient table is held; a caller that sweeps
-#: (alpha, beta) leaves tables no later call uses, so the least recently
-#: used are dropped
-TABLES_HELD = 16
-
-#: fewest digits a table is built at; its float64 rounding is then correct
-_TABLE_MIN_DPS = 32
-
-_tables: "OrderedDict[GLParams, _Table]" = OrderedDict()
-
-
-@dataclass
-class _Table:
-    """Rows 0..N of the coefficients c_{n,j} of R_n in mpmath, built at dps
-    decimal digits."""
-
-    dps: int
-    rows: list
-
 
 def _extend(rows: list, params: GLParams, n: int) -> None:
     """Append rows len(rows)..n, at the current working precision, by
@@ -87,33 +66,11 @@ def _extend(rows: list, params: GLParams, n: int) -> None:
         rows.append(row)
 
 
-def _rows(params: GLParams, n: int, dps: int) -> list:
-    """The coefficient table of params, holding rows 0..n at no fewer than
-    dps digits.
-
-    A table is extended in n as larger orders are asked for, and rebuilt
-    only for a caller that needs more digits than it holds, at dps rounded
-    up to a multiple of 16 (and at least 32).
-    """
-    if n < 0:
-        raise DomainError("order must be >= 0")
-    table = _tables.pop(params, None)
-    if table is None or table.dps < dps:
-        table = _Table(max(_TABLE_MIN_DPS, -(-dps // 16) * 16), [[mp.mpf(1)]])
-    if len(table.rows) <= n:
-        with mp_ctx(table.dps):
-            _extend(table.rows, params, n)
-    _tables[params] = table
-    if len(_tables) > TABLES_HELD:
-        _tables.popitem(last=False)
-    return table.rows
-
-
 def r_coeffs_mp(params: GLParams, n: int) -> list:
     """Coefficients of R_n (see r_coeffs) as mpmath numbers with at least the
-    current working precision: row n of the params' coefficient table, in a
-    fresh list."""
-    return list(_rows(params, n, mp.mp.dps)[n])
+    current working precision: row n of the params' "R" table in
+    ``coeff_rows``, in a fresh list."""
+    return list(coeff_rows("R", _extend, params, n, mp.mp.dps)[n])
 
 
 @lru_cache(maxsize=256)
@@ -126,7 +83,7 @@ def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     is its row n, correctly rounded to float64.  At alpha = 1 these are the
     classical Laguerre monomial coefficients.
     """
-    return np.array([float(c) for c in _rows(params, n, _TABLE_MIN_DPS)[n]])
+    return np.array([float(c) for c in coeff_rows("R", _extend, params, n, TABLE_MIN_DPS)[n]])
 
 
 def _r_horner(params: GLParams, n: int, x, log: bool):
@@ -195,7 +152,7 @@ def _w_coeffs_mp(params: GLParams, n: int, q: int) -> list:
 def _w_coeffs(params: GLParams, n: int, q: int) -> np.ndarray:
     """The d_j of ``_w_coeffs_mp``, formed at 32 digits and rounded to
     float64."""
-    with mp_ctx(_TABLE_MIN_DPS):
+    with mp_ctx(TABLE_MIN_DPS):
         return np.array([float(c) for c in _w_coeffs_mp(params, n, q)])
 
 

@@ -2,15 +2,19 @@
 
 Every other module builds on the validated parameter pair ``(alpha, beta)``
 with ``alpha in (0, 1]`` and ``beta >= 1 - 1/alpha``.  Derived constants are
-computed once at construction and frozen; ``recompute_derived`` re-derives
+computed once at construction and frozen; ``derived_constants`` re-derives
 them from scratch so tests can assert agreement to the last ulp.
+
+``coeff_rows`` holds the package's one mpmath coefficient cache: a table of
+rows per (family, params), where the family is P_n (eigen) or R_n
+(coeigen).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -380,7 +384,7 @@ def _bcal(a: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# mpmath working-precision helper
+# mpmath working precision and coefficient tables
 # --------------------------------------------------------------------------
 
 def mp_ctx(dps: int):
@@ -390,26 +394,47 @@ def mp_ctx(dps: int):
     return mp.workdps(dps)
 
 
-_MP_DPS_BUCKET = 16
+#: (family, params) pairs whose coefficient table is held; a caller that
+#: sweeps (alpha, beta) leaves tables no later call uses, so the least
+#: recently used are dropped
+TABLES_HELD = 16
+
+#: fewest digits a table is built at; its float64 rounding is then correct
+TABLE_MIN_DPS = 32
+
+_tables: "OrderedDict[tuple, _Table]" = OrderedDict()
 
 
-def dps_bucket_cache(build):
-    """Cache ``build(params, n)``, an mpmath coefficient list, per (params, n,
-    working precision rounded up to a multiple of 16 digits).
+@dataclass
+class _Table:
+    """Rows 0..N of a coefficient family in mpmath, built at dps digits."""
 
-    Each entry is computed at the top of its bucket, so it holds at least
-    the caller's precision, and every call returns a fresh list.  Repeated
-    extended-precision evaluations (one per quadrature node, say) thus build
-    their coefficients once.
+    dps: int
+    rows: list
+
+
+def coeff_rows(family: str, extend, params: GLParams, n: int, dps: int) -> list:
+    """The package's one mpmath coefficient cache: rows 0..(at least) n of
+    the table of ``family`` ("P" for P_n, "R" for R_n) at params, at no
+    fewer than dps digits.
+
+    Row 0 is [1] in both families; ``extend(rows, params, n)`` appends rows
+    len(rows)..n at the working precision.  A table grows in n as larger
+    orders are asked for, and is rebuilt only for a caller that needs more
+    digits than it holds, at dps rounded up to a multiple of 16 (and at
+    least TABLE_MIN_DPS).  Tables are keyed by the family name, so a
+    wrapped ``extend`` finds the same table.
     """
-    @functools.lru_cache(maxsize=256)
-    def at(params, n: int, dps: int) -> tuple:
-        with mp.workdps(dps):
-            return tuple(build(params, n))
-
-    @functools.wraps(build)
-    def cached(params, n: int) -> list:
-        return list(at(params, n, -(-mp.mp.dps // _MP_DPS_BUCKET) * _MP_DPS_BUCKET))
-
-    cached.cache_info = at.cache_info
-    return cached
+    if n < 0:
+        raise DomainError("order must be >= 0")
+    key = (family, params)
+    table = _tables.pop(key, None)
+    if table is None or table.dps < dps:
+        table = _Table(max(TABLE_MIN_DPS, -(-dps // 16) * 16), [[mp.mpf(1)]])
+    if len(table.rows) <= n:
+        with mp_ctx(table.dps):
+            extend(table.rows, params, n)
+    _tables[key] = table
+    if len(_tables) > TABLES_HELD:
+        _tables.popitem(last=False)
+    return table.rows

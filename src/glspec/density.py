@@ -293,13 +293,6 @@ def _contour_values(params: GLParams, z: np.ndarray) -> np.ndarray:
     raise ContourError("kernel contour sums did not settle under step halving")
 
 
-def lambda_mellin_value(params: GLParams, z: float) -> float:
-    """Kernel density at one z by the saddle-point contour alone."""
-    if params.alpha >= 1.0 or z <= 0.0:
-        return lambda_value(params, z)      # its domain errors, or z = 0
-    return float(_contour_values(params, np.array([float(z)]))[0])
-
-
 def lambda_values(params: GLParams, z) -> np.ndarray:
     """Kernel density at every point of the array z >= 0, in float64 at
     every precision of params: Gamma(ab + 1) / Gamma(bb) at 0, else the

@@ -9,6 +9,10 @@ coefficients with Horner are the only evaluation route, falling back to
 extended precision when the Horner condition number explodes.  At
 alpha = 1 evaluation dispatches to the stable classical Laguerre recurrence
 rescaled so the constant term is 1.
+
+The float64 table comes from log-gammas (``p_coeffs``); the mpmath rows are
+the "P" table of ``core.coeff_rows``, the package's one mpmath coefficient
+cache.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (ConvergenceError, DomainError, GLParams, RealFn,
-                   dps_bucket_cache, make_params)
+                   coeff_rows, make_params)
 from .specfun import _escalating_horner, cal_I
 
 __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
@@ -31,45 +35,53 @@ __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
 
 @dataclass(frozen=True)
 class PolySeq:
-    """Coefficient table c_{n,k} in sign/log-magnitude form plus rounded floats."""
+    """Coefficient table c_{n,k} of P_0 .. P_N as log-magnitudes and rounded
+    floats (c_{n,k} alternates in sign as (-1)^k)."""
 
     params: GLParams
     degree: int
-    sign: np.ndarray      # (N+1, N+1) int8
     logmag: np.ndarray    # (N+1, N+1) float64, -inf where zero
     coeff: np.ndarray     # (N+1, N+1) float64 (rounded)
 
 
 @lru_cache(maxsize=64)
 def p_coeffs(params: GLParams, N: int) -> PolySeq:
-    """Coefficients of P_0 .. P_N in the monomial basis."""
+    """Coefficients of P_0 .. P_N in the monomial basis, from log-gammas in
+    float64."""
     if N < 0:
         raise DomainError("degree must be >= 0")
     a, b = params.alpha, params.beta
-    lg0 = gammaln(a * b + 1.0)
-    sign = np.zeros((N + 1, N + 1), dtype=np.int8)
-    logmag = np.full((N + 1, N + 1), -np.inf)
-    lbin = np.zeros((N + 1, N + 1))
-    for n in range(N + 1):
-        for k in range(n + 1):
-            lbin[n, k] = (gammaln(n + 1.0) - gammaln(k + 1.0)
-                          - gammaln(n - k + 1.0))
-    for n in range(N + 1):
-        for k in range(n + 1):
-            sign[n, k] = 1 if k % 2 == 0 else -1
-            logmag[n, k] = lg0 + lbin[n, k] - gammaln(a * k + a * b + 1.0)
-    coeff = np.where(np.isfinite(logmag), sign * np.exp(logmag), 0.0)
-    return PolySeq(params, N, sign, logmag, coeff)
+    n, k = np.arange(N + 1.0)[:, None], np.arange(N + 1.0)
+    lbin = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(np.abs(n - k) + 1.0)
+    logmag = np.where(k <= n, gammaln(a * b + 1.0) + lbin - gammaln(a * k + a * b + 1.0),
+                      -np.inf)
+    coeff = np.where(np.isfinite(logmag), (1.0 - 2.0 * (k % 2)) * np.exp(logmag), 0.0)
+    return PolySeq(params, N, logmag, coeff)
 
 
-@dps_bucket_cache
-def _coeffs_mp(params: GLParams, n: int):
-    """Exact-argument coefficient list of P_n at (at least) the current mp
-    precision."""
-    am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
-    g0 = mp.gamma(am * bm + 1)
-    return [g0 * (-1) ** k * math.comb(n, k) / mp.gamma(am * k + am * bm + 1)
-            for k in range(n + 1)]
+def _extend(rows: list, params: GLParams, n: int) -> None:
+    """Append rows len(rows)..n of the P_n coefficients, at the current
+    working precision:
+
+        c_{m,k} = (-1)^k C(m, k) g_k,  g_k = Gamma(ab + 1) / Gamma(alpha k + ab + 1),
+
+    each entry the exact integer binomial times the stored g_k =
+    (-1)^k rows[k][k], so it carries one rounding however large m grows.
+    """
+    am = mp.mpf(params.alpha)
+    ab = am * mp.mpf(params.beta)
+    g0 = mp.gamma(ab + 1)
+    g = [(-1) ** k * row[k] for k, row in enumerate(rows)]
+    for m in range(len(rows), n + 1):
+        g.append(g0 / mp.gamma(am * m + ab + 1))
+        rows.append([g[k] * ((-1) ** k * math.comb(m, k)) for k in range(m + 1)])
+
+
+def _coeffs_mp(params: GLParams, n: int) -> list:
+    """Coefficients of P_n as mpmath numbers with at least the current
+    working precision: row n of the params' "P" table in ``coeff_rows``, in
+    a fresh list."""
+    return list(coeff_rows("P", _extend, params, n, mp.mp.dps)[n])
 
 
 def laguerre_eval(n: int, beta: float, x: float, derivative: int = 0) -> float:
@@ -103,7 +115,7 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
     identity, so only plain evaluations remain.
     """
     if n > seq.degree:
-        raise IndexError(f"n = {n} exceeds table degree {seq.degree}")
+        raise DomainError(f"n = {n} exceeds table degree {seq.degree}")
     if p < 0:
         raise DomainError("derivative order must be >= 0")
     params = seq.params

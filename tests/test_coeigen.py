@@ -233,39 +233,6 @@ def test_horner_past_float64_range():
     assert ce.w_eval(p, 50, 6.0) == 0.0
 
 
-def test_table_extends_once_per_order(monkeypatch):
-    p = make_params(0.61, 0.37)
-    ce._tables.pop(p, None)
-    calls = []
-    extend = ce._extend
-
-    def spy(rows, params, n):
-        calls.append((id(rows), len(rows), n))
-        extend(rows, params, n)
-
-    monkeypatch.setattr(ce, "_extend", spy)
-    for n in range(41):
-        ce.r_coeffs_mp(p, n)
-    rows_id = calls[0][0]
-    assert calls == [(rows_id, n, n) for n in range(1, 41)]
-    assert ce._tables[p].dps == 32
-    # more digits rebuild the table once; fewer reuse it
-    with mp.workdps(40):
-        ce.r_coeffs_mp(p, 40)
-    with mp.workdps(20):
-        ce.r_coeffs_mp(p, 40)
-    assert ce._tables[p].dps == 48
-    assert len(calls) == 41 and calls[-1][0] != rows_id
-
-
-def test_tables_held_are_bounded():
-    fresh = [make_params(0.55 + 0.001 * i, 0.2) for i in range(ce.TABLES_HELD + 3)]
-    for p in fresh:
-        ce.r_coeffs_mp(p, 3)
-    assert len(ce._tables) == ce.TABLES_HELD
-    assert fresh[0] not in ce._tables and fresh[-1] in ce._tables
-
-
 def test_overflowing_power_gives_limits():
     # x^(1/alpha) = 1e400 is past the double range: R_n is +-inf, W_n 0
     p = make_params(0.01, 0)

@@ -1,11 +1,16 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glspec import coeigen, core, eigen
 from glspec.core import (DomainError, Precision, asymp_constants,
                          derived_constants, make_params, parse_precision, phi)
+
+#: the module that extends each coefficient family, and its row reader
+_FAMILIES = {"P": (eigen, eigen._coeffs_mp), "R": (coeigen, coeigen.r_coeffs_mp)}
 
 
 def test_classical_identities():
@@ -111,3 +116,40 @@ def test_precision_parsing():
     assert not parse_precision(Precision("extended", 200)).is_double
     with pytest.raises(DomainError):
         parse_precision("floats")
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_table_extends_once_per_order(family, monkeypatch):
+    module, read = _FAMILIES[family]
+    p = make_params(0.61, 0.37)
+    core._tables.pop((family, p), None)
+    calls = []
+    extend = module._extend
+
+    def spy(rows, params, n):
+        calls.append((id(rows), len(rows), n))
+        extend(rows, params, n)
+
+    monkeypatch.setattr(module, "_extend", spy)
+    for n in range(41):
+        read(p, n)
+    rows_id = calls[0][0]
+    assert calls == [(rows_id, n, n) for n in range(1, 41)]
+    assert core._tables[(family, p)].dps == 32
+    # more digits rebuild the table once; fewer reuse it
+    with mp.workdps(40):
+        read(p, 40)
+    with mp.workdps(20):
+        read(p, 40)
+    assert core._tables[(family, p)].dps == 48
+    assert len(calls) == 41 and calls[-1][0] != rows_id
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_tables_held_are_bounded(family):
+    _, read = _FAMILIES[family]
+    fresh = [make_params(0.55 + 0.001 * i, 0.2) for i in range(core.TABLES_HELD + 3)]
+    for p in fresh:
+        read(p, 3)
+    assert len(core._tables) == core.TABLES_HELD
+    assert (family, fresh[0]) not in core._tables and (family, fresh[-1]) in core._tables

@@ -1,9 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from glspec.core import make_params
+from glspec import core
+from glspec.core import DomainError, make_params
 from glspec import eigen as eg
 from glspec.quad import inner_exact
 
@@ -83,7 +86,7 @@ def test_derivative_shift_consistency_classical():
 
 def test_index_error(p_half):
     seq = eg.p_coeffs(p_half, 3)
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError):
         eg.p_eval(seq, 4, 1.0)
 
 
@@ -112,7 +115,6 @@ def test_non_orthogonality(p_half):
 
 def test_eval_stability_large_n(p_half):
     # escalated Horner against the mp coefficients route
-    import mpmath as mp
     seq = eg.p_coeffs(p_half, 40)
     x = 9.5
     got = eg.p_eval(seq, 40, x)
@@ -123,11 +125,43 @@ def test_eval_stability_large_n(p_half):
             acc = acc * mp.mpf(x) + c
         ref = float(acc)
     assert got == pytest.approx(ref, rel=1e-7)
-    # repeated escalations reuse the mp coefficients instead of rebuilding them
-    built = eg._coeffs_mp.cache_info().misses
+    # repeated escalations read the shared table instead of rebuilding it
+    table = core._tables[("P", p_half)]
+    held = len(table.rows)
     for _ in range(3):
         assert eg.p_eval(seq, 40, x) == got
-    assert eg._coeffs_mp.cache_info().misses == built
+    assert core._tables[("P", p_half)] is table and len(table.rows) == held
+
+
+def test_p_rows_match_closed_form():
+    # each table entry is C(n, k) times the stored g_k: one rounding at any n
+    p = make_params(0.41, 1.3)
+    with mp.workdps(60):
+        rows = [eg._coeffs_mp(p, n) for n in range(61)]
+    with mp.workdps(80):
+        am, bm = mp.mpf(p.alpha), mp.mpf(p.beta)
+        g0 = mp.gamma(am * bm + 1)
+        for n, row in enumerate(rows):
+            want = [g0 * (-1) ** k * mp.binomial(n, k) / mp.gamma(am * k + am * bm + 1)
+                    for k in range(n + 1)]
+            assert len(row) == n + 1
+            assert all(abs(c - w) <= mp.mpf("1e-50") * abs(w) for c, w in zip(row, want)), n
+
+
+@pytest.mark.parametrize("N", [12, 40, 200])
+def test_p_coeffs_bitwise_scalar_formula(N):
+    # the array expression performs the per-entry operations of the formula
+    # in the same order, so every coefficient is bitwise the scalar one
+    for alpha, beta in ((0.5, 1.0), (1.0 / 3.0, 2.0), (0.41, 1.3), (1.0, 0.0)):
+        p = make_params(alpha, beta)
+        a, b = alpha, beta
+        lg0 = gammaln(a * b + 1.0)
+        want = np.zeros((N + 1, N + 1))
+        for n in range(N + 1):
+            for k in range(n + 1):
+                lbin = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+                want[n, k] = (-1) ** k * np.exp(lg0 + lbin - gammaln(a * k + a * b + 1.0))
+        assert eg.p_coeffs(p, N).coeff.tobytes() == want.tobytes(), (alpha, beta)
 
 
 _ARRAY_XS = np.linspace(0.05, 9.5, 40)

@@ -62,3 +62,12 @@ def test_package_does_not_import_tests():
             found += [f"{path.name}:{node.lineno} {n}" for n in names
                       if n.split(".")[0] in ("oracles", "tests", "conftest")]
     assert not found, "imports of the test suite: " + ", ".join(found)
+
+
+def test_traced_caches_report_cache_info():
+    # bench/tracing.py reads the hit ratio of these caches from cache_info();
+    # without it `bench/run.py --trace 1` raises KeyError
+    from glspec import coeigen, eigen, quad
+    for fn in (eigen.p_coeffs, coeigen.r_coeffs, quad.build_rule):
+        info = fn.cache_info()
+        assert info.hits >= 0 and info.misses >= 0, fn.__name__
