@@ -28,13 +28,13 @@ from scipy.special import gammaln
 from scipy.special import loggamma as sp_cloggamma
 
 from .core import (LOG_DOUBLE_MAX, TABLE_MIN_DPS, ContourError, DomainError,
-                   GLParams, RealFn, coeff_rows, mp_ctx, real_pow)
+                   GLParams, RealFn, coeff_faces, coeff_rows, mp_ctx, real_pow)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
-from .specfun import _escalating_horner
+from .specfun import _dd_round, _escalating_horner
 
 __all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_mellin",
-           "w_eval", "w_fn", "w_crude_bound_check", "ContourSpec"]
+           "w_eval", "w_crude_bound_check", "ContourSpec"]
 
 
 # --------------------------------------------------------------------------
@@ -73,6 +73,16 @@ def r_coeffs_mp(params: GLParams, n: int) -> list:
     return list(coeff_rows("R", _extend, params, n, mp.mp.dps)[n])
 
 
+def _dd_row(params: GLParams, n: int) -> tuple:
+    """Row n of the "R" table as read-only double-double rows (hi, lo), both
+    rounded in one pass (``_dd_round``) and held as face n of the table."""
+    faces = coeff_faces("R", params)
+    pair = faces.get(n)
+    if pair is None:
+        pair = faces[n] = _dd_round(coeff_rows("R", _extend, params, n, TABLE_MIN_DPS)[n])
+    return pair
+
+
 @lru_cache(maxsize=256)
 def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     """Coefficients c_j with R_n(x) = sum_j c_j x^(j/alpha), j = 0..n.
@@ -80,10 +90,22 @@ def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     c_j = (1/n!) sum_{k>=j} C(n,k) [G(n+b+1/a)/G(k+b+1/a)] (-1)^(k+j) B_{k,j}
     with partial Bell polynomials B_{k,j}.  The coefficient table builds the
     same numbers by a cancellation-free recurrence in n (see _extend); this
-    is its row n, correctly rounded to float64.  At alpha = 1 these are the
-    classical Laguerre monomial coefficients.
+    is its row n, correctly rounded to float64 (read-only, the hi row of
+    ``_dd_row``).  At alpha = 1 these are the classical Laguerre monomial
+    coefficients.
     """
-    return np.array([float(c) for c in coeff_rows("R", _extend, params, n, TABLE_MIN_DPS)[n]])
+    return _dd_row(params, n)[0]
+
+
+def _y_dd(x, alpha: float, i: int) -> tuple:
+    """x^(1/alpha) at point i of x (the flat index; 0 for a float) as a
+    double-double (hi, lo), from one mpmath power at TABLE_MIN_DPS digits,
+    formed as the mpmath point of the escalated sum is.  The rounded float64
+    power alone would leave errors of up to 1e-12 at cond 1e10."""
+    with mp_ctx(TABLE_MIN_DPS):
+        y = mp.mpf(float(np.ravel(x)[i])) ** (1 / mp.mpf(alpha))
+        hi = float(y)
+        return hi, float(y - hi)
 
 
 def _r_horner(params: GLParams, n: int, x, log: bool):
@@ -102,14 +124,16 @@ def _r_horner(params: GLParams, n: int, x, log: bool):
         if not log:
             return v
         return math.copysign(1.0, v), (math.log(abs(v)) if v else -math.inf)
+    a = params.alpha
     if arr:
         with np.errstate(over="ignore"):
-            y = np.power(x, 1.0 / params.alpha)
+            y = np.power(x, 1.0 / a)
     else:
-        y = real_pow(x, 1.0 / params.alpha)
+        y = real_pow(x, 1.0 / a)
     return _escalating_horner(
         r_coeffs(params, n), y, params,
-        lambda i: (r_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i]) ** (1 / mp.mpf(params.alpha))),
+        lambda i: (r_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i]) ** (1 / mp.mpf(a))),
+        lambda i: (_dd_row(params, n), _y_dd(x, a, i)),
         log=log)
 
 
@@ -149,11 +173,11 @@ def _w_coeffs_mp(params: GLParams, n: int, q: int) -> list:
 
 
 @lru_cache(maxsize=256)
-def _w_coeffs(params: GLParams, n: int, q: int) -> np.ndarray:
+def _w_coeffs(params: GLParams, n: int, q: int) -> tuple:
     """The d_j of ``_w_coeffs_mp``, formed at 32 digits and rounded to
-    float64."""
+    read-only double-double rows (hi, lo) (``_dd_round``)."""
     with mp_ctx(TABLE_MIN_DPS):
-        return np.array([float(c) for c in _w_coeffs_mp(params, n, q)])
+        return _dd_round(_w_coeffs_mp(params, n, q))
 
 
 # --------------------------------------------------------------------------
@@ -238,17 +262,14 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
     else:
         if x <= 0.0:
             raise DomainError("W_n is evaluated on x > 0")
+        a, d = params.alpha, _w_coeffs(params, n, q)
         sign, lr = _escalating_horner(
-            _w_coeffs(params, n, q), real_pow(x, 1.0 / params.alpha), params,
-            lambda _: (_w_coeffs_mp(params, n, q), mp.mpf(x) ** (1 / mp.mpf(params.alpha))),
-            log=True)
+            d[0], real_pow(x, 1.0 / a), params,
+            lambda _: (_w_coeffs_mp(params, n, q), mp.mpf(x) ** (1 / mp.mpf(a))),
+            lambda _: (d, _y_dd(x, a, 0)), log=True)
         lr -= q * math.log(x)
     lw = lr + log_weight_eval(weight_e_ab(params), x)
     return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
-
-
-def w_fn(params: GLParams, n: int, q: int = 0) -> RealFn:
-    return RealFn(lambda x: w_eval(params, n, x, q), description=f"W_{n}^({q})")
 
 
 def w_crude_bound_check(params: GLParams, n: int, q: int, x: float) -> dict:

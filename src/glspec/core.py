@@ -7,7 +7,8 @@ them from scratch so tests can assert agreement to the last ulp.
 
 ``coeff_rows`` holds the package's one mpmath coefficient cache: a table of
 rows per (family, params), where the family is P_n (eigen) or R_n
-(coeigen).
+(coeigen).  ``coeff_faces`` gives the float64 forms of a table's rows that
+its family keeps beside it, held and dropped with the table.
 """
 
 from __future__ import annotations
@@ -407,10 +408,25 @@ _tables: "OrderedDict[tuple, _Table]" = OrderedDict()
 
 @dataclass
 class _Table:
-    """Rows 0..N of a coefficient family in mpmath, built at dps digits."""
+    """Rows 0..N of a coefficient family in mpmath, built at dps digits, and
+    the float64 faces its family forms from them."""
 
     dps: int
     rows: list
+    faces: dict = field(default_factory=dict)
+
+
+def _held(family: str, params: GLParams) -> _Table:
+    """The (family, params) table, made empty if it is not held, and marked
+    most recently used."""
+    key = (family, params)
+    table = _tables.pop(key, None)
+    if table is None:
+        table = _Table(TABLE_MIN_DPS, [[mp.mpf(1)]])
+    _tables[key] = table
+    if len(_tables) > TABLES_HELD:
+        _tables.popitem(last=False)
+    return table
 
 
 def coeff_rows(family: str, extend, params: GLParams, n: int, dps: int) -> list:
@@ -427,14 +443,19 @@ def coeff_rows(family: str, extend, params: GLParams, n: int, dps: int) -> list:
     """
     if n < 0:
         raise DomainError("order must be >= 0")
-    key = (family, params)
-    table = _tables.pop(key, None)
-    if table is None or table.dps < dps:
-        table = _Table(max(TABLE_MIN_DPS, -(-dps // 16) * 16), [[mp.mpf(1)]])
+    table = _held(family, params)
+    if table.dps < dps:
+        table.dps, table.rows = -(-dps // 16) * 16, [[mp.mpf(1)]]
     if len(table.rows) <= n:
         with mp_ctx(table.dps):
             extend(table.rows, params, n)
-    _tables[key] = table
-    if len(_tables) > TABLES_HELD:
-        _tables.popitem(last=False)
     return table.rows
+
+
+def coeff_faces(family: str, params: GLParams) -> dict:
+    """The float64 faces of the (family, params) table of ``coeff_rows``: a
+    dict in which the family's module keeps what it forms from the rows
+    (rounded rows, double-double rows).  The faces outlive a rebuild at more
+    digits, whose rows round to the same floats, and are dropped with the
+    table."""
+    return _held(family, params).faces

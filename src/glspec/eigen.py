@@ -12,7 +12,8 @@ rescaled so the constant term is 1.
 
 The float64 table comes from log-gammas (``p_coeffs``); the mpmath rows are
 the "P" table of ``core.coeff_rows``, the package's one mpmath coefficient
-cache.
+cache, and both the float64 table and the double-double rows of the
+escalating Horner's second tier are faces of that table.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln
 
-from .core import (ConvergenceError, DomainError, GLParams, RealFn,
-                   coeff_rows, make_params)
-from .specfun import _escalating_horner, cal_I
+from .core import (TABLE_MIN_DPS, ConvergenceError, DomainError, GLParams,
+                   RealFn, coeff_faces, coeff_rows, make_params, mp_ctx)
+from .specfun import _dd_mul, _dd_round, _escalating_horner, cal_I
 
 __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
            "p_growth_bound_check", "laguerre_eval", "p_sup"]
@@ -47,16 +48,35 @@ class PolySeq:
 @lru_cache(maxsize=64)
 def p_coeffs(params: GLParams, N: int) -> PolySeq:
     """Coefficients of P_0 .. P_N in the monomial basis, from log-gammas in
-    float64."""
+    float64: the leading (N+1) x (N+1) block, read-only, of one table per
+    params (the "coeff" face of its "P" table), rebuilt only for a larger
+    N.  Each entry is formed on its own, so it is the same at any table
+    size."""
     if N < 0:
         raise DomainError("degree must be >= 0")
-    a, b = params.alpha, params.beta
-    n, k = np.arange(N + 1.0)[:, None], np.arange(N + 1.0)
-    lbin = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(np.abs(n - k) + 1.0)
-    logmag = np.where(k <= n, gammaln(a * b + 1.0) + lbin - gammaln(a * k + a * b + 1.0),
-                      -np.inf)
-    coeff = np.where(np.isfinite(logmag), (1.0 - 2.0 * (k % 2)) * np.exp(logmag), 0.0)
-    return PolySeq(params, N, logmag, coeff)
+    faces = coeff_faces("P", params)
+    seq = faces.get("coeff")
+    if seq is None or seq.degree < N:
+        a, b = params.alpha, params.beta
+        n, k = np.arange(N + 1.0)[:, None], np.arange(N + 1.0)
+        lbin = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(np.abs(n - k) + 1.0)
+        logmag = np.where(k <= n, gammaln(a * b + 1.0) + lbin - gammaln(a * k + a * b + 1.0),
+                          -np.inf)
+        coeff = np.where(np.isfinite(logmag), (1.0 - 2.0 * (k % 2)) * np.exp(logmag), 0.0)
+        logmag.flags.writeable = coeff.flags.writeable = False
+        faces["coeff"] = seq = PolySeq(params, N, logmag, coeff)
+    if seq.degree == N:
+        return seq
+    return PolySeq(params, N, seq.logmag[:N + 1, :N + 1], seq.coeff[:N + 1, :N + 1])
+
+
+def _g(params: GLParams, ks) -> list:
+    """g_k = Gamma(ab + 1) / Gamma(alpha k + ab + 1) for k in ks, at the
+    current working precision; c_{m,k} = (-1)^k C(m, k) g_k."""
+    am = mp.mpf(params.alpha)
+    ab = am * mp.mpf(params.beta)
+    g0 = mp.gamma(ab + 1)
+    return [g0 / mp.gamma(am * k + ab + 1) for k in ks]
 
 
 def _extend(rows: list, params: GLParams, n: int) -> None:
@@ -68,12 +88,8 @@ def _extend(rows: list, params: GLParams, n: int) -> None:
     each entry the exact integer binomial times the stored g_k =
     (-1)^k rows[k][k], so it carries one rounding however large m grows.
     """
-    am = mp.mpf(params.alpha)
-    ab = am * mp.mpf(params.beta)
-    g0 = mp.gamma(ab + 1)
-    g = [(-1) ** k * row[k] for k, row in enumerate(rows)]
+    g = [(-1) ** k * row[k] for k, row in enumerate(rows)] + _g(params, range(len(rows), n + 1))
     for m in range(len(rows), n + 1):
-        g.append(g0 / mp.gamma(am * m + ab + 1))
         rows.append([g[k] * ((-1) ** k * math.comb(m, k)) for k in range(m + 1)])
 
 
@@ -82,6 +98,31 @@ def _coeffs_mp(params: GLParams, n: int) -> list:
     working precision: row n of the params' "P" table in ``coeff_rows``, in
     a fresh list."""
     return list(coeff_rows("P", _extend, params, n, mp.mp.dps)[n])
+
+
+def _dd_row(params: GLParams, n: int) -> tuple:
+    """The coefficients of P_n as read-only double-double rows (hi, lo):
+    the exact integers (-1)^k C(n, k) times the double-double g_k of the
+    "g" face of the "P" table (see ``_dd_round`` for g_k below its range),
+    formed in numpy and held as face n.  g comes from n + 1 gammas at
+    TABLE_MIN_DPS digits, not from the mpmath rows, which only points past
+    the double-double tier need."""
+    faces = coeff_faces("P", params)
+    pair = faces.get(n)
+    if pair is None:
+        g = faces.get("g", (np.zeros(0), np.zeros(0)))
+        if g[0].size <= n:
+            with mp_ctx(TABLE_MIN_DPS):
+                more = _dd_round(_g(params, range(g[0].size, n + 1)))
+            faces["g"] = g = tuple(np.concatenate(parts) for parts in zip(g, more))
+        binom = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+        hi = [float(c) for c in binom]
+        pair = _dd_mul(np.array(hi), np.array([float(c - int(h)) for c, h in zip(binom, hi)]),
+                       g[0][:n + 1], g[1][:n + 1])
+        for a in pair:
+            a.flags.writeable = False
+        faces[n] = pair
+    return pair
 
 
 def laguerre_eval(n: int, beta: float, x: float, derivative: int = 0) -> float:
@@ -134,7 +175,8 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
             return np.full(x.shape, b2)
         return b2 * laguerre_eval(n, params.beta, x)
     return _escalating_horner(seq.coeff[n, :n + 1], x, params,
-                              lambda i: (_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i])))
+                              lambda i: (_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i])),
+                              lambda i: (_dd_row(params, n), (float(np.ravel(x)[i]), 0.0)))
 
 
 def p_fn(params: GLParams, n: int) -> RealFn:

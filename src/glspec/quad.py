@@ -29,7 +29,7 @@ from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError,
                    mp_ctx)
 from .density import Weight, weight_e_ab
 from .eigen import _coeffs_mp, p_coeffs, p_eval
-from .coeigen import r_coeffs, r_coeffs_mp
+from .coeigen import _dd_row as _r_dd_row, r_coeffs, r_coeffs_mp
 from .specfun import _escalating_horner
 
 __all__ = ["QuadRule", "build_rule", "integrate", "inner", "inner_with_error",
@@ -282,7 +282,8 @@ def gram_biorth(params: GLParams, N: int) -> np.ndarray:
     if N < 0:
         raise DomainError("N must be >= 0")
     ns = range(N + 1)
-    rows = lambda: ([_coeffs_mp(params, n) + [0] * (N - n) for n in ns],
+    # row N first: the "P" table is then extended once, not once per order
+    rows = lambda: ([_coeffs_mp(params, n) + [0] * (N - n) for n in ns[::-1]][::-1],
                     [mp.mpf(params.alpha) * k for k in ns],
                     [r_coeffs_mp(params, m) + [0] * (N - m) for m in ns], ns)
     return _moment_form(params, p_coeffs(params, N).logmag, params.alpha * np.arange(N + 1),
@@ -350,6 +351,7 @@ def _log_aux_norm2(params: GLParams, n: int, gamma_: float, eta_bar: float) -> f
     u = np.exp(lu)
     _, lr = _escalating_horner(r_coeffs(params, n), u, params,
                                lambda i: (r_coeffs_mp(params, n), mp.mpf(u[i])),
+                               lambda i: (_r_dd_row(params, n), (float(u[i]), 0.0)),
                                log=True, cond_max=_AUX_COND)
     with np.errstate(over="ignore"):
         lf = (2.0 * lr + (ab + 1.0) * lu + np.log1p(np.exp(-t)) - 2.0 * u

@@ -3,10 +3,14 @@
 Complex log-gamma (Lanczos at double precision), the Gauss hypergeometric
 series with its z -> 1-z connection formula, the positive-term entire
 function cal_I, and ``_escalating_horner``: the finite expansions of P_n,
-R_n and W_n^(q) are summed by Horner in float64, at a float or over a whole
-ndarray of points at once, and each point whose conditioning estimate
-sum|terms| / |sum| exceeds COND_THRESHOLD is redone on its own in software
-extended precision (every point, when extended precision is asked for).
+R_n and W_n^(q) are summed by Horner at a float or over a whole ndarray of
+points at once, in three tiers.  The float64 pass keeps each point whose
+condition number mag / |sum|, mag = sum |c_j| |y|^j, is at most
+COND_THRESHOLD.  A double-double pass (Dekker's error-free product) redoes
+the others and keeps its value v where mag <= 1e16 |v|: its error, a few
+u^2 mag in practice (u = 2^-53), is then within the float64 rounding of v.
+The rest are redone on their own in software extended precision, as is
+every point when extended precision is asked for.
 """
 
 from __future__ import annotations
@@ -157,52 +161,99 @@ _CONSECUTIVE = 3
 #: float64 sum keeps enough correct digits to size the escalated precision
 _HORNER_TRUSTED_COND = 1.0e13
 
+#: largest mag / |v| at which the double-double value v is returned: its
+#: absolute error, a few u^2 mag in practice (u = 2^-53; 2 n u^2 mag at
+#: worst), is then within the rounding of v to float64
+_DD_COND = 1.0e16
 
-def _escalating_horner(coeffs, y, params: GLParams, mp_args,
+#: largest mag / |v| of a double-double value that sizes the escalated
+#: precision: below it v keeps enough correct digits to be a condition number
+_DD_TRUSTED_COND = 1.0e26
+
+#: Dekker's splitting constant 2^27 + 1: a = hi + lo exactly with
+#: hi = t - (t - a), t = _SPLIT a, and hi, lo of 26 bits each
+_SPLIT = 134217729.0
+
+#: smallest |hi| of a double-double (hi, lo) whose lo is a normal float64,
+#: so that hi + lo carries 106 bits
+_DD_TINY = 2.0 ** -969
+
+
+def _escalating_horner(coeffs, y, params: GLParams, mp_args, dd_args,
                        log: bool = False, cond_max: float = COND_THRESHOLD):
     """sum_j coeffs[j] y^j (coeffs a float64 array) by Horner under the
     package precision policy, at a float y or at every point of an ndarray
-    y (the result then has y's shape).
+    y (the result then has y's shape).  Three tiers, over a whole array at
+    once:
 
-    The float64 pass carries the condition number sum |c_j y^j| / |sum|,
-    over a whole array at once.  Each point past ``cond_max``, or every
-    point at extended precision, is redone on its own by ``_horner_mp`` from
-    ``mp_args(i)``, which returns the mpmath coefficients and point i (the
-    flat index into y; 0 for a float).  cond_max is COND_THRESHOLD unless a
-    caller needs more than its 1e-8 relative accuracy.  With ``log`` the
-    result is (sign, log|sum|), finite where the sum leaves the double
-    range.
+    1. float64: the plain pass also sums mag = sum |c_j| |y|^j, and keeps
+       each point whose condition number mag / |sum| is at most
+       ``cond_max`` (COND_THRESHOLD, unless a caller needs more than its
+       1e-8 relative accuracy).
+    2. double-double: every other point is summed again from
+       ``dd_args(i)`` = ((hi, lo), (y_hi, y_lo)), the coefficients as
+       double-double rows and point i (the flat index into y; 0 for a float)
+       as a double-double.  Its value v is kept where mag <= 1e16 |v|
+       (``_DD_COND``).
+    3. mpmath: every other point, and every point at extended precision, is
+       redone on its own by ``_horner_mp`` from ``mp_args(i)``, which
+       returns the mpmath coefficients and point i.
+
+    With ``log`` the result is (sign, log|sum|), finite where the sum
+    leaves the double range.
     """
     if isinstance(y, np.ndarray):
-        return _horner_array(coeffs, y, params, mp_args, log, cond_max)
-    p = cond = 0.0
+        return _horner_array(coeffs, y, params, mp_args, dd_args, log, cond_max)
+    p = mag = 0.0
     ay = abs(y)
     for c in coeffs[::-1].tolist():     # Python floats overflow to inf quietly
         p = p * y + c
-        cond = cond * ay + abs(c)
-    cond = cond / abs(p) if p != 0.0 else math.inf
-    if cond <= cond_max and params.precision.is_double:
-        return (math.copysign(1.0, p), math.log(abs(p))) if log else p
+        mag = mag * ay + abs(c)
+    cond = mag / abs(p) if p != 0.0 else math.inf
+    if params.precision.is_double:
+        if cond <= cond_max:
+            return (math.copysign(1.0, p), math.log(abs(p))) if log else p
+        (hi, lo), (y_hi, y_lo) = dd_args(0)
+        p = _dd_horner(hi, lo, y_hi, y_lo)
+        if mag <= _DD_COND * abs(p) < math.inf:
+            return (math.copysign(1.0, p), math.log(abs(p))) if log else p
+        cond = mag / abs(p) if mag <= _DD_TRUSTED_COND * abs(p) else math.inf
+    elif cond > _HORNER_TRUSTED_COND:
+        cond = math.inf
     return _horner_mp(cond, params, mp_args, 0, log)
 
 
-def _horner_array(coeffs, y: np.ndarray, params: GLParams, mp_args, log: bool,
-                  cond_max: float):
-    """The float64 pass of ``_escalating_horner`` on an ndarray y, with the
-    same operations per point as the float one, so each value is bitwise
-    that of the scalar call."""
+def _horner_array(coeffs, y: np.ndarray, params: GLParams, mp_args, dd_args,
+                  log: bool, cond_max: float):
+    """``_escalating_horner`` on an ndarray y, with the same operations per
+    point as the float one, so each value is bitwise that of the scalar
+    call."""
     yf = y.ravel()
     p = np.zeros(yf.size)
-    cond = np.zeros(yf.size)
+    mag = np.zeros(yf.size)
     ay = np.abs(yf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for c in coeffs[::-1].tolist():
             p = p * yf + c
-            cond = cond * ay + abs(c)
-        cond = np.where(p != 0.0, cond / np.abs(p), math.inf)
+            mag = mag * ay + abs(c)
+        cond = np.where(p != 0.0, mag / np.abs(p), math.inf)
+        if params.precision.is_double:
+            redo = np.flatnonzero(~(cond <= cond_max))
+            if redo.size:
+                args = [dd_args(int(i)) for i in redo]
+                (hi, lo), _ = args[0]
+                y_hi, y_lo = np.array([a[1] for a in args]).T
+                v = _dd_horner(hi, lo, y_hi, y_lo)
+                av = np.abs(v)
+                kept = (mag[redo] <= _DD_COND * av) & (av < math.inf)
+                p[redo[kept]] = v[kept]
+                redo = redo[~kept]
+                cond[redo] = np.where(mag[redo] <= _DD_TRUSTED_COND * av[~kept],
+                                      mag[redo] / av[~kept], math.inf)
+        else:
+            redo = np.arange(yf.size)
+            cond[cond > _HORNER_TRUSTED_COND] = math.inf
         out = [np.copysign(1.0, p), np.log(np.abs(p))] if log else [p]
-    redo = np.flatnonzero(~(cond <= cond_max)) if params.precision.is_double \
-        else range(yf.size)
     for i in redo:
         v = _horner_mp(float(cond[i]), params, mp_args, int(i), log)
         for o, vo in zip(out, v if log else (v,)):
@@ -211,17 +262,79 @@ def _horner_array(coeffs, y: np.ndarray, params: GLParams, mp_args, log: bool,
     return tuple(out) if log else out[0]
 
 
+def _dd_horner(hi, lo, y, y_lo):
+    """sum_j (hi_j + lo_j) (y + y_lo)^j by Horner in double-double
+    arithmetic, rounded to float64, at a float y or elementwise over ndarrays
+    y, y_lo (the same operations either way).
+
+    Each step forms p (y + y_lo) by ``_dd_mul`` and adds c, the leading
+    parts exactly by Knuth's TwoSum, the tails in float64.  The absolute
+    error is at most about 2 n u^2 sum |c_j| |y|^j, u = 2^-53 (Graillat,
+    Langlois & Louvet, 2005, for the compensated analogue).
+    """
+    ph, pl = 0.0, 0.0
+    for ch, cl in zip(hi[::-1].tolist(), lo[::-1].tolist()):
+        m, e = _dd_mul(ph, pl, y, y_lo)
+        s = m + ch
+        z = s - m
+        e += ((m - (s - z)) + (ch - z)) + cl
+        ph = s + e
+        pl = e - (ph - s)
+    return ph + pl
+
+
+def _dd_mul(ah, al, bh, bl) -> tuple:
+    """(ah + al)(bh + bl) as a double-double (hi, lo), elementwise: the
+    product of the leading parts exactly by Dekker's TwoProduct (Numer.
+    Math. 18, 1971), the cross terms in float64."""
+    m = ah * bh
+    t = _SPLIT * ah
+    aa = t - (t - ah)
+    ab = ah - aa
+    t = _SPLIT * bh
+    ba = t - (t - bh)
+    bb = bh - ba
+    e = ((aa * ba - m) + aa * bb + ab * ba) + ab * bb + (ah * bl + al * bh)
+    hi = m + e
+    return hi, e - (hi - m)
+
+
+def _dd_round(row) -> tuple:
+    """mpmath numbers as read-only double-double rows (hi, lo): hi = float(c),
+    lo = float(c - hi).  lo is NaN where c is nonzero but hi + lo cannot
+    carry it to 2^-106 (|c| below 2^-969, or past the double range), so that
+    the second tier of ``_escalating_horner`` passes such a row on to
+    mpmath."""
+    hi = [float(c) for c in row]
+    lo = [_low_part(c, h) if _DD_TINY <= abs(h) < math.inf else 0.0 if not c else math.nan
+          for c, h in zip(row, hi)]
+    out = np.array(hi), np.array(lo)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _low_part(c, hi: float) -> float:
+    """float(c - hi) for an mpmath number c and its float64 rounding hi,
+    from the exact integer mantissas c = man 2^exp and hi = hm 2^he, at a
+    fifth of the cost of the mpmath subtraction."""
+    man, exp = c.man_exp
+    man = -abs(man) if hi < 0.0 else abs(man)
+    m, he = math.frexp(hi)
+    hm, he = int(m * 9007199254740992.0), he - 53      # m 2^53, exact
+    e0 = min(exp, he)
+    return math.ldexp(float((man << (exp - e0)) - (hm << (he - e0))), e0)
+
+
 def _horner_mp(cond: float, params: GLParams, mp_args, i: int, log: bool):
-    """Point i of ``_escalating_horner`` redone in mpmath, given its float64
-    condition number.
+    """Point i of ``_escalating_horner`` redone in mpmath, given a condition
+    number mag / |sum| from a lower tier (inf where none was good enough).
 
     The sum is redone at 20 + log10(cond) digits on ``mp_args(i)``.  Where
-    the float64 estimate cannot be trusted (it overflowed, or cond > 1e13
-    left it without correct digits) the mpmath pass measures its own
-    condition number and repeats with more digits until 17 of them are
-    left.
+    cond is inf the mpmath pass measures its own condition number and
+    repeats with more digits until 17 of them are left.
     """
-    trusted = cond <= _HORNER_TRUSTED_COND
+    trusted = cond < math.inf
     dps = max(params.precision.dps, (20 + int(math.log10(cond))) if trusted else 40)
     while True:
         with mp_ctx(dps):

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from glspec.core import DomainError, make_params
+from glspec.core import COND_THRESHOLD, DomainError, make_params
 from glspec import coeigen as ce
 from glspec import density as d
 
@@ -30,6 +30,30 @@ def test_r_eval_bell_on_arrays(alpha, beta):
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
     with pytest.raises(DomainError):
         ce.r_eval_bell(p, 3, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.75, 0.5), (0.41, 1.3)])
+def test_r_eval_bell_arrays_bitwise_past_float64(alpha, beta, monkeypatch):
+    # past COND_THRESHOLD both tiers take the point x^(1/alpha) from one
+    # mpmath power, so the array value is bitwise the scalar one there,
+    # whether the double-double tier keeps it or mpmath redoes it
+    from glspec import specfun as sf
+    escalated = []
+    horner_mp = sf._horner_mp
+    monkeypatch.setattr(sf, "_horner_mp", lambda *a: escalated.append(a[3]) or horner_mp(*a))
+    p = make_params(alpha, beta)
+    xs = np.geomspace(0.05, 12.0, 48)
+    kept = 0
+    for n in (20, 40):
+        cs = ce.r_coeffs(p, n)[::-1]
+        ys = np.power(xs, 1.0 / alpha)
+        past = ~(np.polyval(np.abs(cs), ys) <= COND_THRESHOLD * np.abs(np.polyval(cs, ys)))
+        escalated.clear()
+        got = ce.r_eval_bell(p, n, xs)
+        kept += int(past.sum()) - len(escalated)
+        want = [ce.r_eval_bell(p, n, float(x)) for x in xs[past]]
+        assert got[past].tolist() == want, n
+    assert kept >= 10
 
 
 def test_classical_dispatch():

@@ -215,3 +215,19 @@ def test_shifted_parameters_built_once(p_half, monkeypatch):
             eg.p_eval(seq, 8, x, d)
     assert built == [(0.5, 2.0, p_half.precision, p_half.eps),
                      (0.5, 3.0, p_half.precision, p_half.eps)]
+
+
+def test_p_coeffs_slices_one_read_only_table():
+    # one float64 table per params, grown in N: smaller orders are its
+    # leading block, not tables of their own
+    p = make_params(0.5173, 0.91)
+    big = eg.p_coeffs(p, 30)
+    small = eg.p_coeffs(p, 12)
+    assert np.shares_memory(small.coeff, big.coeff)
+    assert small.coeff.tolist() == big.coeff[:13, :13].tolist()
+    assert small.logmag.tolist() == big.logmag[:13, :13].tolist()
+    for a in (big.coeff, big.logmag, small.coeff, small.logmag):
+        assert not a.flags.writeable
+    grown = eg.p_coeffs(p, 50)
+    assert grown.coeff[:31, :31].tobytes() == big.coeff.tobytes()
+    assert np.shares_memory(eg.p_coeffs(p, 40).coeff, grown.coeff)

@@ -277,3 +277,18 @@ def test_u_rule_fallback_irrational_alpha():
     assert float(r.weights.sum()) == pytest.approx(1.0, abs=1e-12)
     got = q.integrate(r, lambda x: x)
     assert got == pytest.approx(d.moment(p, 1), rel=1e-5)
+
+
+def test_gram_biorth_builds_the_p_rows_in_one_pass(monkeypatch):
+    # fresh params: (N+1)^2 moment gammas and Gamma(ab+1) in the moment
+    # form, and N + 1 for the P rows (Gamma(ab+1) once, then one per order
+    # 1..N), because the "P" table is extended to row N in one call
+    from glspec import core
+    p, N = make_params(0.5377, 0.713), 40
+    core._tables.pop(("P", p), None)
+    count = [0]
+    gamma = mp.gamma
+    monkeypatch.setattr(mp, "gamma", lambda *a: count.__setitem__(0, count[0] + 1) or gamma(*a))
+    G = q.gram_biorth(p, N)
+    assert count[0] == (N + 1) ** 2 + 1 + (N + 1)
+    assert np.abs(G - np.eye(N + 1)).max() < 1e-12

@@ -352,3 +352,34 @@ def test_laguerre_semigroup_array_x():
         assert g == pytest.approx(sg.laguerre_semigroup(0.0, 0.4, f, float(x)),
                                   rel=1e-14)
     assert isinstance(sg.laguerre_semigroup(0.0, 0.4, f, 1.0), float)
+
+
+# four kernel values of the benchmark's kernel list: (kernel, (alpha, beta),
+# t, x, y), the value before the double-double Horner tier, the largest
+# term |e^(-nt) W_n(y) P_n(x)| (or |(1+t)^(-n-1) W_n(y/(1+t)) P_n(x)|) of
+# its sum, and the _horner_mp calls it makes now (144, 99, 52 and 65 with
+# float64 and mpmath alone)
+_BUDGET = [
+    ("heat", (0.5, 1.0), 0.5463888695504763, 1.5880466472303207, 5.92716049382716,
+     -1.3540660982614138e-16, 1.551271570558435e-08, 104),
+    ("selfsimilar", (0.5, 1.0), 0.6037402957432482, 1.0553935860058308, 4.397530864197531,
+     1.018555796281635e-05, 0.01469647252972342, 25),
+    ("heat", (0.5, 1.0), 0.7130128586820704, 0.16763848396501457, 4.179012345679012,
+     3.912360860887235e-15, 0.0008715207195807631, 29),
+    ("selfsimilar", (2.0 / 3.0, 0.0), 0.5285090202806902, 2.1714285714285713,
+     4.688888888888888, 0.05602079930376709, 0.04810701858379194, 4),
+]
+
+
+@pytest.mark.parametrize("kernel, pair, t, x, y, before, scale, calls", _BUDGET,
+                         ids=["heat-0.546", "selfsimilar-0.604", "heat-0.713",
+                              "selfsimilar-0.529"])
+def test_kernel_escalation_budget(kernel, pair, t, x, y, before, scale, calls, monkeypatch):
+    from glspec import specfun as sf
+    count = [0]
+    horner_mp = sf._horner_mp
+    monkeypatch.setattr(sf, "_horner_mp", lambda *a: count.__setitem__(0, count[0] + 1)
+                        or horner_mp(*a))
+    value = getattr(sg, f"{kernel}_kernel")(make_params(*pair), t, x, y)
+    assert abs(value - before) <= 1e-15 * scale
+    assert count[0] == calls

@@ -216,18 +216,102 @@ def test_bell_table_domain():
 
 def test_escalating_horner_array_log_form_and_cond_max(p_half):
     # P_20 at alpha = 1/2: float64 below x of about 1, escalated past it
-    from glspec.eigen import _coeffs_mp, p_coeffs
+    from glspec.eigen import _coeffs_mp, _dd_row, p_coeffs
     cs = p_coeffs(p_half, 20).coeff[20]
     ys = np.linspace(0.1, 9.0, 25)
     mp_args = lambda i: (_coeffs_mp(p_half, 20), mp.mpf(ys[i]))
-    sign, lv = sf._escalating_horner(cs, ys, p_half, mp_args, log=True)
+    dd_args = lambda i: (_dd_row(p_half, 20), (float(ys[i]), 0.0))
+    sign, lv = sf._escalating_horner(cs, ys, p_half, mp_args, dd_args, log=True)
     for i, y in enumerate(ys.tolist()):
-        s1, l1 = sf._escalating_horner(cs, y, p_half, lambda _: mp_args(i), log=True)
+        s1, l1 = sf._escalating_horner(cs, y, p_half, lambda _: mp_args(i),
+                                       lambda _: dd_args(i), log=True)
         assert sign[i] == s1 and lv[i] == pytest.approx(l1, rel=1e-15, abs=1e-15)
-    # a tighter cond_max sends more points to mpmath, each then right to 1e-15
+    # a tighter cond_max sends more points past the float64 pass, to the
+    # double-double tier and beyond it to mpmath, each then right to 1e-15
     with mp.workdps(60):
         exact = [float(mp.polyval(_coeffs_mp(p_half, 20)[::-1], mp.mpf(y))) for y in ys]
-    loose = sf._escalating_horner(cs, ys, p_half, mp_args)
-    tight = sf._escalating_horner(cs, ys, p_half, mp_args, cond_max=1.0)
+    loose = sf._escalating_horner(cs, ys, p_half, mp_args, dd_args)
+    tight = sf._escalating_horner(cs, ys, p_half, mp_args, dd_args, cond_max=1.0)
     np.testing.assert_allclose(tight, exact, rtol=1e-15)
     assert np.max(np.abs(loose / exact - 1.0)) <= COND_THRESHOLD * 1e-15
+
+
+# --------------------------------------------------------------------------
+# the double-double tier of the escalating Horner
+# --------------------------------------------------------------------------
+
+_TIER_PAIRS = ((0.5, 1.0), (0.75, 0.5), (2.0 / 3.0, 0.0), (0.41, 1.3))
+
+
+def _tier_case(family, p, n):
+    """(float64 row, points y, values from the production route, mpmath row
+    at the working precision) for P_n, R_n or the sum of W_n^(1), whose
+    points are y = x (P) or x^(1/alpha) (R, W)."""
+    from glspec import coeigen as ce
+    from glspec import eigen as eg
+    a = p.alpha
+    if family == "P":
+        xs = np.geomspace(0.05, 30.0, 60)
+        seq = eg.p_coeffs(p, n)
+        return seq.coeff[n], xs, eg.p_eval(seq, n, xs), lambda: eg._coeffs_mp(p, n), xs
+    xs = np.geomspace(0.05, 12.0, 60)
+    ys = np.power(xs, 1.0 / a)
+    if family == "R":
+        return ce.r_coeffs(p, n), ys, ce.r_eval_bell(p, n, xs), lambda: ce.r_coeffs_mp(p, n), xs
+    d = ce._w_coeffs(p, n, 1)
+    got = sf._escalating_horner(
+        d[0], ys, p, lambda i: (ce._w_coeffs_mp(p, n, 1), mp.mpf(xs[i]) ** (1 / mp.mpf(a))),
+        lambda i: (d, ce._y_dd(xs, a, i)))
+    return d[0], ys, got, lambda: ce._w_coeffs_mp(p, n, 1), xs
+
+
+@pytest.mark.parametrize("family", ["P", "R", "W1"])
+def test_double_double_tier_accuracy(family, monkeypatch):
+    # every point past COND_THRESHOLD goes to the double-double tier; each
+    # value it keeps is right to 2.3e-16 against a 100-digit sum, and each it
+    # passes on (true cond past about 1e16) reaches _horner_mp
+    escalated = []
+    horner_mp = sf._horner_mp
+    monkeypatch.setattr(sf, "_horner_mp", lambda *a: escalated.append(a[3]) or horner_mp(*a))
+    kept_conds, mp_conds = [], []
+    for alpha, beta in _TIER_PAIRS:
+        p = make_params(alpha, beta)
+        for n in (25, 45):
+            escalated.clear()
+            cs, ys, got, mp_row, xs = _tier_case(family, p, n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = np.polyval(cs[::-1], ys)
+                mag = np.polyval(np.abs(cs[::-1]), ys)
+            with mp.workdps(100):
+                row = mp_row()[::-1]
+                a = 1 / mp.mpf(alpha)
+                pts = [mp.mpf(x) if family == "P" else mp.mpf(x) ** a for x in xs]
+                exact = [mp.polyval(row, y) for y in pts]
+                true_cond = [float(mp.polyval([abs(c) for c in row], y) / abs(v))
+                             for y, v in zip(pts, exact)]
+            past = ~(mag <= COND_THRESHOLD * np.abs(plain))
+            assert set(escalated) <= set(np.flatnonzero(past).tolist())
+            for i in np.flatnonzero(past):
+                if i in escalated:
+                    mp_conds.append(true_cond[i])
+                    assert true_cond[i] > 1e15, (alpha, beta, n, xs[i])
+                else:
+                    kept_conds.append(true_cond[i])
+                    assert abs(got[i] - exact[i]) <= 2.3e-16 * abs(exact[i]), \
+                        (alpha, beta, n, xs[i], true_cond[i])
+                    assert true_cond[i] < 1e17, (alpha, beta, n, xs[i])
+    # the grids reach both sides of the tier's bound
+    assert min(kept_conds) < 1e9 and max(kept_conds) > 1e15
+    assert min(mp_conds) < 1e17 and max(mp_conds) > 1e20
+
+
+def test_extended_precision_sends_every_point_to_mpmath(monkeypatch):
+    from glspec import coeigen as ce
+    from glspec.core import EXT128
+    escalated = []
+    horner_mp = sf._horner_mp
+    monkeypatch.setattr(sf, "_horner_mp", lambda *a: escalated.append(a[3]) or horner_mp(*a))
+    monkeypatch.setattr(sf, "_dd_horner", None)      # never reached
+    xs = np.geomspace(0.05, 12.0, 20)
+    ce.r_eval_bell(make_params(0.5, 1.0, EXT128), 30, xs)
+    assert escalated == list(range(xs.size))
