@@ -106,7 +106,8 @@ def _dd_row(params: GLParams, n: int) -> tuple:
     "g" face of the "P" table (see ``_dd_round`` for g_k below its range),
     formed in numpy and held as face n.  g comes from n + 1 gammas at
     TABLE_MIN_DPS digits, not from the mpmath rows, which only points past
-    the double-double tier need."""
+    the double-double tier need.  A binomial of 2^1023 or more (n >= 1029)
+    is NaN, as is then the tier's value, so such points go on to mpmath."""
     faces = coeff_faces("P", params)
     pair = faces.get(n)
     if pair is None:
@@ -116,9 +117,10 @@ def _dd_row(params: GLParams, n: int) -> tuple:
                 more = _dd_round(_g(params, range(g[0].size, n + 1)))
             faces["g"] = g = tuple(np.concatenate(parts) for parts in zip(g, more))
         binom = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-        hi = [float(c) for c in binom]
-        pair = _dd_mul(np.array(hi), np.array([float(c - int(h)) for c, h in zip(binom, hi)]),
-                       g[0][:n + 1], g[1][:n + 1])
+        hi = [float(c) if c.bit_length() < 1024 else math.nan for c in binom]
+        lo = [float(c - int(h)) if not math.isnan(h) else math.nan for c, h in zip(binom, hi)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = _dd_mul(np.array(hi), np.array(lo), g[0][:n + 1], g[1][:n + 1])
         for a in pair:
             a.flags.writeable = False
         faces[n] = pair

@@ -306,24 +306,12 @@ def _dd_round(row) -> tuple:
     the second tier of ``_escalating_horner`` passes such a row on to
     mpmath."""
     hi = [float(c) for c in row]
-    lo = [_low_part(c, h) if _DD_TINY <= abs(h) < math.inf else 0.0 if not c else math.nan
+    lo = [float(c - h) if _DD_TINY <= abs(h) < math.inf else 0.0 if not c else math.nan
           for c, h in zip(row, hi)]
     out = np.array(hi), np.array(lo)
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def _low_part(c, hi: float) -> float:
-    """float(c - hi) for an mpmath number c and its float64 rounding hi,
-    from the exact integer mantissas c = man 2^exp and hi = hm 2^he, at a
-    fifth of the cost of the mpmath subtraction."""
-    man, exp = c.man_exp
-    man = -abs(man) if hi < 0.0 else abs(man)
-    m, he = math.frexp(hi)
-    hm, he = int(m * 9007199254740992.0), he - 53      # m 2^53, exact
-    e0 = min(exp, he)
-    return math.ldexp(float((man << (exp - e0)) - (hm << (he - e0))), e0)
 
 
 def _horner_mp(cond: float, params: GLParams, mp_args, i: int, log: bool):

@@ -1,17 +1,18 @@
 """Alternating parent/change pairs of `bench/run.py --trace 0`, summarised.
 
-    python3 tools/bench_pairs.py --out BENCH.json [--base REV] [--pairs 10]
-                                 [--workloads kernel points verify]
-                                 [--seeds 1 2] [--seconds 20]
+    python3 tools/bench_pairs.py --out BENCH.json [--base REV]
+                                 [--workloads kernel points verify] [--seeds 1 2]
 
 The parent is REV (default HEAD~1), extracted with `git archive` into a
 temporary directory; the change is this checkout's working tree.  For each
-workload and seed the two sides run one after the other, and the side that
-runs first alternates from pair to pair, so that a drift of the host's
-speed falls on both alike.  The output file holds, per workload, seed and
-end-to-end metric of BENCHMARK.json, every run's value, each side's median
-and quartiles, and the number of pairs the change won (ties win for
-neither).  A run that fails is recorded with its exit code and stderr tail.
+workload and seed the tool runs PAIRS pairs, each run as long as
+BENCHMARK.json's ``run_seconds``: the two sides run one after the other,
+and the side that runs first alternates from pair to pair, so that a drift
+of the host's speed falls on both alike.  The output file holds, per
+workload, seed and end-to-end metric of BENCHMARK.json, every run's value,
+each side's median and quartiles, and the number of pairs the change won
+(ties win for neither).  A run that fails is recorded with its exit code
+and stderr tail.
 
 Each run is a child process in its own session; on any exit, Ctrl-C
 included, the session is killed, so no benchmark process outlives the tool.
@@ -32,6 +33,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: alternating parent/change pairs per workload and seed
+PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -85,17 +89,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--base", default="HEAD~1")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workloads", nargs="+", default=["kernel", "points", "verify"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args()
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], float(bench["run_seconds"])
     base_rev = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                               capture_output=True, text=True).stdout.strip()
     report = {"base": base_rev, "change": "working tree of " + subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True,
-        text=True).stdout.strip(), "seconds": args.seconds, "runs": {}}
+        text=True).stdout.strip(), "seconds": seconds, "runs": {}}
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         archive = subprocess.run(["git", "archive", base_rev], cwd=ROOT, check=True,
                                  capture_output=True).stdout
@@ -105,12 +108,12 @@ def main() -> int:
         for workload in args.workloads:
             for seed in args.seeds:
                 pairs = []
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-                    got = {side: run_bench(sides[side], workload, seed, args.seconds)
+                    got = {side: run_bench(sides[side], workload, seed, seconds)
                            for side in order}
                     pairs.append((got["parent"], got["change"]))
-                    print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: " + ", ".join(
+                    print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}: " + ", ".join(
                         f"{s} {g['metrics']['ok_per_s']:.1f} ok/s" if "metrics" in g
                         else f"{s} exit {g['exit']}" for s, g in got.items()), flush=True)
                 report["runs"][f"{workload}/seed{seed}"] = {
