@@ -2,9 +2,9 @@
 independent computational routes that cross-validate each other:
 
   table    finite expansion of R_n in powers x^(j/alpha); its coefficients
-           (the partial-Bell formula of r_coeffs) are the "R" rows of
-           ``core.coeff_rows``, the package's one mpmath coefficient cache,
-           built by a cancellation-free recurrence in n.  The production
+           (the partial-Bell formula of r_coeffs) are the exact integer
+           rows of the "R" table of ``core.coeff_table``, the package's one
+           coefficient cache, each face of it one rounding.  The production
            route: R_n, W_n = R_n e and the derivatives W_n^(q) at every x > 0
   mellin   trapezoid Mellin-Barnes inversion on a vertical contour
            (oscillatory but cancellation-free); the check route of
@@ -28,10 +28,11 @@ from scipy.special import gammaln
 from scipy.special import loggamma as sp_cloggamma
 
 from .core import (LOG_DOUBLE_MAX, TABLE_MIN_DPS, ContourError, DomainError,
-                   GLParams, RealFn, coeff_faces, coeff_rows, mp_ctx, real_pow)
+                   GLParams, RealFn, coeff_faces, coeff_table, mp_ctx, real_pow,
+                   table_dps)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
-from .specfun import _dd_round, _escalating_horner
+from .specfun import _dd_ratio, _escalating_horner
 
 __all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_mellin",
            "w_eval", "w_crude_bound_check", "ContourSpec"]
@@ -41,46 +42,61 @@ __all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_mellin",
 # Coefficient table and the finite expansion of R_n
 # --------------------------------------------------------------------------
 
+def _dyadic(params: GLParams) -> tuple:
+    """(A, B, L, Db): alpha = A / Da and beta = B / Db exactly, L = Da Db."""
+    (A, Da), (B, Db) = params.alpha.as_integer_ratio(), params.beta.as_integer_ratio()
+    return A, B, Da * Db, Db
+
+
 def _extend(rows: list, params: GLParams, n: int) -> None:
-    """Append rows len(rows)..n, at the current working precision, by
+    """Append rows len(rows)..n of the "R" table: the exact integers s_{m,j}
+    of c_{m,j} = s_{m,j} / ((A Db)^m m!) (see ``_dyadic``).  The Rodrigues
+    form, expanded in y = x^(1/alpha) and summed in the falling-factorial
+    basis, gives (beta_alpha = beta + 1/alpha - 1)
 
-        n c_{n,j} = (j/alpha + beta_alpha + n) c_{n-1,j} - c_{n-1,j-1} / alpha.
+        m c_{m,j} = (j/alpha + beta_alpha + m) c_{m-1,j} - c_{m-1,j-1} / alpha,
 
-    Writing x^n e(x) as its power series in y = x^(1/alpha) and
-    differentiating term by term gives R_n(x) = (1/n!) e^y
-    sum_m (-1)^m f_n(m) y^m / m! with f_n(m) = prod_{i=1..n}(m/alpha +
-    beta_alpha + i).  In the falling-factorial basis of m, where
-    f_n = f_{n-1} (m/alpha + beta_alpha + n), the sum over m collapses to
-    c_{n,j} = (-1)^j psi_{n,j} / n!, and every term of the psi recurrence
-    is positive (beta_alpha >= 0): the coefficients alternate in sign and
-    are built without cancellation.
+    scaled by (alpha L)^m an integer recurrence free of cancellation:
+
+        s_{m,j} = T_{m,j} s_{m-1,j} - L s_{m-1,j-1},
+        T_{m,j} = L (alpha beta + 1 + alpha (m - 1) + j) = AB + L + (m - 1) A Db + j L > 0.
     """
-    inv = 1 / mp.mpf(params.alpha)
-    ba = mp.mpf(params.beta) + inv - 1
+    A, B, L, Db = _dyadic(params)
+    if not rows:
+        rows.append([1])
     for m in range(len(rows), n + 1):
-        prev = rows[-1]
-        row = [(ba + m) * prev[0] / m]
-        row += [((ba + m + j * inv) * prev[j] - prev[j - 1] * inv) / m
-                for j in range(1, m)]
-        row.append(-prev[-1] * inv / m)
-        rows.append(row)
+        prev, t = rows[-1], A * B + L + (m - 1) * A * Db
+        rows.append([t * prev[0]] + [(t + j * L) * prev[j] - L * prev[j - 1]
+                                     for j in range(1, m)] + [-L * prev[-1]])
+
+
+def _exact(params: GLParams, n: int, q: int = 0) -> tuple:
+    """(nums, den): the coefficients d_j of W_n^(q) (``_w_coeffs_mp``; the
+    c_j of R_n at q = 0) as the exact ratios nums[j] / den.  Scaled by
+    (alpha L)^k like the rows, the step in k is in integers too, because
+    alpha beta_alpha = alpha beta + 1 - alpha is dyadic:
+
+        e^(k+1)_j = (AB + L - (k + 1) A Db + j L) e^(k)_j - L e^(k)_(j-1).
+    """
+    A, B, L, Db = _dyadic(params)
+    e = coeff_table("R", _extend, params, n).rows[n]
+    for k in range(q):
+        u = A * B + L - (k + 1) * A * Db
+        e = [(u + j * L) * c - (L * e[j - 1] if j else 0) for j, c in enumerate(e)] + [-L * e[-1]]
+    return e, (A * Db) ** (n + q) * math.factorial(n)
 
 
 def r_coeffs_mp(params: GLParams, n: int) -> list:
     """Coefficients of R_n (see r_coeffs) as mpmath numbers with at least the
-    current working precision: row n of the params' "R" table in
-    ``coeff_rows``, in a fresh list."""
-    return list(coeff_rows("R", _extend, params, n, mp.mp.dps)[n])
-
-
-def _dd_row(params: GLParams, n: int) -> tuple:
-    """Row n of the "R" table as read-only double-double rows (hi, lo), both
-    rounded in one pass (``_dd_round``) and held as face n of the table."""
+    current working precision, in a fresh list: row n of the exact "R"
+    table rounded once at ``table_dps`` digits, held as a face of it."""
+    dps = table_dps(mp.mp.dps)
     faces = coeff_faces("R", params)
-    pair = faces.get(n)
-    if pair is None:
-        pair = faces[n] = _dd_round(coeff_rows("R", _extend, params, n, TABLE_MIN_DPS)[n])
-    return pair
+    if (n, dps) not in faces:
+        nums, den = _exact(params, n)
+        with mp_ctx(dps):
+            faces[n, dps] = [mp.fdiv(c, den) for c in nums]
+    return list(faces[n, dps])
 
 
 @lru_cache(maxsize=256)
@@ -88,13 +104,12 @@ def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     """Coefficients c_j with R_n(x) = sum_j c_j x^(j/alpha), j = 0..n.
 
     c_j = (1/n!) sum_{k>=j} C(n,k) [G(n+b+1/a)/G(k+b+1/a)] (-1)^(k+j) B_{k,j}
-    with partial Bell polynomials B_{k,j}.  The coefficient table builds the
-    same numbers by a cancellation-free recurrence in n (see _extend); this
-    is its row n, correctly rounded to float64 (read-only, the hi row of
-    ``_dd_row``).  At alpha = 1 these are the classical Laguerre monomial
-    coefficients.
+    with partial Bell polynomials B_{k,j}: row n of the exact table (see
+    _extend) correctly rounded to float64 (read-only, the hi row of
+    ``_w_coeffs(params, n, 0)``).  At alpha = 1 these are the classical
+    Laguerre monomial coefficients.
     """
-    return _dd_row(params, n)[0]
+    return _w_coeffs(params, n, 0)[0]
 
 
 def _y_dd(x, alpha: float, i: int) -> tuple:
@@ -133,7 +148,7 @@ def _r_horner(params: GLParams, n: int, x, log: bool):
     return _escalating_horner(
         r_coeffs(params, n), y, params,
         lambda i: (r_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i]) ** (1 / mp.mpf(a))),
-        lambda i: (_dd_row(params, n), _y_dd(x, a, i)),
+        lambda i: (_w_coeffs(params, n, 0), _y_dd(x, a, i)),
         log=log)
 
 
@@ -153,31 +168,24 @@ def r_fn(params: GLParams, n: int) -> RealFn:
 
 def _w_coeffs_mp(params: GLParams, n: int, q: int) -> list:
     """Coefficients d_j of W_n^(q)(x) = x^(-q) e(x) sum_j d_j y^j,
-    y = x^(1/alpha), in mpmath at the current working precision.
-
-    d = row n of the table for q = 0, then differentiating x^(ba - k) y^j
-    e^(-y) term by term, with ba = beta + 1/alpha - 1,
+    y = x^(1/alpha), each the exact value of ``_exact`` rounded once at the
+    current working precision: d = row n of the table for q = 0, then,
+    differentiating x^(ba - k) y^j e^(-y) term by term (ba = beta_alpha),
 
         d^(k+1)_j = (ba - k + j/alpha) d^(k)_j - d^(k)_(j-1) / alpha.
 
-    ba is formed as 1/alpha + (beta - 1), exact where beta - 1 is, so that
-    the exact zeros of W_n^(q) (W_0'(1) at beta = 1) stay exact.
+    The exact zeros of W_n^(q) (W_0'(1) at beta = 1) stay exact.
     """
-    inv = 1 / mp.mpf(params.alpha)
-    ba = inv + (mp.mpf(params.beta) - 1)
-    d = r_coeffs_mp(params, n)
-    for k in range(q):
-        d = [(ba - k + j * inv) * c - (d[j - 1] * inv if j else 0)
-             for j, c in enumerate(d)] + [-d[-1] * inv]
-    return d
+    nums, den = _exact(params, n, q)
+    return [mp.fdiv(c, den) for c in nums]
 
 
 @lru_cache(maxsize=256)
 def _w_coeffs(params: GLParams, n: int, q: int) -> tuple:
-    """The d_j of ``_w_coeffs_mp``, formed at 32 digits and rounded to
-    read-only double-double rows (hi, lo) (``_dd_round``)."""
-    with mp_ctx(TABLE_MIN_DPS):
-        return _dd_round(_w_coeffs_mp(params, n, q))
+    """The d_j of ``_w_coeffs_mp`` (the c_j of R_n at q = 0) as read-only
+    double-double rows (hi, lo), each part one rounding of the exact value
+    (``_dd_ratio``)."""
+    return _dd_ratio(*_exact(params, n, q))
 
 
 # --------------------------------------------------------------------------

@@ -5,16 +5,19 @@ with ``alpha in (0, 1]`` and ``beta >= 1 - 1/alpha``.  Derived constants are
 computed once at construction and frozen; ``derived_constants`` re-derives
 them from scratch so tests can assert agreement to the last ulp.
 
-``coeff_rows`` holds the package's one mpmath coefficient cache: a table of
-rows per (family, params), where the family is P_n (eigen) or R_n
-(coeigen).  ``coeff_faces`` gives the float64 forms of a table's rows that
-its family keeps beside it, held and dropped with the table.
+``coeff_table`` holds the package's one coefficient cache: a table of rows
+per (family, params), where the family is P_n (eigen) or R_n (coeigen).
+R_n's rows are exact Python integers, grown in n and never rebuilt; P_n's
+are its gamma ratios g_k in mpmath, rebuilt for a caller that needs more
+digits.  ``coeff_faces`` gives what a family forms from its rows (float64,
+double-double and mpmath rows), held and dropped with the table.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -400,20 +403,36 @@ def mp_ctx(dps: int):
 #: recently used are dropped
 TABLES_HELD = 16
 
-#: fewest digits a table is built at; its float64 rounding is then correct
+#: bytes of rows held past which the least recently used tables are dropped
+#: (exact R_n rows of an irrational pair take about 40 MB to order 200)
+TABLE_BYTES_HELD = 64 << 20
+
+#: fewest digits mpmath rows are formed at; their float64 rounding is correct
 TABLE_MIN_DPS = 32
 
 _tables: "OrderedDict[tuple, _Table]" = OrderedDict()
 
 
+def table_dps(dps: int) -> int:
+    """The digits rows are formed at for a caller that needs dps: rounded up
+    to a multiple of 16, and at least TABLE_MIN_DPS."""
+    return max(TABLE_MIN_DPS, -(-dps // 16) * 16)
+
+
 @dataclass
 class _Table:
-    """Rows 0..N of a coefficient family in mpmath, built at dps digits, and
-    the float64 faces its family forms from them."""
+    """Rows 0..N of a coefficient family, exact (dps = 0) or in mpmath at dps
+    digits, the bytes they hold, and the faces its family forms from them."""
 
-    dps: int
-    rows: list
+    dps: int = 0
+    rows: list = field(default_factory=list)
+    size: int = 0
     faces: dict = field(default_factory=dict)
+
+
+def _nbytes(row) -> int:
+    """Bytes a table row holds: a list of Python ints, or one number."""
+    return sys.getsizeof(row) + (sum(map(sys.getsizeof, row)) if isinstance(row, list) else 0)
 
 
 def _held(family: str, params: GLParams) -> _Table:
@@ -421,41 +440,44 @@ def _held(family: str, params: GLParams) -> _Table:
     most recently used."""
     key = (family, params)
     table = _tables.pop(key, None)
-    if table is None:
-        table = _Table(TABLE_MIN_DPS, [[mp.mpf(1)]])
-    _tables[key] = table
+    _tables[key] = _Table() if table is None else table
     if len(_tables) > TABLES_HELD:
         _tables.popitem(last=False)
-    return table
+    return _tables[key]
 
 
-def coeff_rows(family: str, extend, params: GLParams, n: int, dps: int) -> list:
-    """The package's one mpmath coefficient cache: rows 0..(at least) n of
-    the table of ``family`` ("P" for P_n, "R" for R_n) at params, at no
-    fewer than dps digits.
+def coeff_table(family: str, extend, params: GLParams, n: int, dps: int = 0) -> _Table:
+    """The package's one coefficient cache: the table of ``family`` ("P" for
+    P_n, "R" for R_n) at params, with rows 0..(at least) n.
 
-    Row 0 is [1] in both families; ``extend(rows, params, n)`` appends rows
-    len(rows)..n at the working precision.  A table grows in n as larger
-    orders are asked for, and is rebuilt only for a caller that needs more
-    digits than it holds, at dps rounded up to a multiple of 16 (and at
-    least TABLE_MIN_DPS).  Tables are keyed by the family name, so a
+    ``extend(rows, params, n)`` appends rows len(rows)..n, so a table grows
+    in n as larger orders are asked for.  Exact rows (dps = 0) are never
+    rebuilt.  mpmath rows are built at ``table_dps(dps)`` digits and rebuilt
+    only for a caller that needs more digits than they hold.  After a table
+    grows, the least recently used others are dropped while all rows take
+    more than TABLE_BYTES_HELD.  Tables are keyed by the family name, so a
     wrapped ``extend`` finds the same table.
     """
     if n < 0:
         raise DomainError("order must be >= 0")
     table = _held(family, params)
     if table.dps < dps:
-        table.dps, table.rows = -(-dps // 16) * 16, [[mp.mpf(1)]]
+        table.dps, table.rows, table.size = table_dps(dps), [], 0
     if len(table.rows) <= n:
-        with mp_ctx(table.dps):
+        built = len(table.rows)
+        with mp_ctx(table.dps or mp.mp.dps):    # exact rows need no precision
             extend(table.rows, params, n)
-    return table.rows
+        table.size += sum(map(_nbytes, table.rows[built:]))
+        held = sum(t.size for t in _tables.values())
+        while held > TABLE_BYTES_HELD and len(_tables) > 1:     # never this table
+            held -= _tables.popitem(last=False)[1].size
+    return table
 
 
 def coeff_faces(family: str, params: GLParams) -> dict:
-    """The float64 faces of the (family, params) table of ``coeff_rows``: a
-    dict in which the family's module keeps what it forms from the rows
-    (rounded rows, double-double rows).  The faces outlive a rebuild at more
-    digits, whose rows round to the same floats, and are dropped with the
+    """What the family's module forms from the rows of the (family, params)
+    table of ``coeff_table``: a dict of rounded rows (float64, double-double,
+    mpmath at given digits).  The faces outlive a rebuild of mpmath rows at
+    more digits, which round to the same floats, and are dropped with the
     table."""
     return _held(family, params).faces

@@ -10,10 +10,11 @@ extended precision when the Horner condition number explodes.  At
 alpha = 1 evaluation dispatches to the stable classical Laguerre recurrence
 rescaled so the constant term is 1.
 
-The float64 table comes from log-gammas (``p_coeffs``); the mpmath rows are
-the "P" table of ``core.coeff_rows``, the package's one mpmath coefficient
-cache, and both the float64 table and the double-double rows of the
-escalating Horner's second tier are faces of that table.
+The float64 table comes from log-gammas (``p_coeffs``).  The "P" table of
+``core.coeff_table``, the package's one coefficient cache, holds the gamma
+ratios g_k in mpmath, from which the mpmath rows are formed on demand;
+the float64 table and the double-double rows of the escalating Horner's
+second tier are faces of that table.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (TABLE_MIN_DPS, ConvergenceError, DomainError, GLParams,
-                   RealFn, coeff_faces, coeff_rows, make_params, mp_ctx)
-from .specfun import _dd_mul, _dd_round, _escalating_horner, cal_I
+                   RealFn, coeff_faces, coeff_table, make_params, mp_ctx)
+from .specfun import _dd_mul, _dd_ratio, _escalating_horner, cal_I
 
 __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
            "p_growth_bound_check", "laguerre_eval", "p_sup"]
@@ -72,49 +73,47 @@ def p_coeffs(params: GLParams, N: int) -> PolySeq:
 
 def _g(params: GLParams, ks) -> list:
     """g_k = Gamma(ab + 1) / Gamma(alpha k + ab + 1) for k in ks, at the
-    current working precision; c_{m,k} = (-1)^k C(m, k) g_k."""
+    current working precision (g_0 = 1); c_{m,k} = (-1)^k C(m, k) g_k."""
     am = mp.mpf(params.alpha)
     ab = am * mp.mpf(params.beta)
     g0 = mp.gamma(ab + 1)
-    return [g0 / mp.gamma(am * k + ab + 1) for k in ks]
+    return [g0 / mp.gamma(am * k + ab + 1) if k else mp.mpf(1) for k in ks]
 
 
 def _extend(rows: list, params: GLParams, n: int) -> None:
-    """Append rows len(rows)..n of the P_n coefficients, at the current
-    working precision:
-
-        c_{m,k} = (-1)^k C(m, k) g_k,  g_k = Gamma(ab + 1) / Gamma(alpha k + ab + 1),
-
-    each entry the exact integer binomial times the stored g_k =
-    (-1)^k rows[k][k], so it carries one rounding however large m grows.
-    """
-    g = [(-1) ** k * row[k] for k, row in enumerate(rows)] + _g(params, range(len(rows), n + 1))
-    for m in range(len(rows), n + 1):
-        rows.append([g[k] * ((-1) ** k * math.comb(m, k)) for k in range(m + 1)])
+    """Append g_k for k = len(rows)..n to the "P" table, at the current
+    working precision: the table holds only the gamma ratios, and row m of
+    the coefficients is formed from them (``_coeffs_mp``)."""
+    rows += _g(params, range(len(rows), n + 1))
 
 
 def _coeffs_mp(params: GLParams, n: int) -> list:
     """Coefficients of P_n as mpmath numbers with at least the current
-    working precision: row n of the params' "P" table in ``coeff_rows``, in
-    a fresh list."""
-    return list(coeff_rows("P", _extend, params, n, mp.mp.dps)[n])
+    working precision: the exact integer (-1)^k C(n, k) times g_k of the
+    params' "P" table, at the table's digits, one rounding at any n."""
+    table = coeff_table("P", _extend, params, n, mp.mp.dps)
+    with mp_ctx(table.dps):
+        return [g * ((-1) ** k * math.comb(n, k)) for k, g in enumerate(table.rows[:n + 1])]
 
 
 def _dd_row(params: GLParams, n: int) -> tuple:
     """The coefficients of P_n as read-only double-double rows (hi, lo):
     the exact integers (-1)^k C(n, k) times the double-double g_k of the
-    "g" face of the "P" table (see ``_dd_round`` for g_k below its range),
+    "g" face of the "P" table (see ``_dd_ratio`` for g_k below its range),
     formed in numpy and held as face n.  g comes from n + 1 gammas at
-    TABLE_MIN_DPS digits, not from the mpmath rows, which only points past
-    the double-double tier need.  A binomial of 2^1023 or more (n >= 1029)
-    is NaN, as is then the tier's value, so such points go on to mpmath."""
+    TABLE_MIN_DPS digits, not from the table, whose digits are those of the
+    points that went past the double-double tier.  A binomial of 2^1023 or
+    more (n >= 1029) is NaN, as is then the tier's value, so such points go
+    on to mpmath."""
     faces = coeff_faces("P", params)
     pair = faces.get(n)
     if pair is None:
         g = faces.get("g", (np.zeros(0), np.zeros(0)))
         if g[0].size <= n:
-            with mp_ctx(TABLE_MIN_DPS):
-                more = _dd_round(_g(params, range(g[0].size, n + 1)))
+            with mp_ctx(TABLE_MIN_DPS):    # g_k = m 2^x, exactly m 2^(x + e) / 2^e
+                mx = [v.man_exp for v in _g(params, range(g[0].size, n + 1))]
+            e = max(0, *(-x for _, x in mx))
+            more = _dd_ratio([m << (x + e) for m, x in mx], 1 << e)
             faces["g"] = g = tuple(np.concatenate(parts) for parts in zip(g, more))
         binom = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
         hi = [float(c) if c.bit_length() < 1024 else math.nan for c in binom]

@@ -29,7 +29,7 @@ from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError,
                    mp_ctx)
 from .density import Weight, weight_e_ab
 from .eigen import _coeffs_mp, p_coeffs, p_eval
-from .coeigen import _dd_row as _r_dd_row, r_coeffs, r_coeffs_mp
+from .coeigen import _w_coeffs, r_coeffs, r_coeffs_mp
 from .specfun import _escalating_horner
 
 __all__ = ["QuadRule", "build_rule", "integrate", "inner", "inner_with_error",
@@ -351,7 +351,7 @@ def _log_aux_norm2(params: GLParams, n: int, gamma_: float, eta_bar: float) -> f
     u = np.exp(lu)
     _, lr = _escalating_horner(r_coeffs(params, n), u, params,
                                lambda i: (r_coeffs_mp(params, n), mp.mpf(u[i])),
-                               lambda i: (_r_dd_row(params, n), (float(u[i]), 0.0)),
+                               lambda i: (_w_coeffs(params, n, 0), (float(u[i]), 0.0)),
                                log=True, cond_max=_AUX_COND)
     with np.errstate(over="ignore"):
         lf = (2.0 * lr + (ab + 1.0) * lu + np.log1p(np.exp(-t)) - 2.0 * u

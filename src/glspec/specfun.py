@@ -299,15 +299,25 @@ def _dd_mul(ah, al, bh, bl) -> tuple:
     return hi, e - (hi - m)
 
 
-def _dd_round(row) -> tuple:
-    """mpmath numbers as read-only double-double rows (hi, lo): hi = float(c),
-    lo = float(c - hi).  lo is NaN where c is nonzero but hi + lo cannot
-    carry it to 2^-106 (|c| below 2^-969, or past the double range), so that
-    the second tier of ``_escalating_horner`` passes such a row on to
-    mpmath."""
-    hi = [float(c) for c in row]
-    lo = [float(c - h) if _DD_TINY <= abs(h) < math.inf else 0.0 if not c else math.nan
-          for c, h in zip(row, hi)]
+def _dd_ratio(nums, den: int) -> tuple:
+    """The exact rationals c = num / den (Python ints, den > 0) as read-only
+    double-double rows (hi, lo), each part correctly rounded by Python's
+    integer true division: hi = fl(c), lo = fl(c - hi).  lo is NaN where c
+    is nonzero but hi + lo cannot carry it to 2^-106 (|c| below 2^-969, or
+    past the double range), so that the second tier of
+    ``_escalating_horner`` passes such a row on to mpmath."""
+    hi, lo = [], []
+    for num in nums:
+        try:
+            h = num / den
+        except OverflowError:
+            h = math.copysign(math.inf, num)
+        if _DD_TINY <= abs(h) < math.inf:
+            p, q = h.as_integer_ratio()
+            lo.append((num * q - p * den) / (den * q))
+        else:
+            lo.append(0.0 if not num else math.nan)
+        hi.append(h)
     out = np.array(hi), np.array(lo)
     for a in out:
         a.flags.writeable = False

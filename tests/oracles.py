@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -332,6 +333,27 @@ def r_coeffs_bell_mp(params, n: int, dps: int = 80) -> list:
         return [mp.fsum(math.comb(n, k) * top / mp.gamma(k + bm + 1 / am)
                         * (-1) ** (k + j) * bt.B(k, j) for k in range(j, n + 1))
                 / mp.factorial(n) for j in range(n + 1)]
+
+
+def w_coeffs_exact(params, n: int, q: int = 0) -> list:
+    """Coefficients d_j of W_n^(q)(x) = x^(-q) e(x) sum_j d_j x^(j/alpha) as
+    exact Fractions of the binary alpha and beta (the c_j of R_n at q = 0),
+    from the unscaled recurrences in n and in q:
+
+        n c_{n,j} = (j/alpha + ba + n) c_{n-1,j} - c_{n-1,j-1} / alpha,
+        d^(k+1)_j = (ba - k + j/alpha) d^(k)_j - d^(k)_(j-1) / alpha,
+
+    with ba = beta + 1/alpha - 1."""
+    a, b = Fraction(params.alpha), Fraction(params.beta)
+    ba = b + 1 / a - 1
+    c = [Fraction(1)]
+    for m in range(1, n + 1):
+        c = [((j / a + ba + m) * (c[j] if j < m else 0) - (c[j - 1] / a if j else 0)) / m
+             for j in range(m + 1)]
+    for k in range(q):
+        c = [(ba - k + j / a) * (c[j] if j < len(c) else 0) - (c[j - 1] / a if j else 0)
+             for j in range(len(c) + 1)]
+    return c
 
 
 def inner_exact_mp(alpha, beta, fpowers, gpowers, dps: int = 80):

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ from glspec import coeigen as ce
 from glspec import density as d
 
 from oracles import (classical_laguerre, r_coeffs_bell_mp, richardson_derivative,
-                     w_density_mp)
+                     w_coeffs_exact, w_density_mp)
 
 
 def test_r0_is_one(p_half):
@@ -206,16 +207,75 @@ def _r_oracle(params, n, x):
         return float(acc)
 
 
+#: an irrational pair, alpha = 1, beta at its boundary 1 - 1/alpha, beta = 0
+_EXACT_PAIRS = [(0.4123456789, 1.37), (1.0, 0.5), (1.0 / math.sqrt(2.0), 1.0 - math.sqrt(2.0)),
+                (0.75, 0.0), (0.1, 0.0)]
+
+
 @pytest.mark.parametrize("alpha, beta, n", [(2.0 / 3.0, 0.0, 40), (0.75, 0.5, 37),
                                             (1.0 / math.sqrt(2.0), 0.3, 40),
-                                            (0.1, 0.0, 30)])
+                                            (0.1, 0.0, 30), (0.4123456789, 1.37, 40),
+                                            (1.0 / math.sqrt(2.0), 1.0 - math.sqrt(2.0), 33)])
 def test_r_coeffs_correctly_rounded(alpha, beta, n):
     p = make_params(alpha, beta)
     got = ce.r_coeffs(p, n)
     ref = r_coeffs_bell_mp(p, n)
     assert len(got) == n + 1
     for j, (c, r) in enumerate(zip(got, ref)):
-        assert abs(mp.mpf(c) - r) <= 2e-16 * abs(r), (j, c)
+        assert c == float(r), (j, c)
+
+
+@pytest.mark.parametrize("alpha, beta", _EXACT_PAIRS)
+def test_r_and_w_faces_are_one_rounding_of_exact_values(alpha, beta):
+    # the double-double rows of R_n and W_n^(q): hi is the exact coefficient
+    # correctly rounded, and hi + lo carries it to 2^-106
+    p = make_params(alpha, beta)
+    for n in (0, 1, 7, 25):
+        for q in (0, 1, 2):
+            hi, lo = ce._w_coeffs(p, n, q)
+            exact = w_coeffs_exact(p, n, q)
+            assert len(hi) == len(exact) == n + q + 1
+            for h, lo_j, c in zip(hi, lo, exact):
+                assert h == float(c), (n, q)
+                if abs(c) >= Fraction(2) ** -969:
+                    assert abs(Fraction(h) + Fraction(lo_j) - c) <= abs(c) / 2 ** 106, (n, q)
+        assert ce.r_coeffs(p, n).tolist() == ce._w_coeffs(p, n, 0)[0].tolist()
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.4123456789, 1.37), (0.75, 0.0),
+                                         (1.0 / math.sqrt(2.0), 1.0 - math.sqrt(2.0))])
+def test_r_coeffs_mp_at_sixty_digits(alpha, beta):
+    p = make_params(alpha, beta)
+    with mp.workdps(60):
+        got = ce.r_coeffs_mp(p, 30)
+    ref = r_coeffs_bell_mp(p, 30, dps=80)
+    for c, r in zip(got, ref):
+        assert abs(c - r) <= mp.mpf("1e-58") * abs(r)
+
+
+def test_r_float_faces_do_no_mpmath_arithmetic(monkeypatch):
+    # a fresh irrational pair: its exact rows and their float64 and
+    # double-double rounding form no mpmath number
+    def no_mpmath(*args, **kwargs):
+        raise AssertionError("an mpmath number was formed")
+
+    monkeypatch.setattr(mp.mp, "make_mpf", no_mpmath)
+    monkeypatch.setattr(type(mp.mpf(1)), "__new__", no_mpmath)
+    p = make_params(0.4123456789 + 2.0 ** -40, 1.37)
+    assert ce.r_coeffs(p, 60).shape == (61,)
+    with pytest.raises(AssertionError):
+        ce.r_coeffs_mp(p, 60)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.75, 0.5), (0.4123456789, 1.37)])
+def test_w_derivatives_from_exact_rows_match_the_oracle(alpha, beta):
+    # at extended precision every point goes through the mpmath rows of
+    # _w_coeffs_mp, one rounding of the exact coefficients
+    p = make_params(alpha, beta, precision="ext128")
+    for q in (1, 2):
+        for n, x in ((5, 0.7), (20, 2.0), (33, 4.5)):
+            ref = w_density_mp(alpha, beta, n, q, x)
+            assert ce.w_eval(p, n, x, q) == pytest.approx(ref, rel=1e-13, abs=0.0), (q, n, x)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (2.0 / 3.0, 0.0), (0.75, 0.5),

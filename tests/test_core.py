@@ -134,15 +134,40 @@ def test_table_extends_once_per_order(family, monkeypatch):
     for n in range(41):
         read(p, n)
     rows_id = calls[0][0]
-    assert calls == [(rows_id, n, n) for n in range(1, 41)]
-    assert core._tables[(family, p)].dps == 32
-    # more digits rebuild the table once; fewer reuse it
+    assert calls == [(rows_id, n, n) for n in range(41)]
+    table = core._tables[(family, p)]
     with mp.workdps(40):
         read(p, 40)
     with mp.workdps(20):
         read(p, 40)
-    assert core._tables[(family, p)].dps == 48
-    assert len(calls) == 41 and calls[-1][0] != rows_id
+    if family == "R":
+        # exact rows: never rebuilt, whatever the digits asked for
+        with mp.workdps(200):
+            read(p, 40)
+        assert len(calls) == 41 and table.dps == 0
+        assert core._tables[(family, p)].rows is table.rows
+    else:
+        # P's gamma ratios: more digits rebuild them once; fewer reuse them
+        assert table.dps == 48
+        assert len(calls) == 42 and calls[-1][1:] == (0, 40)
+
+
+def test_tables_held_are_bounded_in_bytes(monkeypatch):
+    # exact R rows grow as n^3: past TABLE_BYTES_HELD the least recently
+    # used tables are dropped, but never the one just read
+    monkeypatch.setattr(core, "_tables", type(core._tables)())
+    fresh = [make_params(0.4123456789 + 0.001 * i, 1.37) for i in range(5)]
+    coeigen.r_coeffs_mp(fresh[0], 30)
+    one = core._tables[("R", fresh[0])].size
+    assert one > 100_000
+    monkeypatch.setattr(core, "TABLE_BYTES_HELD", int(2.5 * one))
+    for p in fresh[1:]:
+        coeigen.r_coeffs_mp(p, 30)
+    assert [key[1] for key in core._tables] == fresh[-2:]
+    assert sum(t.size for t in core._tables.values()) <= core.TABLE_BYTES_HELD
+    monkeypatch.setattr(core, "TABLE_BYTES_HELD", one // 2)
+    coeigen.r_coeffs_mp(fresh[0], 30)
+    assert list(core._tables) == [("R", fresh[0])]
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))

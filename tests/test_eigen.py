@@ -236,17 +236,11 @@ def test_p_coeffs_slices_one_read_only_table():
 def test_p_eval_past_the_double_range_of_binomials(monkeypatch):
     # at n = 1100 the binomials of P_n pass 2^1024; the double-double rows
     # must not raise on them but pass the point on to mpmath, whose value
-    # (cond about 1.5e229) is checked against a 400-digit sum.  The mpmath
-    # rows are formed directly, not from the order-1100 table, to keep the
-    # test short; they are the same exact numbers at the working precision.
+    # (cond about 1.5e229) is checked against a 400-digit sum.  The table
+    # holds only the gamma ratios g_k, so the mpmath rows need n + 1 gammas
+    # at each digit count, not the whole order-1100 triangle.
     from glspec import specfun as sf
     p, n, x = make_params(0.5, 1), 1100, 2.6
-
-    def row(params, m):
-        g = eg._g(params, range(m + 1))
-        return [g[k] * ((-1) ** k * math.comb(m, k)) for k in range(m + 1)]
-
-    monkeypatch.setattr(eg, "_coeffs_mp", row)
     escalated = []
     horner_mp = sf._horner_mp
     monkeypatch.setattr(sf, "_horner_mp", lambda *a: escalated.append(a[3]) or horner_mp(*a))
@@ -254,5 +248,7 @@ def test_p_eval_past_the_double_range_of_binomials(monkeypatch):
     got = eg.p_eval(eg.p_coeffs(p, n), n, x)
     assert escalated == [0]
     with mp.workdps(400):
-        want = float(mp.fsum(c * mp.mpf(x) ** k for k, c in enumerate(row(p, n))))
+        am, ab = mp.mpf(p.alpha), mp.mpf(p.alpha) * p.beta
+        want = float(mp.fsum((-1) ** k * math.comb(n, k) * mp.gamma(ab + 1)
+                             / mp.gamma(am * k + ab + 1) * mp.mpf(x) ** k for k in range(n + 1)))
     assert got == pytest.approx(want, rel=1e-15)
