@@ -27,8 +27,8 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.special import loggamma as sp_cloggamma
 
-from .core import (LOG_DOUBLE_MAX, TABLE_MIN_DPS, ContourError, DomainError,
-                   GLParams, RealFn, coeff_faces, coeff_table, mp_ctx, real_pow,
+from .core import (LOG_DOUBLE_MAX, MAX_ESCALATED_DPS, TABLE_MIN_DPS, ContourError,
+                   DomainError, GLParams, RealFn, coeff_table, mp_ctx, real_pow,
                    table_dps)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
@@ -71,12 +71,16 @@ def _extend(rows: list, params: GLParams, n: int) -> None:
 
 
 def _exact(params: GLParams, n: int, q: int = 0) -> tuple:
-    """(nums, den): the coefficients d_j of W_n^(q) (``_w_coeffs_mp``; the
-    c_j of R_n at q = 0) as the exact ratios nums[j] / den.  Scaled by
-    (alpha L)^k like the rows, the step in k is in integers too, because
+    """(nums, den): the d_j of W_n^(q)(x) = x^(-q) e(x) sum_j d_j y^j,
+    y = x^(1/alpha) (the c_j of R_n at q = 0), as exact ratios nums[j] / den.
+    Differentiating x^(ba - k) y^j e^(-y) termwise (ba = beta_alpha) gives
+    d^(k+1)_j = (ba - k + j/alpha) d^(k)_j - d^(k)_(j-1) / alpha; scaled by
+    (alpha L)^k like the rows, the step is in integers too, because
     alpha beta_alpha = alpha beta + 1 - alpha is dyadic:
 
         e^(k+1)_j = (AB + L - (k + 1) A Db + j L) e^(k)_j - L e^(k)_(j-1).
+
+    The exact zeros of W_n^(q) (W_0'(1) at beta = 1) stay exact.
     """
     A, B, L, Db = _dyadic(params)
     e = coeff_table("R", _extend, params, n).rows[n]
@@ -88,15 +92,11 @@ def _exact(params: GLParams, n: int, q: int = 0) -> tuple:
 
 def r_coeffs_mp(params: GLParams, n: int) -> list:
     """Coefficients of R_n (see r_coeffs) as mpmath numbers with at least the
-    current working precision, in a fresh list: row n of the exact "R"
-    table rounded once at ``table_dps`` digits, held as a face of it."""
-    dps = table_dps(mp.mp.dps)
-    faces = coeff_faces("R", params)
-    if (n, dps) not in faces:
-        nums, den = _exact(params, n)
-        with mp_ctx(dps):
-            faces[n, dps] = [mp.fdiv(c, den) for c in nums]
-    return list(faces[n, dps])
+    current working precision: row n of the exact "R" table, each rounded
+    once at ``table_dps`` digits, as mpmath rows of the table would be."""
+    nums, den = _exact(params, n)
+    with mp_ctx(table_dps(mp.mp.dps)):
+        return [mp.fdiv(c, den) for c in nums]
 
 
 @lru_cache(maxsize=256)
@@ -112,15 +112,40 @@ def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     return _w_coeffs(params, n, 0)[0]
 
 
-def _y_dd(x, alpha: float, i: int) -> tuple:
-    """x^(1/alpha) at point i of x (the flat index; 0 for a float) as a
-    double-double (hi, lo), from one mpmath power at TABLE_MIN_DPS digits,
-    formed as the mpmath point of the escalated sum is.  The rounded float64
-    power alone would leave errors of up to 1e-12 at cond 1e10."""
+@lru_cache(maxsize=4096)
+def _point(x: float, alpha: float) -> list:
+    """[(hi, lo), y, prec]: y = x^(1/alpha), one mpmath power at prec bits
+    (first TABLE_MIN_DPS digits), and the double-double (hi, lo) the second
+    tier reads from that first y.  Kernel sums meet each x at every n."""
     with mp_ctx(TABLE_MIN_DPS):
-        y = mp.mpf(float(np.ravel(x)[i])) ** (1 / mp.mpf(alpha))
+        y = mp.mpf(x) ** (1 / mp.mpf(alpha))
         hi = float(y)
-        return hi, float(y - hi)
+        return [(hi, float(y - hi)), y, mp.mp.prec]
+
+
+def _y_exact(x: float, alpha: float, bits: int) -> tuple:
+    """(Y, D, y_bits): y = x^(1/alpha) = Y / D, D a power of 2, known to
+    y_bits >= bits; exact (None) at x = 1 and at alpha = 2^-m where
+    x^(2^m) fits within MAX_ESCALATED_DPS digits.  Else the y of ``_point``,
+    redone with more bits where needed: 1/alpha rounded at p bits moves y
+    by |log y| 2^-p relative, the power by about 2^-p more."""
+    (X, Dx), (A, Da) = x.as_integer_ratio(), alpha.as_integer_ratio()
+    if x == 1.0 or A == 1 and X.bit_length() * Da <= mp.libmp.dps_to_prec(MAX_ESCALATED_DPS):
+        return X ** Da, Dx ** Da, None
+    point = _point(x, alpha)
+    slack = int(abs(math.log(x)) / alpha + 2.0).bit_length()
+    if point[2] - slack < bits:
+        with mp.workprec(bits + slack):
+            point[1:] = mp.mpf(x) ** (1 / mp.mpf(alpha)), bits + slack
+    m, e = point[1].man_exp
+    return (m << e, 1, point[2] - slack) if e >= 0 else (m, 1 << -e, point[2] - slack)
+
+
+def _exact_args(params: GLParams, n: int, q: int, x):
+    """``exact_args`` of the escalating Horner for W_n^(q) (R_n at q = 0) at
+    y = x^(1/alpha), x a float or an ndarray."""
+    return lambda i, bits: (*_exact(params, n, q), None,
+                            *_y_exact(float(np.ravel(x)[i]), params.alpha, bits))
 
 
 def _r_horner(params: GLParams, n: int, x, log: bool):
@@ -146,9 +171,8 @@ def _r_horner(params: GLParams, n: int, x, log: bool):
     else:
         y = real_pow(x, 1.0 / a)
     return _escalating_horner(
-        r_coeffs(params, n), y, params,
-        lambda i: (r_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i]) ** (1 / mp.mpf(a))),
-        lambda i: (_w_coeffs(params, n, 0), _y_dd(x, a, i)),
+        r_coeffs(params, n), y, params, _exact_args(params, n, 0, x),
+        lambda i: (_w_coeffs(params, n, 0), _point(float(np.ravel(x)[i]), a)[0]),
         log=log)
 
 
@@ -166,23 +190,9 @@ def r_fn(params: GLParams, n: int) -> RealFn:
                   description=f"R_{n}", powers=pw)
 
 
-def _w_coeffs_mp(params: GLParams, n: int, q: int) -> list:
-    """Coefficients d_j of W_n^(q)(x) = x^(-q) e(x) sum_j d_j y^j,
-    y = x^(1/alpha), each the exact value of ``_exact`` rounded once at the
-    current working precision: d = row n of the table for q = 0, then,
-    differentiating x^(ba - k) y^j e^(-y) term by term (ba = beta_alpha),
-
-        d^(k+1)_j = (ba - k + j/alpha) d^(k)_j - d^(k)_(j-1) / alpha.
-
-    The exact zeros of W_n^(q) (W_0'(1) at beta = 1) stay exact.
-    """
-    nums, den = _exact(params, n, q)
-    return [mp.fdiv(c, den) for c in nums]
-
-
 @lru_cache(maxsize=256)
 def _w_coeffs(params: GLParams, n: int, q: int) -> tuple:
-    """The d_j of ``_w_coeffs_mp`` (the c_j of R_n at q = 0) as read-only
+    """The d_j of ``_exact`` (the c_j of R_n at q = 0) as read-only
     double-double rows (hi, lo), each part one rounding of the exact value
     (``_dd_ratio``)."""
     return _dd_ratio(*_exact(params, n, q))
@@ -272,9 +282,8 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
             raise DomainError("W_n is evaluated on x > 0")
         a, d = params.alpha, _w_coeffs(params, n, q)
         sign, lr = _escalating_horner(
-            d[0], real_pow(x, 1.0 / a), params,
-            lambda _: (_w_coeffs_mp(params, n, q), mp.mpf(x) ** (1 / mp.mpf(a))),
-            lambda _: (d, _y_dd(x, a, 0)), log=True)
+            d[0], real_pow(x, 1.0 / a), params, _exact_args(params, n, q, x),
+            lambda _: (d, _point(float(x), a)[0]), log=True)
         lr -= q * math.log(x)
     lw = lr + log_weight_eval(weight_e_ab(params), x)
     return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)

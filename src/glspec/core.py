@@ -9,8 +9,8 @@ them from scratch so tests can assert agreement to the last ulp.
 per (family, params), where the family is P_n (eigen) or R_n (coeigen).
 R_n's rows are exact Python integers, grown in n and never rebuilt; P_n's
 are its gamma ratios g_k in mpmath, rebuilt for a caller that needs more
-digits.  ``coeff_faces`` gives what a family forms from its rows (float64,
-double-double and mpmath rows), held and dropped with the table.
+digits.  ``coeff_faces`` gives what a family forms from its rows (float64
+and double-double rows, signed binomials), held and dropped with the table.
 """
 
 from __future__ import annotations
@@ -68,10 +68,11 @@ class PrecisionError(GlspecError, ArithmeticError):
 # --------------------------------------------------------------------------
 
 #: conditioning threshold (sum |terms| / |sum terms|) beyond which a Horner
-#: sum switches from float64 to software extended precision
+#: sum leaves float64 for the higher tiers of ``specfun._escalating_horner``
 COND_THRESHOLD = 1.0e8
 
-#: hard cap on escalated working precision, in decimal digits
+#: hard cap on escalated working precision, in decimal digits (the exact
+#: Horner tier's inputs included)
 MAX_ESCALATED_DPS = 1200
 
 
@@ -79,10 +80,10 @@ MAX_ESCALATED_DPS = 1200
 class Precision:
     """Evaluation precision: plain binary64 or software extended precision.
 
-    Extended precision runs the Horner sums of P_n, R_n and W_n^(q) in
-    mpmath at no fewer than ``dps`` digits.  Exact inner products are sized
-    from their coefficient magnitudes at every precision, ``dps`` only a
-    floor; the kernel density lambda is float64 at every precision.
+    Extended precision sums P_n, R_n and W_n^(q) exactly in integers from
+    inputs of no fewer than ``mantissa_bits`` bits.  Exact inner products
+    are sized from their coefficient magnitudes at every precision, ``dps``
+    only a floor; the kernel density lambda is float64 at every precision.
     """
 
     kind: str = "double"          # "double" | "extended"
@@ -124,34 +125,6 @@ def parse_precision(spec) -> Precision:
         if s.startswith("ext"):
             return Precision("extended", int(s[3:]))
     raise DomainError(f"cannot parse precision spec {spec!r}")
-
-
-# --------------------------------------------------------------------------
-# Compensated summation (Kahan-Neumaier)
-# --------------------------------------------------------------------------
-
-class NeumaierSum:
-    """Running compensated sum; also tracks the sum of absolute values."""
-
-    __slots__ = ("s", "c", "abs_sum")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-        self.abs_sum = 0.0
-
-    def add(self, x: float) -> None:
-        self.abs_sum += abs(x)
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
 
 
 # --------------------------------------------------------------------------
@@ -476,8 +449,8 @@ def coeff_table(family: str, extend, params: GLParams, n: int, dps: int = 0) -> 
 
 def coeff_faces(family: str, params: GLParams) -> dict:
     """What the family's module forms from the rows of the (family, params)
-    table of ``coeff_table``: a dict of rounded rows (float64, double-double,
-    mpmath at given digits).  The faces outlive a rebuild of mpmath rows at
-    more digits, which round to the same floats, and are dropped with the
-    table."""
+    table of ``coeff_table``: a dict of rounded rows (float64,
+    double-double) and exact ones.  The faces outlive a rebuild of mpmath
+    rows at more digits, which round to the same floats, and are dropped
+    with the table."""
     return _held(family, params).faces

@@ -6,15 +6,15 @@ and generating-function checks.
 P_0 = 1, P_n(0) = 1, the coefficients alternate in sign, and the family is
 not orthogonal for alpha < 1, so there is no three-term recurrence: monomial
 coefficients with Horner are the only evaluation route, falling back to
-extended precision when the Horner condition number explodes.  At
+exact integer sums when the Horner condition number explodes.  At
 alpha = 1 evaluation dispatches to the stable classical Laguerre recurrence
 rescaled so the constant term is 1.
 
 The float64 table comes from log-gammas (``p_coeffs``).  The "P" table of
 ``core.coeff_table``, the package's one coefficient cache, holds the gamma
-ratios g_k in mpmath, from which the mpmath rows are formed on demand;
-the float64 table and the double-double rows of the escalating Horner's
-second tier are faces of that table.
+ratios g_k in mpmath, from which the mpmath and exact rows are formed on
+demand; the float64 table, the signed binomials (-1)^k C(n, k) and the
+double-double rows of the escalating Horner are faces of that table.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -87,13 +88,34 @@ def _extend(rows: list, params: GLParams, n: int) -> None:
     rows += _g(params, range(len(rows), n + 1))
 
 
+def _binomials(params: GLParams, n: int) -> list:
+    """The exact integers (-1)^k C(n, k), k = 0..n, by the multiplicative
+    recurrence, held as face ("C", n) of the "P" table."""
+    faces = coeff_faces("P", params)
+    if ("C", n) not in faces:
+        faces["C", n] = list(accumulate(range(n, 0, -1), lambda c, m: -c * m // (n + 1 - m),
+                                        initial=1))
+    return faces["C", n]
+
+
 def _coeffs_mp(params: GLParams, n: int) -> list:
     """Coefficients of P_n as mpmath numbers with at least the current
-    working precision: the exact integer (-1)^k C(n, k) times g_k of the
-    params' "P" table, at the table's digits, one rounding at any n."""
+    working precision: the exact (-1)^k C(n, k) times g_k of the params'
+    "P" table, at the table's digits, one rounding at any n."""
     table = coeff_table("P", _extend, params, n, mp.mp.dps)
     with mp_ctx(table.dps):
-        return [g * ((-1) ** k * math.comb(n, k)) for k, g in enumerate(table.rows[:n + 1])]
+        return [g * c for g, c in zip(table.rows[:n + 1], _binomials(params, n))]
+
+
+def _exact_args(params: GLParams, n: int, x: float, bits: int) -> tuple:
+    """P_n at x for the exact tier of the escalating Horner: nums[k] / 2^e,
+    the exact (-1)^k C(n, k) times g_k of the "P" table at digits enough for
+    ``bits``, known to its precision less 4 bits; x exact."""
+    table = coeff_table("P", _extend, params, n, mp.libmp.prec_to_dps(bits) + 2)
+    mx = [g.man_exp for g in table.rows[:n + 1]]
+    e = max(0, *(-t for _, t in mx))
+    nums = [c * (m << (t + e)) for c, (m, t) in zip(_binomials(params, n), mx)]
+    return (nums, 1 << e, mp.libmp.dps_to_prec(table.dps) - 4, *x.as_integer_ratio(), None)
 
 
 def _dd_row(params: GLParams, n: int) -> tuple:
@@ -103,8 +125,8 @@ def _dd_row(params: GLParams, n: int) -> tuple:
     formed in numpy and held as face n.  g comes from n + 1 gammas at
     TABLE_MIN_DPS digits, not from the table, whose digits are those of the
     points that went past the double-double tier.  A binomial of 2^1023 or
-    more (n >= 1029) is NaN, as is then the tier's value, so such points go
-    on to mpmath."""
+    more (n >= 1029) makes the tier's value NaN, so such points go on to
+    the exact tier."""
     faces = coeff_faces("P", params)
     pair = faces.get(n)
     if pair is None:
@@ -115,11 +137,8 @@ def _dd_row(params: GLParams, n: int) -> tuple:
             e = max(0, *(-x for _, x in mx))
             more = _dd_ratio([m << (x + e) for m, x in mx], 1 << e)
             faces["g"] = g = tuple(np.concatenate(parts) for parts in zip(g, more))
-        binom = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-        hi = [float(c) if c.bit_length() < 1024 else math.nan for c in binom]
-        lo = [float(c - int(h)) if not math.isnan(h) else math.nan for c, h in zip(binom, hi)]
         with np.errstate(over="ignore", invalid="ignore"):
-            pair = _dd_mul(np.array(hi), np.array(lo), g[0][:n + 1], g[1][:n + 1])
+            pair = _dd_mul(*_dd_ratio(_binomials(params, n), 1), g[0][:n + 1], g[1][:n + 1])
         for a in pair:
             a.flags.writeable = False
         faces[n] = pair
@@ -176,7 +195,7 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
             return np.full(x.shape, b2)
         return b2 * laguerre_eval(n, params.beta, x)
     return _escalating_horner(seq.coeff[n, :n + 1], x, params,
-                              lambda i: (_coeffs_mp(params, n), mp.mpf(np.ravel(x)[i])),
+                              lambda i, bits: _exact_args(params, n, float(np.ravel(x)[i]), bits),
                               lambda i: (_dd_row(params, n), (float(np.ravel(x)[i]), 0.0)))
 
 

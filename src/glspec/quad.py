@@ -26,10 +26,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, logsumexp, roots_legendre
 
 from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError,
-                   mp_ctx)
+                   eval_on, mp_ctx)
 from .density import Weight, weight_e_ab
 from .eigen import _coeffs_mp, p_coeffs, p_eval
-from .coeigen import _w_coeffs, r_coeffs, r_coeffs_mp
+from .coeigen import _exact, _w_coeffs, r_coeffs, r_coeffs_mp
 from .specfun import _escalating_horner
 
 __all__ = ["QuadRule", "build_rule", "integrate", "inner", "inner_with_error",
@@ -193,15 +193,9 @@ def build_rule(w: Weight, m: int) -> QuadRule:
 
 def integrate(rule: QuadRule, f) -> float:
     """Integral of f against the rule's weight (mass-normalized); f is called
-    on the node array, or node by node where that fails."""
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=float)
-        if vals.shape != rule.nodes.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([float(f(float(x))) for x in rule.nodes])
+    on the node array, or node by node where that fails (``core.eval_on``)."""
     with np.errstate(invalid="ignore", over="ignore"):
-        out = float(rule.weights @ vals)
+        out = float(rule.weights @ eval_on(f, rule.nodes))
     if not math.isfinite(out):
         raise QuadratureError(f"rule sum is {out}: the integrand overflows at "
                               "the rule's far nodes")
@@ -350,7 +344,8 @@ def _log_aux_norm2(params: GLParams, n: int, gamma_: float, eta_bar: float) -> f
     lu = t - np.exp(-t)
     u = np.exp(lu)
     _, lr = _escalating_horner(r_coeffs(params, n), u, params,
-                               lambda i: (r_coeffs_mp(params, n), mp.mpf(u[i])),
+                               lambda i, bits: (*_exact(params, n), None,
+                                                *float(u[i]).as_integer_ratio(), None),
                                lambda i: (_w_coeffs(params, n, 0), (float(u[i]), 0.0)),
                                log=True, cond_max=_AUX_COND)
     with np.errstate(over="ignore"):

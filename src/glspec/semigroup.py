@@ -252,13 +252,18 @@ def heat_kernel(params: GLParams, t: float, x: float, y: float, k: int = 0,
     if t <= 0.0:
         raise DomainError("heat kernel needs t > 0")
     seq = p_coeffs(params, min(nmax, _NMAX_DEFAULT))
-    acc = 0.0
-    scale = 0.0
+    terms = (math.exp(-n * t) * w_eval(params, n, y, q) * p_eval(seq, n, x, p)
+             * ((-float(n)) ** k if k else 1.0) for n in range(p, nmax + 1))
+    return _kernel_sum(terms, tol, f"heat kernel cap {nmax} reached (t may be too small)")
+
+
+def _kernel_sum(terms, tol: float, cap: str) -> float:
+    """The sum of a kernel series, truncated once three consecutive terms
+    fall below tol times the running scale; TruncationError(cap) where the
+    terms run out first."""
+    acc = scale = 0.0
     small = 0
-    for n in range(p, nmax + 1):
-        term = math.exp(-n * t) * w_eval(params, n, y, q) * p_eval(seq, n, x, p)
-        if k:
-            term *= (-float(n)) ** k
+    for term in terms:
         acc += term
         scale = max(scale, abs(term), abs(acc))
         if abs(term) <= tol * max(scale, 1e-300):
@@ -267,7 +272,7 @@ def heat_kernel(params: GLParams, t: float, x: float, y: float, k: int = 0,
                 return acc
         else:
             small = 0
-    raise TruncationError(f"heat kernel cap {nmax} reached (t may be too small)")
+    raise TruncationError(cap)
 
 
 def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = None,
@@ -394,18 +399,6 @@ def selfsimilar_kernel(params: GLParams, t: float, x: float, y: float,
         raise DomainError("self-similar kernel needs t > 0")
     seq = p_coeffs(params, min(nmax, _NMAX_DEFAULT))
     u = y / (1.0 + t)
-    acc = 0.0
-    scale = 0.0
-    small = 0
-    for n in range(nmax + 1):
-        term = ((1.0 + t) ** (-n - 1) * w_eval(params, n, u)
-                * p_eval(seq, n, x, 0))
-        acc += term
-        scale = max(scale, abs(term), abs(acc))
-        if abs(term) <= tol * max(scale, 1e-300):
-            small += 1
-            if small >= 3:
-                return acc
-        else:
-            small = 0
-    raise TruncationError(f"self-similar kernel cap {nmax} reached")
+    terms = ((1.0 + t) ** (-n - 1) * w_eval(params, n, u) * p_eval(seq, n, x, 0)
+             for n in range(nmax + 1))
+    return _kernel_sum(terms, tol, f"self-similar kernel cap {nmax} reached")

@@ -9,8 +9,9 @@ condition number mag / |sum|, mag = sum |c_j| |y|^j, is at most
 COND_THRESHOLD.  A double-double pass (Dekker's error-free product) redoes
 the others and keeps its value v where mag <= 1e16 |v|: its error, a few
 u^2 mag in practice (u = 2^-53), is then within the float64 rounding of v.
-The rest are redone on their own in software extended precision, as is
-every point when extended precision is asked for.
+The rest, and every point at extended precision, are summed on their own
+exactly in Python integers, from inputs known to the bits the measured
+cancellation needs, and rounded once.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln as _sp_gammaln
 
-from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, ConvergenceError,
-                   DomainError, GLParams, NeumaierSum, PoleError, mp_ctx)
+from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, MAX_ESCALATED_DPS,
+                   ConvergenceError, DomainError, GLParams, PoleError,
+                   PrecisionError)
 
 __all__ = [
     "SeriesResult", "log_gamma", "rgamma_c", "log_abs_gamma", "gamma_sign",
@@ -157,18 +159,15 @@ class SeriesResult:
 _SERIES_CAP = 10000
 _CONSECUTIVE = 3
 
-#: largest float64 Horner condition number taken at its word: below it the
-#: float64 sum keeps enough correct digits to size the escalated precision
-_HORNER_TRUSTED_COND = 1.0e13
-
 #: largest mag / |v| at which the double-double value v is returned: its
 #: absolute error, a few u^2 mag in practice (u = 2^-53; 2 n u^2 mag at
 #: worst), is then within the rounding of v to float64
 _DD_COND = 1.0e16
 
-#: largest mag / |v| of a double-double value that sizes the escalated
-#: precision: below it v keeps enough correct digits to be a condition number
-_DD_TRUSTED_COND = 1.0e26
+#: the exact tier returns a value once its inputs' rounding is at most
+#: 2^-_EXACT_BITS of it, asks of them _GUARD_BITS past what a pass's loss
+#: needs, and starts as if a lower tier with no finite v lost _DD_BITS
+_EXACT_BITS, _GUARD_BITS, _DD_BITS = 60, 16, 106
 
 #: Dekker's splitting constant 2^27 + 1: a = hi + lo exactly with
 #: hi = t - (t - a), t = _SPLIT a, and hi, lo of 26 bits each
@@ -179,7 +178,7 @@ _SPLIT = 134217729.0
 _DD_TINY = 2.0 ** -969
 
 
-def _escalating_horner(coeffs, y, params: GLParams, mp_args, dd_args,
+def _escalating_horner(coeffs, y, params: GLParams, exact_args, dd_args,
                        log: bool = False, cond_max: float = COND_THRESHOLD):
     """sum_j coeffs[j] y^j (coeffs a float64 array) by Horner under the
     package precision policy, at a float y or at every point of an ndarray
@@ -195,15 +194,16 @@ def _escalating_horner(coeffs, y, params: GLParams, mp_args, dd_args,
        double-double rows and point i (the flat index into y; 0 for a float)
        as a double-double.  Its value v is kept where mag <= 1e16 |v|
        (``_DD_COND``).
-    3. mpmath: every other point, and every point at extended precision, is
-       redone on its own by ``_horner_mp`` from ``mp_args(i)``, which
-       returns the mpmath coefficients and point i.
+    3. exact: every other point, and every point at extended precision, is
+       redone on its own by ``_horner_exact`` in Python integers from
+       ``exact_args(i, bits)``, the coefficients and point i as dyadic or
+       exact rationals known to the bits asked for.
 
     With ``log`` the result is (sign, log|sum|), finite where the sum
     leaves the double range.
     """
     if isinstance(y, np.ndarray):
-        return _horner_array(coeffs, y, params, mp_args, dd_args, log, cond_max)
+        return _horner_array(coeffs, y, params, exact_args, dd_args, log, cond_max)
     p = mag = 0.0
     ay = abs(y)
     for c in coeffs[::-1].tolist():     # Python floats overflow to inf quietly
@@ -217,13 +217,11 @@ def _escalating_horner(coeffs, y, params: GLParams, mp_args, dd_args,
         p = _dd_horner(hi, lo, y_hi, y_lo)
         if mag <= _DD_COND * abs(p) < math.inf:
             return (math.copysign(1.0, p), math.log(abs(p))) if log else p
-        cond = mag / abs(p) if mag <= _DD_TRUSTED_COND * abs(p) else math.inf
-    elif cond > _HORNER_TRUSTED_COND:
-        cond = math.inf
-    return _horner_mp(cond, params, mp_args, 0, log)
+        cond = mag / abs(p) if p != 0.0 else math.inf
+    return _horner_exact(cond, params, exact_args, 0, log)
 
 
-def _horner_array(coeffs, y: np.ndarray, params: GLParams, mp_args, dd_args,
+def _horner_array(coeffs, y: np.ndarray, params: GLParams, exact_args, dd_args,
                   log: bool, cond_max: float):
     """``_escalating_horner`` on an ndarray y, with the same operations per
     point as the float one, so each value is bitwise that of the scalar
@@ -248,14 +246,12 @@ def _horner_array(coeffs, y: np.ndarray, params: GLParams, mp_args, dd_args,
                 kept = (mag[redo] <= _DD_COND * av) & (av < math.inf)
                 p[redo[kept]] = v[kept]
                 redo = redo[~kept]
-                cond[redo] = np.where(mag[redo] <= _DD_TRUSTED_COND * av[~kept],
-                                      mag[redo] / av[~kept], math.inf)
+                cond[redo] = np.where(v[~kept] != 0.0, mag[redo] / av[~kept], math.inf)
         else:
             redo = np.arange(yf.size)
-            cond[cond > _HORNER_TRUSTED_COND] = math.inf
         out = [np.copysign(1.0, p), np.log(np.abs(p))] if log else [p]
     for i in redo:
-        v = _horner_mp(float(cond[i]), params, mp_args, int(i), log)
+        v = _horner_exact(float(cond[i]), params, exact_args, int(i), log)
         for o, vo in zip(out, v if log else (v,)):
             o[i] = vo
     out = [o.reshape(y.shape) for o in out]
@@ -305,13 +301,10 @@ def _dd_ratio(nums, den: int) -> tuple:
     integer true division: hi = fl(c), lo = fl(c - hi).  lo is NaN where c
     is nonzero but hi + lo cannot carry it to 2^-106 (|c| below 2^-969, or
     past the double range), so that the second tier of
-    ``_escalating_horner`` passes such a row on to mpmath."""
+    ``_escalating_horner`` passes such a row on to the exact tier."""
     hi, lo = [], []
     for num in nums:
-        try:
-            h = num / den
-        except OverflowError:
-            h = math.copysign(math.inf, num)
+        h = _div(num, den)
         if _DD_TINY <= abs(h) < math.inf:
             p, q = h.as_integer_ratio()
             lo.append((num * q - p * den) / (den * q))
@@ -324,31 +317,55 @@ def _dd_ratio(nums, den: int) -> tuple:
     return out
 
 
-def _horner_mp(cond: float, params: GLParams, mp_args, i: int, log: bool):
-    """Point i of ``_escalating_horner`` redone in mpmath, given a condition
-    number mag / |sum| from a lower tier (inf where none was good enough).
+def _horner_exact(cond: float, params: GLParams, exact_args, i: int, log: bool):
+    """Point i of ``_escalating_horner`` summed exactly in Python integers,
+    given mag / |v| from a lower tier (inf or NaN where it had no v).
 
-    The sum is redone at 20 + log10(cond) digits on ``mp_args(i)``.  Where
-    cond is inf the mpmath pass measures its own condition number and
-    repeats with more digits until 17 of them are left.
+    ``exact_args(i, bits)`` gives (nums, den, c_bits, Y, D, y_bits): the
+    coefficients nums[j] / den and the point Y / D, D = 2^s, known to a
+    relative 2^-c_bits and 2^-y_bits (None: exact).  A pass sums acc =
+    den 2^(s n) sum, and mag alike with |nums[j]| and |Y|.  It ends where
+    the inputs' rounding, (2^-c_bits + n 2^-y_bits) mag, is at most 2^-60
+    |sum|: one correctly rounded division, or one 80-bit mpmath log with
+    ``log``.  Else the next pass asks for the bits the measured mag / |sum|
+    needs, or twice the inputs' where no bit of the sum was known.  The
+    first asks for those cond needs, at least ``mantissa_bits`` at extended
+    precision; PrecisionError past MAX_ESCALATED_DPS digits.
     """
-    trusted = cond < math.inf
-    dps = max(params.precision.dps, (20 + int(math.log10(cond))) if trusted else 40)
+    bits = _EXACT_BITS + _GUARD_BITS + (
+        math.ceil(math.log2(max(cond, 1.0))) if cond < math.inf else _DD_BITS)
+    if not params.precision.is_double:
+        bits = max(bits, params.precision.mantissa_bits)
     while True:
-        with mp_ctx(dps):
-            cs, ym = mp_args(i)
-            acc = mag = mp.mpf(0)
-            aym = abs(ym)
-            for c in reversed(cs):
-                acc = acc * ym + c
-                if not trusted:
-                    mag = mag * aym + abs(c)
-            lost = 0 if trusted or acc == 0 else int(mp.log10(mag / abs(acc))) + 1
-            if lost <= dps - 17:
-                if not log:
-                    return float(acc)
-                return (-1.0 if acc < 0 else 1.0), float(mp.log(abs(acc)))
-        dps = lost + 20
+        if mp.libmp.prec_to_dps(bits) > MAX_ESCALATED_DPS:
+            raise PrecisionError(f"Horner sum needs {bits} bits, past the cap of "
+                                 f"{MAX_ESCALATED_DPS} digits")
+        nums, den, c_bits, Y, D, y_bits = exact_args(i, bits)
+        acc = mag = 0
+        aY, s = abs(Y), D.bit_length() - 1
+        for k, c in enumerate(reversed(nums)):
+            acc = acc * Y + (c << s * k)
+            mag = mag * aY + (abs(c) << s * k)
+        nb = len(nums).bit_length()
+        known = min(c_bits or math.inf, (y_bits or math.inf) - nb) - 1
+        if known == math.inf or mag << _EXACT_BITS <= abs(acc) << known:
+            break
+        need = _EXACT_BITS + _GUARD_BITS + nb + (
+            mag.bit_length() - abs(acc).bit_length() if acc else 0)
+        bits = max(need, 2 * known) if mag >= abs(acc) << (known - 1) else need
+    den <<= s * (len(nums) - 1)
+    if log:
+        with mp.workprec(80):
+            return (-1.0 if acc < 0 else 1.0), float(mp.log(mp.fdiv(abs(acc), den)))
+    return _div(acc, den)
+
+
+def _div(num: int, den: int) -> float:
+    """num / den (den > 0) correctly rounded, +-inf past the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return -math.inf if num < 0 else math.inf
 
 
 # --------------------------------------------------------------------------
@@ -360,25 +377,19 @@ _2F1_SWITCH = 0.80
 
 
 def _2f1_series_float(a, b, c, z, tol, cap):
-    acc = NeumaierSum()
-    t = 1.0
-    small = 0
-    used = cap
+    """(sum, sum of |terms|, terms used, converged) of the 2F1 series: a
+    plain running sum for the stop test, the returned sums correctly rounded
+    (math.fsum)."""
+    terms = []
+    s, t, small = 0.0, 1.0, 0
     for k in range(cap):
-        acc.add(t)
-        nxt = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        if abs(nxt) <= tol * (abs(acc.value) + 1e-300):
-            small += 1
-            if small >= _CONSECUTIVE:
-                used = k + 1
-                t = nxt
-                break
-        else:
-            small = 0
-        t = nxt
-    else:
-        return acc.value, acc.abs_sum, cap, False
-    return acc.value, acc.abs_sum, used, True
+        terms.append(t)
+        s += t
+        t = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        small = small + 1 if abs(t) <= tol * (abs(s) + 1e-300) else 0
+        if small >= _CONSECUTIVE:
+            break
+    return math.fsum(terms), math.fsum(map(abs, terms)), len(terms), small >= _CONSECUTIVE
 
 
 def gauss_2f1_w1(a: float, b: float, c: float, w: float, tol: float = 1e-16,

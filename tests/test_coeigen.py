@@ -36,12 +36,14 @@ def test_r_eval_bell_on_arrays(alpha, beta):
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.75, 0.5), (0.41, 1.3)])
 def test_r_eval_bell_arrays_bitwise_past_float64(alpha, beta, monkeypatch):
     # past COND_THRESHOLD both tiers take the point x^(1/alpha) from one
-    # mpmath power, so the array value is bitwise the scalar one there,
-    # whether the double-double tier keeps it or mpmath redoes it
+    # cached dyadic value, so the array value is bitwise the scalar one
+    # there, whether the double-double tier keeps it or the exact tier
+    # redoes it
     from glspec import specfun as sf
     escalated = []
-    horner_mp = sf._horner_mp
-    monkeypatch.setattr(sf, "_horner_mp", lambda *a: escalated.append(a[3]) or horner_mp(*a))
+    horner_exact = sf._horner_exact
+    monkeypatch.setattr(sf, "_horner_exact",
+                        lambda *a: escalated.append(a[3]) or horner_exact(*a))
     p = make_params(alpha, beta)
     xs = np.geomspace(0.05, 12.0, 48)
     kept = 0

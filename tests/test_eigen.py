@@ -235,20 +235,25 @@ def test_p_coeffs_slices_one_read_only_table():
 
 def test_p_eval_past_the_double_range_of_binomials(monkeypatch):
     # at n = 1100 the binomials of P_n pass 2^1024; the double-double rows
-    # must not raise on them but pass the point on to mpmath, whose value
-    # (cond about 1.5e229) is checked against a 400-digit sum.  The table
-    # holds only the gamma ratios g_k, so the mpmath rows need n + 1 gammas
-    # at each digit count, not the whole order-1100 triangle.
+    # must not raise on them but pass each point on to the exact tier.  On
+    # the grid of `glspec eval P` (cond 2^94 at x = 0.1 to 2^1068 at 4.6)
+    # each value equals a 400-digit sum, and each point takes at most two
+    # passes: a second is sized from the loss the first measured
     from glspec import specfun as sf
-    p, n, x = make_params(0.5, 1), 1100, 2.6
-    escalated = []
-    horner_mp = sf._horner_mp
-    monkeypatch.setattr(sf, "_horner_mp", lambda *a: escalated.append(a[3]) or horner_mp(*a))
+    p, n, xs = make_params(0.5, 1), 1100, (0.1 + 0.5 * np.arange(10)).tolist()
+    escalated, passes = [], []
+    horner_exact, exact_args = sf._horner_exact, eg._exact_args
+    monkeypatch.setattr(sf, "_horner_exact",
+                        lambda *a: escalated.append(a[3]) or horner_exact(*a))
+    monkeypatch.setattr(eg, "_exact_args", lambda *a: passes.append(a[2]) or exact_args(*a))
     assert np.isnan(eg._dd_row(p, n)[0]).any()
-    got = eg.p_eval(eg.p_coeffs(p, n), n, x)
-    assert escalated == [0]
+    seq = eg.p_coeffs(p, n)
+    got = [eg.p_eval(seq, n, x) for x in xs]
+    assert escalated == [0] * len(xs)
+    assert max(passes.count(x) for x in xs) <= 2
     with mp.workdps(400):
         am, ab = mp.mpf(p.alpha), mp.mpf(p.alpha) * p.beta
-        want = float(mp.fsum((-1) ** k * math.comb(n, k) * mp.gamma(ab + 1)
-                             / mp.gamma(am * k + ab + 1) * mp.mpf(x) ** k for k in range(n + 1)))
-    assert got == pytest.approx(want, rel=1e-15)
+        row = [(-1) ** k * math.comb(n, k) * mp.gamma(ab + 1) / mp.gamma(am * k + ab + 1)
+               for k in range(n + 1)][::-1]
+        want = [float(mp.polyval(row, mp.mpf(x))) for x in xs]
+    assert got == want

@@ -357,7 +357,7 @@ def test_laguerre_semigroup_array_x():
 # four kernel values of the benchmark's kernel list: (kernel, (alpha, beta),
 # t, x, y), the value before the double-double Horner tier, the largest
 # term |e^(-nt) W_n(y) P_n(x)| (or |(1+t)^(-n-1) W_n(y/(1+t)) P_n(x)|) of
-# its sum, and the _horner_mp calls it makes now (144, 99, 52 and 65 with
+# its sum, and the exact-tier calls it makes now (144, 99, 52 and 65 with
 # float64 and mpmath alone)
 _BUDGET = [
     ("heat", (0.5, 1.0), 0.5463888695504763, 1.5880466472303207, 5.92716049382716,
@@ -377,9 +377,9 @@ _BUDGET = [
 def test_kernel_escalation_budget(kernel, pair, t, x, y, before, scale, calls, monkeypatch):
     from glspec import specfun as sf
     count = [0]
-    horner_mp = sf._horner_mp
-    monkeypatch.setattr(sf, "_horner_mp", lambda *a: count.__setitem__(0, count[0] + 1)
-                        or horner_mp(*a))
+    horner_exact = sf._horner_exact
+    monkeypatch.setattr(sf, "_horner_exact", lambda *a: count.__setitem__(0, count[0] + 1)
+                        or horner_exact(*a))
     value = getattr(sg, f"{kernel}_kernel")(make_params(*pair), t, x, y)
     assert abs(value - before) <= 1e-15 * scale
     assert count[0] == calls

@@ -9,7 +9,8 @@ from glspec.core import COND_THRESHOLD, DomainError, PoleError, make_params
 from glspec import specfun as sf
 
 from oracles import (bell_args, bell_partitions, bell_table, binet_log_gamma,
-                     euler_2f1, frak_I_mp, g_kernel_integral, wright_series_mp)
+                     euler_2f1, frak_I_mp, g_kernel_integral, r_coeffs_bell_mp,
+                     wright_series_mp)
 
 
 # --------------------------------------------------------------------------
@@ -69,6 +70,9 @@ def test_2f1_log_closed_form():
     # 2F1(1,1;2;z) = -log(1-z)/z
     r = sf.gauss_2f1(1.0, 1.0, 2.0, 0.5)
     assert r.value.real == pytest.approx(-math.log(0.5) / 0.5, rel=1e-14)
+    # positive terms: the value and the sum of |terms| are one correctly
+    # rounded sum (math.fsum) of the same floats
+    assert r.abs_term_sum == r.value.real
 
 
 def test_2f1_connection_region_euler_oracle():
@@ -216,22 +220,23 @@ def test_bell_table_domain():
 
 def test_escalating_horner_array_log_form_and_cond_max(p_half):
     # P_20 at alpha = 1/2: float64 below x of about 1, escalated past it
-    from glspec.eigen import _coeffs_mp, _dd_row, p_coeffs
+    from glspec.eigen import _coeffs_mp, _dd_row, _exact_args, p_coeffs
     cs = p_coeffs(p_half, 20).coeff[20]
     ys = np.linspace(0.1, 9.0, 25)
-    mp_args = lambda i: (_coeffs_mp(p_half, 20), mp.mpf(ys[i]))
+    exact_args = lambda i, bits: _exact_args(p_half, 20, float(ys[i]), bits)
     dd_args = lambda i: (_dd_row(p_half, 20), (float(ys[i]), 0.0))
-    sign, lv = sf._escalating_horner(cs, ys, p_half, mp_args, dd_args, log=True)
+    sign, lv = sf._escalating_horner(cs, ys, p_half, exact_args, dd_args, log=True)
     for i, y in enumerate(ys.tolist()):
-        s1, l1 = sf._escalating_horner(cs, y, p_half, lambda _: mp_args(i),
+        s1, l1 = sf._escalating_horner(cs, y, p_half, lambda _, bits: exact_args(i, bits),
                                        lambda _: dd_args(i), log=True)
         assert sign[i] == s1 and lv[i] == pytest.approx(l1, rel=1e-15, abs=1e-15)
     # a tighter cond_max sends more points past the float64 pass, to the
-    # double-double tier and beyond it to mpmath, each then right to 1e-15
+    # double-double tier and beyond it to the exact tier, each then right
+    # to 1e-15
     with mp.workdps(60):
         exact = [float(mp.polyval(_coeffs_mp(p_half, 20)[::-1], mp.mpf(y))) for y in ys]
-    loose = sf._escalating_horner(cs, ys, p_half, mp_args, dd_args)
-    tight = sf._escalating_horner(cs, ys, p_half, mp_args, dd_args, cond_max=1.0)
+    loose = sf._escalating_horner(cs, ys, p_half, exact_args, dd_args)
+    tight = sf._escalating_horner(cs, ys, p_half, exact_args, dd_args, cond_max=1.0)
     np.testing.assert_allclose(tight, exact, rtol=1e-15)
     assert np.max(np.abs(loose / exact - 1.0)) <= COND_THRESHOLD * 1e-15
 
@@ -259,21 +264,22 @@ def _tier_case(family, p, n):
     if family == "R":
         return ce.r_coeffs(p, n), ys, ce.r_eval_bell(p, n, xs), lambda: ce.r_coeffs_mp(p, n), xs
     d = ce._w_coeffs(p, n, 1)
-    got = sf._escalating_horner(
-        d[0], ys, p, lambda i: (ce._w_coeffs_mp(p, n, 1), mp.mpf(xs[i]) ** (1 / mp.mpf(a))),
-        lambda i: (d, ce._y_dd(xs, a, i)))
-    return d[0], ys, got, lambda: ce._w_coeffs_mp(p, n, 1), xs
+    got = sf._escalating_horner(d[0], ys, p, ce._exact_args(p, n, 1, xs),
+                                lambda i: (d, ce._point(float(xs[i]), a)[0]))
+    nums, den = ce._exact(p, n, 1)
+    return d[0], ys, got, lambda: [mp.fdiv(c, den) for c in nums], xs
 
 
 @pytest.mark.parametrize("family", ["P", "R", "W1"])
 def test_double_double_tier_accuracy(family, monkeypatch):
     # every point past COND_THRESHOLD goes to the double-double tier; each
     # value it keeps is right to 2.3e-16 against a 100-digit sum, and each it
-    # passes on (true cond past about 1e16) reaches _horner_mp
+    # passes on (true cond past about 1e16) reaches the exact tier
     escalated = []
-    horner_mp = sf._horner_mp
-    monkeypatch.setattr(sf, "_horner_mp", lambda *a: escalated.append(a[3]) or horner_mp(*a))
-    kept_conds, mp_conds = [], []
+    horner_exact = sf._horner_exact
+    monkeypatch.setattr(sf, "_horner_exact",
+                        lambda *a: escalated.append(a[3]) or horner_exact(*a))
+    kept_conds, exact_conds = [], []
     for alpha, beta in _TIER_PAIRS:
         p = make_params(alpha, beta)
         for n in (25, 45):
@@ -293,7 +299,7 @@ def test_double_double_tier_accuracy(family, monkeypatch):
             assert set(escalated) <= set(np.flatnonzero(past).tolist())
             for i in np.flatnonzero(past):
                 if i in escalated:
-                    mp_conds.append(true_cond[i])
+                    exact_conds.append(true_cond[i])
                     assert true_cond[i] > 1e15, (alpha, beta, n, xs[i])
                 else:
                     kept_conds.append(true_cond[i])
@@ -302,16 +308,110 @@ def test_double_double_tier_accuracy(family, monkeypatch):
                     assert true_cond[i] < 1e17, (alpha, beta, n, xs[i])
     # the grids reach both sides of the tier's bound
     assert min(kept_conds) < 1e9 and max(kept_conds) > 1e15
-    assert min(mp_conds) < 1e17 and max(mp_conds) > 1e20
+    assert min(exact_conds) < 1e17 and max(exact_conds) > 1e20
 
 
-def test_extended_precision_sends_every_point_to_mpmath(monkeypatch):
+def test_extended_precision_sends_every_point_to_the_exact_tier(monkeypatch):
     from glspec import coeigen as ce
     from glspec.core import EXT128
     escalated = []
-    horner_mp = sf._horner_mp
-    monkeypatch.setattr(sf, "_horner_mp", lambda *a: escalated.append(a[3]) or horner_mp(*a))
+    horner_exact = sf._horner_exact
+    monkeypatch.setattr(sf, "_horner_exact",
+                        lambda *a: escalated.append(a[3]) or horner_exact(*a))
     monkeypatch.setattr(sf, "_dd_horner", None)      # never reached
     xs = np.geomspace(0.05, 12.0, 20)
     ce.r_eval_bell(make_params(0.5, 1.0, EXT128), 30, xs)
     assert escalated == list(range(xs.size))
+
+
+# --------------------------------------------------------------------------
+# the exact tier of the escalating Horner
+# --------------------------------------------------------------------------
+
+def _exact_tier_case(family, p, n):
+    """(escalating Horner's values, its (signs, logs), 100-digit sums, true
+    conds) of P_n or of the polynomial in y = x^(1/alpha) of R_n (W0) or
+    W_n^(q) (Wq), the reference rows from gammas (P) or from the Bell
+    oracle of R_n and the q-recurrence in mpmath."""
+    from glspec import coeigen as ce
+    from glspec import eigen as eg
+    a = p.alpha
+    if family == "P":
+        xs = np.geomspace(0.2, 100.0, 40)
+        cs = eg.p_coeffs(p, n).coeff[n]
+        run = lambda log: sf._escalating_horner(
+            cs, xs, p, lambda i, bits: eg._exact_args(p, n, float(xs[i]), bits),
+            lambda i: (eg._dd_row(p, n), (float(xs[i]), 0.0)), log=log)
+        with mp.workdps(100):
+            am, ab = mp.mpf(a), mp.mpf(a) * p.beta
+            row = [(-1) ** k * math.comb(n, k) * mp.gamma(ab + 1) / mp.gamma(am * k + ab + 1)
+                   for k in range(n + 1)]
+            pts = [mp.mpf(x) for x in xs]
+    else:
+        q, xs = int(family[1]), np.geomspace(0.2, 40.0, 40)
+        d = ce._w_coeffs(p, n, q)
+        run = lambda log: sf._escalating_horner(
+            d[0], np.power(xs, 1.0 / a), p, ce._exact_args(p, n, q, xs),
+            lambda i: (d, ce._point(float(xs[i]), a)[0]), log=log)
+        row = r_coeffs_bell_mp(p, n, dps=100)
+        with mp.workdps(100):
+            am = mp.mpf(a)
+            ba = mp.mpf(p.beta) + 1 / am - 1
+            for k in range(q):
+                row = [(ba - k + j / am) * (row[j] if j < len(row) else 0)
+                       - (row[j - 1] / am if j else 0) for j in range(len(row) + 1)]
+            pts = [mp.mpf(x) ** (1 / am) for x in xs]
+    with mp.workdps(100):
+        ref = [mp.polyval(row[::-1], y) for y in pts]
+        cond = [float(mp.polyval([abs(c) for c in row[::-1]], y) / abs(v))
+                for y, v in zip(pts, ref)]
+        logs = [float(mp.log(abs(v))) for v in ref]
+    return run(False), run(True), [float(v) for v in ref], logs, cond
+
+
+@pytest.mark.parametrize("alpha, beta, precision", [
+    (0.5, 1.0, "double"),                     # exact point y = x^2
+    (1.0 / 3.0, 2.0, "double"),               # binary 1/3: y rounded
+    (1.0 / math.sqrt(2.0), 0.3, "double"),    # an irrational pair
+    (0.75, 0.5, "ext128")], ids=["half", "third", "irrational", "ext128"])
+def test_exact_tier_values_are_the_rounded_hundred_digit_sums(alpha, beta, precision,
+                                                                monkeypatch):
+    # every point that reaches the exact tier (true cond past about 1e16, or
+    # every point at extended precision) gives the float64 rounding of a
+    # 100-digit sum, and in log form the rounding of its log
+    escalated = []
+    horner_exact = sf._horner_exact
+    monkeypatch.setattr(sf, "_horner_exact",
+                        lambda *a: escalated.append(a[3]) or horner_exact(*a))
+    p = make_params(alpha, beta, precision)
+    top = {}
+    for family, n in (("P", 70), ("W0", 50), ("W1", 50), ("W2", 50)):
+        escalated.clear()
+        got, (signs, logs), want, want_logs, cond = _exact_tier_case(family, p, n)
+        reached = sorted(set(escalated))
+        if precision == "double":
+            assert all(cond[i] > 1e15 for i in reached) and len(reached) >= 5, family
+        else:
+            assert reached == list(range(len(cond)))
+        for i in reached:
+            if cond[i] <= 1e60:
+                assert got[i] == want[i], (family, i, cond[i])
+                assert (signs[i], logs[i]) == (math.copysign(1.0, want[i]), want_logs[i])
+                top[family] = max(top.get(family, 0.0), cond[i])
+    assert top["P"] > 1e30 and min(top.values()) > 1e20
+
+
+def test_exact_tier_past_the_cap_raises(monkeypatch):
+    # P_1100(2.6) at (1/2, 1) has cond about 2^761, past a cap of 100 digits
+    from glspec import eigen as eg
+    from glspec.core import PrecisionError
+    monkeypatch.setattr(sf, "MAX_ESCALATED_DPS", 100)
+    p = make_params(0.5, 1.0)
+    with pytest.raises(PrecisionError):
+        eg.p_eval(eg.p_coeffs(p, 1100), 1100, 2.6)
+
+
+def test_dd_ratio_past_the_double_range():
+    hi, lo = sf._dd_ratio([10 ** 400, -(10 ** 400), 3], 2)
+    assert hi.tolist() == [math.inf, -math.inf, 1.5]
+    assert math.isnan(lo[0]) and math.isnan(lo[1]) and lo[2] == 0.0
