@@ -148,38 +148,35 @@ def _exact_args(params: GLParams, n: int, q: int, x):
                             *_y_exact(float(np.ravel(x)[i]), params.alpha, bits))
 
 
-def _r_horner(params: GLParams, n: int, x, log: bool):
-    """R_n(x) from its finite expansion in powers of y = x^(1/alpha) (the
-    classical Laguerre recurrence at alpha = 1), at a float x or at every
-    point of an ndarray x; with log, (sign, log|R_n|) at a float x."""
+def _w_horner(params: GLParams, n: int, q: int, x, log: bool):
+    """sum_j d_j y^j of W_n^(q)(x) = x^(-q) e(x) sum_j d_j y^j, y =
+    x^(1/alpha) (R_n(x) at q = 0, the classical Laguerre polynomial at
+    alpha = 1), by the escalating Horner at a float x or at every point of
+    an ndarray x; with log, (sign, log|sum|) at a float x."""
     arr = isinstance(x, np.ndarray)
     if (x <= 0.0).any() if arr else x <= 0.0:
         raise DomainError("co-eigenfunctions are evaluated on x > 0")
     if n < 0:
         raise DomainError("order must be >= 0")
-    if params.is_classical:
+    if params.is_classical and q == 0:
         v = laguerre_eval(n, params.beta, x)
-        if arr:
-            return v + np.zeros(x.shape)
-        if not log:
+        if arr or not log:
             return v
         return math.copysign(1.0, v), (math.log(abs(v)) if v else -math.inf)
-    a = params.alpha
+    a, d = params.alpha, _w_coeffs(params, n, q)
     if arr:
         with np.errstate(over="ignore"):
             y = np.power(x, 1.0 / a)
     else:
         y = real_pow(x, 1.0 / a)
-    return _escalating_horner(
-        r_coeffs(params, n), y, params, _exact_args(params, n, 0, x),
-        lambda i: (_w_coeffs(params, n, 0), _point(float(np.ravel(x)[i]), a)[0]),
-        log=log)
+    return _escalating_horner(d[0], y, params, _exact_args(params, n, q, x),
+                              lambda i: (d, _point(float(np.ravel(x)[i]), a)[0]), log=log)
 
 
 def r_eval_bell(params: GLParams, n: int, x):
     """R_n(x) from the finite power expansion in y = x^(1/alpha), with the
     coefficients of the cached table; x a float or an ndarray."""
-    return _r_horner(params, n, x, log=False)
+    return _w_horner(params, n, 0, x, log=False)
 
 
 def r_fn(params: GLParams, n: int) -> RealFn:
@@ -275,17 +272,8 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
     """
     if q < 0:
         raise DomainError("derivative order must be >= 0")
-    if q == 0:
-        sign, lr = _r_horner(params, n, x, log=True)
-    else:
-        if x <= 0.0:
-            raise DomainError("W_n is evaluated on x > 0")
-        a, d = params.alpha, _w_coeffs(params, n, q)
-        sign, lr = _escalating_horner(
-            d[0], real_pow(x, 1.0 / a), params, _exact_args(params, n, q, x),
-            lambda _: (d, _point(float(x), a)[0]), log=True)
-        lr -= q * math.log(x)
-    lw = lr + log_weight_eval(weight_e_ab(params), x)
+    sign, lr = _w_horner(params, n, q, x, log=True)
+    lw = lr - q * math.log(x) + log_weight_eval(weight_e_ab(params), x)
     return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
 
 

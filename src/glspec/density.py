@@ -324,7 +324,8 @@ def lambda_value(params: GLParams, z: float) -> float:
 # Integration grid against lambda
 # --------------------------------------------------------------------------
 
-_GRID_CACHE: dict = {}
+#: Legendre panels on (0, Y] and nodes per panel of ``_lambda_grid``
+_NPANEL, _DEG = 12, 32
 
 
 def _chernoff_log_tail(params: GLParams):
@@ -347,31 +348,29 @@ def _first_past(bound, cap: float, log_target: float, step: float) -> float:
     return float(ys[np.argmax((ys >= cap) | (bound(ys) < log_target))])
 
 
-def _lambda_grid(params: GLParams, npanel: int = 12, deg: int = 32):
+@lru_cache(maxsize=32)
+def _lambda_grid(params: GLParams):
     """Composite Legendre nodes on (0, Y] with cached kernel values, from
-    one ``lambda_values`` call.
+    one ``lambda_values`` call, read-only.
 
     Nodes whose Chernoff bound puts the density below 1e-30 are skipped;
     they are irrelevant at the 1e-9 quadrature tolerances used here.
     """
-    key = (params, npanel, deg)
-    if key in _GRID_CACHE:
-        return _GRID_CACHE[key]
     bound = _chernoff_log_tail(params)
     Y = _first_past(bound, 400.0, -60.0, 1.2)       # P(Y > y) below e^-60
-    xl, wl = roots_legendre(deg)
+    xl, wl = roots_legendre(_DEG)
     # bulk panels cover the mass; a single panel spans the expensive far tail
     T = min(_first_past(bound, Y, -23.0, 1.15), 0.98 * Y)
-    edges = np.concatenate([[0.0], np.geomspace(Y / 256.0, T, npanel - 1), [Y]])
+    edges = np.concatenate([[0.0], np.geomspace(Y / 256.0, T, _NPANEL - 1), [Y]])
     lo, hi = edges[:-1, None], edges[1:, None]
     nodes = (0.5 * (hi - lo) * xl + 0.5 * (hi + lo)).ravel()
     wts = (0.5 * (hi - lo) * wl).ravel()
     skip = (nodes > 2.0) & (bound(0.85 * nodes) - np.log(nodes) < math.log(1e-30))
     lam = np.zeros_like(nodes)
     lam[~skip] = lambda_values(params, nodes[~skip])
-    out = (nodes, wts, lam, Y)
-    _GRID_CACHE[key] = out
-    return out
+    for a in (nodes, wts, lam):         # one grid is shared by every caller
+        a.flags.writeable = False
+    return nodes, wts, lam, Y
 
 
 def markov_lambda_apply(params: GLParams, f, x: float) -> float:

@@ -7,8 +7,9 @@ P_0 = 1, P_n(0) = 1, the coefficients alternate in sign, and the family is
 not orthogonal for alpha < 1, so there is no three-term recurrence: monomial
 coefficients with Horner are the only evaluation route, falling back to
 exact integer sums when the Horner condition number explodes.  At
-alpha = 1 evaluation dispatches to the stable classical Laguerre recurrence
-rescaled so the constant term is 1.
+alpha = 1 evaluation dispatches to the classical Laguerre polynomial
+(``laguerre_eval``, scipy's ``eval_genlaguerre``), rescaled so the constant
+term is 1.
 
 The float64 table comes from log-gammas (``p_coeffs``).  The "P" table of
 ``core.coeff_table``, the package's one coefficient cache, holds the gamma
@@ -26,7 +27,7 @@ from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 from .core import (TABLE_MIN_DPS, ConvergenceError, DomainError, GLParams,
                    RealFn, coeff_faces, coeff_table, make_params, mp_ctx)
@@ -145,21 +146,13 @@ def _dd_row(params: GLParams, n: int) -> tuple:
     return pair
 
 
-def laguerre_eval(n: int, beta: float, x: float, derivative: int = 0) -> float:
-    """Classical generalized Laguerre value by the three-term recurrence.
-
-    d/dx L_n^(b) = -L_{n-1}^(b+1) handles derivatives recursively.
-    """
-    if derivative > 0:
-        if n == 0:
-            return 0.0
-        return -laguerre_eval(n - 1, beta + 1.0, x, derivative - 1)
-    if n == 0:
-        return 1.0
-    lm1, l = 1.0, 1.0 + beta - x
-    for k in range(1, n):
-        lm1, l = l, ((2.0 * k + 1.0 + beta - x) * l - (k + beta) * lm1) / (k + 1.0)
-    return l
+def laguerre_eval(n: int, beta: float, x, derivative: int = 0):
+    """Classical generalized Laguerre value L_n^(b)(x) (scipy's
+    ``eval_genlaguerre``) at a float x or at every point of an ndarray x;
+    d/dx L_n^(b) = -L_{n-1}^(b+1) gives the derivatives (0 past order n,
+    where the ufunc's order is negative)."""
+    v = (-1.0) ** derivative * eval_genlaguerre(n - derivative, beta + derivative, x)
+    return v if isinstance(x, np.ndarray) else float(v)
 
 
 @lru_cache(maxsize=64)
@@ -191,8 +184,6 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
     if params.is_classical:
         b2 = math.exp(gammaln(n + 1.0) + gammaln(params.beta + 1.0)
                       - gammaln(n + params.beta + 1.0))
-        if n == 0 and isinstance(x, np.ndarray):
-            return np.full(x.shape, b2)
         return b2 * laguerre_eval(n, params.beta, x)
     return _escalating_horner(seq.coeff[n, :n + 1], x, params,
                               lambda i, bits: _exact_args(params, n, float(np.ravel(x)[i]), bits),
@@ -225,21 +216,14 @@ def jensen_check(params: GLParams, x: float, t: float, N: int) -> float:
     Both sides are positive-term series, so the comparison is well
     conditioned; a ConvergenceError signals that N leaves a visible tail.
     """
-    a, b = params.alpha, params.beta
     if t < 0.0 or x < 0.0:
         raise DomainError("jensen_check expects x >= 0 and t >= 0")
     lhs = math.exp(t) * cal_I(params, x * t).value.real
-    lg0 = gammaln(a * b + 1.0)
-    acc = 0.0
-    last = 0.0
+    seq, acc, last = p_coeffs(params, N), 0.0, 0.0
     for n in range(N + 1):
-        # P_n(-x) = Gamma(ab+1) sum_k C(n,k) x^k / Gamma(ak+ab+1), positive
-        pn = sum(math.exp(lg0 + gammaln(n + 1.0) - gammaln(k + 1.0)
-                          - gammaln(n - k + 1.0) - gammaln(a * k + a * b + 1.0)
-                          + (k * math.log(x) if x > 0.0 else 0.0))
-                 for k in range((n + 1) if x > 0.0 else 1))
-        last = pn * (math.exp(n * math.log(t) - gammaln(n + 1.0)) if t > 0.0
-                     else (1.0 if n == 0 else 0.0))
+        # P_n(-x): every term of its Horner sum is positive, so it stays in float64
+        last = p_eval(seq, n, -float(x)) * (math.exp(n * math.log(t) - gammaln(n + 1.0))
+                                            if t > 0.0 else float(n == 0))
         acc += last
     if last > 1e-11 * max(abs(lhs), 1.0):
         raise ConvergenceError(f"jensen_check: N = {N} leaves tail term {last:.2e}")

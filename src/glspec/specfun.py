@@ -1,12 +1,13 @@
 """Special-function kernel.
 
-Complex log-gamma (Lanczos at double precision), the Gauss hypergeometric
-series with its z -> 1-z connection formula, the positive-term entire
-function cal_I, and ``_escalating_horner``: the finite expansions of P_n,
-R_n and W_n^(q) are summed by Horner at a float or over a whole ndarray of
-points at once, in three tiers.  The float64 pass keeps each point whose
-condition number mag / |sum|, mag = sum |c_j| |y|^j, is at most
-COND_THRESHOLD.  A double-double pass (Dekker's error-free product) redoes
+The package's gamma functions (``log_gamma``, ``rgamma_c``,
+``log_abs_gamma``, ``gamma_sign``: scipy.special's ufuncs, with PoleError at
+the poles), the Gauss hypergeometric series with its z -> 1-z connection
+formula, the positive-term entire function cal_I, and
+``_escalating_horner``: the finite expansions of P_n, R_n and W_n^(q) are
+summed by Horner at a float or over a whole ndarray of points at once, in
+three tiers.  The float64 pass keeps each point whose condition number
+mag / |sum|, mag = sum |c_j| |y|^j, is at most COND_THRESHOLD.  A double-double pass (Dekker's error-free product) redoes
 the others and keeps its value v where mag <= 1e16 |v|: its error, a few
 u^2 mag in practice (u = 2^-53), is then within the float64 rounding of v.
 The rest, and every point at extended precision, are summed on their own
@@ -16,13 +17,12 @@ cancellation needs, and rounded once.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln as _sp_gammaln
+from scipy.special import gammaln, gammasgn, loggamma, rgamma
 
 from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, MAX_ESCALATED_DPS,
                    ConvergenceError, DomainError, GLParams, PoleError,
@@ -33,108 +33,46 @@ __all__ = [
     "gauss_2f1", "gauss_2f1_w1", "cal_I",
 ]
 
-_LOG_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _is_nonpositive_int(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
-
-
-def _lanczos_loggamma(z: complex) -> complex:
-    """Principal log-gamma for Re(z) >= 0.5."""
-    zm1 = z - 1.0
-    a = _LANCZOS_C[0]
-    for k in range(1, 9):
-        a += _LANCZOS_C[k] / (zm1 + k)
-    t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(a)
-
-
-def _log_sinpi_asym(z: complex) -> complex:
-    """Analytic continuation of log sin(pi z), exact to double for |Im z| >= 10.
-
-    sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}) for Im z > 0.
-    """
-    if z.imag > 0:
-        return (-1j * cmath.pi * z + complex(-math.log(2.0), 0.5 * math.pi)
-                + cmath.log(1.0 - cmath.exp(2j * cmath.pi * z)))
-    return (1j * cmath.pi * z + complex(-math.log(2.0), -0.5 * math.pi)
-            + cmath.log(1.0 - cmath.exp(-2j * cmath.pi * z)))
+def _pole(x) -> bool:
+    """x (real or complex) is a pole of Gamma: a real integer <= 0."""
+    if isinstance(x, complex):
+        if x.imag != 0.0:
+            return False
+        x = x.real
+    return x <= 0.0 and x == round(x)
 
 
 def log_gamma(z) -> complex:
-    """Principal-branch complex log-gamma.
-
-    exp(log_gamma(z)) = Gamma(z); relative accuracy ~1e-15 at double
-    precision for |z| up to 1e6.  Raises PoleError at the poles.
-    """
-    zc = complex(z)
-    if _is_nonpositive_int(zc):
-        raise PoleError(f"log_gamma pole at z = {zc}")
-    if zc.real >= 0.5:
-        out = _lanczos_loggamma(zc)
-    elif abs(zc.imag) >= 10.0:
-        # reflection: log G(z) = log pi - log sin(pi z) - log G(1 - z)
-        out = math.log(math.pi) - _log_sinpi_asym(zc) - _lanczos_loggamma(1.0 - zc)
-    else:
-        # recurrence shift keeps the principal branch near the real axis
-        n = int(math.ceil(0.5 - zc.real))
-        shift = 0.0 + 0.0j
-        for j in range(n):
-            shift += cmath.log(zc + j)
-        out = _lanczos_loggamma(zc + n) - shift
-    if isinstance(z, (int, float)):
-        return complex(out.real, out.imag)
-    return out
+    """Principal-branch complex log-gamma (scipy's ``loggamma``): the
+    continuation of log Gamma from the positive axis by log Gamma(z + 1) =
+    log Gamma(z) + log z, so exp(log_gamma(z)) = Gamma(z).  Raises PoleError
+    at the poles."""
+    if _pole(z):
+        raise PoleError(f"log_gamma pole at z = {complex(z)}")
+    return complex(loggamma(complex(z)))
 
 
 def rgamma_c(z) -> complex:
-    """Entire reciprocal gamma 1/Gamma(z) for real or complex argument."""
-    zc = complex(z)
-    if _is_nonpositive_int(zc):
-        return 0.0 + 0.0j
-    if zc.real >= 0.5:
-        return cmath.exp(-_lanczos_loggamma(zc))
-    # 1/G(z) = sin(pi z) G(1 - z) / pi
-    lg = _lanczos_loggamma(1.0 - zc) + _log_sinpi_asym(zc) - math.log(math.pi) \
-        if abs(zc.imag) >= 10.0 else \
-        _lanczos_loggamma(1.0 - zc) + cmath.log(cmath.sin(cmath.pi * zc)) - math.log(math.pi)
-    if lg.real > 700.0:
-        return cmath.inf
-    return cmath.exp(lg)
+    """Entire reciprocal gamma 1/Gamma(z) (scipy's ``rgamma``) for real or
+    complex argument; 0 at the poles."""
+    return complex(rgamma(complex(z)))
 
 
 def log_abs_gamma(x: float) -> float:
-    """log |Gamma(x)| for real non-pole x of either sign."""
-    if x > 0.0:
-        return float(_sp_gammaln(x))
-    if x == round(x):
+    """log |Gamma(x)| (scipy's ``gammaln``) for real non-pole x of either
+    sign; PoleError at the poles."""
+    if _pole(x):
         raise PoleError(f"gamma pole at {x}")
-    return (math.log(math.pi) - math.log(abs(math.sin(math.pi * x)))
-            - float(_sp_gammaln(1.0 - x)))
+    return float(gammaln(x))
 
 
 def gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) for real non-pole x."""
-    if x > 0.0:
-        return 1.0
-    if x == round(x):
+    """Sign of Gamma(x) (scipy's ``gammasgn``) for real non-pole x;
+    PoleError at the poles."""
+    if _pole(x):
         raise PoleError(f"gamma pole at {x}")
-    return 1.0 if math.sin(math.pi * x) > 0.0 else -1.0
+    return float(gammasgn(x))
 
 
 # --------------------------------------------------------------------------
@@ -355,8 +293,12 @@ def _horner_exact(cond: float, params: GLParams, exact_args, i: int, log: bool):
         bits = max(need, 2 * known) if mag >= abs(acc) << (known - 1) else need
     den <<= s * (len(nums) - 1)
     if log:
+        # |acc| / den as q 2^-k, q of about 100 bits truncated with a sticky
+        # last bit, so that rounding q to 80 bits rounds the exact ratio
+        k = 100 + den.bit_length() - abs(acc).bit_length()
+        q, r = divmod(abs(acc) << max(k, 0), den << max(-k, 0))
         with mp.workprec(80):
-            return (-1.0 if acc < 0 else 1.0), float(mp.log(mp.fdiv(abs(acc), den)))
+            return (-1.0 if acc < 0 else 1.0), float(mp.log(mp.ldexp(mp.mpf(q | bool(r)), -k)))
     return _div(acc, den)
 
 
@@ -406,10 +348,10 @@ def gauss_2f1_w1(a: float, b: float, c: float, w: float, tol: float = 1e-16,
     if not (0.0 < w <= 0.5):
         raise DomainError("gauss_2f1_w1 expects 0 < w <= 0.5")
     g1 = (gamma_sign(s) * gamma_sign(c - a) * gamma_sign(c - b)
-          * math.exp(_sp_gammaln(c) + log_abs_gamma(s)
+          * math.exp(gammaln(c) + log_abs_gamma(s)
                      - log_abs_gamma(c - a) - log_abs_gamma(c - b)))
     g2 = (gamma_sign(-s) * gamma_sign(a) * gamma_sign(b)
-          * math.exp(_sp_gammaln(c) + log_abs_gamma(-s)
+          * math.exp(gammaln(c) + log_abs_gamma(-s)
                      - log_abs_gamma(a) - log_abs_gamma(b)))
     v1, s1, u1, ok1 = _2f1_series_float(a, b, a + b - c + 1.0, w, tol, max_terms)
     v2, s2, u2, ok2 = _2f1_series_float(c - a, c - b, s + 1.0, w, tol, max_terms)
@@ -471,13 +413,13 @@ def cal_I(params: GLParams, z) -> SeriesResult:
     if z < 0.0:
         raise DomainError("cal_I is summed for z >= 0 only")
     a, b = params.alpha, params.beta
-    lg0, lz = _sp_gammaln(a * b + 1.0), math.log(z) if z > 0.0 else -math.inf
+    lg0, lz = gammaln(a * b + 1.0), math.log(z) if z > 0.0 else -math.inf
     logs, top, small = [], -math.inf, 0
     while small < _CONSECUTIVE:
         k = len(logs)
         if k == _SERIES_CAP:
             raise ConvergenceError(f"cal_I did not converge in {k} terms")
-        lt = lg0 - _sp_gammaln(a * k + a * b + 1.0) - _sp_gammaln(k + 1.0) \
+        lt = lg0 - gammaln(a * k + a * b + 1.0) - gammaln(k + 1.0) \
             + (k * lz if k else 0.0)
         logs.append(lt)
         top = max(top, lt)

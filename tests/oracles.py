@@ -443,9 +443,10 @@ def moment_ode_evolution(alpha: float, beta: float, k: int, t: float):
 
 
 def classical_laguerre(n: int, beta: float, x: float) -> float:
-    """Generalized Laguerre polynomial via the library evaluator."""
-    from scipy.special import eval_genlaguerre
-    return float(eval_genlaguerre(n, beta, x))
+    """Generalized Laguerre polynomial L_n^(beta)(x) in mpmath at 40 digits
+    (the package evaluates it with scipy's eval_genlaguerre)."""
+    with mp.workdps(40):
+        return float(mp.laguerre(n, beta, x))
 
 
 def quad_against_weight(alpha, beta, f, dps: int = 30, upper: float = 80.0) -> float:

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from glspec import asymptotics as asy
-from glspec.core import make_params
+from glspec.core import asymp_constants, make_params
 
 from oracles import W_ORACLE_Y_CAP, w_density_mp
 
@@ -63,3 +63,66 @@ def test_norm_envelope_holds_over_15_to_25(alpha, beta):
         # the auxiliary norm of R_n, the polynomial sum_j c_j u^j in u = x^2
         assert max(rep["aux_rates"]) == pytest.approx(0.731, abs=5e-4)
         assert rep["aux_bound"] == pytest.approx(4.14, abs=5e-3)
+
+
+# --------------------------------------------------------------------------
+# the saddle maps: identities the bounds rely on
+# --------------------------------------------------------------------------
+
+_SADDLE_ALPHAS = (0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 0.9, 0.99)
+
+
+@pytest.mark.parametrize("alpha", _SADDLE_ALPHAS)
+def test_kappa_bar_endpoints_are_the_region_constants(alpha):
+    # A_bar at 0+, B_bar at pi/(2(1+alpha)), C_bar at pi/2-; the last moves
+    # by about 250 times its distance from pi/2 at alpha = 0.99
+    c = asymp_constants(alpha)
+    assert asy.kappa_bar(alpha, 1e-9) == pytest.approx(c.A_bar, rel=1e-15)
+    assert asy.kappa_bar(alpha, math.pi / (2.0 * (1.0 + alpha))) == pytest.approx(c.B_bar,
+                                                                                   rel=1e-15)
+    assert asy.kappa_bar(alpha, 0.5 * math.pi - 1e-12) == pytest.approx(c.C_bar, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", _SADDLE_ALPHAS)
+def test_tau_star_is_the_critical_point_of_g(alpha):
+    # g'(tau_star) = 0 to 1.6e-12 (at varsigma = 40) above alpha/(1+alpha),
+    # tau_star = 0 at or below it; g_func_prime is g's derivative (6e-11
+    # against a central difference) and H_star adds g(tau_star)/varsigma
+    # to H_kappa only where the saddle is active
+    thr = alpha / (1.0 + alpha)
+    for vs in (1.001 * thr, 1.5 * thr, 0.9, 1.0, 1.7, 5.0, 40.0):
+        ts = asy.tau_star(alpha, vs)
+        assert ts > 0.0 and abs(asy.g_func_prime(alpha, vs, ts)) <= 1e-11, vs
+        assert asy.g_func(alpha, vs, ts) >= max(asy.g_func(alpha, vs, f * ts) for f in (0.9, 1.1))
+        t, h = ts + 1.0, 1e-5 * (ts + 1.0)
+        fd = (asy.g_func(alpha, vs, t + h) - asy.g_func(alpha, vs, t - h)) / (2.0 * h)
+        assert asy.g_func_prime(alpha, vs, t) == pytest.approx(fd, rel=1e-9, abs=1e-9)
+        assert asy.H_star(alpha, 2.0, vs) - asy.H_kappa(alpha, 2.0, vs) == pytest.approx(
+            asy.g_func(alpha, vs, ts) / vs, rel=1e-14, abs=1e-15)
+    for vs in (thr, 0.5 * thr, 0.01):
+        assert asy.tau_star(alpha, vs) == 0.0
+        assert asy.H_star(alpha, 2.0, vs) == asy.H_kappa(alpha, 2.0, vs)
+
+
+@pytest.mark.parametrize("alpha", _SADDLE_ALPHAS)
+def test_saddle_state_agrees_with_kappa_bar(alpha):
+    thr = alpha / (1.0 + alpha)
+    for vs in (1.001 * thr, 0.9, 1.7, 40.0):
+        st = asy.saddle_state(alpha, vs)
+        assert isinstance(st, asy.SaddleState) and st.varsigma == vs
+        assert st.theta_star == math.atan(asy.tau_star(alpha, vs))
+        assert st.kappa_bar == asy.kappa_bar(alpha, st.theta_star)
+        assert st.kappa == st.kappa_bar ** (1.0 / alpha) / alpha
+        # theta_star inverts varsigma_of_theta to 4.4e-12
+        assert asy.varsigma_of_theta(alpha, st.theta_star) == pytest.approx(vs, rel=2e-11)
+    # below the threshold the state takes kappa_bar's 0+ limit, A_bar
+    assert asy.saddle_state(alpha, 0.5 * thr).kappa_bar == (1.0 + alpha) ** (1.0 + alpha)
+
+
+@pytest.mark.parametrize("alpha", _SADDLE_ALPHAS)
+def test_H_alpha_eta_is_continuous_where_its_branches_meet(alpha):
+    # both branches give -log(alpha) at eta = (1+alpha)^(-1/alpha)
+    eta0 = (1.0 + alpha) ** (-1.0 / alpha)
+    assert asy.H_alpha_eta(alpha, eta0) == pytest.approx(-math.log(alpha), rel=1e-14, abs=1e-14)
+    below = asy.H_alpha_eta(alpha, eta0 * (1.0 - 1e-12))
+    assert below == pytest.approx(asy.H_alpha_eta(alpha, eta0), abs=1e-10)

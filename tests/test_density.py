@@ -52,6 +52,18 @@ def test_moment_quadrature_cross(p_half, p_three_quarter):
             assert q == pytest.approx(d.moment(p, k), rel=1e-9), (p.alpha, k)
 
 
+def test_moment_s_real_order(p_half, p_three_quarter):
+    # real orders down to near -(beta + 1/alpha), against quadrature of the
+    # invariant density
+    for p in (p_half, p_three_quarter):
+        for s in (-0.3, 0.5, 2.7):
+            q = quad_against_weight(p.alpha, p.beta, lambda x, s=s: x ** s, dps=35, upper=120.0)
+            assert q == pytest.approx(d.moment_s(p, s), rel=1e-9), (p.alpha, s)
+        assert d.moment_s(p, 3.0) == d.moment(p, 3)
+        with pytest.raises(DomainError):
+            d.moment_s(p, -(p.beta + 1.0 / p.alpha) - 0.1)
+
+
 def test_mellin_lambda_normalization(p_half):
     assert d.mellin_lambda(p_half, 0).real == pytest.approx(1.0, rel=1e-13)
 

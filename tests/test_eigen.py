@@ -97,6 +97,36 @@ def test_jensen_generating_function(p_half):
     assert eg.jensen_check(p1, 2.0, 1.0, 60) <= 1e-10
 
 
+def test_jensen_check_sums_the_production_p_n(p_half, monkeypatch):
+    calls = []
+    p_eval = eg.p_eval
+    monkeypatch.setattr(eg, "p_eval",
+                        lambda seq, n, x, p=0: calls.append((n, x)) or p_eval(seq, n, x, p))
+    eg.jensen_check(p_half, 1.0, 0.5, 40)
+    assert calls == [(n, -1.0) for n in range(41)]
+
+
+def test_laguerre_eval_against_mpmath():
+    # relative error within 16 u (1 + |x L'(x) / L(x)|), the condition of
+    # L_n^(b) at x, wherever |L| > 1e-8; 12.5 u cond at worst here (183 u cond
+    # with the former three-term loop)
+    u = 2.0 ** -53
+    xs = np.linspace(0.05, 30.0, 21)
+    with mp.workdps(40):
+        for b in (0.0, 0.5, 1.0, 2.5):
+            for n in range(60):
+                got = eg.laguerre_eval(n, b, xs)
+                for x, v in zip(xs.tolist(), got.tolist()):
+                    ref = mp.laguerre(n, b, x)
+                    if abs(ref) <= 1e-8:
+                        continue
+                    cond = 1.0 + float(abs(x * mp.laguerre(n - 1, b + 1, x) / ref)) if n else 1.0
+                    assert abs(v - float(ref)) <= 16.0 * u * cond * abs(float(ref)), (n, b, x)
+                    assert v == eg.laguerre_eval(n, b, x)
+    assert eg.laguerre_eval(3, 0.5, 1.2, 2) == -eg.laguerre_eval(2, 1.5, 1.2, 1)
+    assert eg.laguerre_eval(2, 0.5, 1.2, 3) == 0.0
+
+
 def test_growth_bound_ratios(p_half):
     ratios = [eg.p_growth_bound_check(p_half, n, 1.0, 0)["ratio"]
               for n in (20, 40, 80)]

@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package or of the test suite imports a
-name it never uses, and no package module exports a name it does not
-define or imports the test suite."""
+name it never uses, no package module exports a name it does not define or
+imports the test suite, and every exported function is used by a test or a
+benchmark op."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import glspec
@@ -71,3 +73,25 @@ def test_traced_caches_report_cache_info():
     for fn in (eigen.p_coeffs, coeigen.r_coeffs, quad.build_rule):
         info = fn.cache_info()
         assert info.hits >= 0 and info.misses >= 0, fn.__name__
+
+
+def test_exported_names_are_exercised():
+    # a function in a package module's __all__ that no test and no
+    # benchmark op refers to is untested public surface
+    seen = set()
+    for path in sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                seen |= {alias.name for alias in node.names}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module(f"glspec.{path.stem}")
+        found += [f"{path.stem}.{n}" for n in getattr(mod, "__all__", ())
+                  if inspect.isfunction(getattr(mod, n)) and n not in seen]
+    assert not found, "exported but never used by a test or bench/: " + ", ".join(found)

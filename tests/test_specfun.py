@@ -58,6 +58,36 @@ def test_log_gamma_large_modulus():
     assert abs(sf.log_gamma(1e6) - ref) <= 1e-14 * abs(ref)
 
 
+def test_log_gamma_and_rgamma_against_mpmath():
+    # the principal branch of mpmath's loggamma everywhere, including the
+    # left half plane near the real axis (3.3e-15 at worst); 1/Gamma to
+    # 1e-13 (4.2e-14; 1.6e-13 with the former Lanczos sum and reflection)
+    rng = np.random.default_rng(5)
+    zs = [complex(r, i) for r, i in zip(rng.uniform(-30, 30, 600), rng.uniform(-30, 30, 600))]
+    zs += [complex(r, i) for r, i in zip(rng.uniform(-10, 10, 300), rng.uniform(-1, 1, 300))]
+    zs += [complex(r) for r in rng.uniform(-20, 40, 200)]
+    with mp.workdps(40):
+        for z in zs:
+            ref = complex(mp.loggamma(z))
+            assert abs(sf.log_gamma(z) - ref) <= 1e-14 * max(1.0, abs(ref)), z
+            ref = complex(mp.rgamma(z))
+            assert abs(sf.rgamma_c(z) - ref) <= 1e-13 * abs(ref), z
+
+
+def test_log_abs_gamma_and_sign_at_negative_non_integers():
+    # log|Gamma| to 1e-13 absolute on (-60, 60) (5.7e-14; 1.1e-12 with the
+    # former reflection formula), and the sign of Gamma
+    with mp.workdps(40):
+        for x in np.random.default_rng(3).uniform(-60, 60, 1000).tolist():
+            g = mp.gamma(x)
+            assert abs(sf.log_abs_gamma(x) - float(mp.log(abs(g)))) <= 1e-13, x
+            assert sf.gamma_sign(x) == (1.0 if g > 0 else -1.0), x
+    for x in (0.0, -1.0, -12.0):
+        for fn in (sf.log_abs_gamma, sf.gamma_sign):
+            with pytest.raises(PoleError):
+                fn(x)
+
+
 # --------------------------------------------------------------------------
 # 2F1
 # --------------------------------------------------------------------------
@@ -101,6 +131,25 @@ def test_2f1_near_one_flagged():
     r = sf.gauss_2f1(1.6, 2.1, 3.2, 1.0 - 1e-12)
     assert not r.converged and r.note == "diverging"
     assert math.isfinite(r.value.real)
+
+
+def test_2f1_w1_against_mpmath():
+    # the generator kernel's instances 2F1(c, alpha + 1; c + 1; 1 - w),
+    # c = alpha (beta + 1) + 1, for w down to 1e-14, where 1 - w loses
+    # w's digits; 2.3e-13 at worst
+    with mp.workdps(40):
+        for a in (0.1, 0.25, 0.5, 0.75, 0.9):
+            for b in (0.0, 1.0, 2.5):
+                c = a * (b + 1.0) + 1.0
+                for w in (1e-14, 1e-8, 1e-4, 0.01, 0.2, 0.5):
+                    ref = float(mp.hyp2f1(c, a + 1.0, c + 1.0, 1 - mp.mpf(w)))
+                    got = sf.gauss_2f1_w1(c, a + 1.0, c + 1.0, w)
+                    assert got.value.real == pytest.approx(ref, rel=1e-12), (a, b, w)
+    for w in (0.0, 0.6):
+        with pytest.raises(DomainError):
+            sf.gauss_2f1_w1(1.5, 1.5, 2.5, w)
+    with pytest.raises(DomainError):       # integer c - a - b
+        sf.gauss_2f1_w1(1.0, 1.0, 3.0, 0.1)
 
 
 def test_2f1_domain():
@@ -415,3 +464,21 @@ def test_dd_ratio_past_the_double_range():
     hi, lo = sf._dd_ratio([10 ** 400, -(10 ** 400), 3], 2)
     assert hi.tolist() == [math.inf, -math.inf, 1.5]
     assert math.isnan(lo[0]) and math.isnan(lo[1]) and lo[2] == 0.0
+
+
+def test_exact_tier_log_form_rounds_the_ratio_once():
+    # the log form is float(log q) at 80 bits, q = |acc| / den correctly
+    # rounded to 80 bits; at an exact tie 1 + 2^-80 (and its neighbours,
+    # and scaled past the double range) taking q unrounded would differ,
+    # and just above the tie, by 2^-280, so would q without its sticky bit
+    p = make_params(0.5, 1.0)
+    cases = [((1 << 80) + t, 1 << 80) for t in (1, -1, 3, 2)]
+    cases.append(((((1 << 80) + 1) << 200) + 1, 1 << 280))
+    cases += [(3 * ((1 << 80) + 1) << 4000, 3 << 80), (-(5 ** 700), 7 ** 300), (0, 3)]
+    for acc, den in cases:
+        got = sf._horner_exact(1.0, p, lambda i, bits: ([acc], den, None, 1, 1, None), 0, True)
+        with mp.workprec(80):
+            want = float(mp.log(mp.fdiv(abs(acc), den)))
+        assert got == (-1.0 if acc < 0 else 1.0, want), (acc, den)
+    assert sf._horner_exact(1.0, p, lambda i, bits: ([(1 << 80) + 1], 1 << 80, None, 1, 1, None),
+                            0, True)[1] == 0.0
