@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import (digamma, gammaln, gammasgn, loggamma, polygamma,
-                           roots_jacobi, roots_legendre)
+from scipy.special import (digamma, gammaln, gammasgn, loggamma, roots_jacobi,
+                           roots_legendre, zeta)
 
 from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
                    eval_on, real_pow)
@@ -224,7 +224,9 @@ def _saddle(params: GLParams, lz: np.ndarray):
     (lambda < exp(-(1 - alpha) e^700))."""
     al, bb = params.alpha, params.bar_beta_alpha
     slope = lambda u, lzu: -lzu + digamma(np.exp(u)) - al * digamma(al * np.exp(u) + bb)
-    curvature = lambda a: polygamma(1, a) - al * al * polygamma(1, al * a + bb)
+    # psi'(x) = zeta(2, x), the same bits as scipy's polygamma(1, x) without
+    # its per-call dispatch
+    curvature = lambda a: zeta(2.0, a) - al * al * zeta(2.0, al * a + bb)
     lo, hi = np.full(lz.shape, -30.0), np.full(lz.shape, 700.0)
     beyond = slope(hi, lz) < 0.0
     u = np.clip(np.maximum((lz + al * math.log(al)) / (1.0 - al),

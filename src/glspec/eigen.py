@@ -108,15 +108,22 @@ def _coeffs_mp(params: GLParams, n: int) -> list:
         return [g * c for g, c in zip(table.rows[:n + 1], _binomials(params, n))]
 
 
-def _exact_args(params: GLParams, n: int, x: float, bits: int) -> tuple:
-    """P_n at x for the exact tier of the escalating Horner: nums[k] / 2^e,
-    the exact (-1)^k C(n, k) times g_k of the "P" table at digits enough for
-    ``bits``, known to its precision less 4 bits; x exact."""
+def _exact(params: GLParams, n: int, bits: int) -> tuple:
+    """(nums, den, c_bits): the coefficients of P_n as nums[k] / den, den =
+    2^e, the exact (-1)^k C(n, k) times g_k of the "P" table at digits
+    enough for ``bits``, known to a relative 2^-c_bits, its precision less 4
+    bits."""
     table = coeff_table("P", _extend, params, n, mp.libmp.prec_to_dps(bits) + 2)
     mx = [g.man_exp for g in table.rows[:n + 1]]
     e = max(0, *(-t for _, t in mx))
     nums = [c * (m << (t + e)) for c, (m, t) in zip(_binomials(params, n), mx)]
-    return (nums, 1 << e, mp.libmp.dps_to_prec(table.dps) - 4, *x.as_integer_ratio(), None)
+    return nums, 1 << e, mp.libmp.dps_to_prec(table.dps) - 4
+
+
+def _exact_args(params: GLParams, n: int, x: float, bits: int) -> tuple:
+    """P_n at x for the exact tier of the escalating Horner: the row of
+    ``_exact``, x exact."""
+    return (*_exact(params, n, bits), *x.as_integer_ratio(), None)
 
 
 def _dd_row(params: GLParams, n: int) -> tuple:

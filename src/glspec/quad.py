@@ -2,8 +2,9 @@
 biorthogonality matrices, and Bessel-inequality checks.
 
 Products of generalized polynomials (P_n, R_n, any f with a power
-expansion) use no rule: ``_moment_form`` sums their exact moments in
-mpmath; the auxiliary norm of R_n, against a growing weight, is a float64
+expansion) use no rule: ``_moment_form`` sums them against their exact
+moments in Python integers, every input rounded once to a fixed point sized
+from the cancellation; the auxiliary norm of R_n, against a growing weight, is a float64
 double-exponential rule.  The rules of ``build_rule`` integrate general f.
 For rational alpha = p/q, v = x**(1/p) turns the weight into
 p v**(p b + q - 1) exp(-v**q), whose Gauss rule (Stieltjes recurrence,
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional
 
 import mpmath as mp
@@ -25,12 +27,12 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, logsumexp, roots_legendre
 
-from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError,
-                   eval_on, mp_ctx)
+from .core import LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError, eval_on
 from .density import Weight, weight_e_ab
-from .eigen import _coeffs_mp, p_coeffs, p_eval
-from .coeigen import _exact, _w_coeffs, r_coeffs, r_coeffs_mp
-from .specfun import _escalating_horner
+from .eigen import _exact as _exact_p
+from .eigen import p_coeffs, p_eval
+from .coeigen import _dyadic, _exact, _w_coeffs, r_coeffs
+from .specfun import _div, _escalating_horner
 
 __all__ = ["QuadRule", "build_rule", "integrate", "inner", "inner_with_error",
            "gram_biorth", "bessel_check", "r_norm", "inner_exact"]
@@ -227,28 +229,78 @@ def inner(rule: QuadRule, f, g, rtol: Optional[float] = None) -> float:
 # Exact bilinear forms for generalized polynomials
 # --------------------------------------------------------------------------
 
+#: bits the moment form carries past its error budget, and the moment rows
+#: past the form's bits
+_GUARD_BITS = 16
+
+
 def _moment_form(params: GLParams, la, s, lb, t, rows) -> np.ndarray:
     """F = A M B^T: F_nm = <f_n, g_m> for f_n = sum_k a_nk x^(s_k/alpha) and
     g_m = sum_j b_mj x^(t_j/alpha), M_kj = Gamma(s_k + t_j + ab + 1) /
-    Gamma(ab + 1) the exact moments.  la, lb = log|a|, log|b| (-inf at 0)
-    and s, t in float64 give S = max_nm sum_kj |a_nk| M_kj |b_mj|; at
-    max(precision dps, 20 + log10 S) digits each entry is right to about
-    1e-20 however far its terms cancel.  rows() gives A, s, B, t in mpmath
-    there, the exponents exact (alpha k for P_n, j for R_m).
+    Gamma(ab + 1) the exact moments, summed exactly in Python integers.
+
+    la, lb = log|a|, log|b| (-inf at 0) and s, t in float64 give S =
+    max_nm sum_kj |a_nk| M_kj |b_mj|, and with it the digits that keep each
+    entry right to about 1e-20 however far its terms cancel: max(precision
+    dps, 20 + log10 S).  Column k of A and column j of B are scaled by
+    powers of two to magnitude about 1, M by the inverse ones, and every
+    entry of the three is rounded once to an integer at scale 2^-bits: bits
+    are those digits, the bits S lies below 1, and enough for the
+    2 (n_A + n_B) S + K J units of 2^-bits the roundings can move F by.
+    The products are added exactly, so the rounding of the inputs is the
+    only error (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005), and
+    each entry of F is one correctly rounded division.
+
+    rows(prec) gives (A, M, B): A and B as exact rows (nums, den), nums[k]
+    / den, and M as rows of (mantissa, exponent) pairs known to a relative
+    2^-prec, prec = bits + _GUARD_BITS.  Rows may stop short of K or J; the
+    rest is 0.
     """
     ab = params.alpha * params.beta
     lM = gammaln(np.add.outer(s, t) + ab + 1.0) - gammaln(ab + 1.0)
     with np.errstate(divide="ignore"):
         lam = logsumexp(la[:, :, None] + lM, axis=1)
         lS = float(np.max(logsumexp(lam[:, None, :] + lb, axis=2)))
-    dps = params.precision.dps
-    with mp_ctx(max(dps, 20 + math.ceil(lS / math.log(10.0))) if lS > -math.inf else dps):
-        A, s, B, t = rows()
-        ab1 = mp.mpf(params.alpha) * params.beta + 1
-        M = [[mp.gamma(sk + tj + ab1) for tj in t] for sk in s]
-        BM = [[mp.fdot(bm, Mk) for Mk in M] for bm in B]
-        g0 = mp.gamma(ab1)
-        return np.array([[float(mp.fdot(an, c) / g0) for c in BM] for an in A])
+    if lS == -math.inf:
+        return np.zeros((len(la), len(lb)))
+    dps = max(params.precision.dps, 20 + math.ceil(lS / math.log(10.0)))
+    moves = 2 * (len(la) + len(lb)) + lM.size + 1
+    bits = (mp.libmp.dps_to_prec(dps) + max(0, math.ceil(-lS / math.log(2.0)))
+            + moves.bit_length() + _GUARD_BITS)
+    ea, eb = ([int(math.ceil(c / math.log(2.0))) if c > -math.inf else 0
+               for c in x.max(axis=0).tolist()] for x in (la, lb))
+    A, M, B = rows(bits + _GUARD_BITS)
+    Ai = [[_fix(c, den, bits - e) for c, e in zip(nums, ea)] for nums, den in A]
+    Bi = [[_fix(c, den, bits - e) for c, e in zip(nums, eb)] for nums, den in B]
+    Mi = [[_fix(m, 1, x + bits + e + f) for (m, x), f in zip(row, eb)]
+          for row, e in zip(M, ea)]
+    BM = [[sum(map(mul, mk, bm)) for mk in Mi] for bm in Bi]
+    scale = 1 << 3 * bits
+    return np.array([[_div(sum(map(mul, an, c)), scale) for c in BM] for an in Ai])
+
+
+def _fix(num: int, den: int, e: int) -> int:
+    """num 2^e / den (den > 0) rounded to the nearest integer."""
+    if e >= 0:
+        num <<= e
+    else:
+        den <<= -e
+    return (2 * num + den) // (2 * den)
+
+
+def _rising(rho, X: int, lg: int, count: int, prec: int) -> list:
+    """rho (x)_j for j < count, x = X / 2^lg > 0 and rho an mpf known to
+    2^-prec, as (mantissa, exponent) pairs at rho's exponent.  Each step is
+    one exact product and one truncating shift; the mantissas start with
+    the log2(count / min(x, 1)) bits those shifts can cost past prec."""
+    m, e = rho.man_exp
+    sh = max(0, prec + count.bit_length() + ((1 << lg) // X).bit_length() - m.bit_length())
+    m, e = m << sh, e - sh
+    out = [(m, e)]
+    for j in range(count - 1):
+        m = m * (X + (j << lg)) >> lg
+        out.append((m, e))
+    return out
 
 
 def _log_abs(rows) -> np.ndarray:
@@ -258,13 +310,27 @@ def _log_abs(rows) -> np.ndarray:
         return np.log(np.abs([list(r) + [0.0] * (w - len(r)) for r in rows]))
 
 
+def _dyadic_row(cs) -> tuple:
+    """Floats cs as one exact row (nums, den), den a power of 2."""
+    pairs = [float(c).as_integer_ratio() for c in cs]
+    den = max(d for _, d in pairs)
+    return [n * (den // d) for n, d in pairs], den
+
+
 def inner_exact(params: GLParams, fpowers, gpowers) -> float:
     """<f, g> against the invariant density for generalized polynomials
-    given as (coefficient, x-exponent) pairs: the 1 x 1 ``_moment_form``."""
+    given as (coefficient, x-exponent) pairs: the 1 x 1 ``_moment_form``,
+    the float coefficients exact, each moment one mpmath gamma ratio."""
     a = params.alpha
     (cf, pf), (cg, pg) = (([c for c, _ in w], [p for _, p in w]) for w in (fpowers, gpowers))
-    rows = lambda: ([list(map(mp.mpf, cf))], [a * mp.mpf(p) for p in pf],
-                    [list(map(mp.mpf, cg))], [a * mp.mpf(p) for p in pg])
+
+    def rows(prec):
+        with mp.workprec(prec):
+            ab1 = mp.mpf(a) * params.beta + 1
+            g0 = mp.gamma(ab1)
+            M = [[(mp.gamma(a * mp.mpf(p) + a * mp.mpf(q) + ab1) / g0).man_exp for q in pg]
+                 for p in pf]
+        return [_dyadic_row(cf)], M, [_dyadic_row(cg)]
     return float(_moment_form(params, _log_abs([cf]), a * np.array(pf),
                               _log_abs([cg]), a * np.array(pg), rows)[0, 0])
 
@@ -272,16 +338,28 @@ def inner_exact(params: GLParams, fpowers, gpowers) -> float:
 def gram_biorth(params: GLParams, N: int) -> np.ndarray:
     """Matrix G_{nm} = <P_n, R_m> for n, m <= N; identity when everything
     works.  The ``_moment_form`` with rows P_n (s_k = alpha k) and R_m
-    (t_j = j) at every precision."""
+    (t_j = j) at every precision: P_n exact from the g_k of the "P" table,
+    R_m the exact rows of the "R" table, and M_kj = Gamma(x_k) (x_k)_j /
+    Gamma(ab + 1), x_k = alpha k + ab + 1, from N + 1 fresh gammas and a
+    rising-factorial recurrence, so that G compares the table's g_k with
+    gammas it did not make."""
     if N < 0:
         raise DomainError("N must be >= 0")
     ns = range(N + 1)
-    # row N first: the "P" table is then extended once, not once per order
-    rows = lambda: ([_coeffs_mp(params, n) + [0] * (N - n) for n in ns[::-1]][::-1],
-                    [mp.mpf(params.alpha) * k for k in ns],
-                    [r_coeffs_mp(params, m) + [0] * (N - m) for m in ns], ns)
+    An, Bn, L, Db = _dyadic(params)
+    lg = L.bit_length() - 1
+    xs = [An * Db * k + An * Bn + L for k in ns]      # x_k = xs[k] / 2^lg exactly
+
+    def rows(prec):
+        # row N first: the "P" table is then extended once, not once per order
+        P = [_exact_p(params, n, prec)[:2] for n in ns[::-1]][::-1]
+        with mp.workprec(prec):
+            g = [mp.gamma(mp.make_mpf(mp.libmp.from_man_exp(X, -lg))) for X in xs]
+            M = [_rising(gk / g[0], X, lg, N + 1, prec) for gk, X in zip(g, xs)]
+        return P, M, [_exact(params, m) for m in ns]
+    lb = _log_abs([r_coeffs(params, m) for m in ns[::-1]][::-1])     # so is the "R" table
     return _moment_form(params, p_coeffs(params, N).logmag, params.alpha * np.arange(N + 1),
-                        _log_abs([r_coeffs(params, m) for m in ns]), np.arange(N + 1.0), rows)
+                        lb, np.arange(N + 1.0), rows)
 
 
 @dataclass
@@ -365,8 +443,10 @@ def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
     """(||R_n|| in the invariant-density space, ||R_n e/ebar|| in the
     auxiliary space), ebar(x) = x^(beta + 1/alpha - 1) e^(eta_bar x^(1/gamma)).
 
-    The first norm is the moment form of ``_moment_form`` with R_n on both
-    sides, sized from the coefficient magnitudes at every precision.  The
+    The first norm is the moment form of ``_moment_form`` with the exact
+    row of R_n on both sides, sized from the coefficient magnitudes at every
+    precision; its moments (ab + 1)_(k+j) are a rising factorial of the
+    exact ab + 1, with no gamma.  The
     second is the float64 double-exponential rule of ``_log_aux_norm2`` in
     u = x**(1/alpha), where R_n is the polynomial sum_j c_j u^j; it raises
     QuadratureError when its step-h and step-2h sums differ by more than
@@ -378,7 +458,12 @@ def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
     if not (0.0 < gamma_ < a) and a < 1.0:
         raise DomainError("gamma must lie in (0, alpha)")
     lr, js = _log_abs([r_coeffs(params, n)]), np.arange(n + 1.0)
-    rows = lambda: ([r_coeffs_mp(params, n)], js.tolist()) * 2   # R_n on both sides
+
+    def rows(prec):         # R_n on both sides, M_kj = (ab + 1)_(k + j)
+        An, Bn, L, _ = _dyadic(params)
+        rise = _rising(mp.mpf(1), An * Bn + L, L.bit_length() - 1, 2 * n + 1, prec)
+        row = [_exact(params, n)]
+        return row, [rise[k:k + n + 1] for k in range(n + 1)], row
     nrm2 = _moment_form(params, lr, js, lr, js, rows)[0, 0]
     if nrm2 < 0.0:
         raise QuadratureError(f"norm^2 of R_{n} came out negative: {nrm2:.3e}")

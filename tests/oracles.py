@@ -369,6 +369,28 @@ def inner_exact_mp(alpha, beta, fpowers, gpowers, dps: int = 80):
                        for cf, pf in fpowers for cg, pg in gpowers)
 
 
+def moment_form_mp(alpha, beta, rows, digits: int = 30) -> list:
+    """F = A M B^T, F_nm = <f_n, g_m> against the invariant density for
+    f_n = sum_k A[n][k] x^(s_k/alpha) and g_m = sum_j B[m][j] x^(t_j/alpha),
+    by per-entry moments M_kj = Gamma(s_k + t_j + ab + 1) / Gamma(ab + 1)
+    and ``mp.fdot``.  rows(dps) gives (A, s, B, t) in mpmath at dps digits
+    (shorter rows are padded with 0).  A first pass at 20 digits finds S =
+    max_nm sum_kj |A_nk| M_kj |B_mj|, the magnitude the terms cancel from;
+    the form is then summed at ``digits`` digits past log10 S, so each entry
+    is right to about 10^-digits absolute."""
+    def form(dps, mag):
+        with mp.workdps(dps):
+            A, s, B, t = rows(dps)
+            ab1 = mp.mpf(alpha) * mp.mpf(beta) + 1
+            M = [[mp.gamma(sk + tj + ab1) for tj in t] for sk in s]
+            BM = [[mp.fdot(map(mag, bm), Mk) for Mk in M] for bm in B]
+            g0 = mp.gamma(ab1)
+            return [[mp.fdot(map(mag, an), c) / g0 for c in BM] for an in A]
+
+    S = max(max(row) for row in form(20, abs))
+    return form(digits + max(0, int(mp.ceil(mp.log10(S)))), lambda c: c)
+
+
 def r_aux_norm_mp(params, n: int, gamma_: float, eta_bar: float = 1.0,
                   dps: int = None) -> float:
     """||R_n e/ebar|| = (Int R_n(x)^2 e(x)^2 / ebar(x) dx)^(1/2) with

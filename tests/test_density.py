@@ -139,6 +139,14 @@ def test_lambda_below_double_range_is_zero():
         assert abs(slope) <= 1e-10 * (1.0 + abs(math.log(z)))
 
 
+def test_saddle_curvature_zeta_is_polygamma_bitwise():
+    # _saddle takes psi'(x) as zeta(2, x); scipy's polygamma(1, x) is
+    # (-1)^2 1! zeta(2, x), so every bit must agree, or lambda would move
+    from scipy.special import polygamma, zeta
+    x = np.concatenate([np.linspace(0.01, 500.0, 10001), np.geomspace(1e-6, 1e300, 601)])
+    assert np.array_equal(zeta(2.0, x), polygamma(1, x))
+
+
 def test_lambda_sine_form_nondegenerate():
     # away from integer a(b-1) the sine form is a valid cross-check
     p = make_params(0.6, 1.3)

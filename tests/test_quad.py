@@ -13,7 +13,8 @@ from glspec import quad as q
 from glspec.eigen import p_fn
 from glspec.coeigen import r_eval_bell, r_fn
 
-from oracles import inner_exact_mp, r_aux_norm_mp, r_coeffs_bell_mp
+from oracles import (inner_exact_mp, moment_form_mp, r_aux_norm_mp, r_coeffs_bell_mp,
+                     w_coeffs_exact)
 
 
 def rule_for(p, m=120):
@@ -280,15 +281,63 @@ def test_u_rule_fallback_irrational_alpha():
 
 
 def test_gram_biorth_builds_the_p_rows_in_one_pass(monkeypatch):
-    # fresh params: (N+1)^2 moment gammas and Gamma(ab+1) in the moment
-    # form, and N + 1 for the P rows (Gamma(ab+1) once, then one per order
-    # 1..N), because the "P" table is extended to row N in one call
+    # fresh params: N + 1 gammas for the "P" table (Gamma(ab+1) once, then
+    # one per order 1..N), because it is extended to row N in one call, and
+    # N + 1 fresh ones for the moments (Gamma(alpha k + ab + 1), k = 0..N);
+    # at most 2N + 3.  Neither form makes an mp.fdot call.
     from glspec import core
     p, N = make_params(0.5377, 0.713), 40
     core._tables.pop(("P", p), None)
     count = [0]
     gamma = mp.gamma
     monkeypatch.setattr(mp, "gamma", lambda *a: count.__setitem__(0, count[0] + 1) or gamma(*a))
+    monkeypatch.setattr(mp, "fdot", lambda *a: pytest.fail("mp.fdot called"))
     G = q.gram_biorth(p, N)
-    assert count[0] == (N + 1) ** 2 + 1 + (N + 1)
-    assert np.abs(G - np.eye(N + 1)).max() < 1e-12
+    assert count[0] == 2 * (N + 1) <= 2 * N + 3
+    assert np.abs(G - np.eye(N + 1)).max() < 1e-20
+    count[0] = 0
+    assert math.isfinite(q.r_norm(p, 25)[0]) and count[0] == 0
+
+
+def _p_rows_mp(p, N, dps):
+    """P_0..P_N: (-1)^k C(n, k) Gamma(ab + 1) / Gamma(alpha k + ab + 1), by
+    mp.gamma at dps digits."""
+    with mp.workdps(dps):
+        a, ab1 = mp.mpf(p.alpha), mp.mpf(p.alpha) * p.beta + 1
+        g = [mp.gamma(ab1) / mp.gamma(a * k + ab1) for k in range(N + 1)]
+        return [[(-1) ** k * math.comb(n, k) * g[k] for k in range(n + 1)] for n in range(N + 1)]
+
+
+def _r_rows_mp(p, ns, dps):
+    """R_n for n in ns from the exact Fractions of ``w_coeffs_exact``."""
+    with mp.workdps(dps):
+        return [[mp.mpf(c.numerator) / c.denominator for c in w_coeffs_exact(p, n)] for n in ns]
+
+
+#: (alpha, beta, N, precision) of the moment forms against the mpmath oracle:
+#: long binary denominators of alpha and beta, extended precision, alpha = 1,
+#: beta at its boundary, beta = 1e-300, and strong cancellation
+MOMENT_FORM_CASES = [
+    (0.5377, 0.713, 40, "double"),
+    (0.5, 1.0, 40, "ext128"),
+    (1.0, 0.5, 20, "double"),
+    (0.6, 1.0 - 1.0 / 0.6 + 1e-9, 15, "double"),
+    (0.5, 1e-300, 10, "double"),
+    (0.1, 0.0, 20, "double"),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, N, prec", MOMENT_FORM_CASES)
+def test_moment_forms_match_the_mpmath_form(alpha, beta, N, prec):
+    p = make_params(alpha, beta, prec)
+    ns = range(N + 1)
+    rows = lambda dps: (_p_rows_mp(p, N, dps), [mp.mpf(alpha) * k for k in ns],
+                        _r_rows_mp(p, ns, dps), list(ns))
+    ref = np.array(moment_form_mp(alpha, beta, rows), dtype=float)
+    G = q.gram_biorth(p, N)
+    assert np.abs(G - np.eye(N + 1)).max() <= 1e-20
+    assert np.abs(G - ref).max() <= 1e-20
+    for n in sorted({1, N // 2, min(N, 25)}):
+        r = lambda dps, n=n: (_r_rows_mp(p, [n], dps), list(range(n + 1))) * 2
+        ref = math.sqrt(float(moment_form_mp(alpha, beta, r)[0][0]))
+        assert q.r_norm(p, n)[0] == pytest.approx(ref, rel=1e-15), n
