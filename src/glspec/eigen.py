@@ -225,7 +225,7 @@ def jensen_check(params: GLParams, x: float, t: float, N: int) -> float:
     """
     if t < 0.0 or x < 0.0:
         raise DomainError("jensen_check expects x >= 0 and t >= 0")
-    lhs = math.exp(t) * cal_I(params, x * t).value.real
+    lhs = math.exp(t) * cal_I(params, x * t)
     seq, acc, last = p_coeffs(params, N), 0.0, 0.0
     for n in range(N + 1):
         # P_n(-x): every term of its Horner sum is positive, so it stays in float64

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, logsumexp, roots_legendre
 
-from .core import LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError, eval_on
+from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError, eval_on,
+                   make_params)
 from .density import Weight, weight_e_ab
 from .eigen import _exact as _exact_p
 from .eigen import p_coeffs, p_eval
@@ -412,7 +413,8 @@ def _log_aux_norm2(params: GLParams, n: int, gamma_: float, eta_bar: float) -> f
     that decay exponentially: u = exp(t - e^-t), step h in t.  The nodes
     run from u^(ab+1) = e^-50 to e (4n + 60), past which u^(2n) e^(-2u)
     is negligible.  R_n goes through the escalating Horner on all nodes at
-    once, the rest of the integrand is summed in log form.
+    once, at double precision whatever params.precision is, the rest of the
+    integrand is summed in log form.
     """
     a, ab, h = params.alpha, params.alpha * params.beta, _AUX_STEP
     lo = -math.log(50.0 / (ab + 1.0) + 1.0)
@@ -421,7 +423,7 @@ def _log_aux_norm2(params: GLParams, n: int, gamma_: float, eta_bar: float) -> f
     t = k * h
     lu = t - np.exp(-t)
     u = np.exp(lu)
-    _, lr = _escalating_horner(r_coeffs(params, n), u, params,
+    _, lr = _escalating_horner(r_coeffs(params, n), u, make_params(a, params.beta),
                                lambda i, bits: (*_exact(params, n), None,
                                                 *float(u[i]).as_integer_ratio(), None),
                                lambda i: (_w_coeffs(params, n, 0), (float(u[i]), 0.0)),

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, hyp2f1, rgamma
 
 from .core import (DomainError, GLParams, RealFn, TruncationError, eval_on,
                    make_params, phi)
@@ -33,7 +33,6 @@ from .density import (markov_lambda_apply, mellin_lambda, weight_classical,
                       weight_e_ab, weight_eval)
 from .eigen import p_coeffs, p_eval, p_sup
 from .quad import QuadRule, build_rule, inner_exact
-from .specfun import gauss_2f1, gauss_2f1_w1
 
 __all__ = [
     "SpectralExpansion", "generator_apply", "generator_moment_identity_check",
@@ -61,39 +60,56 @@ def _tanh_sinh_nodes(h: float = 0.05, tmax: float = 3.6):
 
 @lru_cache(maxsize=32)
 def _generator_grid(params: GLParams):
-    """Cached y-nodes and gt-values for the generator's singular integral.
+    """Cached y-nodes and weighted gt-values for the generator's singular
+    integral, built in one array pass over the nodes.
 
-    After y = 1 - v^s with s = 1/(1-alpha), the integrand is bounded; the
-    remaining fractional endpoint behavior is handled by the
-    double-exponential nodes.  gt includes the substitution Jacobian and the
-    quadrature weights, so L f needs only a weighted sum of f'' values.
+    After y = 1 - delta, delta = v^s, s = 1/(1-alpha), the integrand in v is
+    bounded; the remaining fractional endpoint behavior is handled by the
+    double-exponential nodes.  The returned values are gt times the
+    Jacobian s v^(s-1) and the node weights, so L f needs only a weighted
+    sum of f'' values.
+
+    gt(y) = alpha / (c Gamma(1-alpha)) z^c 2F1(c, alpha+1; c+1; z), with
+    z = y^(1/alpha) and c = alpha (beta+1) + 1.  Where z <= 1/2 that is one
+    vectorised ``hyp2f1`` call.  Where w = 1 - z <= 1/2, the connection
+    formula (DLMF 15.8.10) also needs one series only: its first one is
+    2F1(c, alpha+1; alpha+1; w) = z^-c, so
+
+        gt = w^(-alpha) z^c 2F1(1, alpha beta+1; 1-alpha; w) / Gamma(1-alpha)
+             - Gamma(c) / Gamma(alpha beta + 1).
+
+    All of it is formed from log delta = s log v: z = exp(log(y) / alpha)
+    and w = -expm1 of the same exponent, with log y = log1p(-delta) for
+    delta < 1/2, so that neither side loses the digits of a tiny delta or
+    y.  Since delta^(1-alpha) = v, the singular factor w^(-alpha) times the
+    Jacobian is s (w/delta)^(-alpha), and w/delta -> 1/alpha as delta -> 0.
+    So where delta underflows (alpha >= 0.96) the weighted value stays
+    finite: about s times the node weight.
     """
     a, b = params.alpha, params.beta
     if a == 1.0:
         raise DomainError("classical branch has no singular integral")
     s = 1.0 / (1.0 - a)
     v, wv = _tanh_sinh_nodes()
-    delta = v ** s                       # delta = 1 - y, exact for tiny v
-    y = 1.0 - delta
-    c_a = a * (b + 1.0) + 1.0
-    pref = 1.0 / ((b + 1.0 / a + 1.0) * math.exp(gammaln(1.0 - a)))
-    gt = np.empty_like(v)
-    for i in range(v.size):
-        d = float(delta[i])
-        if d >= 1.0:
-            gt[i] = 0.0
-            continue
-        # z = y^(1/alpha); w1 = 1 - z computed cancellation-free
-        w1 = -math.expm1(math.log1p(-d) / a)
-        if w1 <= 0.0:
-            w1 = d / a  # first-order fallback for ultra-tiny delta
-        if w1 > 0.5:
-            f21 = gauss_2f1(c_a, a + 1.0, c_a + 1.0, 1.0 - w1).value.real
-        else:
-            f21 = gauss_2f1_w1(c_a, a + 1.0, c_a + 1.0, w1).value.real
-        gt[i] = pref * math.exp((b + 1.0 / a + 1.0) * math.log1p(-d)) * f21
-    wts = wv * s * np.power(v, s - 1.0)
-    return y, gt * wts
+    log_delta = s * np.log(v)
+    delta, y = np.exp(log_delta), -np.expm1(log_delta)
+    log_z = np.where(delta < 0.5, np.log1p(-delta), np.log(y)) / a
+    w = -np.expm1(log_z)
+    # w / delta = (1 + O(delta)) / alpha; at delta < e^-50 that is 1/alpha
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(log_delta > -50.0, w / delta, 1.0 / a)
+    c = a * (b + 1.0) + 1.0
+    z_c = np.exp(c * log_z)
+    jac = delta / v                      # v^(s-1): the Jacobian over s
+    near = w <= 0.5
+    far = ~near
+    gt_jac = np.empty_like(v)
+    gt_jac[near] = (rgamma(1.0 - a) * z_c[near] * ratio[near] ** -a
+                    * hyp2f1(1.0, a * b + 1.0, 1.0 - a, w[near])
+                    - math.exp(gammaln(c) - gammaln(a * b + 1.0)) * jac[near])
+    gt_jac[far] = (a / c * rgamma(1.0 - a) * z_c[far] * jac[far]
+                   * hyp2f1(c, a + 1.0, c + 1.0, np.exp(log_z[far])))
+    return y, s * wv * gt_jac
 
 
 def generator_apply(params: GLParams, f: RealFn, x: float) -> float:

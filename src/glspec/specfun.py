@@ -2,8 +2,7 @@
 
 The package's gamma functions (``log_gamma``, ``rgamma_c``,
 ``log_abs_gamma``, ``gamma_sign``: scipy.special's ufuncs, with PoleError at
-the poles), the Gauss hypergeometric series with its z -> 1-z connection
-formula, the positive-term entire function cal_I, and
+the poles), the positive-term entire function cal_I, and
 ``_escalating_horner``: the finite expansions of P_n, R_n and W_n^(q) are
 summed by Horner at a float or over a whole ndarray of points at once, in
 three tiers.  The float64 pass keeps each point whose condition number
@@ -18,7 +17,6 @@ cancellation needs, and rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -28,10 +26,7 @@ from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, MAX_ESCALATED_DPS,
                    ConvergenceError, DomainError, GLParams, PoleError,
                    PrecisionError)
 
-__all__ = [
-    "SeriesResult", "log_gamma", "rgamma_c", "log_abs_gamma", "gamma_sign",
-    "gauss_2f1", "gauss_2f1_w1", "cal_I",
-]
+__all__ = ["log_gamma", "rgamma_c", "log_abs_gamma", "gamma_sign", "cal_I"]
 
 
 def _pole(x) -> bool:
@@ -76,23 +71,8 @@ def gamma_sign(x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Series results and the escalating Horner sum
+# The escalating Horner sum
 # --------------------------------------------------------------------------
-
-@dataclass
-class SeriesResult:
-    """Value of a series together with its conditioning diagnostics."""
-
-    value: complex
-    abs_term_sum: float
-    terms_used: int
-    converged: bool
-    note: str = ""
-
-    @property
-    def real(self) -> float:
-        return self.value.real if isinstance(self.value, complex) else float(self.value)
-
 
 _SERIES_CAP = 10000
 _CONSECUTIVE = 3
@@ -311,96 +291,10 @@ def _div(num: int, den: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# Gauss hypergeometric 2F1 on [0, 1)
-# --------------------------------------------------------------------------
-
-_2F1_NEAR_ONE = 1.0 - 1e-10
-_2F1_SWITCH = 0.80
-
-
-def _2f1_series_float(a, b, c, z, tol, cap):
-    """(sum, sum of |terms|, terms used, converged) of the 2F1 series: a
-    plain running sum for the stop test, the returned sums correctly rounded
-    (math.fsum)."""
-    terms = []
-    s, t, small = 0.0, 1.0, 0
-    for k in range(cap):
-        terms.append(t)
-        s += t
-        t = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        small = small + 1 if abs(t) <= tol * (abs(s) + 1e-300) else 0
-        if small >= _CONSECUTIVE:
-            break
-    return math.fsum(terms), math.fsum(map(abs, terms)), len(terms), small >= _CONSECUTIVE
-
-
-def gauss_2f1_w1(a: float, b: float, c: float, w: float, tol: float = 1e-16,
-                 max_terms: int = _SERIES_CAP) -> SeriesResult:
-    """2F1(a, b; c; 1 - w) for small w > 0, by the connection formula.
-
-    Taking w directly avoids the catastrophic 1 - z cancellation; valid for
-    non-integer c - a - b (true of every instance this package uses, where
-    c - a - b = -alpha).
-    """
-    s = c - a - b
-    if abs(s - round(s)) < 1e-8:
-        raise DomainError("connection formula needs non-integer c - a - b")
-    if not (0.0 < w <= 0.5):
-        raise DomainError("gauss_2f1_w1 expects 0 < w <= 0.5")
-    g1 = (gamma_sign(s) * gamma_sign(c - a) * gamma_sign(c - b)
-          * math.exp(gammaln(c) + log_abs_gamma(s)
-                     - log_abs_gamma(c - a) - log_abs_gamma(c - b)))
-    g2 = (gamma_sign(-s) * gamma_sign(a) * gamma_sign(b)
-          * math.exp(gammaln(c) + log_abs_gamma(-s)
-                     - log_abs_gamma(a) - log_abs_gamma(b)))
-    v1, s1, u1, ok1 = _2f1_series_float(a, b, a + b - c + 1.0, w, tol, max_terms)
-    v2, s2, u2, ok2 = _2f1_series_float(c - a, c - b, s + 1.0, w, tol, max_terms)
-    if not (ok1 and ok2):
-        raise ConvergenceError("2F1 connection series did not converge")
-    val = g1 * v1 + w ** s * g2 * v2
-    abs_sum = abs(g1) * s1 + abs(w ** s * g2) * s2
-    return SeriesResult(complex(val), abs_sum, u1 + u2, True)
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float, tol: float = 1e-16,
-              max_terms: int = _SERIES_CAP) -> SeriesResult:
-    """2F1(a, b; c; z) for 0 <= z < 1 by series plus 1-z connection.
-
-    The package's instances have c - a - b = -alpha < 0, so the function
-    diverges as z -> 1; inside the guard band z > 1 - 1e-10 the (finite)
-    connection value is returned flagged with a 'diverging' note.
-    """
-    if c <= 0.0 and c == round(c):
-        raise DomainError(f"2F1 parameter c = {c} is a nonpositive integer")
-    if not (0.0 <= z < 1.0):
-        raise DomainError(f"2F1 implemented for 0 <= z < 1, got {z}")
-    if z == 0.0:
-        return SeriesResult(1.0 + 0.0j, 1.0, 1, True)
-    if z <= _2F1_SWITCH:
-        val, abs_sum, used, ok = _2f1_series_float(a, b, c, z, tol, max_terms)
-        if not ok:
-            raise ConvergenceError("2F1 series did not converge")
-        return SeriesResult(complex(val), abs_sum, used, True)
-
-    s = c - a - b
-    if abs(s - round(s)) < 1e-8:
-        # integer-parameter connection needs log terms; fall back to series
-        val, abs_sum, used, ok = _2f1_series_float(a, b, c, z, tol, 10 * max_terms)
-        if not ok:
-            raise ConvergenceError("2F1 series did not converge near z = 1")
-        return SeriesResult(complex(val), abs_sum, used, True)
-    out = gauss_2f1_w1(a, b, c, 1.0 - z, tol, max_terms)
-    if z > _2F1_NEAR_ONE:
-        return SeriesResult(out.value, out.abs_term_sum, out.terms_used,
-                            False, "diverging")
-    return out
-
-
-# --------------------------------------------------------------------------
 # Entire auxiliary
 # --------------------------------------------------------------------------
 
-def cal_I(params: GLParams, z) -> SeriesResult:
+def cal_I(params: GLParams, z) -> float:
     """Gamma(a b + 1) * sum_n z^n / (Gamma(a n + a b + 1) n!) for z >= 0.
 
     Entire of order 1/(a+1); its growth type is params.frak_t.  At z >= 0
@@ -425,5 +319,4 @@ def cal_I(params: GLParams, z) -> SeriesResult:
         top = max(top, lt)
         small = small + 1 if lt < top - 17.0 * math.log(10.0) else 0
     total = math.fsum(math.exp(lt - top) for lt in logs)
-    value = math.exp(top) * total if top <= LOG_DOUBLE_MAX else math.inf
-    return SeriesResult(complex(value), value, len(logs), True)
+    return math.exp(top) * total if top <= LOG_DOUBLE_MAX else math.inf

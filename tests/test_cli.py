@@ -3,7 +3,7 @@ import json
 import numpy as np
 from click.testing import CliRunner
 
-from glspec.cli import EXIT_OK, EXIT_USAGE, main
+from glspec.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from glspec.core import make_params
 from glspec.density import lambda_values
 
@@ -36,6 +36,26 @@ def test_verify_biorth_irrational_alpha_and_high_order():
     assert res.exit_code == EXIT_OK, res.output
     res = CliRunner().invoke(main, ["verify", "biorth", "--n", "40"])
     assert res.exit_code == EXIT_OK, res.output
+
+
+def test_verify_eigen_up_to_alpha_one():
+    # at alpha >= 0.96 delta = v^(1/(1-alpha)) underflows at some nodes of
+    # the generator's grid, which must still give the integral's full value
+    for alpha in ("0.96", "0.99", "0.999"):
+        for beta in ("0", "1"):
+            res = CliRunner().invoke(main, ["verify", "eigen", "--alpha", alpha, "--beta", beta])
+            assert res.exit_code == EXIT_OK, (alpha, beta, res.output)
+
+
+def test_verify_all_reports_every_check_near_alpha_one():
+    # every check runs and reports; intertwine p_2 fails there on its own
+    # (1.3e-5 against 1e-6: lambda's fixed panels at alpha -> 1)
+    res = CliRunner().invoke(main, ["verify", "all", "--alpha", "0.99", "--beta", "1",
+                                    "--format", "json"])
+    assert res.exit_code == EXIT_VERIFY_FAIL, res.output
+    report = json.loads(res.stdout)
+    assert [c["name"] for c in report] == VERIFY_ALL_CHECKS
+    assert report[1]["pass"] is True
 
 
 def test_verify_rejects_csv_format():

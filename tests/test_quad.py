@@ -265,6 +265,25 @@ def test_r_norm_calls_no_mp_quad(p_half, monkeypatch):
         assert math.isfinite(nrm) and math.isfinite(aux) and aux > 0.0
 
 
+def test_r_aux_norm_takes_the_double_tiers_at_extended_precision(monkeypatch):
+    # a float64 rule held to 1e-10: at ext128 its nodes take the float64 and
+    # double-double tiers as at double, not the exact tier one by one
+    from glspec import specfun as sf
+    exact = sf._horner_exact
+    calls = {}
+
+    def counted(*args):
+        calls[prec] = calls.get(prec, 0) + 1
+        return exact(*args)
+    monkeypatch.setattr(sf, "_horner_exact", counted)
+    for n in (3, 12, 25):
+        got = {}
+        for prec in ("double", "ext128"):
+            got[prec] = q._log_aux_norm2(make_params(0.5, 1.0, prec), n, 0.25, 1.0)
+        assert math.exp(got["ext128"] - got["double"]) == pytest.approx(1.0, abs=1e-10)
+    assert calls.get("ext128", 0) == calls.get("double", 0)
+
+
 def test_r_aux_norm_error_test_raises_on_a_coarse_step(p_half, monkeypatch):
     monkeypatch.setattr(q, "_AUX_STEP", 0.25)
     with pytest.raises(QuadratureError, match="step-h and step-2h"):

@@ -9,7 +9,7 @@ from glspec.core import COND_THRESHOLD, DomainError, PoleError, make_params
 from glspec import specfun as sf
 
 from oracles import (bell_args, bell_partitions, bell_table, binet_log_gamma,
-                     euler_2f1, frak_I_mp, g_kernel_integral, r_coeffs_bell_mp,
+                     frak_I_mp, g_kernel_integral, r_coeffs_bell_mp,
                      wright_series_mp)
 
 
@@ -89,86 +89,65 @@ def test_log_abs_gamma_and_sign_at_negative_non_integers():
 
 
 # --------------------------------------------------------------------------
-# 2F1
+# The generator's kernel gt
 # --------------------------------------------------------------------------
 
-def test_2f1_at_zero():
-    assert sf.gauss_2f1(1.3, 0.2, 0.9, 0.0).value.real == 1.0
+def _grid_nodes(a):
+    """The generator grid's nodes v, weights and log delta = s log v."""
+    from glspec.semigroup import _tanh_sinh_nodes
+    s = 1.0 / (1.0 - a)
+    v, wv = _tanh_sinh_nodes()
+    return s, v, wv, s * np.log(v)
 
 
-def test_2f1_log_closed_form():
-    # 2F1(1,1;2;z) = -log(1-z)/z
-    r = sf.gauss_2f1(1.0, 1.0, 2.0, 0.5)
-    assert r.value.real == pytest.approx(-math.log(0.5) / 0.5, rel=1e-14)
-    # positive terms: the value and the sum of |terms| are one correctly
-    # rounded sum (math.fsum) of the same floats
-    assert r.abs_term_sum == r.value.real
+def test_generator_grid_against_mpmath():
+    # weighted gt of the grid against mpmath at the grid's own float delta,
+    # judged against the integral's scale sum |w gt|.  The reference takes
+    # Euler's transformation (DLMF 15.8.1), gt = alpha / (c Gamma(1-alpha))
+    # z^c w^-alpha 2F1(1, c - alpha; c + 1; z), whose 2F1 is continuous at
+    # z = 1, with w = -expm1(log1p(-delta) / alpha) at 50 digits: so a z that
+    # rounds to 1 (delta far below 1e-50 at alpha >= 0.96) costs the
+    # reference no digit.  Where w > 1/2, gt is a sum of positive terms, and
+    # each value is also held to its own size, down to those of y ~ 1e-16.
+    from glspec.semigroup import _generator_grid
+    worst, worst_far = {}, {}
+    for a in (0.1, 1 / 3, 0.5, 0.9, 0.95, 0.99, 0.999):
+        s, v, wv, log_delta = _grid_nodes(a)
+        for b in (0.0, 1.0, 2.5):
+            y, gw = _generator_grid(make_params(a, b))
+            ref, y_ref, far = [], [], []
+            with mp.workdps(50):
+                am, c = mp.mpf(a), a * (mp.mpf(b) + 1) + 1
+                pref = am / (c * mp.gamma(1 - am))
+                for ld, vi, wi in zip(log_delta.tolist(), v.tolist(), wv.tolist()):
+                    delta = mp.exp(ld)
+                    log_z = mp.log1p(-delta) / am
+                    w = -mp.expm1(log_z)
+                    gt = pref * mp.exp(c * log_z) * w ** -am * mp.hyp2f1(1, c - am, c + 1, 1 - w)
+                    ref.append(float(gt * s * wi * delta / vi))
+                    y_ref.append(float(1 - delta))
+                    far.append(w > 0.5)
+            ref, far = np.array(ref), np.array(far) & (np.abs(ref) > 1e-290)
+            assert np.all(np.abs(y - y_ref) <= 2.3e-16 * np.array(y_ref)), (a, b)
+            worst[a, b] = float(np.abs(gw - ref).max() / np.abs(ref).sum())
+            worst_far[a, b] = float(np.abs(gw[far] / ref[far] - 1.0).max())
+    assert max(worst.values()) <= 1e-13, worst
+    assert max(worst_far.values()) <= 1e-12, worst_far
 
 
-def test_2f1_connection_region_euler_oracle():
-    # frozen from the Euler-integral oracle at 40 digits
-    assert sf.gauss_2f1(2.0, 1.5, 3.7, 0.6).value.real == pytest.approx(
-        1.9544704875342558, rel=1e-12)
-    for z in (0.85, 0.93, 0.99):
-        got = sf.gauss_2f1(2.0, 1.5, 3.7, z).value.real
-        assert got == pytest.approx(euler_2f1(2.0, 1.5, 3.7, z), rel=1e-11)
-
-
-def test_2f1_euler_cross_property():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        b = rng.uniform(0.2, 3.0)
-        c = b + rng.uniform(0.3, 2.0)
-        a = rng.uniform(0.1, 2.5)
-        z = rng.uniform(0.0, 0.97)
-        if abs(c - a - b - round(c - a - b)) < 1e-6:
-            a += 0.01
-        got = sf.gauss_2f1(a, b, c, z).value.real
-        assert got == pytest.approx(euler_2f1(a, b, c, z), rel=1e-9)
-
-
-def test_2f1_near_one_flagged():
-    r = sf.gauss_2f1(1.6, 2.1, 3.2, 1.0 - 1e-12)
-    assert not r.converged and r.note == "diverging"
-    assert math.isfinite(r.value.real)
-
-
-def test_2f1_w1_against_mpmath():
-    # the generator kernel's instances 2F1(c, alpha + 1; c + 1; 1 - w),
-    # c = alpha (beta + 1) + 1, for w down to 1e-14, where 1 - w loses
-    # w's digits; 2.3e-13 at worst
-    with mp.workdps(40):
-        for a in (0.1, 0.25, 0.5, 0.75, 0.9):
-            for b in (0.0, 1.0, 2.5):
-                c = a * (b + 1.0) + 1.0
-                for w in (1e-14, 1e-8, 1e-4, 0.01, 0.2, 0.5):
-                    ref = float(mp.hyp2f1(c, a + 1.0, c + 1.0, 1 - mp.mpf(w)))
-                    got = sf.gauss_2f1_w1(c, a + 1.0, c + 1.0, w)
-                    assert got.value.real == pytest.approx(ref, rel=1e-12), (a, b, w)
-    for w in (0.0, 0.6):
-        with pytest.raises(DomainError):
-            sf.gauss_2f1_w1(1.5, 1.5, 2.5, w)
-    with pytest.raises(DomainError):       # integer c - a - b
-        sf.gauss_2f1_w1(1.0, 1.0, 3.0, 0.1)
-
-
-def test_2f1_domain():
-    with pytest.raises(DomainError):
-        sf.gauss_2f1(1.0, 1.0, -2.0, 0.5)
-    with pytest.raises(DomainError):
-        sf.gauss_2f1(1.0, 1.0, 2.0, 1.5)
-
-
-def test_g_assembly_against_integral_oracle(p_half):
-    # gt kernel of the generator vs direct quadrature of its defining integral
-    a, b = 0.5, 1.0
-    y = 0.25
-    z = y ** (1.0 / a)
-    f21 = sf.gauss_2f1(a * (b + 1.0) + 1.0, a + 1.0, a * (b + 1.0) + 2.0, z)
-    g_series = (math.gamma(a) / (b + 1.0 / a + 1.0)) * y ** (b + 1.0 / a + 1.0) \
-        * f21.value.real
-    g_integral = math.gamma(a) * g_kernel_integral(a, b, y)
-    assert g_series == pytest.approx(g_integral, rel=1e-11)
+def test_g_assembly_against_integral_oracle():
+    # the grid's gt against quadrature of its defining integral:
+    # Gamma(1-alpha) gt(y) = Int_0^y r^(beta+1/alpha) (1 - r^(1/alpha))^(-alpha-1) dr,
+    # at nodes on both sides of w = 1 - y^(1/alpha) = 1/2
+    from glspec.semigroup import _generator_grid
+    for a, b in ((0.5, 1.0), (0.9, 0.0)):
+        s, v, wv, log_delta = _grid_nodes(a)
+        y, gw = _generator_grid(make_params(a, b))
+        gt = gw / (s * wv * np.exp(log_delta) / v)
+        w = 1.0 - y ** (1.0 / a)
+        for i in (int(np.argmin(np.abs(w - t))) for t in (0.1, 0.4, 0.6, 0.9)):
+            want = g_kernel_integral(a, b, float(y[i])) / math.gamma(1.0 - a)
+            assert gt[i] == pytest.approx(want, rel=1e-11), (a, b, w[i])
 
 
 # --------------------------------------------------------------------------
@@ -205,18 +184,18 @@ def test_frak_I_trivial_and_bessel():
 
 
 def test_cal_I_trivial_and_bessel(p_half):
-    assert sf.cal_I(p_half, 0.0).value.real == 1.0
+    assert sf.cal_I(p_half, 0.0) == 1.0
     from scipy.special import iv
     for p1 in (make_params(1, 0), make_params(1, 0, precision="ext128")):
         for x in (0.5, 2.0, 7.0):
-            assert sf.cal_I(p1, x).value.real == pytest.approx(
+            assert sf.cal_I(p1, x) == pytest.approx(
                 float(iv(0, 2.0 * math.sqrt(x))), rel=1e-12)
 
 
 def test_cal_I_growth_envelope(p_half):
     # positive coefficients: max modulus on |z| = r is attained at z = r
     n, x = 40, 1.0
-    val = sf.cal_I(p_half, n * x).value.real
+    val = sf.cal_I(p_half, n * x)
     assert 0 < val <= math.exp(p_half.frak_t * (n * x) ** (1.0 / 1.5))
 
 
@@ -454,8 +433,12 @@ def test_exact_tier_past_the_cap_raises(monkeypatch):
     # P_1100(2.6) at (1/2, 1) has cond about 2^761, past a cap of 100 digits
     from glspec import eigen as eg
     from glspec.core import PrecisionError
+    from glspec import core
     monkeypatch.setattr(sf, "MAX_ESCALATED_DPS", 100)
     p = make_params(0.5, 1.0)
+    # from a cold "P" table: rows an earlier test built at more digits would
+    # give the first pass the bits it needs, and it would never reach the cap
+    monkeypatch.delitem(core._tables, ("P", p), raising=False)
     with pytest.raises(PrecisionError):
         eg.p_eval(eg.p_coeffs(p, 1100), 1100, 2.6)
 
