@@ -34,6 +34,20 @@ def binet_log_gamma(z, dps: int = 80):
         return complex(out - shift)
 
 
+def euler_2f1(a: float, b: float, c: float, z: float, dps: int = 40) -> float:
+    """2F1 by the Euler integral (needs c > b > 0):
+
+    F = G(c)/(G(b) G(c-b)) Int_0^1 t^(b-1) (1-t)^(c-b-1) (1 - z t)^(-a) dt.
+    """
+    assert c > b > 0
+    with mp.workdps(dps):
+        am, bm, cm, zm = (mp.mpf(str(v)) for v in (a, b, c, z))
+        pref = mp.gamma(cm) / (mp.gamma(bm) * mp.gamma(cm - bm))
+        val = mp.quad(lambda t: t ** (bm - 1) * (1 - t) ** (cm - bm - 1)
+                      * (1 - zm * t) ** (-am), [0, 1])
+        return float(pref * val)
+
+
 def g_kernel_integral(alpha: float, beta: float, y: float, dps: int = 40) -> float:
     """Int_0^y r^(beta + 1/alpha) (1 - r^(1/alpha))^(-alpha-1) dr."""
     with mp.workdps(dps):

@@ -9,7 +9,7 @@ from glspec.core import COND_THRESHOLD, DomainError, PoleError, make_params
 from glspec import specfun as sf
 
 from oracles import (bell_args, bell_partitions, bell_table, binet_log_gamma,
-                     frak_I_mp, g_kernel_integral, r_coeffs_bell_mp,
+                     euler_2f1, frak_I_mp, g_kernel_integral, r_coeffs_bell_mp,
                      wright_series_mp)
 
 
@@ -133,6 +133,55 @@ def test_generator_grid_against_mpmath():
             worst_far[a, b] = float(np.abs(gw[far] / ref[far] - 1.0).max())
     assert max(worst.values()) <= 1e-13, worst
     assert max(worst_far.values()) <= 1e-12, worst_far
+
+
+def _grid_2f1(a, b):
+    """The grid's kernel as its 2F1: gt = alpha / (c Gamma(1-alpha)) z^c
+    2F1(c, alpha+1; c+1; z), solved for the 2F1 at each node, with the
+    node's log delta, w = 1 - z and z."""
+    from glspec.semigroup import _generator_grid
+    s, v, wv, log_delta = _grid_nodes(a)
+    y, gw = _generator_grid(make_params(a, b))
+    gt = gw / (s * wv * np.exp(log_delta) / v)
+    c = a * (b + 1.0) + 1.0
+    log_z = np.log1p(-np.exp(log_delta)) / a
+    z = np.exp(log_z)
+    return log_delta, -np.expm1(log_z), z, gt * c * math.gamma(1.0 - a) / (a * z ** c)
+
+
+def test_2f1_w1_against_mpmath():
+    # the generator kernel's instances 2F1(c, alpha + 1; c + 1; 1 - w),
+    # c = alpha (beta + 1) + 1, on the grid's connection-formula side, at
+    # the nodes nearest w = 1e-14 ... 1/2, where 1 - w loses w's digits;
+    # the reference is taken at the node's own float log delta at 50 digits
+    for a in (0.1, 0.25, 0.5, 0.75, 0.9):
+        for b in (0.0, 1.0, 2.5):
+            c = a * (b + 1.0) + 1.0
+            log_delta, w, _, f21 = _grid_2f1(a, b)
+            near = np.flatnonzero(w <= 0.5)
+            for t in (1e-14, 1e-8, 1e-4, 0.01, 0.2, 0.5):
+                i = near[np.argmin(np.abs(np.log(w[near] / t)))]
+                assert abs(math.log(w[i] / t)) < 1.0, (a, b, t)
+                with mp.workdps(50):
+                    z = mp.exp(mp.log1p(-mp.exp(float(log_delta[i]))) / a)
+                    ref = float(mp.hyp2f1(c, a + 1.0, c + 1.0, z))
+                assert f21[i] == pytest.approx(ref, rel=1e-12), (a, b, w[i])
+    from glspec.semigroup import _generator_grid
+    with pytest.raises(DomainError):       # integer c - a - b = -alpha
+        _generator_grid(make_params(1.0, 0.0))
+
+
+def test_2f1_connection_region_euler_oracle():
+    # the kernel's 2F1(c, alpha + 1; c + 1; z) for z in the connection
+    # region (z >= 1/2), against the Euler-integral oracle at 40 digits
+    for a, b in ((0.5, 1.0), (0.25, 2.5), (0.9, 0.0)):
+        c = a * (b + 1.0) + 1.0
+        _, w, z, f21 = _grid_2f1(a, b)
+        for t in (0.6, 0.85, 0.93, 0.99):
+            i = int(np.argmin(np.abs(z - t)))
+            assert w[i] <= 0.5 and abs(z[i] - t) < 0.05, (a, b, t)
+            want = euler_2f1(c, a + 1.0, c + 1.0, float(z[i]))
+            assert f21[i] == pytest.approx(want, rel=1e-11), (a, b, z[i])
 
 
 def test_g_assembly_against_integral_oracle():
