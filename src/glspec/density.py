@@ -10,9 +10,10 @@ Gamma(alpha*s + alpha*beta + 1) / Gamma(alpha*beta + 1) and the multiplier
 factorisation M_lambda(s) * M_e(s) = Gamma(s + 1) holds exactly.
 
 The kernel density lambda (Mellin transform M_lambda) has one route at every
-precision, in float64 on arrays of points: a residue series over (points x
-terms), and a saddle-point Mellin-Barnes contour where that sum cancels or
-does not converge.
+precision, in float64 on arrays of points: its residue power series, summed
+by the package's one float64 Horner pass (``specfun._horner_float``), and a
+saddle-point Mellin-Barnes contour where that sum cancels or is not
+converged within its terms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from scipy.special import (digamma, gammaln, gammasgn, loggamma, roots_jacobi,
 
 from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
                    eval_on, real_pow)
-from .specfun import _SERIES_CAP, log_gamma, rgamma_c
+from .specfun import _horner_float, log_gamma, rgamma_c
 
 __all__ = [
     "Weight", "weight_e_ab", "weight_e_bar", "weight_classical", "weight_eval",
@@ -164,54 +165,43 @@ def mellin_lambda(params: GLParams, s) -> complex:
 # Kernel density lambda
 # --------------------------------------------------------------------------
 
-#: a node keeps its float64 residue sum up to this condition sum|t_k| / |sum|:
-#: each term carries a few ulps, so 1e6 would let errors reach 1e-9
+#: terms of the residue series lambda(z) = sum_k c_k z^k summed at a node
+_RESIDUE_TERMS = 256
+
+#: a node keeps its residue sum s up to this condition mag / |s|, mag = sum
+#: |c_k| z^k.  s is off by at most (2K u + e) mag: 2K u for Horner over K
+#: terms (Higham 2002, §5.1; u = 2^-53), e for the c_k, exp'd from their
+#: logs (1e-13 at worst).  1e4 keeps about 11 digits; 1e6 would allow 1e-9
 _SERIES_COND = 1.0e4
 
 
 @lru_cache(maxsize=32)
-def _residue_coeffs(params: GLParams, n: int):
-    """log|c_k| and sign c_k, k < n, of lambda(z) = sum_k c_k z^k, c_k =
-    Gamma(ab + 1) (-1)^k / (Gamma(bb - a k) k!), with bb rounded from its
-    exact value (ab + 1 - a cancels near beta = 1 - 1/alpha, c_0 ~ bb)."""
-    k, a = np.arange(float(n)), Fraction(params.alpha)
+def _residue_row(params: GLParams):
+    """c_k = Gamma(ab + 1) (-1)^k / (Gamma(bb - a k) k!), k <
+    _RESIDUE_TERMS, in float64, read-only, and (k, log|c_k|) of the last
+    three.  bb is rounded from its exact value (ab + 1 - a cancels near beta
+    = 1 - 1/alpha, c_0 ~ bb); c_k = 0 at the poles of Gamma(bb - a k)."""
+    k, a = np.arange(float(_RESIDUE_TERMS)), Fraction(params.alpha)
     w = float(a * Fraction(params.beta) + 1 - a) - params.alpha * k
     lc = gammaln(params.alpha * params.beta + 1.0) - gammaln(w) - gammaln(k + 1.0)
-    return lc, np.where(k % 2 == 1, -1.0, 1.0) * np.nan_to_num(gammasgn(w))
+    c = np.where(k % 2 == 1, -1.0, 1.0) * np.nan_to_num(gammasgn(w)) * np.exp(lc)
+    c.flags.writeable = False
+    return c, tuple(zip(range(_RESIDUE_TERMS - 3, _RESIDUE_TERMS), lc[-3:].tolist()))
 
 
-def _residue_sums(params: GLParams, z: np.ndarray):
-    """Residue series at every z > 0 in float64, one (nodes x terms) array
-    per block of terms (128 wide, doubling to 512, up to the series cap).  A
-    node stops at its third consecutive term below 1e-17 of its partial sum;
-    its terms are summed correctly rounded, earlier blocks carried as a pair
-    (s, e).  Returns the sums and which converged with condition at most
-    _SERIES_COND."""
-    n = z.size
-    s, e, abs_sum, ok = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, bool)
-    tail = np.zeros((n, 2), bool)           # whether the last two terms were small
-    live, k0, k1 = np.arange(n), 0, 128
-    while live.size and k0 < _SERIES_CAP:
-        lc, sign = _residue_coeffs(params, 1 << (k1 - 1).bit_length())
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = sign[k0:k1] * np.exp(lc[k0:k1] + np.arange(k0, k1) * np.log(z[live, None]))
-            part = (s[live] + e[live])[:, None] + np.cumsum(t, axis=1)
-            mags = abs_sum[live, None] + np.cumsum(np.abs(t), axis=1)
-        small = np.hstack([tail[live], np.abs(t) <= 1e-17 * (np.abs(part) + 1e-300)])
-        run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-        stop = run.any(axis=1)
-        rows, last = np.arange(live.size), np.where(stop, run.argmax(axis=1), k1 - k0 - 1)
-        abs_sum[live] = mags[rows, last]
-        good = np.isfinite(part[rows, last]) & np.isfinite(abs_sum[live])
-        for r in np.flatnonzero(good).tolist():
-            i = live[r]
-            terms = [s[i], e[i]] + t[r, :last[r] + 1].tolist()
-            s[i] = math.fsum(terms)
-            e[i] = 0.0 if stop[r] else math.fsum(terms + [-s[i]])
-        done = live[stop & good]
-        ok[done] = abs_sum[done] <= _SERIES_COND * np.abs(s[done])
-        tail[live] = small[:, -2:]
-        live, k0, k1 = live[~stop & good], k1, min(k1 + min(k1, 512), _SERIES_CAP)
+def _residue_sum(params: GLParams, z):
+    """lambda at a float z > 0, or at each point of an ndarray, by its
+    residue series, and whether each sum s stands: mag <= _SERIES_COND |s| <
+    inf, and the row's last three terms |c_k| z^k are at most 1e-17 |s| (the
+    terms' envelope Gamma(alpha k + 1 - bb) z^k / k! is log-concave in k, so
+    past three terms that small it only falls)."""
+    c, tail = _residue_row(params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s, mag = _horner_float(c, z)
+        ok = (mag <= _SERIES_COND * np.abs(s)) & (mag < math.inf)
+        edge, lz = np.log(np.abs(s)) - 17.0 * math.log(10.0), np.log(z)
+        for k, lck in tail:
+            ok &= lck + k * lz <= edge
     return s, ok
 
 
@@ -298,28 +288,34 @@ def _contour_values(params: GLParams, z: np.ndarray) -> np.ndarray:
 def lambda_values(params: GLParams, z) -> np.ndarray:
     """Kernel density at every point of the array z >= 0, in float64 at
     every precision of params: Gamma(ab + 1) / Gamma(bb) at 0, else the
-    residue sum where it converged with condition <= _SERIES_COND, else the
-    saddle-point contour.  Round-off below 0 is 0.0.  Each value depends on
-    its own z only."""
+    residue sum where ``_residue_sum`` lets it stand, else the saddle-point
+    contour.  Round-off below 0 is 0.0.  Each value depends on its own z
+    only."""
     zs = np.asarray(z, dtype=float)
     if params.alpha >= 1.0:
         raise DomainError("alpha = 1: kernel is a point mass, no density")
     if not np.all(zs >= 0.0):
         raise DomainError("density argument must be >= 0")
     flat = zs.ravel()
-    lc, sign = _residue_coeffs(params, 128)
-    out = np.full(flat.shape, sign[0] * math.exp(lc[0]))
+    out = np.full(flat.shape, _residue_row(params)[0][0])
     pos = np.flatnonzero(flat > 0.0)
-    for c in (pos[i:i + 64] for i in range(0, pos.size, 64)):   # bounds temporaries
-        out[c], ok = _residue_sums(params, flat[c])
-        if not ok.all():
-            out[c[~ok]] = _contour_values(params, flat[c[~ok]])
+    out[pos], ok = _residue_sum(params, flat[pos])
+    rest = pos[~ok]
+    for c in (rest[i:i + 64] for i in range(0, rest.size, 64)):   # bounds the contour's arrays
+        out[c] = _contour_values(params, flat[c])
     return np.where(out <= 0.0, 0.0, out).reshape(zs.shape)
 
 
 def lambda_value(params: GLParams, z: float) -> float:
-    """Kernel density at one z >= 0: the scalar face of ``lambda_values``."""
-    return float(lambda_values(params, float(z)))
+    """Kernel density at one z >= 0: the scalar face of ``lambda_values``,
+    which sums the series in Python floats, with no array set-up."""
+    z = float(z)
+    if not (z > 0.0 and params.alpha < 1.0):
+        return float(lambda_values(params, z))
+    s, ok = _residue_sum(params, z)
+    if not ok:
+        s = float(_contour_values(params, np.array([z]))[0])
+    return s if s > 0.0 else 0.0
 
 
 # --------------------------------------------------------------------------

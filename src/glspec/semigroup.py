@@ -267,7 +267,7 @@ def heat_kernel(params: GLParams, t: float, x: float, y: float, k: int = 0,
     """
     if t <= 0.0:
         raise DomainError("heat kernel needs t > 0")
-    seq = p_coeffs(params, min(nmax, _NMAX_DEFAULT))
+    seq = p_coeffs(params, nmax)
     terms = (math.exp(-n * t) * w_eval(params, n, y, q) * p_eval(seq, n, x, p)
              * ((-float(n)) ** k if k else 1.0) for n in range(p, nmax + 1))
     return _kernel_sum(terms, tol, f"heat kernel cap {nmax} reached (t may be too small)")
@@ -308,7 +308,7 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
     keep = rule.weights >= 1e-20 * rule.weights.max()
     nodes = rule.nodes[keep]
     wts = rule.weights[keep]
-    seq = p_coeffs(params, min(nmax, _NMAX_DEFAULT))
+    seq = p_coeffs(params, nmax)
     acc = np.zeros((len(xs), nodes.size))
     small = 0
     for n in range(nmax + 1):
@@ -413,7 +413,7 @@ def selfsimilar_kernel(params: GLParams, t: float, x: float, y: float,
     """
     if t <= 0.0:
         raise DomainError("self-similar kernel needs t > 0")
-    seq = p_coeffs(params, min(nmax, _NMAX_DEFAULT))
+    seq = p_coeffs(params, nmax)
     u = y / (1.0 + t)
     terms = ((1.0 + t) ** (-n - 1) * w_eval(params, n, u) * p_eval(seq, n, x, 0)
              for n in range(nmax + 1))

@@ -1,12 +1,13 @@
 """Special-function kernel.
 
-The package's gamma functions (``log_gamma``, ``rgamma_c``,
-``log_abs_gamma``, ``gamma_sign``: scipy.special's ufuncs, with PoleError at
-the poles), the positive-term entire function cal_I, and
-``_escalating_horner``: the finite expansions of P_n, R_n and W_n^(q) are
-summed by Horner at a float or over a whole ndarray of points at once, in
-three tiers.  The float64 pass keeps each point whose condition number
-mag / |sum|, mag = sum |c_j| |y|^j, is at most COND_THRESHOLD.  A double-double pass (Dekker's error-free product) redoes
+The package's complex gamma functions (``log_gamma``, ``rgamma_c``:
+scipy.special's ufuncs, with PoleError at the poles), the positive-term
+entire function cal_I, and its one float64 Horner pass, ``_horner_float``,
+at a float or over a whole ndarray of points at once.  It sums lambda's
+residue series, and the finite expansions of P_n, R_n and W_n^(q) in the
+first of the three tiers of ``_escalating_horner``, which keeps each point
+whose condition number mag / |sum|, mag = sum |c_j| |y|^j, is at most
+COND_THRESHOLD.  A double-double pass (Dekker's error-free product) redoes
 the others and keeps its value v where mag <= 1e16 |v|: its error, a few
 u^2 mag in practice (u = 2^-53), is then within the float64 rounding of v.
 The rest, and every point at extended precision, are summed on their own
@@ -20,13 +21,13 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, gammasgn, loggamma, rgamma
+from scipy.special import gammaln, loggamma, rgamma
 
 from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, MAX_ESCALATED_DPS,
                    ConvergenceError, DomainError, GLParams, PoleError,
                    PrecisionError)
 
-__all__ = ["log_gamma", "rgamma_c", "log_abs_gamma", "gamma_sign", "cal_I"]
+__all__ = ["log_gamma", "rgamma_c", "cal_I"]
 
 
 def _pole(x) -> bool:
@@ -52,22 +53,6 @@ def rgamma_c(z) -> complex:
     """Entire reciprocal gamma 1/Gamma(z) (scipy's ``rgamma``) for real or
     complex argument; 0 at the poles."""
     return complex(rgamma(complex(z)))
-
-
-def log_abs_gamma(x: float) -> float:
-    """log |Gamma(x)| (scipy's ``gammaln``) for real non-pole x of either
-    sign; PoleError at the poles."""
-    if _pole(x):
-        raise PoleError(f"gamma pole at {x}")
-    return float(gammaln(x))
-
-
-def gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) (scipy's ``gammasgn``) for real non-pole x;
-    PoleError at the poles."""
-    if _pole(x):
-        raise PoleError(f"gamma pole at {x}")
-    return float(gammasgn(x))
 
 
 # --------------------------------------------------------------------------
@@ -122,11 +107,7 @@ def _escalating_horner(coeffs, y, params: GLParams, exact_args, dd_args,
     """
     if isinstance(y, np.ndarray):
         return _horner_array(coeffs, y, params, exact_args, dd_args, log, cond_max)
-    p = mag = 0.0
-    ay = abs(y)
-    for c in coeffs[::-1].tolist():     # Python floats overflow to inf quietly
-        p = p * y + c
-        mag = mag * ay + abs(c)
+    p, mag = _horner_float(coeffs, y)
     cond = mag / abs(p) if p != 0.0 else math.inf
     if params.precision.is_double:
         if cond <= cond_max:
@@ -145,13 +126,8 @@ def _horner_array(coeffs, y: np.ndarray, params: GLParams, exact_args, dd_args,
     point as the float one, so each value is bitwise that of the scalar
     call."""
     yf = y.ravel()
-    p = np.zeros(yf.size)
-    mag = np.zeros(yf.size)
-    ay = np.abs(yf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for c in coeffs[::-1].tolist():
-            p = p * yf + c
-            mag = mag * ay + abs(c)
+        p, mag = _horner_float(coeffs, yf)
         cond = np.where(p != 0.0, mag / np.abs(p), math.inf)
         if params.precision.is_double:
             redo = np.flatnonzero(~(cond <= cond_max))
@@ -174,6 +150,18 @@ def _horner_array(coeffs, y: np.ndarray, params: GLParams, exact_args, dd_args,
             o[i] = vo
     out = [o.reshape(y.shape) for o in out]
     return tuple(out) if log else out[0]
+
+
+def _horner_float(coeffs, y) -> tuple:
+    """(sum_j c_j y^j, mag = sum_j |c_j| |y|^j) by Horner in float64, at a
+    float y or elementwise over an ndarray y, by the same operations, so to
+    the same bits.  Floats overflow to inf quietly; arrays under errstate."""
+    p = mag = 0.0
+    ay = abs(y)
+    for c in coeffs[::-1].tolist():
+        p = p * y + c
+        mag = mag * ay + abs(c)
+    return p, mag
 
 
 def _dd_horner(hi, lo, y, y_lo):

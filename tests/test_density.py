@@ -200,6 +200,46 @@ def test_lambda_values_equal_scalar_calls(p_half, p_three_quarter):
         assert d._contour_values(p, nine)[0] == d.lambda_values(p, nine)[0]
 
 
+def _lambda_oracle(alpha, beta, z):
+    return lambda_series_mp(alpha, beta, z) if z <= 2.0 else lambda_contour_mp(alpha, beta, z)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.75, 0.5)])
+def test_lambda_at_the_edge_of_the_residue_row(alpha, beta, monkeypatch):
+    # the largest z whose residue sum passes the truncation test within the
+    # row's terms, found with the condition test off: values just below and
+    # just above it stand against the oracles, whichever route they take
+    p = make_params(alpha, beta)
+    with monkeypatch.context() as m:
+        m.setattr(d, "_SERIES_COND", math.inf)
+        lo, hi = 0.05, 50.0
+        assert d._residue_sum(p, lo)[1] and not d._residue_sum(p, hi)[1]
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if d._residue_sum(p, mid)[1] else (lo, mid)
+    for z in (lo * (1.0 - 1e-3), hi * (1.0 + 1e-3)):
+        assert d.lambda_value(p, z) == pytest.approx(_lambda_oracle(alpha, beta, z),
+                                                     rel=1e-10, abs=0.0), z
+
+
+def test_lambda_values_with_a_short_residue_row(monkeypatch):
+    # with 64 terms the condition test alone keeps sums the row cannot reach
+    # (at z = 12, 1e13 off at (1/2, 1) and 8e38 at (3/4, 1/2)): the
+    # truncation test must send them on
+    monkeypatch.setattr(d, "_RESIDUE_TERMS", 64)
+    d._residue_row.cache_clear()
+    try:
+        zs = np.geomspace(0.05, 12.0, 25)
+        for alpha, beta in ((0.5, 1.0), (0.75, 0.5)):
+            got = d.lambda_values(make_params(alpha, beta), zs)
+            for z, v in zip(zs.tolist(), got.tolist()):
+                ref = _lambda_oracle(alpha, beta, z)
+                if abs(ref) > 1e-300:
+                    assert v == pytest.approx(ref, rel=1e-10, abs=0.0), (alpha, z)
+    finally:
+        d._residue_row.cache_clear()
+
+
 def test_markov_preserves_constants(p_half):
     from glspec.core import const_fn
     assert d.markov_lambda_apply(p_half, const_fn(), 2.0) == pytest.approx(1.0)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the test suite imports a
 name it never uses, no package module exports a name it does not define or
-imports the test suite, and every exported function is used by a test or a
-benchmark op."""
+imports the test suite, every exported function is used by a test or a
+benchmark op, and every private function or class of the package is named
+somewhere in the package or the tests."""
 
 import ast
 import importlib
@@ -64,6 +65,27 @@ def test_package_does_not_import_tests():
             found += [f"{path.name}:{node.lineno} {n}" for n in names
                       if n.split(".")[0] in ("oracles", "tests", "conftest")]
     assert not found, "imports of the test suite: " + ", ".join(found)
+
+
+def test_private_definitions_are_referenced():
+    # a module-level private function or class that no module of the package
+    # and no test names is dead code
+    defined, named = [], set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.parent == SRC:
+            defined += [(path.name, node.name) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named |= {alias.name for alias in node.names}
+    found = [f"{file}: {name}" for file, name in defined if name not in named]
+    assert not found, "private definitions never referenced: " + ", ".join(found)
 
 
 def test_traced_caches_report_cache_info():

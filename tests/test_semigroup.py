@@ -266,6 +266,19 @@ def test_heat_kernel_truncation_error(p_half):
         sg.heat_kernel(p_half, 1e-4, 1.0, 1.0, nmax=40)
 
 
+def test_kernel_sums_past_n_200(p_half):
+    # at t = 0.06 the heat sum runs past n = 200, the default cap, with nmax
+    # raised: it sums, and P_s(x, z) = e^s K_{e^s - 1}(x, e^s z) holds
+    s = 0.06
+    hk = sg.heat_kernel(p_half, s, 1.0, 1.0, nmax=500)
+    K = math.exp(s) * sg.selfsimilar_kernel(p_half, math.expm1(s), 1.0, math.exp(s), nmax=500)
+    assert math.isfinite(hk) and hk == pytest.approx(K, rel=1e-12)
+    # the mass sum at t = 0.1 reaches n = 201: it stops at its cap
+    rule = q.build_rule(d.weight_e_ab(p_half), 2)
+    with pytest.raises(TruncationError):
+        sg.heat_kernel_mass(p_half, 0.1, 1.0, rule=rule, nmax=201)
+
+
 def test_laguerre_semigroup_eigen_and_closed_form():
     b = 0.0
     f = RealFn(lambda x: laguerre_eval(2, b, x))

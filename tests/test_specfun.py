@@ -74,20 +74,6 @@ def test_log_gamma_and_rgamma_against_mpmath():
             assert abs(sf.rgamma_c(z) - ref) <= 1e-13 * abs(ref), z
 
 
-def test_log_abs_gamma_and_sign_at_negative_non_integers():
-    # log|Gamma| to 1e-13 absolute on (-60, 60) (5.7e-14; 1.1e-12 with the
-    # former reflection formula), and the sign of Gamma
-    with mp.workdps(40):
-        for x in np.random.default_rng(3).uniform(-60, 60, 1000).tolist():
-            g = mp.gamma(x)
-            assert abs(sf.log_abs_gamma(x) - float(mp.log(abs(g)))) <= 1e-13, x
-            assert sf.gamma_sign(x) == (1.0 if g > 0 else -1.0), x
-    for x in (0.0, -1.0, -12.0):
-        for fn in (sf.log_abs_gamma, sf.gamma_sign):
-            with pytest.raises(PoleError):
-                fn(x)
-
-
 # --------------------------------------------------------------------------
 # The generator's kernel gt
 # --------------------------------------------------------------------------
