@@ -18,21 +18,22 @@ R_n = L_n^(beta) classical at alpha = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln
 from scipy.special import loggamma as sp_cloggamma
 
 from .core import (LOG_DOUBLE_MAX, MAX_ESCALATED_DPS, TABLE_MIN_DPS, ContourError,
-                   DomainError, GLParams, RealFn, coeff_table, mp_ctx, real_pow,
-                   table_dps)
+                   DomainError, GLParams, RealFn, coeff_faces, coeff_table, mp_ctx,
+                   real_pow, table_dps)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
-from .specfun import _dd_ratio, _escalating_horner
+from .specfun import _Basis, _dd_ratio, _escalating_horner
 
 __all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_mellin",
            "w_eval", "w_crude_bound_check", "ContourSpec"]
@@ -109,7 +110,7 @@ def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     ``_w_coeffs(params, n, 0)``).  At alpha = 1 these are the classical
     Laguerre monomial coefficients.
     """
-    return _w_coeffs(params, n, 0)[0]
+    return _w_coeffs(params, operator.index(n), 0)[0]
 
 
 @lru_cache(maxsize=4096)
@@ -176,7 +177,7 @@ def _w_horner(params: GLParams, n: int, q: int, x, log: bool):
 def r_eval_bell(params: GLParams, n: int, x):
     """R_n(x) from the finite power expansion in y = x^(1/alpha), with the
     coefficients of the cached table; x a float or an ndarray."""
-    return _w_horner(params, n, 0, x, log=False)
+    return _w_horner(params, operator.index(n), 0, x, log=False)
 
 
 def r_fn(params: GLParams, n: int) -> RealFn:
@@ -193,6 +194,66 @@ def _w_coeffs(params: GLParams, n: int, q: int) -> tuple:
     double-double rows (hi, lo), each part one rounding of the exact value
     (``_dd_ratio``)."""
     return _dd_ratio(*_exact(params, n, q))
+
+
+def _w_rows(params: GLParams, q: int, hi: int) -> np.ndarray:
+    """The hi rows of ``_w_coeffs(params, n, q)``, n = 0..(at least) hi,
+    stacked as one read-only matrix, zero past each row's degree n + q:
+    face ("W", q) of the "R" table, grown by the orders a caller asks for."""
+    faces = coeff_faces("R", params)
+    rows = faces.get(("W", q), np.zeros((0, q)))
+    if rows.shape[0] <= hi:
+        grown = np.zeros((hi + 1, hi + q + 1))
+        grown[:rows.shape[0], :rows.shape[1]] = rows
+        for n in range(rows.shape[0], hi + 1):
+            grown[n, :n + q + 1] = _w_coeffs(params, n, q)[0]
+        grown.flags.writeable = False
+        faces["W", q] = rows = grown
+    return rows
+
+
+class _WBasis:
+    """W_n^(q)(x) at one x > 0 for the orders of a kernel sum, a chunk of
+    orders at a time: ``values(lo, hi, s)``, NaN at the orders the float64
+    tier did not keep, and ``escalate(n)`` for such an order (see
+    ``specfun._Basis``), the sum in y = x^(1/alpha) over the stacked rows
+    of ``_w_rows``.  As in ``w_eval`` each value is sign * exp(log|sum| -
+    q log x + log e(x)); at alpha = 1 and q = 0 the sums are one
+    ``eval_genlaguerre`` call over the chunk's orders."""
+
+    def __init__(self, params: GLParams, x: float, q: int = 0):
+        if q < 0:
+            raise DomainError("derivative order must be >= 0")
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"co-eigenfunctions are evaluated on 0 < x < inf, got {x}")
+        self.params, self.x = params, x
+        self.log_x, self.log_e = q * math.log(x), log_weight_eval(weight_e_ab(params), x)
+        self.basis = None
+        if not (params.is_classical and q == 0):
+            a = params.alpha
+            self.basis = _Basis(params, real_pow(x, 1.0 / a),
+                                lambda lo, hi: _w_rows(params, q, hi)[lo:hi + 1, :hi + q + 1],
+                                lambda: _point(x, a)[0],
+                                lambda ns: [_w_coeffs(params, n, q) for n in ns],
+                                lambda n: _exact_args(params, n, q, x), log=True)
+
+    def span(self, lo: int, hi: int) -> tuple:
+        """The basis and the rows of orders lo..hi in it, for
+        ``specfun._basis_values``."""
+        return self.basis, lo, hi
+
+    def values(self, lo: int, hi: int, s) -> np.ndarray:
+        """W_n^(q)(x), n = lo..hi, from the basis's first tier s of
+        ``span(lo, hi)``."""
+        if self.basis is None:
+            s = eval_genlaguerre(np.arange(lo, hi + 1), self.params.beta, self.x)
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.copysign(np.exp(np.log(np.abs(s)) - self.log_x + self.log_e), s)
+
+    def escalate(self, n: int) -> float:
+        sign, lr = self.basis.escalate(n)
+        lw = lr - self.log_x + self.log_e
+        return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
 
 
 # --------------------------------------------------------------------------
@@ -270,9 +331,10 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
     rounded product, not a false 0 or an overflow (W_5(2) at alpha = 0.1 is
     about -9.1e-424 and comes back as -0.0).
     """
+    q = operator.index(q)
     if q < 0:
         raise DomainError("derivative order must be >= 0")
-    sign, lr = _w_horner(params, n, q, x, log=True)
+    sign, lr = _w_horner(params, operator.index(n), q, x, log=True)
     lw = lr - q * math.log(x) + log_weight_eval(weight_e_ab(params), x)
     return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
 

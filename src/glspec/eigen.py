@@ -21,6 +21,7 @@ double-double rows of the escalating Horner are faces of that table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -31,7 +32,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from .core import (TABLE_MIN_DPS, ConvergenceError, DomainError, GLParams,
                    RealFn, coeff_faces, coeff_table, make_params, mp_ctx)
-from .specfun import _dd_mul, _dd_ratio, _escalating_horner, cal_I
+from .specfun import _Basis, _dd_mul, _dd_ratio, _escalating_horner, cal_I
 
 __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
            "p_growth_bound_check", "laguerre_eval", "p_sup"]
@@ -55,6 +56,7 @@ def p_coeffs(params: GLParams, N: int) -> PolySeq:
     params (the "coeff" face of its "P" table), rebuilt only for a larger
     N.  Each entry is formed on its own, so it is the same at any table
     size."""
+    N = operator.index(N)
     if N < 0:
         raise DomainError("degree must be >= 0")
     faces = coeff_faces("P", params)
@@ -126,31 +128,45 @@ def _exact_args(params: GLParams, n: int, x: float, bits: int) -> tuple:
     return (*_exact(params, n, bits), *x.as_integer_ratio(), None)
 
 
-def _dd_row(params: GLParams, n: int) -> tuple:
-    """The coefficients of P_n as read-only double-double rows (hi, lo):
-    the exact integers (-1)^k C(n, k) times the double-double g_k of the
-    "g" face of the "P" table (see ``_dd_ratio`` for g_k below its range),
-    formed in numpy and held as face n.  g comes from n + 1 gammas at
-    TABLE_MIN_DPS digits, not from the table, whose digits are those of the
-    points that went past the double-double tier.  A binomial of 2^1023 or
-    more (n >= 1029) makes the tier's value NaN, so such points go on to
-    the exact tier."""
+def _dd_rows(params: GLParams, orders: list) -> list:
+    """The coefficients of P_n, n in orders (increasing), as read-only
+    double-double rows (hi, lo): the exact integers (-1)^k C(n, k) times
+    the double-double g_k of the "g" face of the "P" table (see
+    ``_dd_ratio`` for g_k below its range), each held as face n.  The rows
+    not yet held are formed as one block: the g_k they need at once, from
+    gammas at TABLE_MIN_DPS digits, not from the table, whose digits are
+    those of the points that went past the double-double tier; the
+    binomials by ``_dd_ratio``; and one ``_dd_mul`` over the block, which
+    gives each row the bits of a block of one.  A binomial of 2^1023 or
+    more (n >= 1029) makes the tier's value NaN, so such points go on to the
+    exact tier."""
     faces = coeff_faces("P", params)
-    pair = faces.get(n)
-    if pair is None:
+    new = [n for n in orders if n not in faces]
+    if new:
+        top = new[-1]
         g = faces.get("g", (np.zeros(0), np.zeros(0)))
-        if g[0].size <= n:
+        if g[0].size <= top:
             with mp_ctx(TABLE_MIN_DPS):    # g_k = m 2^x, exactly m 2^(x + e) / 2^e
-                mx = [v.man_exp for v in _g(params, range(g[0].size, n + 1))]
+                mx = [v.man_exp for v in _g(params, range(g[0].size, top + 1))]
             e = max(0, *(-x for _, x in mx))
             more = _dd_ratio([m << (x + e) for m, x in mx], 1 << e)
             faces["g"] = g = tuple(np.concatenate(parts) for parts in zip(g, more))
+        b_hi, b_lo = np.zeros((2, len(new), top + 1))
+        for i, n in enumerate(new):
+            b_hi[i, :n + 1], b_lo[i, :n + 1] = _dd_ratio(_binomials(params, n), 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            pair = _dd_mul(*_dd_ratio(_binomials(params, n), 1), g[0][:n + 1], g[1][:n + 1])
-        for a in pair:
+            block = _dd_mul(b_hi, b_lo, g[0][:top + 1], g[1][:top + 1])
+        for a in block:
             a.flags.writeable = False
-        faces[n] = pair
-    return pair
+        for i, n in enumerate(new):
+            faces[n] = (block[0][i, :n + 1], block[1][i, :n + 1])
+    return [faces[n] for n in orders]
+
+
+def _dd_row(params: GLParams, n: int) -> tuple:
+    """The double-double row of P_n (``_dd_rows``)."""
+    pair = coeff_faces("P", params).get(n)
+    return _dd_rows(params, [n])[0] if pair is None else pair
 
 
 def laguerre_eval(n: int, beta: float, x, derivative: int = 0):
@@ -175,6 +191,7 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
     Derivatives reduce to the (beta + p) family through the index-shift
     identity, so only plain evaluations remain.
     """
+    n = operator.index(n)
     if n > seq.degree:
         raise DomainError(f"n = {n} exceeds table degree {seq.degree}")
     if p < 0:
@@ -195,6 +212,54 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
     return _escalating_horner(seq.coeff[n, :n + 1], x, params,
                               lambda i, bits: _exact_args(params, n, float(np.ravel(x)[i]), bits),
                               lambda i: (_dd_row(params, n), (float(np.ravel(x)[i]), 0.0)))
+
+
+class _PBasis:
+    """P_n^(p)(x) at one x for the orders n = p..nmax of a kernel sum, a
+    chunk of orders at a time: ``values(lo, hi, s)``, NaN at the orders the
+    float64 tier did not keep, and ``escalate(n)`` for such an order (see
+    ``specfun._Basis``).  The derivative goes to the (beta + p) family, as
+    in ``p_eval``; on the classical branch one ``eval_genlaguerre`` call
+    over the chunk's orders gives every value."""
+
+    def __init__(self, params: GLParams, x: float, nmax: int, p: int = 0):
+        if not math.isfinite(x):
+            raise DomainError(f"P_n is evaluated at finite x, got {x}")
+        a, b = params.alpha, params.beta
+        self.p, self.x, self.params = p, x, _shifted(params, p) if p else params
+        self.log_fac = gammaln(a * b + 1.0) - gammaln(a * b + a * p + 1.0) if p else 0.0
+        self.basis = None
+        if not params.is_classical:
+            seq, sp = p_coeffs(self.params, max(nmax - p, 0)), self.params
+            self.basis = _Basis(sp, x, lambda lo, hi: seq.coeff[lo:hi + 1, :hi + 1],
+                                lambda: (x, 0.0), lambda ms: _dd_rows(sp, ms),
+                                lambda m: lambda i, bits: _exact_args(sp, m, x, bits))
+
+    def _fac(self, n):
+        """(-1)^p n! / (n - p)! Gamma(ab + 1) / Gamma(ab + ap + 1), over an
+        array of orders n."""
+        if not self.p:
+            return 1.0
+        return (-1.0) ** self.p * np.exp(gammaln(n + 1.0) - gammaln(n - self.p + 1.0)
+                                         + self.log_fac)
+
+    def span(self, lo: int, hi: int) -> tuple:
+        """The basis and the rows of orders lo..hi in it, for
+        ``specfun._basis_values``."""
+        return self.basis, lo - self.p, hi - self.p
+
+    def values(self, lo: int, hi: int, s) -> np.ndarray:
+        """P_n^(p)(x), n = lo..hi, from the basis's first tier s of
+        ``span(lo, hi)``."""
+        n = np.arange(float(lo), hi + 1.0)
+        if self.basis is None:
+            m, b = np.arange(lo - self.p, hi - self.p + 1), self.params.beta
+            scale = np.exp(gammaln(m + 1.0) + gammaln(b + 1.0) - gammaln(m + b + 1.0))
+            return self._fac(n) * scale * eval_genlaguerre(m, b, self.x)
+        return self._fac(n) * s if self.p else s
+
+    def escalate(self, n: int) -> float:
+        return float(self._fac(np.float64(n))) * self.basis.escalate(n - self.p)
 
 
 def p_fn(params: GLParams, n: int) -> RealFn:

@@ -14,11 +14,23 @@ Spectral side: P_t f = sum_n e^{-n t} <f, R_n> P_n.  The full-space expansion
 converges for t above the threshold time t_alpha; generalized polynomials
 (the image of the reference space under the intertwining operator) expand
 finitely and are valid for every t > 0 (the small-space regime).
+
+The heat kernel and the self-similar kernel sum their orders a chunk at a
+time (``_kernel_sum``): the float64 values of P_n(x) and W_n(y) for the
+whole chunk come from one Horner pass over the chunk's coefficient rows of
+both, stacked (``eigen._PBasis``, ``coeigen._WBasis`` on
+``specfun._Basis``), bitwise the values of one scalar pass per order.
+An order whose float64 value fails the condition test is escalated only
+when the scan reaches it: the first such order runs the double-double pass
+for the chunk's remaining failing orders as one block, and an order that
+fails that too goes to the exact tier alone.  So no order past the
+truncation reaches the exact tier.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -28,11 +40,12 @@ from scipy.special import gammaln, hyp2f1, rgamma
 
 from .core import (DomainError, GLParams, RealFn, TruncationError, eval_on,
                    make_params, phi)
-from .coeigen import r_eval_bell, r_fn, w_eval
+from .coeigen import _WBasis, r_eval_bell, r_fn
 from .density import (markov_lambda_apply, mellin_lambda, weight_classical,
                       weight_e_ab, weight_eval)
-from .eigen import p_coeffs, p_eval, p_sup
+from .eigen import _PBasis, p_coeffs, p_eval, p_sup
 from .quad import QuadRule, build_rule, inner_exact
+from .specfun import _basis_values
 
 __all__ = [
     "SpectralExpansion", "generator_apply", "generator_moment_identity_check",
@@ -42,6 +55,12 @@ __all__ = [
 ]
 
 _NMAX_DEFAULT = 200
+
+#: orders a kernel sum evaluates at once (``_kernel_sum``), twice as many
+#: in its first chunk: the float64 pass costs per column, and most kernel
+#: sums stop at n = 16..31, which one pass of 32 columns reaches, not two
+#: of 16 and 32
+_CHUNK = 16
 
 
 # --------------------------------------------------------------------------
@@ -263,31 +282,52 @@ def heat_kernel(params: GLParams, t: float, x: float, y: float, k: int = 0,
         d^k/dt^k P_t^(p,q)(x, y) = sum_{n >= p} (-n)^k e^{-nt} W_n^(q)(y) P_n^(p)(x)
 
     truncated once three consecutive terms fall below tol times the running
-    scale.  TruncationError when the cap is reached first.
+    scale (``_kernel_sum``).  TruncationError when the cap is reached first.
     """
     if t <= 0.0:
         raise DomainError("heat kernel needs t > 0")
-    seq = p_coeffs(params, nmax)
-    terms = (math.exp(-n * t) * w_eval(params, n, y, q) * p_eval(seq, n, x, p)
-             * ((-float(n)) ** k if k else 1.0) for n in range(p, nmax + 1))
-    return _kernel_sum(terms, tol, f"heat kernel cap {nmax} reached (t may be too small)")
+    k, p, q = map(operator.index, (k, p, q))
+    if min(k, p, q) < 0:
+        raise DomainError("derivative orders must be >= 0")
+    return _kernel_sum(_PBasis(params, x, nmax, p), _WBasis(params, y, q),
+                       lambda n: np.exp(-n * t) * (-n) ** k, p, nmax, tol,
+                       f"heat kernel cap {nmax} reached (t may be too small)")
 
 
-def _kernel_sum(terms, tol: float, cap: str) -> float:
-    """The sum of a kernel series, truncated once three consecutive terms
-    fall below tol times the running scale; TruncationError(cap) where the
-    terms run out first."""
+def _kernel_sum(pb, wb, factor, lo: int, nmax: int, tol: float, cap: str) -> float:
+    """sum_{n = lo..nmax} factor(n) W_n P_n, from the bases ``wb`` and
+    ``pb``, truncated once three consecutive terms fall below tol times the
+    running scale; TruncationError(cap) where the terms run out first.
+
+    The orders come in chunks of _CHUNK (2 _CHUNK for the first): the
+    float64 values of W_n and P_n and the factors for a whole chunk at
+    once.  An order whose W_n or P_n the float64 tier did not keep is
+    escalated only when the scan reaches it, since past the truncation
+    nearly every order fails the condition test and the higher tiers cost
+    far more than the float64 one.
+    """
     acc = scale = 0.0
     small = 0
-    for term in terms:
-        acc += term
-        scale = max(scale, abs(term), abs(acc))
-        if abs(term) <= tol * max(scale, 1e-300):
-            small += 1
-            if small >= 3:
-                return acc
-        else:
-            small = 0
+    c, hi = lo, min(lo + 2 * _CHUNK - 1, nmax)
+    while c <= nmax:
+        sw, sp = _basis_values([wb.span(c, hi), pb.span(c, hi)])
+        chunk = zip(range(c, hi + 1), factor(np.arange(float(c), hi + 1.0)).tolist(),
+                    wb.values(c, hi, sw).tolist(), pb.values(c, hi, sp).tolist())
+        for n, f, w, pn in chunk:
+            if w != w:
+                w = wb.escalate(n)
+            if pn != pn:
+                pn = pb.escalate(n)
+            term = f * w * pn
+            acc += term
+            scale = max(scale, abs(term), abs(acc))
+            if abs(term) <= tol * max(scale, 1e-300):
+                small += 1
+                if small >= 3:
+                    return acc
+            else:
+                small = 0
+        c, hi = hi + 1, min(hi + _CHUNK, nmax)
     raise TruncationError(cap)
 
 
@@ -407,14 +447,13 @@ def intertwine_check(params: GLParams, f, t: float, xs,
 
 def selfsimilar_kernel(params: GLParams, t: float, x: float, y: float,
                        tol: float = 1e-10, nmax: int = _NMAX_DEFAULT) -> float:
-    """Companion kernel K_t(x, y) = sum_n (1+t)^{-n-1} W_n(y/(1+t)) P_n(x).
+    """Companion kernel K_t(x, y) = sum_n (1+t)^{-n-1} W_n(y/(1+t)) P_n(x),
+    truncated as ``heat_kernel``.
 
     Related to the heat kernel by P_s(x, z) = e^s K_{e^s - 1}(x, e^s z).
     """
     if t <= 0.0:
         raise DomainError("self-similar kernel needs t > 0")
-    seq = p_coeffs(params, nmax)
-    u = y / (1.0 + t)
-    terms = ((1.0 + t) ** (-n - 1) * w_eval(params, n, u) * p_eval(seq, n, x, 0)
-             for n in range(nmax + 1))
-    return _kernel_sum(terms, tol, f"self-similar kernel cap {nmax} reached")
+    return _kernel_sum(_PBasis(params, x, nmax), _WBasis(params, y / (1.0 + t)),
+                       lambda n: (1.0 + t) ** (-n - 1.0), 0, nmax, tol,
+                       f"self-similar kernel cap {nmax} reached")

@@ -13,6 +13,17 @@ u^2 mag in practice (u = 2^-53), is then within the float64 rounding of v.
 The rest, and every point at extended precision, are summed on their own
 exactly in Python integers, from inputs known to the bits the measured
 cancellation needs, and rounded once.
+
+The kernel sums take the same three tiers a chunk of orders at a time at
+one point (``_Basis``): the float64 tier as one ``_horner_float`` pass over
+the block of the chunk's rows, bitwise each row's own pass, and, beside the
+Horner pass ``_dd_horner``, a block double-double pass, ``_dd_block``:
+Dekker's error-free product of every coefficient with the point's
+double-double power (``_dd_powers``) over the block's rows at once, and one
+``math.fsum`` per row.  Its absolute error is
+at most about (n + 5) u^2 mag ((2n + 5) u^2 mag where the point is itself
+a double-double), of the order of ``_dd_horner``'s 2 n u^2 mag, and it
+keeps a value under the same test.
 """
 
 from __future__ import annotations
@@ -155,7 +166,18 @@ def _horner_array(coeffs, y: np.ndarray, params: GLParams, exact_args, dd_args,
 def _horner_float(coeffs, y) -> tuple:
     """(sum_j c_j y^j, mag = sum_j |c_j| |y|^j) by Horner in float64, at a
     float y or elementwise over an ndarray y, by the same operations, so to
-    the same bits.  Floats overflow to inf quietly; arrays under errstate."""
+    the same bits.  A 2-D coeffs is a block of m rows, zero past each row's
+    degree, row i summed at y[i] (an array of m points), column by column,
+    the rows and their absolute values as one vector of 2m: a leading zero
+    leaves p = mag = 0, so each row gets the bits of its own pass.  Floats
+    overflow to inf quietly; arrays under errstate."""
+    if coeffs.ndim == 2:
+        m = coeffs.shape[0]
+        acc, ys = np.zeros(2 * m), np.concatenate([y, np.abs(y)])
+        for c in np.concatenate([coeffs, np.abs(coeffs)]).T[::-1].copy():
+            acc *= ys
+            acc += c
+        return acc[:m], acc[m:]
     p = mag = 0.0
     ay = abs(y)
     for c in coeffs[::-1].tolist():
@@ -199,6 +221,148 @@ def _dd_mul(ah, al, bh, bl) -> tuple:
     e = ((aa * ba - m) + aa * bb + ab * ba) + ab * bb + (ah * bl + al * bh)
     hi = m + e
     return hi, e - (hi - m)
+
+
+def _dd_powers(y: float, y_lo: float, hi: list, lo: list, K: int) -> None:
+    """Extend the double-double powers hi[k] + lo[k] = (y + y_lo)^k to
+    k = K, one ``_dd_mul`` step (inlined, with y split once) per power in
+    Python floats: a numpy pass per step costs more than the step itself.
+    Each step adds a relative error of about u^2 (2 u^2 where y_lo != 0),
+    u = 2^-53."""
+    t = _SPLIT * y
+    ya = t - (t - y)
+    yb = y - ya
+    ph, pl = hi[-1], lo[-1]
+    for _ in range(len(hi), K + 1):
+        m = ph * y
+        t = _SPLIT * ph
+        aa = t - (t - ph)
+        ab = ph - aa
+        e = ((aa * ya - m) + aa * yb + ab * ya) + ab * yb + (ph * y_lo + pl * y)
+        ph = m + e
+        pl = e - (ph - m)
+        hi.append(ph)
+        lo.append(pl)
+
+
+def _dd_block(rows: list, y_hi, y_lo) -> list:
+    """sum_k (hi_k + lo_k) (y_hi[k] + y_lo[k]) for each double-double row
+    (hi, lo) of ``rows``, given the point's double-double powers: the rows
+    laid end to end, every product as a double-double by one ``_dd_mul``
+    over them all, then one ``math.fsum`` per row, which adds its 2K parts
+    exactly and rounds once (Ogita, Rump & Oishi 2005).
+
+    Relative to |c_k| |y|^k, each product carries the rounding of its row
+    (at most 3 u^2), of its power (``_dd_powers``: k u^2, 2k u^2 where the
+    point is itself a double-double) and of its cross terms (2 u^2), and
+    fsum adds none.  So the absolute error is at most about (n + 5) u^2
+    mag, mag = sum |c_k| |y|^k, or (2n + 5) u^2 mag, the order of
+    ``_dd_horner``'s bound.  A row whose parts meet inf or NaN, or overflow
+    as they are added, is NaN, so the keep test of the second tier passes
+    it on."""
+    his, los = zip(*rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, e = _dd_mul(np.concatenate(his), np.concatenate(los),
+                       np.concatenate([y_hi[:h.size] for h in his]),
+                       np.concatenate([y_lo[:h.size] for h in his]))
+    m, e = m.tolist(), e.tolist()
+    out, k = [], 0
+    for h in his:
+        try:
+            out.append(math.fsum(m[k:k + h.size] + e[k:k + h.size]))
+        except (OverflowError, ValueError):     # inf - inf, or past the double range
+            out.append(math.nan)
+        k += h.size
+    return out
+
+
+class _Basis:
+    """The finite sums s_n = sum_k c_{n,k} y^k of one family of rows at one
+    point y, a chunk of orders at a time, under the precision policy of
+    ``_escalating_horner``.
+
+    Its first tier, for orders lo..hi at once, is ``_basis_values``: one
+    ``_horner_float`` pass over the block of the chunk's float64 rows,
+    ``rows(lo, hi)`` (zero past each row's degree), so each order's sum,
+    mag and keep test (cond = mag / |s_n| at most COND_THRESHOLD) are
+    bitwise those of ``_escalating_horner`` on its own row.  The orders not
+    kept are NaN.
+
+    ``escalate(n)`` gives such an order of the last chunk by the other two
+    tiers.  The first call at or past an order runs the block double-double
+    pass (``_dd_block``) over every order of the chunk from there on that
+    the first tier did not keep, at once: their rows ``dd_rows(orders)``
+    against the powers of the double-double point ``dd_point()``, formed
+    once per basis and grown with the degree.  Its value is kept where
+    mag <= _DD_COND |v|; else ``_horner_exact`` redoes the order alone from
+    ``exact_args(n)``.  A caller that escalates only the orders it reaches
+    thus runs the exact tier on no order past its truncation.  With ``log``
+    ``escalate`` gives (sign, log|s_n|).
+    """
+
+    def __init__(self, params: GLParams, y: float, rows, dd_point, dd_rows,
+                 exact_args, log: bool = False):
+        self.params, self.y, self.rows = params, y, rows
+        self.dd_point, self.dd_rows, self.exact_args, self.log = dd_point, dd_rows, exact_args, log
+        self.dd_pw = ([1.0], [0.0], np.ones(1), np.zeros(1))
+        self.lo, self.s, self.mag, self.kept, self.dd = 0, None, None, None, {}
+
+    def _take(self, lo: int, s: np.ndarray, mag: np.ndarray) -> np.ndarray:
+        """Hold the first tier's sums s and mags of orders lo.. for
+        ``escalate``; the kept sums, NaN elsewhere."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            kept = np.where(s != 0.0, mag / np.abs(s), math.inf) <= COND_THRESHOLD
+        self.lo, self.s, self.mag, self.kept, self.dd = lo, s, mag, kept, {}
+        if not self.params.precision.is_double:
+            return np.full(s.shape, math.nan)
+        return np.where(kept, s, math.nan)
+
+    def escalate(self, n: int):
+        i = n - self.lo
+        s, mag = float(self.s[i]), float(self.mag[i])
+        if self.params.precision.is_double:
+            if i not in self.dd:
+                self._dd_pass(i)
+            s = self.dd[i]
+            if mag <= _DD_COND * abs(s) < math.inf:
+                return (math.copysign(1.0, s), math.log(abs(s))) if self.log else s
+        cond = mag / abs(s) if s != 0.0 else math.inf
+        return _horner_exact(cond, self.params, self.exact_args(n), 0, self.log)
+
+    def _dd_pass(self, i: int) -> None:
+        """The double-double tier for the orders of the last chunk from index
+        i on that the first tier did not keep, as one block."""
+        idx = np.flatnonzero(~self.kept[i:]) + i
+        rows = self.dd_rows((idx + self.lo).tolist())
+        K = max(h.size for h, _ in rows)
+        ph, pl, ph_a, pl_a = self.dd_pw
+        if ph_a.size < K:
+            _dd_powers(*self.dd_point(), ph, pl, K - 1)
+            self.dd_pw = ph, pl, ph_a, pl_a = ph, pl, np.array(ph), np.array(pl)
+        self.dd.update(zip(idx.tolist(), _dd_block(rows, ph_a, pl_a)))
+
+
+def _basis_values(spans) -> list:
+    """The first tier of several bases in one pass: for each (basis, lo,
+    hi) of spans, the sums of orders lo..hi, NaN where not kept (None for a
+    basis of None), from one ``_horner_float`` pass over the rows of all of
+    them stacked, each at its basis's point."""
+    live = [sp for sp in spans if sp[0] is not None]
+    blocks = [b.rows(lo, hi) for b, lo, hi in live]
+    m = [B.shape[0] for B in blocks]
+    C = np.zeros((sum(m), max((B.shape[1] for B in blocks), default=0)))
+    i = 0
+    for B in blocks:
+        C[i:i + B.shape[0], :B.shape[1]] = B
+        i += B.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, mag = _horner_float(C, np.repeat([b.y for b, _, _ in live], m))
+    out = []
+    for (b, lo, _), k in zip(live, m):
+        out.append(b._take(lo, s[:k], mag[:k]))
+        s, mag = s[k:], mag[k:]
+    out = iter(out)
+    return [None if b is None else next(out) for b, _, _ in spans]
 
 
 def _dd_ratio(nums, den: int) -> tuple:

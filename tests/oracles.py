@@ -3,7 +3,10 @@
 Every routine here computes its target along a path disjoint from the
 package's production code: direct high-precision summation, quadrature of
 defining integrals, finite differences, partition enumeration, or exact
-triangular ODE solutions.  Production modules must never import this file.
+triangular ODE solutions.  The one exception is ``kernel_sum_per_term``,
+which sums a kernel one order at a time through the package's scalar P_n
+and W_n evaluators, a route disjoint from the chunked bases the kernels
+take.  Production modules must never import this file.
 """
 
 from __future__ import annotations
@@ -497,3 +500,32 @@ def g_phase_mp(alpha, varsigma, tau, dps: int = 80) -> float:
         else:
             out += tm * mp.pi / 2
         return float(out)
+
+
+def kernel_sum_per_term(params, kernel: str, t: float, x: float, y: float,
+                        k: int = 0, p: int = 0, q: int = 0, tol: float = 1e-10,
+                        nmax: int = 200) -> tuple:
+    """(value, scale) of the heat kernel (derivative orders k, p, q) or the
+    self-similar kernel, summed one order at a time: per order one scalar
+    ``w_eval`` and one scalar ``p_eval``, so each escalates on its own,
+    and the same stop rule (three consecutive terms at most tol times the
+    running scale, the largest |term| or |partial sum| so far)."""
+    from glspec.coeigen import w_eval
+    from glspec.eigen import p_coeffs, p_eval
+    seq = p_coeffs(params, nmax)
+    if kernel == "heat":
+        terms = (math.exp(-n * t) * w_eval(params, n, y, q) * p_eval(seq, n, x, p)
+                 * ((-float(n)) ** k if k else 1.0) for n in range(p, nmax + 1))
+    else:
+        u = y / (1.0 + t)
+        terms = ((1.0 + t) ** (-n - 1) * w_eval(params, n, u) * p_eval(seq, n, x, 0)
+                 for n in range(nmax + 1))
+    acc = scale = 0.0
+    small = 0
+    for term in terms:
+        acc += term
+        scale = max(scale, abs(term), abs(acc))
+        small = small + 1 if abs(term) <= tol * max(scale, 1e-300) else 0
+        if small >= 3:
+            return acc, scale
+    raise ArithmeticError(f"{kernel} kernel sum reached its cap {nmax}")

@@ -287,3 +287,53 @@ def test_p_eval_past_the_double_range_of_binomials(monkeypatch):
                for k in range(n + 1)][::-1]
         want = [float(mp.polyval(row, mp.mpf(x))) for x in xs]
     assert got == want
+
+
+def test_numpy_integer_orders():
+    # an np.int64 order is taken as the plain int it indexes: it builds the
+    # exact binomials of P_n in Python integers, not in int64 (which wraps
+    # past n = 62), so a later plain-int call meets right ones under the
+    # same face key; and W_n's denominator (A Db)^(n + q) is no int64 power
+    # that raises a bare OverflowError
+    from glspec import coeigen as ce
+    p, n = make_params(2.0 / 3.0, 0.0), 70
+    core._tables.pop(("P", p), None)
+    seq = eg.p_coeffs(p, np.int64(n))
+    assert type(seq.degree) is int
+    first = eg.p_eval(seq, np.int64(n), 1.6)
+    with mp.workdps(120):
+        am = mp.mpf(p.alpha)
+        row = [(-1) ** k * math.comb(n, k) / mp.gamma(am * k + 1) for k in range(n + 1)][::-1]
+        want = [float(mp.polyval(row, mp.mpf(x))) for x in (1.6, 0.8)]
+    assert first == pytest.approx(want[0], rel=1e-12)
+    assert eg.p_eval(seq, n, 0.8) == pytest.approx(want[1], rel=1e-12)
+    q = make_params(0.5, 1.0)
+    assert ce.w_eval(q, np.int64(n), 4.0) == ce.w_eval(q, n, 4.0)
+    assert ce.r_eval_bell(q, np.int64(n), 4.0) == ce.r_eval_bell(q, n, 4.0)
+    assert ce.r_coeffs(q, np.int64(n)).tolist() == ce.r_coeffs(q, n).tolist()
+
+
+def test_p_basis_float_tier_is_each_rows_own_pass(p_half):
+    # the block Horner over a chunk's padded rows gives each order the sum,
+    # mag and keep test of its own row's pass; at x = 1e200 the pass
+    # overflows from n = 2 on, which leaves P_0 and P_1 kept, turns no other
+    # order into a kept value, and the higher tiers give p_eval's value
+    from glspec import specfun as sf
+    seq = eg.p_coeffs(p_half, 40)
+    for x in (-2.0, 0.7, 3.5, 30.0):
+        basis = eg._PBasis(p_half, x, 40)
+        for lo, hi in ((0, 15), (16, 31), (32, 40)):
+            got = basis.values(lo, hi, sf._basis_values([basis.span(lo, hi)])[0])
+            for n in range(lo, hi + 1):
+                s, mag = sf._horner_float(seq.coeff[n, :n + 1], x)
+                kept = s != 0.0 and mag / abs(s) <= core.COND_THRESHOLD
+                assert (got[n - lo] == s) if kept else np.isnan(got[n - lo]), (x, n)
+                if not kept:
+                    assert basis.escalate(n) == eg.p_eval(seq, n, x), (x, n)
+    x, seq = 1e200, eg.p_coeffs(p_half, 20)
+    basis = eg._PBasis(p_half, x, 20)
+    got = basis.values(0, 15, sf._basis_values([basis.span(0, 15)])[0])
+    assert got[:2].tolist() == [1.0, eg.p_eval(seq, 1, x)]
+    assert np.isnan(got[2:]).all()
+    for n in (2, 3, 15):
+        assert basis.escalate(n) == eg.p_eval(seq, n, x)

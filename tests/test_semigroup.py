@@ -1,17 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from glspec.core import (RealFn, TruncationError, const_fn, make_params,
-                         monomial, phi, poly_fn)
+from glspec.core import (DomainError, RealFn, TruncationError, const_fn,
+                         make_params, monomial, phi, poly_fn)
 from glspec import semigroup as sg
 from glspec import density as d
 from glspec import quad as q
 from glspec.coeigen import r_eval_bell
 from glspec.eigen import laguerre_eval, p_coeffs, p_eval, p_fn, p_sup
 
-from oracles import moment_ode_evolution
+from oracles import kernel_sum_per_term, moment_ode_evolution, richardson_derivative
 
 
 def test_generator_on_p1(p_half):
@@ -396,3 +397,77 @@ def test_kernel_escalation_budget(kernel, pair, t, x, y, before, scale, calls, m
     value = getattr(sg, f"{kernel}_kernel")(make_params(*pair), t, x, y)
     assert abs(value - before) <= 1e-15 * scale
     assert count[0] == calls
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (2.0 / 3.0, 0.0), (0.75, 0.5), (1.0, 0.0)])
+def test_kernel_sums_match_the_per_term_loop(alpha, beta):
+    # the chunked bases against one scalar w_eval and p_eval per order
+    p = make_params(alpha, beta)
+    for kernel, t, x, y in itertools.product(("heat", "selfsimilar"), (0.5, 1.0, 2.0),
+                                             (0.3, 1.5, 3.0), (0.1, 2.0, 6.0)):
+        want, scale = kernel_sum_per_term(p, kernel, t, x, y)
+        got = getattr(sg, f"{kernel}_kernel")(p, t, x, y)
+        assert abs(got - want) <= 1e-8 * scale, (kernel, t, x, y)
+
+
+def test_kernel_sums_match_the_per_term_loop_far_out(monkeypatch):
+    from glspec import specfun as sf
+    # past n = 200 (the sum at t = 0.06 runs to about n = 300)
+    p = make_params(0.5, 1.0)
+    want, scale = kernel_sum_per_term(p, "heat", 0.06, 1.0, 1.0, nmax=500)
+    assert abs(sg.heat_kernel(p, 0.06, 1.0, 1.0, nmax=500) - want) <= 1e-8 * scale
+    # at y = 15, alpha = 3/4 the powers y^(k/alpha) pass the double range at
+    # k = 197, inside a chunk of W's orders that the sum reaches
+    chunks = []
+    take = sf._Basis._take
+
+    def spy(self, lo, s, mag):
+        chunks.append((self.y, lo, lo + s.size - 1))
+        return take(self, lo, s, mag)
+    monkeypatch.setattr(sf._Basis, "_take", spy)
+    p = make_params(0.75, 0.5)
+    want, scale = kernel_sum_per_term(p, "heat", 0.2, 1.0, 15.0, nmax=400)
+    assert abs(sg.heat_kernel(p, 0.2, 1.0, 15.0, nmax=400) - want) <= 1e-8 * scale
+    y = 15.0 ** (1.0 / 0.75)
+    assert 196 * math.log(y) < math.log(np.finfo(float).max) < 197 * math.log(y)
+    assert any(v == y and lo < 197 <= hi for v, lo, hi in chunks)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("order", ["k", "p", "q"])
+def test_heat_kernel_derivatives_vs_differences(alpha, beta, order):
+    # k, p and q are the t, x and y derivatives: the (beta + p) shifted P
+    # table and the W^(q) rows against Richardson central differences
+    p = make_params(alpha, beta)
+    t, x, y = 1.0, 1.2, 1.5
+    arg = {"k": t, "p": x, "q": y}[order]
+
+    def kernel(v):
+        return sg.heat_kernel(p, *({"k": (v, x, y), "p": (t, v, y), "q": (t, x, v)}[order]))
+    # the sums are truncated at 1e-10 of their scale, which the differences
+    # of the t derivative feel most (3.6e-8 at alpha = 1/2)
+    got = sg.heat_kernel(p, t, x, y, **{order: 1})
+    assert got == pytest.approx(richardson_derivative(kernel, arg, 1, h0=0.05), rel=1e-7)
+
+
+def test_kernel_sums_at_extended_precision(p_half_ext):
+    # every order goes to the exact tier, so each term is the per-term loop's
+    for kernel in ("heat", "selfsimilar"):
+        want, _ = kernel_sum_per_term(p_half_ext, kernel, 1.0, 1.5, 2.0)
+        assert getattr(sg, f"{kernel}_kernel")(p_half_ext, 1.0, 1.5, 2.0) == want
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0, 0.0)])
+def test_kernel_sums_reject_bad_points_and_orders(alpha, beta):
+    p = make_params(alpha, beta)
+    for x, y in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+                 (1.0, 0.0)):
+        for kernel in (sg.heat_kernel, sg.selfsimilar_kernel):
+            with pytest.raises(DomainError):
+                kernel(p, 1.0, x, y)
+    for order in ("k", "p", "q"):
+        with pytest.raises(DomainError):
+            sg.heat_kernel(p, 1.0, 1.0, 1.0, **{order: -1})
+    # numpy integer orders are plain orders
+    assert sg.heat_kernel(p, 1.0, 1.2, 1.5, k=np.int64(1), p=np.int64(1), q=np.int64(1)) \
+        == sg.heat_kernel(p, 1.0, 1.2, 1.5, k=1, p=1, q=1)
