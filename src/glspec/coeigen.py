@@ -81,14 +81,19 @@ def _exact(params: GLParams, n: int, q: int = 0) -> tuple:
 
         e^(k+1)_j = (AB + L - (k + 1) A Db + j L) e^(k)_j - L e^(k)_(j-1).
 
-    The exact zeros of W_n^(q) (W_0'(1) at beta = 1) stay exact.
+    The exact zeros of W_n^(q) (W_0'(1) at beta = 1) stay exact.  Held
+    with the den (A Db)^(n + q) n! as face ("E", n, q) of the "R" table.
     """
-    A, B, L, Db = _dyadic(params)
-    e = coeff_table("R", _extend, params, n).rows[n]
-    for k in range(q):
-        u = A * B + L - (k + 1) * A * Db
-        e = [(u + j * L) * c - (L * e[j - 1] if j else 0) for j, c in enumerate(e)] + [-L * e[-1]]
-    return e, (A * Db) ** (n + q) * math.factorial(n)
+    table = coeff_table("R", _extend, params, n)
+    held = table.faces.get(("E", n, q))
+    if held is None:
+        A, B, L, Db = _dyadic(params)
+        e = table.rows[n]
+        for k in range(q):
+            u = A * B + L - (k + 1) * A * Db
+            e = [(u + j * L) * c - (L * e[j - 1] if j else 0) for j, c in enumerate(e)] + [-L * e[-1]]
+        table.faces["E", n, q] = held = e, (A * Db) ** (n + q) * math.factorial(n)
+    return held
 
 
 def r_coeffs_mp(params: GLParams, n: int) -> list:

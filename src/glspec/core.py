@@ -80,7 +80,7 @@ MAX_ESCALATED_DPS = 1200
 class Precision:
     """Evaluation precision: plain binary64 or software extended precision.
 
-    Extended precision sums P_n, R_n and W_n^(q) exactly in integers from
+    Extended precision sums P_n, R_n and W_n^(q) on Python integers from
     inputs of no fewer than ``mantissa_bits`` bits.  Exact inner products
     are sized from their coefficient magnitudes at every precision, ``dps``
     only a floor; the kernel density lambda is float64 at every precision.
@@ -168,6 +168,16 @@ class GLParams:
         d = derived_constants(a, b, self.eps)
         for k, v in d.items():
             object.__setattr__(self, k, v)
+        # every table and cache lookup hashes the pair: once, from the
+        # fields that determine all the others
+        object.__setattr__(self, "_hash", hash((a, b, self.precision, self.eps)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt in the unpickling process, whose string hashes differ
+        return GLParams, (self.alpha, self.beta, self.precision, self.eps)
 
     @property
     def is_classical(self) -> bool:

@@ -5,17 +5,19 @@ and generating-function checks.
 
 P_0 = 1, P_n(0) = 1, the coefficients alternate in sign, and the family is
 not orthogonal for alpha < 1, so there is no three-term recurrence: monomial
-coefficients with Horner are the only evaluation route, falling back to
-exact integer sums when the Horner condition number explodes.  At
-alpha = 1 evaluation dispatches to the classical Laguerre polynomial
-(``laguerre_eval``, scipy's ``eval_genlaguerre``), rescaled so the constant
-term is 1.
+coefficients with Horner are the only evaluation route, falling back, when
+the Horner condition number explodes, to a double-double pass and then to
+a Horner pass on Python integers, cut to a few bits past those the row is
+known to (``specfun._horner_exact``).  At alpha = 1 evaluation dispatches
+to the classical Laguerre polynomial (``laguerre_eval``, scipy's
+``eval_genlaguerre``), rescaled so the constant term is 1.
 
 The float64 table comes from log-gammas (``p_coeffs``).  The "P" table of
 ``core.coeff_table``, the package's one coefficient cache, holds the gamma
 ratios g_k in mpmath, from which the mpmath and exact rows are formed on
-demand; the float64 table, the signed binomials (-1)^k C(n, k) and the
-double-double rows of the escalating Horner are faces of that table.
+demand; the float64 table, the signed binomials (-1)^k C(n, k), the
+double-double rows of the escalating Horner and the integer numerators of
+its exact tier are faces of that table.
 """
 
 from __future__ import annotations
@@ -114,12 +116,16 @@ def _exact(params: GLParams, n: int, bits: int) -> tuple:
     """(nums, den, c_bits): the coefficients of P_n as nums[k] / den, den =
     2^e, the exact (-1)^k C(n, k) times g_k of the "P" table at digits
     enough for ``bits``, known to a relative 2^-c_bits, its precision less 4
-    bits."""
+    bits.  Held as face ("N", n) of the table with the digits they were
+    formed at, and formed again only once the table holds more."""
     table = coeff_table("P", _extend, params, n, mp.libmp.prec_to_dps(bits) + 2)
-    mx = [g.man_exp for g in table.rows[:n + 1]]
-    e = max(0, *(-t for _, t in mx))
-    nums = [c * (m << (t + e)) for c, (m, t) in zip(_binomials(params, n), mx)]
-    return nums, 1 << e, mp.libmp.dps_to_prec(table.dps) - 4
+    held = table.faces.get(("N", n))
+    if held is None or held[0] != table.dps:
+        mx = [g.man_exp for g in table.rows[:n + 1]]
+        e = max(0, *(-t for _, t in mx))
+        nums = [c * (m << (t + e)) for c, (m, t) in zip(_binomials(params, n), mx)]
+        table.faces["N", n] = held = table.dps, (nums, 1 << e, mp.libmp.dps_to_prec(table.dps) - 4)
+    return held[1]
 
 
 def _exact_args(params: GLParams, n: int, x: float, bits: int) -> tuple:

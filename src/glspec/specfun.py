@@ -11,8 +11,14 @@ COND_THRESHOLD.  A double-double pass (Dekker's error-free product) redoes
 the others and keeps its value v where mag <= 1e16 |v|: its error, a few
 u^2 mag in practice (u = 2^-53), is then within the float64 rounding of v.
 The rest, and every point at extended precision, are summed on their own
-exactly in Python integers, from inputs known to the bits the measured
-cancellation needs, and rounded once.
+on Python integers, from inputs known to the bits the measured cancellation
+needs, and rounded once.  Where an input is rounded, the sum is a Horner
+pass in floating point on integer mantissas, each step cut to a width w a
+few bits past the inputs' (``_cut_horner``), whose cuts add at most
+(n + 1) 2^(1 - w) mag to the inputs' rounding in the test that ends the
+pass.  Where every input is exact (a W_n^(q) row, whose entries are exact,
+at an exact point: y = x^2 at alpha = 1/2, or x = 1), it is one exact sum,
+so exact zeros and ties stay exact.
 
 The kernel sums take the same three tiers a chunk of orders at a time at
 one point (``_Basis``): the float64 tier as one ``_horner_float`` pass over
@@ -30,8 +36,8 @@ from __future__ import annotations
 
 import math
 
-import mpmath as mp
 import numpy as np
+from mpmath import libmp
 from scipy.special import gammaln, loggamma, rgamma
 
 from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, MAX_ESCALATED_DPS,
@@ -388,50 +394,95 @@ def _dd_ratio(nums, den: int) -> tuple:
 
 
 def _horner_exact(cond: float, params: GLParams, exact_args, i: int, log: bool):
-    """Point i of ``_escalating_horner`` summed exactly in Python integers,
-    given mag / |v| from a lower tier (inf or NaN where it had no v).
+    """Point i of ``_escalating_horner`` summed on Python integers, given
+    mag / |v| from a lower tier (inf or NaN where it had no v).
 
     ``exact_args(i, bits)`` gives (nums, den, c_bits, Y, D, y_bits): the
     coefficients nums[j] / den and the point Y / D, D = 2^s, known to a
-    relative 2^-c_bits and 2^-y_bits (None: exact).  A pass sums acc =
-    den 2^(s n) sum, and mag alike with |nums[j]| and |Y|.  It ends where
-    the inputs' rounding, (2^-c_bits + n 2^-y_bits) mag, is at most 2^-60
-    |sum|: one correctly rounded division, or one 80-bit mpmath log with
-    ``log``.  Else the next pass asks for the bits the measured mag / |sum|
-    needs, or twice the inputs' where no bit of the sum was known.  The
-    first asks for those cond needs, at least ``mantissa_bits`` at extended
-    precision; PrecisionError past MAX_ESCALATED_DPS digits.
+    relative 2^-c_bits and 2^-y_bits (None: exact).  Where every input is
+    exact, a pass is one exact sum, acc = den 2^(s n) sum, and it ends
+    there.  Else it is the cut Horner pass of ``_cut_horner`` at the width
+    w of ``_cut_width``, which gives acc and a bound mag on sum |c_j| |y|^j;
+    its cuts move acc by at most (n + 1) 2^(1 - w) mag.  The pass ends where
+    that and the inputs' rounding, (2^-c_bits + n 2^-y_bits) mag, are
+    together at most 2^-60 |sum|.  The value is then one correctly rounded
+    division, or with ``log`` one 80-bit mpmath log.  Else the next pass
+    asks for the bits the measured mag / |sum| needs, twice the inputs'
+    where no bit of the sum was known, or twice its own where it already
+    had what that loss needs.  The first asks for those cond needs, at
+    least ``mantissa_bits`` at extended precision; PrecisionError past
+    MAX_ESCALATED_DPS digits.
     """
     bits = _EXACT_BITS + _GUARD_BITS + (
         math.ceil(math.log2(max(cond, 1.0))) if cond < math.inf else _DD_BITS)
     if not params.precision.is_double:
         bits = max(bits, params.precision.mantissa_bits)
     while True:
-        if mp.libmp.prec_to_dps(bits) > MAX_ESCALATED_DPS:
+        if libmp.prec_to_dps(bits) > MAX_ESCALATED_DPS:
             raise PrecisionError(f"Horner sum needs {bits} bits, past the cap of "
                                  f"{MAX_ESCALATED_DPS} digits")
         nums, den, c_bits, Y, D, y_bits = exact_args(i, bits)
-        acc = mag = 0
-        aY, s = abs(Y), D.bit_length() - 1
-        for k, c in enumerate(reversed(nums)):
-            acc = acc * Y + (c << s * k)
-            mag = mag * aY + (abs(c) << s * k)
-        nb = len(nums).bit_length()
+        s, nb = D.bit_length() - 1, len(nums).bit_length()
         known = min(c_bits or math.inf, (y_bits or math.inf) - nb) - 1
-        if known == math.inf or mag << _EXACT_BITS <= abs(acc) << known:
+        if known == math.inf:
+            acc = 0
+            for k, c in enumerate(reversed(nums)):
+                acc = acc * Y + (c << s * k)
+            e = -s * (len(nums) - 1)
+            break
+        w = _cut_width(known, nb)
+        acc, mag, e = _cut_horner(nums, Y, s, w)
+        # 2^(known + w) times the bound on the error: the inputs' rounding,
+        # 2^-known mag, and the cuts', (n + 1) 2^(1 - w) mag
+        err = (mag << w) + (len(nums) * mag << known + 1)
+        if err << _EXACT_BITS <= abs(acc) << known + w:
             break
         need = _EXACT_BITS + _GUARD_BITS + nb + (
             mag.bit_length() - abs(acc).bit_length() if acc else 0)
-        bits = max(need, 2 * known) if mag >= abs(acc) << (known - 1) else need
-    den <<= s * (len(nums) - 1)
+        if err >= abs(acc) << known + w - 1:
+            need = max(need, 2 * known)
+        bits = need if need > bits else 2 * bits
     if log:
-        # |acc| / den as q 2^-k, q of about 100 bits truncated with a sticky
-        # last bit, so that rounding q to 80 bits rounds the exact ratio
-        k = 100 + den.bit_length() - abs(acc).bit_length()
-        q, r = divmod(abs(acc) << max(k, 0), den << max(-k, 0))
-        with mp.workprec(80):
-            return (-1.0 if acc < 0 else 1.0), float(mp.log(mp.ldexp(mp.mpf(q | bool(r)), -k)))
-    return _div(acc, den)
+        # |acc| 2^e / den as q 2^(e - j), q of about 100 bits truncated with
+        # a sticky last bit, so that rounding q to 80 bits rounds the exact
+        # ratio; libmp's 80-bit log of it, rounded to nearest, as mp.log
+        j = 100 + den.bit_length() - abs(acc).bit_length()
+        q, r = divmod(abs(acc) << max(j, 0), den << max(-j, 0))
+        lq = libmp.mpf_log(libmp.from_man_exp(q | bool(r), e - j, 80, "n"), 80, "n")
+        return (-1.0 if acc < 0 else 1.0), libmp.to_float(lq, rnd="n")
+    return _div(acc << e, den) if e >= 0 else _div(acc, den << -e)
+
+
+def _cut_width(known: int, nb: int) -> int:
+    """The width w of a cut Horner pass over fewer than 2^nb terms whose
+    inputs are known to ``known`` bits: its cuts then move the sum by at
+    most 2^-(known + 1) mag, half the inputs' rounding, and the pass
+    measures the loss as an exact sum of its inputs would."""
+    return known + nb + 2
+
+
+def _cut_horner(nums: list, Y: int, s: int, w: int) -> tuple:
+    """(acc, mag, e): sum_j nums[j] y^j, y = Y 2^-s, as acc 2^e, and
+    mag 2^e >= sum_j |nums[j]| |y|^j, by Horner in floating point on Python
+    ints (Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, ch. 3).
+    Each step is exact, then cuts acc down (floor) and mag up (ceiling) to
+    w bits of mag, so it works on integers of about w bits and the
+    coefficient's, not on the whole sum's n s + row bits.  A cut moves acc
+    by less than one unit, at most 2^(1 - w) of mag, and each later step
+    multiplies that by |y| and mag by at least |y|, so the n + 1 cuts move
+    the sum by at most (n + 1) 2^(1 - w) mag (Higham 2002, §5.1)."""
+    acc = mag = e = 0
+    aY = abs(Y)
+    for c in reversed(nums):
+        f = e - s
+        if f >= 0:
+            acc, mag, e = (acc * Y << f) + c, (mag * aY << f) + abs(c), 0
+        else:
+            acc, mag, e = acc * Y + (c << -f), mag * aY + (abs(c) << -f), f
+        t = mag.bit_length() - w
+        if t > 0:
+            acc, mag, e = acc >> t, -(-mag >> t), e + t
+    return acc, mag, e
 
 
 def _div(num: int, den: int) -> float:

@@ -118,6 +118,23 @@ def test_precision_parsing():
         parse_precision("floats")
 
 
+def test_params_hash_and_key_the_tables_by_every_input():
+    # the hash, formed once from (alpha, beta, precision, eps), is that of
+    # an equal pair made apart and survives a pickle; a pair that differs in
+    # eps or precision alone keys tables of its own
+    import pickle
+    a, b = make_params(0.5, 1.0), make_params(0.5, 1.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and hash(c) == hash(a) and c.bar_frak_t == a.bar_frak_t
+    others = [make_params(0.5, 1.0, eps=0.02), make_params(0.5, 1.0, "ext128")]
+    assert all(p != a for p in others)
+    faces = [core.coeff_faces("P", p) for p in [a, b, *others]]
+    assert faces[0] is faces[1]
+    assert len({id(f) for f in faces}) == 3
+    assert all(("P", p) in core._tables for p in [a, *others])
+
+
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_table_extends_once_per_order(family, monkeypatch):
     module, read = _FAMILIES[family]

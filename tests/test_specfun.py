@@ -464,6 +464,63 @@ def test_exact_tier_values_are_the_rounded_hundred_digit_sums(alpha, beta, preci
     assert top["P"] > 1e30 and min(top.values()) > 1e20
 
 
+@pytest.mark.parametrize("alpha, beta, precision", [
+    (1.0 / math.sqrt(2.0), 0.3, "double"),    # y rounded, W rows exact
+    (0.75, 0.5, "ext128")], ids=["irrational", "ext128"])
+def test_exact_tier_cut_below_the_inputs_width_takes_more_passes(alpha, beta, precision,
+                                                                  monkeypatch):
+    # a cut pass 40 bits narrower than its inputs loses more than the
+    # pass-end test allows: the tier asks for more bits until it passes, and
+    # each value is still the float64 rounding of a 100-digit sum
+    from glspec import coeigen as ce
+    from glspec import core
+    p = make_params(alpha, beta, precision)
+    escalated, passes = [], []
+    horner_exact, cut_horner, cut_width = sf._horner_exact, sf._cut_horner, sf._cut_width
+    monkeypatch.setattr(sf, "_horner_exact",
+                        lambda *a: escalated.append(a[3]) or horner_exact(*a))
+    monkeypatch.setattr(sf, "_cut_horner", lambda *a: passes.append(a[3]) or cut_horner(*a))
+    counts = {}
+    for narrow in (False, True):
+        if narrow:
+            monkeypatch.setattr(sf, "_cut_width", lambda known, nb: cut_width(known, nb) - 40)
+        for family, n in (("P", 70), ("W0", 50), ("W1", 50)):
+            # inputs from cold tables and points, as wide as this run asks for
+            monkeypatch.delitem(core._tables, ("P", p), raising=False)
+            ce._point.cache_clear()
+            escalated.clear()
+            passes.clear()
+            got, (signs, logs), want, want_logs, cond = _exact_tier_case(family, p, n)
+            counts[family, narrow] = len(passes)
+            checked = [i for i in set(escalated) if cond[i] <= 1e60]
+            assert len(checked) >= 5, family
+            for i in checked:
+                assert got[i] == want[i], (family, narrow, i, cond[i])
+                assert (signs[i], logs[i]) == (math.copysign(1.0, want[i]), want_logs[i])
+    for family in ("P", "W0", "W1"):
+        assert counts[family, True] > counts[family, False] > 0, (family, counts)
+
+
+def test_cut_horner_bounds_its_error():
+    # against exact rationals, at widths far below the sums' own: mag is at
+    # least sum |c_j| |y|^j, and the cuts move the sum by at most
+    # (n + 1) 2^(1 - w) mag
+    from fractions import Fraction
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        nums = [int(v) << int(rng.integers(0, 200)) for v in rng.integers(-2 ** 40, 2 ** 40, n + 1)]
+        Y, s = int(rng.integers(-2 ** 50, 2 ** 50)), int(rng.integers(0, 80))
+        y = Fraction(Y, 1 << s)
+        exact = sum(c * y ** j for j, c in enumerate(nums))
+        mag = sum(abs(c) * abs(y) ** j for j, c in enumerate(nums))
+        for w in (4, 12, 30, 60):
+            acc, m, e = sf._cut_horner(nums, Y, s, w)
+            assert m * Fraction(2) ** e >= mag, (trial, w)
+            assert abs(acc * Fraction(2) ** e - exact) <= (n + 1) * Fraction(2) ** (1 - w + e) * m
+            assert m.bit_length() <= w + 1 or m * Fraction(2) ** e == mag
+
+
 def test_exact_tier_past_the_cap_raises(monkeypatch):
     # P_1100(2.6) at (1/2, 1) has cond about 2^761, past a cap of 100 digits
     from glspec import eigen as eg

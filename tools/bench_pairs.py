@@ -12,7 +12,9 @@ of the host's speed falls on both alike.  The output file holds, per
 workload, seed and end-to-end metric of BENCHMARK.json, every run's value,
 each side's median and quartiles, and the number of pairs the change won
 (ties win for neither).  A run that fails is recorded with its exit code
-and stderr tail.
+and stderr tail.  After each workload and seed one line gives the parent
+and change medians of ok_per_s, latency_p50_ms and latency_p90_ms and the
+pairs won; the tool exits 1 if any run failed.
 
 Each run is a child process in its own session; on any exit, Ctrl-C
 included, the session is killed, so no benchmark process outlives the tool.
@@ -36,6 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: alternating parent/change pairs per workload and seed
 PAIRS = 10
+
+#: the metrics of the one-line summary printed per workload and seed
+SUMMARY_METRICS = ("ok_per_s", "latency_p50_ms", "latency_p90_ms")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -116,13 +121,31 @@ def main() -> int:
                     print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}: " + ", ".join(
                         f"{s} {g['metrics']['ok_per_s']:.1f} ok/s" if "metrics" in g
                         else f"{s} exit {g['exit']}" for s, g in got.items()), flush=True)
-                report["runs"][f"{workload}/seed{seed}"] = {
+                run = report["runs"][f"{workload}/seed{seed}"] = {
                     "failed_runs": [[b, c] for b, c in pairs
                                     if "metrics" not in b or "metrics" not in c],
                     "ops_failed": [[b.get("failed"), c.get("failed")] for b, c in pairs],
                     "metrics": summarise(pairs, metrics)}
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+                print(summary_line(f"{workload} seed {seed}", run), flush=True)
+    failed = sum(len(run["failed_runs"]) for run in report["runs"].values())
+    if failed:
+        print(f"{failed} pairs had a failed run; see failed_runs in {args.out}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def summary_line(name: str, run: dict) -> str:
+    """The parent and change medians of the headline metrics of one workload
+    and seed, with the pairs the change won."""
+    parts = [f"{name}:"]
+    for metric in SUMMARY_METRICS:
+        m = run["metrics"].get(metric)
+        if m is not None:
+            parts.append(f"{metric} {m['parent_median']:.4g} -> {m['change_median']:.4g} "
+                         f"({m['pairs_won']}/{m['pairs']} won)")
+    if run["failed_runs"]:
+        parts.append(f"{len(run['failed_runs'])} pairs with a failed run")
+    return " ".join(parts)
 
 
 if __name__ == "__main__":
