@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import mpmath as mp
@@ -85,14 +85,14 @@ def _exact(params: GLParams, n: int, q: int = 0) -> tuple:
     with the den (A Db)^(n + q) n! as face ("E", n, q) of the "R" table.
     """
     table = coeff_table("R", _extend, params, n)
-    held = table.faces.get(("E", n, q))
+    held = table.get(("E", n, q))
     if held is None:
         A, B, L, Db = _dyadic(params)
         e = table.rows[n]
         for k in range(q):
             u = A * B + L - (k + 1) * A * Db
             e = [(u + j * L) * c - (L * e[j - 1] if j else 0) for j, c in enumerate(e)] + [-L * e[-1]]
-        table.faces["E", n, q] = held = e, (A * Db) ** (n + q) * math.factorial(n)
+        table["E", n, q] = held = e, (A * Db) ** (n + q) * math.factorial(n)
     return held
 
 
@@ -147,11 +147,16 @@ def _y_exact(x: float, alpha: float, bits: int) -> tuple:
     return (m << e, 1, point[2] - slack) if e >= 0 else (m, 1 << -e, point[2] - slack)
 
 
-def _exact_args(params: GLParams, n: int, q: int, x):
-    """``exact_args`` of the escalating Horner for W_n^(q) (R_n at q = 0) at
-    y = x^(1/alpha), x a float or an ndarray."""
-    return lambda i, bits: (*_exact(params, n, q), None,
-                            *_y_exact(float(np.ravel(x)[i]), params.alpha, bits))
+def _dd_args(params: GLParams, q: int, orders: list, x: float) -> tuple:
+    """W_n^(q), n in orders, at x for the double-double tier: the rows of
+    ``_w_coeffs`` and the double-double y = x^(1/alpha) of ``_point``."""
+    return [_w_coeffs(params, n, q) for n in orders], _point(x, params.alpha)[0]
+
+
+def _exact_args(params: GLParams, q: int, n: int, x: float, bits: int) -> tuple:
+    """W_n^(q) at x for the exact tier: the row of ``_exact`` and
+    y = x^(1/alpha) of ``_y_exact``."""
+    return (*_exact(params, n, q), None, *_y_exact(x, params.alpha, bits))
 
 
 def _w_horner(params: GLParams, n: int, q: int, x, log: bool):
@@ -175,8 +180,8 @@ def _w_horner(params: GLParams, n: int, q: int, x, log: bool):
             y = np.power(x, 1.0 / a)
     else:
         y = real_pow(x, 1.0 / a)
-    return _escalating_horner(d[0], y, params, _exact_args(params, n, q, x),
-                              lambda i: (d, _point(float(np.ravel(x)[i]), a)[0]), log=log)
+    return _escalating_horner(d[0], y, params, n, x, partial(_dd_args, params, q),
+                              partial(_exact_args, params, q), log=log)
 
 
 def r_eval_bell(params: GLParams, n: int, x):
@@ -236,11 +241,10 @@ class _WBasis:
         self.basis = None
         if not (params.is_classical and q == 0):
             a = params.alpha
-            self.basis = _Basis(params, real_pow(x, 1.0 / a),
+            self.basis = _Basis(params, real_pow(x, 1.0 / a), x,
                                 lambda lo, hi: _w_rows(params, q, hi)[lo:hi + 1, :hi + q + 1],
-                                lambda: _point(x, a)[0],
-                                lambda ns: [_w_coeffs(params, n, q) for n in ns],
-                                lambda n: _exact_args(params, n, q, x), log=True)
+                                partial(_dd_args, params, q), partial(_exact_args, params, q),
+                                log=True)
 
     def span(self, lo: int, hi: int) -> tuple:
         """The basis and the rows of orders lo..hi in it, for

@@ -19,7 +19,7 @@ import cmath
 import math
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -386,8 +386,9 @@ def mp_ctx(dps: int):
 #: recently used are dropped
 TABLES_HELD = 16
 
-#: bytes of rows held past which the least recently used tables are dropped
-#: (exact R_n rows of an irrational pair take about 40 MB to order 200)
+#: bytes of rows and faces held past which the least recently used tables
+#: are dropped (exact R_n rows of an irrational pair take about 40 MB to
+#: order 200)
 TABLE_BYTES_HELD = 64 << 20
 
 #: fewest digits mpmath rows are formed at; their float64 rounding is correct
@@ -402,20 +403,57 @@ def table_dps(dps: int) -> int:
     return max(TABLE_MIN_DPS, -(-dps // 16) * 16)
 
 
-@dataclass
-class _Table:
+class _Table(dict):
     """Rows 0..N of a coefficient family, exact (dps = 0) or in mpmath at dps
-    digits, the bytes they hold, and the faces its family forms from them."""
+    digits, and as its items the faces formed from them; size is the bytes
+    of both.  Storing a face counts its bytes (``_nbytes``; a face that
+    holds a row, W_n's at q = 0, counts it again) and may drop others."""
 
-    dps: int = 0
-    rows: list = field(default_factory=list)
-    size: int = 0
-    faces: dict = field(default_factory=dict)
+    def __init__(self):
+        super().__init__()
+        self.dps, self.rows, self.size = 0, [], 0
+
+    def __setitem__(self, key, value):
+        added = _nbytes(value) - (_nbytes(self[key]) if key in self else 0)
+        self.size += added
+        super().__setitem__(key, value)
+        _evict(self, added)
 
 
-def _nbytes(row) -> int:
-    """Bytes a table row holds: a list of Python ints, or one number."""
-    return sys.getsizeof(row) + (sum(map(sys.getsizeof, row)) if isinstance(row, list) else 0)
+def _nbytes(obj) -> int:
+    """Bytes a row or face holds: an ndarray's elements, a list of Python
+    ints with theirs (28 bytes each and 4 per 30 bits), a tuple with its
+    parts, a dataclass's arrays, or one number."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, list):
+        return sys.getsizeof(obj) + 28 * len(obj) + 2 * sum(map(int.bit_length, obj)) // 15
+    if isinstance(obj, tuple):
+        return sys.getsizeof(obj) + sum(map(_nbytes, obj))
+    if is_dataclass(obj):
+        return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
+    return sys.getsizeof(obj)
+
+
+#: at least the bytes all tables hold: their last count plus those added since
+_held_at_most = 0
+
+
+def _evict(table: _Table, added: int) -> None:
+    """Count ``added`` bytes; once all tables may hold more than
+    TABLE_BYTES_HELD, count them and drop the least recently used but
+    ``table`` while they do."""
+    global _held_at_most
+    _held_at_most += added
+    if _held_at_most <= TABLE_BYTES_HELD:
+        return
+    held = sum(t.size for t in _tables.values())
+    for key in list(_tables):
+        if held <= TABLE_BYTES_HELD:
+            break
+        if _tables[key] is not table:
+            held -= _tables.pop(key).size
+    _held_at_most = held
 
 
 def _held(family: str, params: GLParams) -> _Table:
@@ -437,30 +475,31 @@ def coeff_table(family: str, extend, params: GLParams, n: int, dps: int = 0) -> 
     in n as larger orders are asked for.  Exact rows (dps = 0) are never
     rebuilt.  mpmath rows are built at ``table_dps(dps)`` digits and rebuilt
     only for a caller that needs more digits than they hold.  After a table
-    grows, the least recently used others are dropped while all rows take
-    more than TABLE_BYTES_HELD.  Tables are keyed by the family name, so a
-    wrapped ``extend`` finds the same table.
+    grows, the least recently used others are dropped while all rows and
+    faces take more than TABLE_BYTES_HELD.  Tables are keyed by the family
+    name, so a wrapped ``extend`` finds the same table.
     """
     if n < 0:
         raise DomainError("order must be >= 0")
     table = _held(family, params)
     if table.dps < dps:
-        table.dps, table.rows, table.size = table_dps(dps), [], 0
+        table.size -= sum(map(_nbytes, table.rows))
+        table.dps, table.rows = table_dps(dps), []
     if len(table.rows) <= n:
         built = len(table.rows)
         with mp_ctx(table.dps or mp.mp.dps):    # exact rows need no precision
             extend(table.rows, params, n)
-        table.size += sum(map(_nbytes, table.rows[built:]))
-        held = sum(t.size for t in _tables.values())
-        while held > TABLE_BYTES_HELD and len(_tables) > 1:     # never this table
-            held -= _tables.popitem(last=False)[1].size
+        added = sum(map(_nbytes, table.rows[built:]))
+        table.size += added
+        _evict(table, added)
     return table
 
 
 def coeff_faces(family: str, params: GLParams) -> dict:
     """What the family's module forms from the rows of the (family, params)
     table of ``coeff_table``: a dict of rounded rows (float64,
-    double-double) and exact ones.  The faces outlive a rebuild of mpmath
-    rows at more digits, which round to the same floats, and are dropped
-    with the table."""
-    return _held(family, params).faces
+    double-double) and exact ones: the table itself, whose bytes count each
+    as it is stored.  The faces outlive a rebuild of mpmath rows at more
+    digits, which round to the same floats, and are dropped with the
+    table."""
+    return _held(family, params)

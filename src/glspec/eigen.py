@@ -6,11 +6,12 @@ and generating-function checks.
 P_0 = 1, P_n(0) = 1, the coefficients alternate in sign, and the family is
 not orthogonal for alpha < 1, so there is no three-term recurrence: monomial
 coefficients with Horner are the only evaluation route, falling back, when
-the Horner condition number explodes, to a double-double pass and then to
-a Horner pass on Python integers, cut to a few bits past those the row is
-known to (``specfun._horner_exact``).  At alpha = 1 evaluation dispatches
-to the classical Laguerre polynomial (``laguerre_eval``, scipy's
-``eval_genlaguerre``), rescaled so the constant term is 1.
+the Horner condition number explodes, to the double-double and exact tiers
+of ``specfun._Tiers``, from the inputs of ``_dd_args`` and ``_exact_args``,
+the same for ``p_eval`` and the kernel sums' ``_PBasis``.  At alpha = 1
+evaluation dispatches to the classical Laguerre polynomial
+(``laguerre_eval``, scipy's ``eval_genlaguerre``), rescaled so the constant
+term is 1.
 
 The float64 table comes from log-gammas (``p_coeffs``).  The "P" table of
 ``core.coeff_table``, the package's one coefficient cache, holds the gamma
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import mpmath as mp
@@ -119,12 +120,12 @@ def _exact(params: GLParams, n: int, bits: int) -> tuple:
     bits.  Held as face ("N", n) of the table with the digits they were
     formed at, and formed again only once the table holds more."""
     table = coeff_table("P", _extend, params, n, mp.libmp.prec_to_dps(bits) + 2)
-    held = table.faces.get(("N", n))
+    held = table.get(("N", n))
     if held is None or held[0] != table.dps:
         mx = [g.man_exp for g in table.rows[:n + 1]]
         e = max(0, *(-t for _, t in mx))
         nums = [c * (m << (t + e)) for c, (m, t) in zip(_binomials(params, n), mx)]
-        table.faces["N", n] = held = table.dps, (nums, 1 << e, mp.libmp.dps_to_prec(table.dps) - 4)
+        table["N", n] = held = table.dps, (nums, 1 << e, mp.libmp.dps_to_prec(table.dps) - 4)
     return held[1]
 
 
@@ -134,28 +135,24 @@ def _exact_args(params: GLParams, n: int, x: float, bits: int) -> tuple:
     return (*_exact(params, n, bits), *x.as_integer_ratio(), None)
 
 
-def _dd_rows(params: GLParams, orders: list) -> list:
-    """The coefficients of P_n, n in orders (increasing), as read-only
-    double-double rows (hi, lo): the exact integers (-1)^k C(n, k) times
-    the double-double g_k of the "g" face of the "P" table (see
-    ``_dd_ratio`` for g_k below its range), each held as face n.  The rows
-    not yet held are formed as one block: the g_k they need at once, from
-    gammas at TABLE_MIN_DPS digits, not from the table, whose digits are
-    those of the points that went past the double-double tier; the
-    binomials by ``_dd_ratio``; and one ``_dd_mul`` over the block, which
-    gives each row the bits of a block of one.  A binomial of 2^1023 or
-    more (n >= 1029) makes the tier's value NaN, so such points go on to the
-    exact tier."""
+def _dd_args(params: GLParams, orders: list, x: float) -> tuple:
+    """P_n, n in orders (increasing), at x for the double-double tier: x
+    exact, and read-only double-double rows (hi, lo), each the exact
+    (-1)^k C(n, k) times the double-double g_k of face "g" (``_dd_ratio``
+    below its range), held as face n.  Rows not held are formed as one
+    block from g_k at TABLE_MIN_DPS digits (not the table's, which are the
+    exact tier's) and one ``_dd_mul``, which gives each row the bits of a
+    block of one.  A binomial past 2^1023 (n >= 1029) makes the value NaN."""
     faces = coeff_faces("P", params)
     new = [n for n in orders if n not in faces]
     if new:
         top = new[-1]
         g = faces.get("g", (np.zeros(0), np.zeros(0)))
         if g[0].size <= top:
-            with mp_ctx(TABLE_MIN_DPS):    # g_k = m 2^x, exactly m 2^(x + e) / 2^e
-                mx = [v.man_exp for v in _g(params, range(g[0].size, top + 1))]
-            e = max(0, *(-x for _, x in mx))
-            more = _dd_ratio([m << (x + e) for m, x in mx], 1 << e)
+            with mp_ctx(TABLE_MIN_DPS):    # g_k = m 2^t, exactly m 2^(t + e) / 2^e
+                mt = [v.man_exp for v in _g(params, range(g[0].size, top + 1))]
+            e = max(0, *(-t for _, t in mt))
+            more = _dd_ratio([m << (t + e) for m, t in mt], 1 << e)
             faces["g"] = g = tuple(np.concatenate(parts) for parts in zip(g, more))
         b_hi, b_lo = np.zeros((2, len(new), top + 1))
         for i, n in enumerate(new):
@@ -166,13 +163,7 @@ def _dd_rows(params: GLParams, orders: list) -> list:
             a.flags.writeable = False
         for i, n in enumerate(new):
             faces[n] = (block[0][i, :n + 1], block[1][i, :n + 1])
-    return [faces[n] for n in orders]
-
-
-def _dd_row(params: GLParams, n: int) -> tuple:
-    """The double-double row of P_n (``_dd_rows``)."""
-    pair = coeff_faces("P", params).get(n)
-    return _dd_rows(params, [n])[0] if pair is None else pair
+    return [faces[n] for n in orders], (x, 0.0)
 
 
 def laguerre_eval(n: int, beta: float, x, derivative: int = 0):
@@ -215,9 +206,8 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
         b2 = math.exp(gammaln(n + 1.0) + gammaln(params.beta + 1.0)
                       - gammaln(n + params.beta + 1.0))
         return b2 * laguerre_eval(n, params.beta, x)
-    return _escalating_horner(seq.coeff[n, :n + 1], x, params,
-                              lambda i, bits: _exact_args(params, n, float(np.ravel(x)[i]), bits),
-                              lambda i: (_dd_row(params, n), (float(np.ravel(x)[i]), 0.0)))
+    return _escalating_horner(seq.coeff[n, :n + 1], x, params, n, x,
+                              partial(_dd_args, params), partial(_exact_args, params))
 
 
 class _PBasis:
@@ -237,9 +227,8 @@ class _PBasis:
         self.basis = None
         if not params.is_classical:
             seq, sp = p_coeffs(self.params, max(nmax - p, 0)), self.params
-            self.basis = _Basis(sp, x, lambda lo, hi: seq.coeff[lo:hi + 1, :hi + 1],
-                                lambda: (x, 0.0), lambda ms: _dd_rows(sp, ms),
-                                lambda m: lambda i, bits: _exact_args(sp, m, x, bits))
+            self.basis = _Basis(sp, x, x, lambda lo, hi: seq.coeff[lo:hi + 1, :hi + 1],
+                                partial(_dd_args, sp), partial(_exact_args, sp))
 
     def _fac(self, n):
         """(-1)^p n! / (n - p)! Gamma(ab + 1) / Gamma(ab + ap + 1), over an

@@ -423,10 +423,10 @@ def _log_aux_norm2(params: GLParams, n: int, gamma_: float, eta_bar: float) -> f
     t = k * h
     lu = t - np.exp(-t)
     u = np.exp(lu)
-    _, lr = _escalating_horner(r_coeffs(params, n), u, make_params(a, params.beta),
-                               lambda i, bits: (*_exact(params, n), None,
-                                                *float(u[i]).as_integer_ratio(), None),
-                               lambda i: (_w_coeffs(params, n, 0), (float(u[i]), 0.0)),
+    _, lr = _escalating_horner(r_coeffs(params, n), u, make_params(a, params.beta), n, u,
+                               lambda ns, v: ([_w_coeffs(params, m, 0) for m in ns], (v, 0.0)),
+                               lambda m, v, bits: (*_exact(params, m), None,
+                                                   *v.as_integer_ratio(), None),
                                log=True, cond_max=_AUX_COND)
     with np.errstate(over="ignore"):
         lf = (2.0 * lr + (ab + 1.0) * lu + np.log1p(np.exp(-t)) - 2.0 * u

@@ -19,12 +19,13 @@ The heat kernel and the self-similar kernel sum their orders a chunk at a
 time (``_kernel_sum``): the float64 values of P_n(x) and W_n(y) for the
 whole chunk come from one Horner pass over the chunk's coefficient rows of
 both, stacked (``eigen._PBasis``, ``coeigen._WBasis`` on
-``specfun._Basis``), bitwise the values of one scalar pass per order.
-An order whose float64 value fails the condition test is escalated only
-when the scan reaches it: the first such order runs the double-double pass
-for the chunk's remaining failing orders as one block, and an order that
-fails that too goes to the exact tier alone.  So no order past the
-truncation reaches the exact tier.
+``specfun._Basis``).  An order whose float64 value fails the condition
+test is escalated only when the scan reaches it, by the tiers every
+evaluator shares (``specfun._Tiers``): the first such order runs the
+double-double pass for the chunk's remaining failing orders at once, and
+an order that fails that too goes to the exact tier alone.  So each value
+is bitwise that of ``p_eval`` or ``w_eval``, and no order past the
+truncation reaches the higher tiers.
 """
 
 from __future__ import annotations

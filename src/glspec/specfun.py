@@ -2,39 +2,26 @@
 
 The package's complex gamma functions (``log_gamma``, ``rgamma_c``:
 scipy.special's ufuncs, with PoleError at the poles), the positive-term
-entire function cal_I, and its one float64 Horner pass, ``_horner_float``,
-at a float or over a whole ndarray of points at once.  It sums lambda's
-residue series, and the finite expansions of P_n, R_n and W_n^(q) in the
-first of the three tiers of ``_escalating_horner``, which keeps each point
-whose condition number mag / |sum|, mag = sum |c_j| |y|^j, is at most
-COND_THRESHOLD.  A double-double pass (Dekker's error-free product) redoes
-the others and keeps its value v where mag <= 1e16 |v|: its error, a few
-u^2 mag in practice (u = 2^-53), is then within the float64 rounding of v.
-The rest, and every point at extended precision, are summed on their own
-on Python integers, from inputs known to the bits the measured cancellation
-needs, and rounded once.  Where an input is rounded, the sum is a Horner
-pass in floating point on integer mantissas, each step cut to a width w a
-few bits past the inputs' (``_cut_horner``), whose cuts add at most
-(n + 1) 2^(1 - w) mag to the inputs' rounding in the test that ends the
-pass.  Where every input is exact (a W_n^(q) row, whose entries are exact,
-at an exact point: y = x^2 at alpha = 1/2, or x = 1), it is one exact sum,
-so exact zeros and ties stay exact.
-
-The kernel sums take the same three tiers a chunk of orders at a time at
-one point (``_Basis``): the float64 tier as one ``_horner_float`` pass over
-the block of the chunk's rows, bitwise each row's own pass, and, beside the
-Horner pass ``_dd_horner``, a block double-double pass, ``_dd_block``:
-Dekker's error-free product of every coefficient with the point's
-double-double power (``_dd_powers``) over the block's rows at once, and one
-``math.fsum`` per row.  Its absolute error is
-at most about (n + 5) u^2 mag ((2n + 5) u^2 mag where the point is itself
-a double-double), of the order of ``_dd_horner``'s 2 n u^2 mag, and it
-keeps a value under the same test.
+entire function cal_I, and the precision policy of its finite power sums
+(P_n, R_n, W_n^(q); lambda's residue series takes the first tier).  The
+first tier is one float64 Horner pass, ``_horner_float``, which keeps each
+sum whose condition number mag / |sum|, mag = sum |c_j| |y|^j, is at most
+COND_THRESHOLD.  The other two are one engine, ``_Tiers``, for a point, an
+array of points and a chunk of a kernel sum's orders alike, so a sum has
+one value whichever caller asks: a double-double pass (Dekker's
+error-free products added by one ``math.fsum``, an error of at most about
+(n + 5) u^2 mag, u = 2^-53), then, for the sums left and every sum at
+extended precision, a sum on Python integers from inputs known to the bits
+the measured cancellation needs, rounded once (``_horner_exact``): cut to
+a few bits past the inputs' (``_cut_horner``), or exact where every input
+is, so that exact zeros and ties stay exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from itertools import accumulate
 
 import numpy as np
 from mpmath import libmp
@@ -80,8 +67,8 @@ _SERIES_CAP = 10000
 _CONSECUTIVE = 3
 
 #: largest mag / |v| at which the double-double value v is returned: its
-#: absolute error, a few u^2 mag in practice (u = 2^-53; 2 n u^2 mag at
-#: worst), is then within the rounding of v to float64
+#: absolute error, a few u^2 mag in practice (u = 2^-53), is then within
+#: the rounding of v to float64
 _DD_COND = 1.0e16
 
 #: the exact tier returns a value once its inputs' rounding is at most
@@ -98,75 +85,74 @@ _SPLIT = 134217729.0
 _DD_TINY = 2.0 ** -969
 
 
-def _escalating_horner(coeffs, y, params: GLParams, exact_args, dd_args,
+def _escalating_horner(coeffs, y, params: GLParams, n: int, x, dd_args, exact_args,
                        log: bool = False, cond_max: float = COND_THRESHOLD):
-    """sum_j coeffs[j] y^j (coeffs a float64 array) by Horner under the
-    package precision policy, at a float y or at every point of an ndarray
-    y (the result then has y's shape).  Three tiers, over a whole array at
-    once:
-
-    1. float64: the plain pass also sums mag = sum |c_j| |y|^j, and keeps
-       each point whose condition number mag / |sum| is at most
-       ``cond_max`` (COND_THRESHOLD, unless a caller needs more than its
-       1e-8 relative accuracy).
-    2. double-double: every other point is summed again from
-       ``dd_args(i)`` = ((hi, lo), (y_hi, y_lo)), the coefficients as
-       double-double rows and point i (the flat index into y; 0 for a float)
-       as a double-double.  Its value v is kept where mag <= 1e16 |v|
-       (``_DD_COND``).
-    3. exact: every other point, and every point at extended precision, is
-       redone on its own by ``_horner_exact`` in Python integers from
-       ``exact_args(i, bits)``, the coefficients and point i as dyadic or
-       exact rationals known to the bits asked for.
-
-    With ``log`` the result is (sign, log|sum|), finite where the sum
-    leaves the double range.
-    """
-    if isinstance(y, np.ndarray):
-        return _horner_array(coeffs, y, params, exact_args, dd_args, log, cond_max)
-    p, mag = _horner_float(coeffs, y)
-    cond = mag / abs(p) if p != 0.0 else math.inf
-    if params.precision.is_double:
-        if cond <= cond_max:
-            return (math.copysign(1.0, p), math.log(abs(p))) if log else p
-        (hi, lo), (y_hi, y_lo) = dd_args(0)
-        p = _dd_horner(hi, lo, y_hi, y_lo)
-        if mag <= _DD_COND * abs(p) < math.inf:
-            return (math.copysign(1.0, p), math.log(abs(p))) if log else p
-        cond = mag / abs(p) if p != 0.0 else math.inf
-    return _horner_exact(cond, params, exact_args, 0, log)
-
-
-def _horner_array(coeffs, y: np.ndarray, params: GLParams, exact_args, dd_args,
-                  log: bool, cond_max: float):
-    """``_escalating_horner`` on an ndarray y, with the same operations per
-    point as the float one, so each value is bitwise that of the scalar
-    call."""
-    yf = y.ravel()
+    """sum_j coeffs[j] y^j, the float64 row of order n of a family, at a
+    float y or at every point of an ndarray y (the result has y's shape), x
+    the family's point for y (y = x for P_n, x^(1/alpha) for W_n^(q)).  The
+    float64 tier keeps each point whose mag / |sum| is at most ``cond_max``
+    (COND_THRESHOLD, unless a caller needs more than its 1e-8 relative
+    accuracy); ``_Tiers`` redoes the rest, and every point at extended
+    precision.  With ``log`` the result is (sign, log|sum|), finite where
+    the sum leaves the double range."""
+    if not isinstance(y, np.ndarray):
+        s, mag = _horner_float(coeffs, y)
+        cond = mag / abs(s) if s != 0.0 else math.inf
+        if cond <= cond_max and params.precision.is_double:
+            return (math.copysign(1.0, s), math.log(abs(s))) if log else s
+        return _Tiers(params, n, float(x), [s], [mag], dd_args, exact_args, log).value(0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p, mag = _horner_float(coeffs, yf)
-        cond = np.where(p != 0.0, mag / np.abs(p), math.inf)
-        if params.precision.is_double:
-            redo = np.flatnonzero(~(cond <= cond_max))
-            if redo.size:
-                args = [dd_args(int(i)) for i in redo]
-                (hi, lo), _ = args[0]
-                y_hi, y_lo = np.array([a[1] for a in args]).T
-                v = _dd_horner(hi, lo, y_hi, y_lo)
-                av = np.abs(v)
-                kept = (mag[redo] <= _DD_COND * av) & (av < math.inf)
-                p[redo[kept]] = v[kept]
-                redo = redo[~kept]
-                cond[redo] = np.where(v[~kept] != 0.0, mag[redo] / av[~kept], math.inf)
-        else:
-            redo = np.arange(yf.size)
-        out = [np.copysign(1.0, p), np.log(np.abs(p))] if log else [p]
-    for i in redo:
-        v = _horner_exact(float(cond[i]), params, exact_args, int(i), log)
+        s, mag = _horner_float(coeffs, y.ravel())
+        cond = np.where(s != 0.0, mag / np.abs(s), math.inf)
+        out = [np.copysign(1.0, s), np.log(np.abs(s))] if log else [s]
+    todo = np.flatnonzero(~(cond <= cond_max) | (not params.precision.is_double)).tolist()
+    if todo:
+        tiers = _Tiers(params, n, np.ravel(x), s.tolist(), mag.tolist(), dd_args, exact_args, log)
+    for j in todo:
+        v = tiers.value(j)
         for o, vo in zip(out, v if log else (v,)):
-            o[i] = vo
+            o[j] = vo
     out = [o.reshape(y.shape) for o in out]
     return tuple(out) if log else out[0]
+
+
+class _Tiers:
+    """The double-double and exact tiers for the sums s_j, j = 0, 1, ..., of a
+    family's rows at x (order n at the point x[j] of an ndarray x, or order
+    n + j at a float x) that the float64 tier, which gave their sums s and
+    mags, did not keep.
+
+    ``value(j)`` gives s_j.  Its double-double tier, ``_dd(j)``, sums the
+    row and point of ``dd_args(orders, point)`` by ``_dd_sum``, and its
+    value v is kept where mag <= 1e16 |v| (``_DD_COND``).  Else, and at
+    extended precision, ``_horner_exact`` redoes the sum from
+    ``exact_args(order, point, bits)``.  With ``log`` a value is (sign,
+    log|s_j|)."""
+
+    def __init__(self, params: GLParams, n: int, x, s: list, mag: list, dd_args, exact_args,
+                 log: bool):
+        self.params, self.n, self.x, self.s, self.mag = params, n, x, s, mag
+        self.dd_args, self.exact_args, self.log = dd_args, exact_args, log
+        self.many = isinstance(x, np.ndarray)
+
+    def value(self, j: int):
+        s, mag = self.s[j], self.mag[j]
+        if self.params.precision.is_double:
+            s = self._dd(j)
+            if mag <= _DD_COND * abs(s) < math.inf:
+                return (math.copysign(1.0, s), math.log(abs(s))) if self.log else s
+        cond = mag / abs(s) if s != 0.0 else math.inf
+        return _horner_exact(cond, self.params,
+                             lambda i, bits: self.exact_args(*self._at(i), bits), j, self.log)
+
+    def _at(self, j: int) -> tuple:
+        """(order, point) of sum j."""
+        return (self.n, float(self.x[j])) if self.many else (self.n + j, self.x)
+
+    def _dd(self, j: int) -> float:
+        n, x = self._at(j)
+        (row,), point = self.dd_args([n], x)
+        return _dd_sum(*row, *point)
 
 
 def _horner_float(coeffs, y) -> tuple:
@@ -192,27 +178,6 @@ def _horner_float(coeffs, y) -> tuple:
     return p, mag
 
 
-def _dd_horner(hi, lo, y, y_lo):
-    """sum_j (hi_j + lo_j) (y + y_lo)^j by Horner in double-double
-    arithmetic, rounded to float64, at a float y or elementwise over ndarrays
-    y, y_lo (the same operations either way).
-
-    Each step forms p (y + y_lo) by ``_dd_mul`` and adds c, the leading
-    parts exactly by Knuth's TwoSum, the tails in float64.  The absolute
-    error is at most about 2 n u^2 sum |c_j| |y|^j, u = 2^-53 (Graillat,
-    Langlois & Louvet, 2005, for the compensated analogue).
-    """
-    ph, pl = 0.0, 0.0
-    for ch, cl in zip(hi[::-1].tolist(), lo[::-1].tolist()):
-        m, e = _dd_mul(ph, pl, y, y_lo)
-        s = m + ch
-        z = s - m
-        e += ((m - (s - z)) + (ch - z)) + cl
-        ph = s + e
-        pl = e - (ph - s)
-    return ph + pl
-
-
 def _dd_mul(ah, al, bh, bl) -> tuple:
     """(ah + al)(bh + bl) as a double-double (hi, lo), elementwise: the
     product of the leading parts exactly by Dekker's TwoProduct (Numer.
@@ -231,10 +196,9 @@ def _dd_mul(ah, al, bh, bl) -> tuple:
 
 def _dd_powers(y: float, y_lo: float, hi: list, lo: list, K: int) -> None:
     """Extend the double-double powers hi[k] + lo[k] = (y + y_lo)^k to
-    k = K, one ``_dd_mul`` step (inlined, with y split once) per power in
-    Python floats: a numpy pass per step costs more than the step itself.
-    Each step adds a relative error of about u^2 (2 u^2 where y_lo != 0),
-    u = 2^-53."""
+    k = K, one ``_dd_mul`` step per power (inlined, y split once) in Python
+    floats: a numpy pass per step costs more than the step itself.  Each
+    step adds a relative error of about u^2 (2 u^2 where y_lo != 0)."""
     t = _SPLIT * y
     ya = t - (t - y)
     yb = y - ya
@@ -252,100 +216,102 @@ def _dd_powers(y: float, y_lo: float, hi: list, lo: list, K: int) -> None:
 
 
 def _dd_block(rows: list, y_hi, y_lo) -> list:
-    """sum_k (hi_k + lo_k) (y_hi[k] + y_lo[k]) for each double-double row
-    (hi, lo) of ``rows``, given the point's double-double powers: the rows
-    laid end to end, every product as a double-double by one ``_dd_mul``
-    over them all, then one ``math.fsum`` per row, which adds its 2K parts
-    exactly and rounds once (Ogita, Rump & Oishi 2005).
-
-    Relative to |c_k| |y|^k, each product carries the rounding of its row
-    (at most 3 u^2), of its power (``_dd_powers``: k u^2, 2k u^2 where the
-    point is itself a double-double) and of its cross terms (2 u^2), and
-    fsum adds none.  So the absolute error is at most about (n + 5) u^2
-    mag, mag = sum |c_k| |y|^k, or (2n + 5) u^2 mag, the order of
-    ``_dd_horner``'s bound.  A row whose parts meet inf or NaN, or overflow
-    as they are added, is NaN, so the keep test of the second tier passes
-    it on."""
+    """sum_k (hi_k + lo_k)(y_hi[k] + y_lo[k]) for each double-double row
+    (hi, lo) of ``rows`` at the point's double-double powers: the products
+    by one ``_dd_mul`` over the rows end to end, then one ``math.fsum`` per
+    row, exact and rounded once (Ogita, Rump & Oishi 2005).  Each product
+    carries, relative to |c_k| |y|^k, the rounding of its row (3 u^2), its
+    power (k u^2; 2k u^2 at a double-double point) and its cross terms
+    (2 u^2): at most about (n + 5) u^2 mag, or (2n + 5) u^2 mag, in all.
+    Parts that meet inf or NaN, or overflow as added, give inf or NaN."""
     his, los = zip(*rows)
     with np.errstate(over="ignore", invalid="ignore"):
         m, e = _dd_mul(np.concatenate(his), np.concatenate(los),
                        np.concatenate([y_hi[:h.size] for h in his]),
                        np.concatenate([y_lo[:h.size] for h in his]))
-    m, e = m.tolist(), e.tolist()
-    out, k = [], 0
-    for h in his:
-        try:
-            out.append(math.fsum(m[k:k + h.size] + e[k:k + h.size]))
-        except (OverflowError, ValueError):     # inf - inf, or past the double range
-            out.append(math.nan)
-        k += h.size
-    return out
+    m, e, ends = m.tolist(), e.tolist(), list(accumulate(h.size for h in his))
+    return [_fsum(m[a:b] + e[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-class _Basis:
-    """The finite sums s_n = sum_k c_{n,k} y^k of one family of rows at one
-    point y, a chunk of orders at a time, under the precision policy of
-    ``_escalating_horner``.
+def _dd_sum(hi, lo, y: float, y_lo: float) -> float:
+    """``_dd_block`` for one row at a float point, in Python floats by the
+    operations of ``_dd_powers`` and ``_dd_mul``, so to the same bits,
+    without numpy's cost per call."""
+    t = _SPLIT * y
+    ya = t - (t - y)
+    yb = y - ya
+    ph, pl, ms, es = 1.0, 0.0, [], []
+    m_add, e_add = ms.append, es.append
+    for ch, cl in zip(hi.tolist(), lo.tolist()):
+        t = _SPLIT * ch
+        ca = t - (t - ch)
+        cb = ch - ca
+        t = _SPLIT * ph
+        pa = t - (t - ph)
+        pb = ph - pa
+        m = ch * ph
+        e = ((ca * pa - m) + ca * pb + cb * pa) + cb * pb + (ch * pl + cl * ph)
+        h = m + e
+        m_add(h)
+        e_add(e - (h - m))
+        m = ph * y
+        e = ((pa * ya - m) + pa * yb + pb * ya) + pb * yb + (ph * y_lo + pl * y)
+        ph = m + e
+        pl = e - (ph - m)
+    return _fsum(ms + es)
 
-    Its first tier, for orders lo..hi at once, is ``_basis_values``: one
-    ``_horner_float`` pass over the block of the chunk's float64 rows,
-    ``rows(lo, hi)`` (zero past each row's degree), so each order's sum,
-    mag and keep test (cond = mag / |s_n| at most COND_THRESHOLD) are
-    bitwise those of ``_escalating_horner`` on its own row.  The orders not
-    kept are NaN.
 
-    ``escalate(n)`` gives such an order of the last chunk by the other two
-    tiers.  The first call at or past an order runs the block double-double
-    pass (``_dd_block``) over every order of the chunk from there on that
-    the first tier did not keep, at once: their rows ``dd_rows(orders)``
-    against the powers of the double-double point ``dd_point()``, formed
-    once per basis and grown with the degree.  Its value is kept where
-    mag <= _DD_COND |v|; else ``_horner_exact`` redoes the order alone from
-    ``exact_args(n)``.  A caller that escalates only the orders it reaches
-    thus runs the exact tier on no order past its truncation.  With ``log``
-    ``escalate`` gives (sign, log|s_n|).
-    """
+def _fsum(parts: list) -> float:
+    """math.fsum, NaN where the parts meet inf - inf or overflow as added."""
+    try:
+        return math.fsum(parts)
+    except (OverflowError, ValueError):
+        return math.nan
 
-    def __init__(self, params: GLParams, y: float, rows, dd_point, dd_rows,
-                 exact_args, log: bool = False):
-        self.params, self.y, self.rows = params, y, rows
-        self.dd_point, self.dd_rows, self.exact_args, self.log = dd_point, dd_rows, exact_args, log
-        self.dd_pw = ([1.0], [0.0], np.ones(1), np.zeros(1))
-        self.lo, self.s, self.mag, self.kept, self.dd = 0, None, None, None, {}
+
+class _Basis(_Tiers):
+    """A family's sums s_n = sum_k c_{n,k} y^k at one point x, a chunk of
+    orders at a time: ``_basis_values`` sums orders lo..hi in float64 by one
+    ``_horner_float`` pass over their rows, ``rows(lo, hi)`` (zero past each
+    row's degree), bitwise each row's own pass, NaN where not kept.  The
+    first ``escalate`` at or past an order runs the double-double tier of
+    the chunk's failing orders from there on as one ``_dd_block`` against
+    x's powers, so a caller that escalates only the orders it reaches runs
+    neither higher tier past them."""
+
+    def __init__(self, params: GLParams, y: float, x: float, rows, dd_args, exact_args,
+                 log: bool = False):
+        super().__init__(params, 0, x, None, None, dd_args, exact_args, log)
+        self.y, self.rows = y, rows
+        self.pw = [[1.0], [0.0], (), ()]     # x's powers, as lists and as arrays
 
     def _take(self, lo: int, s: np.ndarray, mag: np.ndarray) -> np.ndarray:
-        """Hold the first tier's sums s and mags of orders lo.. for
+        """Keep the first tier's sums s and mags of orders lo.. for
         ``escalate``; the kept sums, NaN elsewhere."""
         with np.errstate(invalid="ignore", divide="ignore"):
             kept = np.where(s != 0.0, mag / np.abs(s), math.inf) <= COND_THRESHOLD
-        self.lo, self.s, self.mag, self.kept, self.dd = lo, s, mag, kept, {}
-        if not self.params.precision.is_double:
-            return np.full(s.shape, math.nan)
+        kept &= self.params.precision.is_double
+        self.chunk, self.dd = (lo, s, mag, kept), None
         return np.where(kept, s, math.nan)
 
     def escalate(self, n: int):
-        i = n - self.lo
-        s, mag = float(self.s[i]), float(self.mag[i])
-        if self.params.precision.is_double:
-            if i not in self.dd:
-                self._dd_pass(i)
-            s = self.dd[i]
-            if mag <= _DD_COND * abs(s) < math.inf:
-                return (math.copysign(1.0, s), math.log(abs(s))) if self.log else s
-        cond = mag / abs(s) if s != 0.0 else math.inf
-        return _horner_exact(cond, self.params, self.exact_args(n), 0, self.log)
+        if self.dd is None:
+            self.n, s, mag, kept = self.chunk
+            self.s, self.mag, self.todo = s.tolist(), mag.tolist(), np.flatnonzero(~kept).tolist()
+            self.dd = {}
+        return self.value(n - self.n)
 
-    def _dd_pass(self, i: int) -> None:
-        """The double-double tier for the orders of the last chunk from index
-        i on that the first tier did not keep, as one block."""
-        idx = np.flatnonzero(~self.kept[i:]) + i
-        rows = self.dd_rows((idx + self.lo).tolist())
-        K = max(h.size for h, _ in rows)
-        ph, pl, ph_a, pl_a = self.dd_pw
-        if ph_a.size < K:
-            _dd_powers(*self.dd_point(), ph, pl, K - 1)
-            self.dd_pw = ph, pl, ph_a, pl_a = ph, pl, np.array(ph), np.array(pl)
-        self.dd.update(zip(idx.tolist(), _dd_block(rows, ph_a, pl_a)))
+    def _dd(self, j: int) -> float:
+        if j not in self.dd:
+            J = [i for i in self.todo[bisect.bisect_left(self.todo, j):] if i not in self.dd]
+            rows, point = self.dd_args([self.n + i for i in J], self.x)
+            K = max(h.size for h, _ in rows)
+            ph, pl, ph_a, pl_a = self.pw
+            if len(ph_a) < K:
+                _dd_powers(*point, ph, pl, K - 1)
+                self.pw[2:] = ph_a, pl_a = np.array(ph), np.array(pl)
+            self.dd.update(zip(J, _dd_block(rows, ph_a, pl_a)))
+        return self.dd[j]
 
 
 def _basis_values(spans) -> list:
@@ -376,8 +342,8 @@ def _dd_ratio(nums, den: int) -> tuple:
     double-double rows (hi, lo), each part correctly rounded by Python's
     integer true division: hi = fl(c), lo = fl(c - hi).  lo is NaN where c
     is nonzero but hi + lo cannot carry it to 2^-106 (|c| below 2^-969, or
-    past the double range), so that the second tier of
-    ``_escalating_horner`` passes such a row on to the exact tier."""
+    past the double range), so that the double-double tier passes such a
+    row on to the exact tier."""
     hi, lo = [], []
     for num in nums:
         h = _div(num, den)
@@ -394,8 +360,8 @@ def _dd_ratio(nums, den: int) -> tuple:
 
 
 def _horner_exact(cond: float, params: GLParams, exact_args, i: int, log: bool):
-    """Point i of ``_escalating_horner`` summed on Python integers, given
-    mag / |v| from a lower tier (inf or NaN where it had no v).
+    """Sum i of ``_Tiers`` on Python integers, given mag / |v| from a lower
+    tier (inf or NaN where it had no v).
 
     ``exact_args(i, bits)`` gives (nums, den, c_bits, Y, D, y_bits): the
     coefficients nums[j] / den and the point Y / D, D = 2^s, known to a

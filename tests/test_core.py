@@ -187,6 +187,27 @@ def test_tables_held_are_bounded_in_bytes(monkeypatch):
     assert list(core._tables) == [("R", fresh[0])]
 
 
+def test_faces_count_in_the_bytes_held(monkeypatch):
+    # a table's faces count in its bytes as they are stored: the
+    # double-double rows of P_n, faces of a "P" table with no rows, drop
+    # the older tables once all hold more than TABLE_BYTES_HELD
+    monkeypatch.setattr(core, "_tables", type(core._tables)())
+    old = [make_params(0.4123456789 + 0.001 * i, 1.37) for i in range(3)]
+    for p in old:
+        coeigen.r_coeffs(p, 10)
+    held = sum(t.size for t in core._tables.values())
+    monkeypatch.setattr(core, "TABLE_BYTES_HELD", held + 50_000)
+    p = make_params(0.5, 1.0)
+    eigen._dd_args(p, list(range(60)), 1.0)
+    table = core._tables[("P", p)]
+    assert table.rows == [] and table.size > 50_000
+    assert list(core._tables) == [("P", p)]
+    # a face stored again counts once, in place of the one it replaces
+    size = table.size
+    table["C", 59] = table["C", 59]
+    assert table.size == size
+
+
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_tables_held_are_bounded(family):
     _, read = _FAMILIES[family]

@@ -276,7 +276,7 @@ def test_p_eval_past_the_double_range_of_binomials(monkeypatch):
     monkeypatch.setattr(sf, "_horner_exact",
                         lambda *a: escalated.append(a[3]) or horner_exact(*a))
     monkeypatch.setattr(eg, "_exact_args", lambda *a: passes.append(a[2]) or exact_args(*a))
-    assert np.isnan(eg._dd_row(p, n)[0]).any()
+    assert np.isnan(eg._dd_args(p, [n], 1.0)[0][0][0]).any()
     seq = eg.p_coeffs(p, n)
     got = [eg.p_eval(seq, n, x) for x in xs]
     assert escalated == [0] * len(xs)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -283,23 +284,22 @@ def test_bell_table_domain():
 
 def test_escalating_horner_array_log_form_and_cond_max(p_half):
     # P_20 at alpha = 1/2: float64 below x of about 1, escalated past it
-    from glspec.eigen import _coeffs_mp, _dd_row, _exact_args, p_coeffs
+    from glspec.eigen import _coeffs_mp, _dd_args, _exact_args, p_coeffs
     cs = p_coeffs(p_half, 20).coeff[20]
     ys = np.linspace(0.1, 9.0, 25)
-    exact_args = lambda i, bits: _exact_args(p_half, 20, float(ys[i]), bits)
-    dd_args = lambda i: (_dd_row(p_half, 20), (float(ys[i]), 0.0))
-    sign, lv = sf._escalating_horner(cs, ys, p_half, exact_args, dd_args, log=True)
+    dd_args, exact_args = partial(_dd_args, p_half), partial(_exact_args, p_half)
+    run = lambda y, **kw: sf._escalating_horner(cs, y, p_half, 20, y, dd_args, exact_args, **kw)
+    sign, lv = run(ys, log=True)
     for i, y in enumerate(ys.tolist()):
-        s1, l1 = sf._escalating_horner(cs, y, p_half, lambda _, bits: exact_args(i, bits),
-                                       lambda _: dd_args(i), log=True)
+        s1, l1 = run(y, log=True)
         assert sign[i] == s1 and lv[i] == pytest.approx(l1, rel=1e-15, abs=1e-15)
     # a tighter cond_max sends more points past the float64 pass, to the
     # double-double tier and beyond it to the exact tier, each then right
     # to 1e-15
     with mp.workdps(60):
         exact = [float(mp.polyval(_coeffs_mp(p_half, 20)[::-1], mp.mpf(y))) for y in ys]
-    loose = sf._escalating_horner(cs, ys, p_half, exact_args, dd_args)
-    tight = sf._escalating_horner(cs, ys, p_half, exact_args, dd_args, cond_max=1.0)
+    loose = run(ys)
+    tight = run(ys, cond_max=1.0)
     np.testing.assert_allclose(tight, exact, rtol=1e-15)
     assert np.max(np.abs(loose / exact - 1.0)) <= COND_THRESHOLD * 1e-15
 
@@ -327,8 +327,8 @@ def _tier_case(family, p, n):
     if family == "R":
         return ce.r_coeffs(p, n), ys, ce.r_eval_bell(p, n, xs), lambda: ce.r_coeffs_mp(p, n), xs
     d = ce._w_coeffs(p, n, 1)
-    got = sf._escalating_horner(d[0], ys, p, ce._exact_args(p, n, 1, xs),
-                                lambda i: (d, ce._point(float(xs[i]), a)[0]))
+    got = sf._escalating_horner(d[0], ys, p, n, xs, partial(ce._dd_args, p, 1),
+                                partial(ce._exact_args, p, 1))
     nums, den = ce._exact(p, n, 1)
     return d[0], ys, got, lambda: [mp.fdiv(c, den) for c in nums], xs
 
@@ -374,6 +374,33 @@ def test_double_double_tier_accuracy(family, monkeypatch):
     assert min(exact_conds) < 1e17 and max(exact_conds) > 1e20
 
 
+@pytest.mark.parametrize("alpha, beta", _TIER_PAIRS)
+def test_kernel_bases_and_pointwise_calls_give_one_value(alpha, beta):
+    # every order a kernel basis escalates, a chunk of orders at a time as
+    # the kernel sums take them, is bitwise the value of p_eval or w_eval,
+    # which escalate that order alone
+    from glspec import coeigen as ce
+    from glspec import eigen as eg
+    from glspec.semigroup import _CHUNK
+    p, N = make_params(alpha, beta), 63
+    seq, escalated = eg.p_coeffs(p, N), 0
+    for x in np.geomspace(0.3, 30.0, 40).tolist():
+        pb, wb = eg._PBasis(p, x, N), ce._WBasis(p, x)
+        lo, hi = 0, 2 * _CHUNK - 1
+        while lo <= N:
+            sw, sp = sf._basis_values([wb.span(lo, hi), pb.span(lo, hi)])
+            for n, w, v in zip(range(lo, hi + 1), wb.values(lo, hi, sw).tolist(),
+                               pb.values(lo, hi, sp).tolist()):
+                if w != w:
+                    assert wb.escalate(n) == ce.w_eval(p, n, x), ("W", x, n)
+                    escalated += 1
+                if v != v:
+                    assert pb.escalate(n) == eg.p_eval(seq, n, x), ("P", x, n)
+                    escalated += 1
+            lo, hi = hi + 1, min(hi + _CHUNK, N)
+    assert escalated >= 1000
+
+
 def test_extended_precision_sends_every_point_to_the_exact_tier(monkeypatch):
     from glspec import coeigen as ce
     from glspec.core import EXT128
@@ -381,7 +408,7 @@ def test_extended_precision_sends_every_point_to_the_exact_tier(monkeypatch):
     horner_exact = sf._horner_exact
     monkeypatch.setattr(sf, "_horner_exact",
                         lambda *a: escalated.append(a[3]) or horner_exact(*a))
-    monkeypatch.setattr(sf, "_dd_horner", None)      # never reached
+    monkeypatch.setattr(sf._Tiers, "_dd", None)      # never reached
     xs = np.geomspace(0.05, 12.0, 20)
     ce.r_eval_bell(make_params(0.5, 1.0, EXT128), 30, xs)
     assert escalated == list(range(xs.size))
@@ -403,8 +430,7 @@ def _exact_tier_case(family, p, n):
         xs = np.geomspace(0.2, 100.0, 40)
         cs = eg.p_coeffs(p, n).coeff[n]
         run = lambda log: sf._escalating_horner(
-            cs, xs, p, lambda i, bits: eg._exact_args(p, n, float(xs[i]), bits),
-            lambda i: (eg._dd_row(p, n), (float(xs[i]), 0.0)), log=log)
+            cs, xs, p, n, xs, partial(eg._dd_args, p), partial(eg._exact_args, p), log=log)
         with mp.workdps(100):
             am, ab = mp.mpf(a), mp.mpf(a) * p.beta
             row = [(-1) ** k * math.comb(n, k) * mp.gamma(ab + 1) / mp.gamma(am * k + ab + 1)
@@ -414,8 +440,8 @@ def _exact_tier_case(family, p, n):
         q, xs = int(family[1]), np.geomspace(0.2, 40.0, 40)
         d = ce._w_coeffs(p, n, q)
         run = lambda log: sf._escalating_horner(
-            d[0], np.power(xs, 1.0 / a), p, ce._exact_args(p, n, q, xs),
-            lambda i: (d, ce._point(float(xs[i]), a)[0]), log=log)
+            d[0], np.power(xs, 1.0 / a), p, n, xs, partial(ce._dd_args, p, q),
+            partial(ce._exact_args, p, q), log=log)
         row = r_coeffs_bell_mp(p, n, dps=100)
         with mp.workdps(100):
             am = mp.mpf(a)

@@ -1,0 +1,114 @@
+"""Compare every value of the benchmark's op lists between a base revision
+and this checkout's working tree.
+
+    python3 tools/replay_values.py [--base REV] [--workloads points kernel verify]
+                                   [--seeds 1 2]
+
+The base is REV (default HEAD~1), extracted with `git archive` into a
+temporary directory.  For each side, workload and seed, one child process
+builds the op list that `bench/run.py` runs for BENCHMARK.json's
+``run_seconds`` (``bench/ops.py``), runs each op once through
+``bench/work.py``'s ``run_op`` with the side's own `src/`, and prints its
+values: the points of a `points` op, the one value of a `kernel` or
+`verify` op, or the name of the exception an op raised.  For each workload
+and seed one line gives the number of values compared, the number that
+differ in any bit (NaN matches NaN; an exception matches the same
+exception) and the worst relative difference |change - base| / |base|.
+The tool exits 1 if any value differs or a child fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: run in a child per side: argv is the checkout, workload, seed and seconds
+CHILD = r"""
+import json, sys
+root, workload, seed, seconds = sys.argv[1], sys.argv[2], int(sys.argv[3]), float(sys.argv[4])
+sys.path[:0] = [root + "/src", root + "/bench"]
+from ops import make_ops
+import work
+pp, out = work.Params(), []
+for op in make_ops(workload, seed, seconds):
+    try:
+        value = work.run_op(op, pp)
+        out.append([float(v) for v in value] if isinstance(value, list) else [float(value)])
+    except Exception as exc:
+        out.append([type(exc).__name__])
+print(json.dumps(out))
+"""
+
+
+def replay(checkout: Path, workload: str, seed: int, seconds: float) -> list:
+    """Per op of the list, its values (or exception name) in checkout."""
+    env = dict(os.environ, PYTHONHASHSEED="0", OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(checkout), workload, str(seed),
+                           repr(seconds)], cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n"
+                           + proc.stderr[-2000:])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def same(a, b) -> bool:
+    """a and b are the same value to the bit (or the same exception name)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+    return a == b
+
+
+def rel_diff(a, b) -> float:
+    """|a - b| / |b| (|a - b| where b = 0); inf where they cannot be compared."""
+    if not (isinstance(a, float) and isinstance(b, float)) or math.isnan(a) or math.isnan(b):
+        return math.inf
+    if a == b:
+        return 0.0
+    d = abs(a - b)
+    return d / abs(b) if b != 0.0 and math.isfinite(d) else d
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", default="HEAD~1")
+    ap.add_argument("--workloads", nargs="+", default=["points", "kernel", "verify"])
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    args = ap.parse_args()
+    seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
+    base_rev = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    print(f"base {base_rev} against the working tree, op lists of {seconds:g} s")
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="replay-base-") as tmp:
+        archive = subprocess.run(["git", "archive", base_rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        for workload in args.workloads:
+            for seed in args.seeds:
+                base = replay(Path(tmp), workload, seed, seconds)
+                change = replay(ROOT, workload, seed, seconds)
+                pairs = [(c, b) for cs, bs in zip(change, base) for c, b in zip(cs, bs)]
+                bad = [rel_diff(c, b) for c, b in pairs if not same(c, b)]
+                bad += [math.inf] * sum(len(cs) != len(bs) for cs, bs in zip(change, base))
+                differ += len(bad)
+                print(f"{workload} seed {seed}: {len(pairs)} values, {len(bad)} differ, "
+                      f"worst relative difference {max(bad, default=0.0):.3g}", flush=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
