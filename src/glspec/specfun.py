@@ -91,10 +91,10 @@ def _escalating_horner(coeffs, y, params: GLParams, n: int, x, dd_args, exact_ar
     float y or at every point of an ndarray y (the result has y's shape), x
     the family's point for y (y = x for P_n, x^(1/alpha) for W_n^(q)).  The
     float64 tier keeps each point whose mag / |sum| is at most ``cond_max``
-    (COND_THRESHOLD, unless a caller needs more than its 1e-8 relative
-    accuracy); ``_Tiers`` redoes the rest, and every point at extended
-    precision.  With ``log`` the result is (sign, log|sum|), finite where
-    the sum leaves the double range."""
+    (COND_THRESHOLD unless a caller needs more than 1e-8); ``_Tiers`` redoes
+    the rest, and all at extended precision, by one double-double pass
+    (error at most about (n + 5) u^2 mag) and the exact tier.  With ``log``
+    the result is (sign, log|sum|), finite past the double range."""
     if not isinstance(y, np.ndarray):
         s, mag = _horner_float(coeffs, y)
         cond = mag / abs(s) if s != 0.0 else math.inf
@@ -274,10 +274,10 @@ class _Basis(_Tiers):
     orders at a time: ``_basis_values`` sums orders lo..hi in float64 by one
     ``_horner_float`` pass over their rows, ``rows(lo, hi)`` (zero past each
     row's degree), bitwise each row's own pass, NaN where not kept.  The
-    first ``escalate`` at or past an order runs the double-double tier of
-    the chunk's failing orders from there on as one ``_dd_block`` against
-    x's powers, so a caller that escalates only the orders it reaches runs
-    neither higher tier past them."""
+    first ``escalate`` at or past an order runs the double-double pass of
+    the chunk's failing orders from there on as one ``_dd_block`` on x's
+    powers (error at most about (n + 5) u^2 mag, bitwise ``_dd_sum``'s), so
+    a caller escalating only the orders it reaches runs no tier past them."""
 
     def __init__(self, params: GLParams, y: float, x: float, rows, dd_args, exact_args,
                  log: bool = False):
