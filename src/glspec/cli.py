@@ -11,9 +11,11 @@ overwrite each other's digits.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -26,6 +28,7 @@ from . import quad as qd
 from . import semigroup as sg
 from .core import (DomainError, GlspecError, GLParams, make_params, monomial,
                    parse_precision)
+from .specfun import log_gamma
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -211,23 +214,32 @@ def _parse_fn(params, token: str):
 @add_options(param_options)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True,
-              help="json: a list of {name, value, bound, pass}")
+              help="json: a list of {name, value, bound, pass[, error]}")
 @out_option
 @click.option("--n", "n_cap", type=int, default=None,
               help="override the suite's matrix/order size")
 @click.option("--seed-check", is_flag=True, default=False,
               help="quick smoke subset of 'all'")
 def cmd_verify(suite, alpha, beta, precision, fmt, out, n_cap, seed_check):
-    """Run a named invariant suite; exit 0 iff every check passes."""
+    """Run a named invariant suite; exit 0 iff every check passes.  A check that
+    raises prints an ERROR line ("error" in JSON), the others still run: exit 3."""
     params = _params_from(alpha, beta, precision)
-    checks = []
-    try:
-        if suite in ("biorth", "all"):
+    verdicts = []        # (name, value, bound, pass, error)
+
+    @contextmanager
+    def check(name, bound):
+        """Record the value the block gives to ``put``, or the GlspecError it raises."""
+        try:
+            yield lambda v: verdicts.append((name, float(v), bound, float(v) <= bound, None))
+        except GlspecError as exc:
+            verdicts.append((name, None, bound, False, f"{type(exc).__name__}: {exc}"))
+
+    if suite in ("biorth", "all"):
+        with check("biorth ||G-I||_max", 1e-6) as put:
             N = n_cap if n_cap is not None else (4 if seed_check else 8)
-            G = qd.gram_biorth(params, N)
-            res = float(np.abs(G - np.eye(N + 1)).max())
-            checks.append(("biorth ||G-I||_max", res, 1e-6))
-        if suite in ("eigen", "all"):
+            put(np.abs(qd.gram_biorth(params, N) - np.eye(N + 1)).max())
+    if suite in ("eigen", "all"):
+        with check("eigen max residual/sup", 1e-7) as put:
             nmax = 3 if seed_check else 6
             worst = 0.0
             for n in range(nmax + 1):
@@ -237,10 +249,9 @@ def cmd_verify(suite, alpha, beta, precision, fmt, out, n_cap, seed_check):
                 r = max(abs(sg.generator_apply(params, f, float(x)) + n * f(float(x)))
                         for x in grid) / sup
                 worst = max(worst, r)
-            checks.append(("eigen max residual/sup", worst, 1e-7))
-        if suite in ("mellin", "all"):
-            import cmath
-            from .specfun import log_gamma
+            put(worst)
+    if suite in ("mellin", "all"):
+        with check("mellin factorization", 1e-10) as put:
             worst = 0.0
             ss = [complex(re, im) for re in (-0.4, 0.2, 0.7, 1.5, 2.5)
                   for im in (0.0, 0.4, -1.1, 2.0)]
@@ -248,8 +259,9 @@ def cmd_verify(suite, alpha, beta, precision, fmt, out, n_cap, seed_check):
                 lhs = dens.mellin_lambda(params, s) * dens.mellin_e(params, s)
                 rhs = cmath.exp(log_gamma(s + 1.0))
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
-            checks.append(("mellin factorization", worst, 1e-10))
-        if suite in ("representations", "all"):
+            put(worst)
+    if suite in ("representations", "all"):
+        with check("representation agreement", 5e-7) as put:
             nmax = 3 if seed_check else 8
             w = dens.weight_e_ab(params)
             worst = 0.0
@@ -260,41 +272,36 @@ def cmd_verify(suite, alpha, beta, precision, fmt, out, n_cap, seed_check):
                     me = ce.w_eval_mellin(params, n, x) if params.alpha < 1 else wt
                     r = max(abs(bell - wt), abs(bell - me)) / max(abs(bell), 1e-300)
                     worst = max(worst, r)
-            checks.append(("representation agreement", worst, 5e-7))
-        if suite in ("intertwine", "all") and not seed_check:
-            t = 1.0
-            rep = sg.intertwine_check(params, monomial(2), t, [0.5, 1.0, 2.0])
-            checks.append(("intertwine p_2", rep["max_discrepancy"], 1e-6))
-        if suite in ("bounds",) or (suite == "all" and not seed_check):
-            if params.alpha < 1.0:
-                for region in ("fixed_x", "middle", "suboptimal", "large"):
-                    r20 = asy.bound_region_check(params, 20, region)[0]["ratio"]
-                    r40 = asy.bound_region_check(params, 40, region)[0]["ratio"]
-                    ok_val = r40 / max(r20, 1e-300)
-                    checks.append((f"bound region {region} ratio40/ratio20",
-                                   ok_val, 10.0))
-        if suite in ("norms",) or (suite == "all" and not seed_check):
-            lo, hi = (15, 18) if suite == "all" else (15, 25)
-            rep = asy.norm_envelope_check(params, lo, hi)
-            slack = rep["main_bound"] - max(rep["main_rates"])
-            checks.append(("norm envelope slack (main)", -slack, 0.0))
-            slack2 = rep["aux_bound"] - max(rep["aux_rates"])
-            checks.append(("norm envelope slack (aux)", -slack2, 0.0))
-    except GlspecError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+            put(worst)
+    if suite in ("intertwine", "all") and not seed_check:
+        with check("intertwine p_2", 1e-6) as put:
+            put(sg.intertwine_check(params, monomial(2), 1.0, [0.5, 1.0, 2.0])["max_discrepancy"])
+    if (suite == "bounds" or suite == "all" and not seed_check) and params.alpha < 1.0:
+        for region in ("fixed_x", "middle", "suboptimal", "large"):
+            with check(f"bound region {region} ratio40/ratio20", 10.0) as put:
+                r20 = asy.bound_region_check(params, 20, region)[0]["ratio"]
+                r40 = asy.bound_region_check(params, 40, region)[0]["ratio"]
+                put(r40 / max(r20, 1e-300))
+    if suite in ("norms",) or (suite == "all" and not seed_check):
+        lo, hi = (15, 18) if suite == "all" else (15, 25)
+        rep = {}
+        for side in ("main", "aux"):
+            with check(f"norm envelope slack ({side})", 0.0) as put:
+                rep = rep or asy.norm_envelope_check(params, lo, hi)
+                put(max(rep[f"{side}_rates"]) - rep[f"{side}_bound"])
 
-    verdicts = [(name, float(value), bound, bool(value <= bound))
-                for name, value, bound in checks]
     if fmt == "json":
-        text = json.dumps([{"name": name, "value": value, "bound": bound, "pass": ok}
-                           for name, value, bound, ok in verdicts], indent=1) + "\n"
+        text = json.dumps([{"name": name, "value": value, "bound": bound, "pass": ok,
+                            **({"error": err} if err else {})}
+                           for name, value, bound, ok, err in verdicts], indent=1) + "\n"
     else:
-        text = "".join(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} "
-                       f"(tolerance {bound:.3e})\n" for name, value, bound, ok in verdicts)
+        text = "".join(f"ERROR {name}: {err}\n" if err else
+                       f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} "
+                       f"(tolerance {bound:.3e})\n"
+                       for name, value, bound, ok, err in verdicts)
     _write(text, out)
-    failed = not all(ok for *_, ok in verdicts)
-    sys.exit(EXIT_VERIFY_FAIL if failed else EXIT_OK)
+    sys.exit(EXIT_NUMERICAL if any(err for *_, err in verdicts) else
+             EXIT_OK if all(ok for _, _, _, ok, _ in verdicts) else EXIT_VERIFY_FAIL)
 
 
 if __name__ == "__main__":

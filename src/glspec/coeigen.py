@@ -28,14 +28,13 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 from scipy.special import loggamma as sp_cloggamma
 
-from .core import (LOG_DOUBLE_MAX, MAX_ESCALATED_DPS, TABLE_MIN_DPS, ContourError,
-                   DomainError, GLParams, RealFn, coeff_faces, coeff_table, mp_ctx,
-                   real_pow, table_dps)
+from .core import (LOG_DOUBLE_MAX, MAX_ESCALATED_DPS, ContourError, DomainError,
+                   GLParams, RealFn, coeff_faces, coeff_table, mp_ctx, real_pow)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
-from .specfun import _Basis, _dd_ratio, _escalating_horner
+from .specfun import _Basis, _dd_ratio, _escalating_horner, _exp, _log_form
 
-__all__ = ["r_coeffs", "r_coeffs_mp", "r_eval_bell", "r_fn", "w_eval_mellin",
+__all__ = ["r_coeffs", "r_eval_bell", "r_fn", "w_eval_mellin",
            "w_eval", "w_crude_bound_check", "ContourSpec"]
 
 
@@ -96,15 +95,6 @@ def _exact(params: GLParams, n: int, q: int = 0) -> tuple:
     return held
 
 
-def r_coeffs_mp(params: GLParams, n: int) -> list:
-    """Coefficients of R_n (see r_coeffs) as mpmath numbers with at least the
-    current working precision: row n of the exact "R" table, each rounded
-    once at ``table_dps`` digits, as mpmath rows of the table would be."""
-    nums, den = _exact(params, n)
-    with mp_ctx(table_dps(mp.mp.dps)):
-        return [mp.fdiv(c, den) for c in nums]
-
-
 @lru_cache(maxsize=256)
 def r_coeffs(params: GLParams, n: int) -> np.ndarray:
     """Coefficients c_j with R_n(x) = sum_j c_j x^(j/alpha), j = 0..n.
@@ -121,9 +111,9 @@ def r_coeffs(params: GLParams, n: int) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def _point(x: float, alpha: float) -> list:
     """[(hi, lo), y, prec]: y = x^(1/alpha), one mpmath power at prec bits
-    (first TABLE_MIN_DPS digits), and the double-double (hi, lo) the second
-    tier reads from that first y.  Kernel sums meet each x at every n."""
-    with mp_ctx(TABLE_MIN_DPS):
+    (first 32 digits), and the double-double (hi, lo), correctly rounded,
+    the second tier reads from that first y.  Kernel sums meet each x at every n."""
+    with mp_ctx(32):
         y = mp.mpf(x) ** (1 / mp.mpf(alpha))
         hi = float(y)
         return [(hi, float(y - hi)), y, mp.mp.prec]
@@ -163,7 +153,7 @@ def _w_horner(params: GLParams, n: int, q: int, x, log: bool):
     """sum_j d_j y^j of W_n^(q)(x) = x^(-q) e(x) sum_j d_j y^j, y =
     x^(1/alpha) (R_n(x) at q = 0, the classical Laguerre polynomial at
     alpha = 1), by the escalating Horner at a float x or at every point of
-    an ndarray x; with log, (sign, log|sum|) at a float x."""
+    an ndarray x; with log, (sign, log|sum|)."""
     arr = isinstance(x, np.ndarray)
     if (x <= 0.0).any() if arr else x <= 0.0:
         raise DomainError("co-eigenfunctions are evaluated on x > 0")
@@ -171,9 +161,7 @@ def _w_horner(params: GLParams, n: int, q: int, x, log: bool):
         raise DomainError("order must be >= 0")
     if params.is_classical and q == 0:
         v = laguerre_eval(n, params.beta, x)
-        if arr or not log:
-            return v
-        return math.copysign(1.0, v), (math.log(abs(v)) if v else -math.inf)
+        return _log_form(v) if log else v
     a, d = params.alpha, _w_coeffs(params, n, q)
     if arr:
         with np.errstate(over="ignore"):
@@ -227,8 +215,8 @@ class _WBasis:
     orders at a time: ``values(lo, hi, s)``, NaN at the orders the float64
     tier did not keep, and ``escalate(n)`` for such an order (see
     ``specfun._Basis``), the sum in y = x^(1/alpha) over the stacked rows
-    of ``_w_rows``.  As in ``w_eval`` each value is sign * exp(log|sum| -
-    q log x + log e(x)); at alpha = 1 and q = 0 the sums are one
+    of ``_w_rows``.  Each value is ``_w_value`` of its sum's log form, so it
+    has the bits of ``w_eval``'s; at alpha = 1 and q = 0 the sums are one
     ``eval_genlaguerre`` call over the chunk's orders."""
 
     def __init__(self, params: GLParams, x: float, q: int = 0):
@@ -256,13 +244,10 @@ class _WBasis:
         ``span(lo, hi)``."""
         if self.basis is None:
             s = eval_genlaguerre(np.arange(lo, hi + 1), self.params.beta, self.x)
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.copysign(np.exp(np.log(np.abs(s)) - self.log_x + self.log_e), s)
+        return _w_value(*_log_form(s), self.log_x, self.log_e)
 
     def escalate(self, n: int) -> float:
-        sign, lr = self.basis.escalate(n)
-        lw = lr - self.log_x + self.log_e
-        return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
+        return _w_value(*self.basis.escalate(n), self.log_x, self.log_e)
 
 
 # --------------------------------------------------------------------------
@@ -343,9 +328,20 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
     q = operator.index(q)
     if q < 0:
         raise DomainError("derivative order must be >= 0")
-    sign, lr = _w_horner(params, operator.index(n), q, x, log=True)
-    lw = lr - q * math.log(x) + log_weight_eval(weight_e_ab(params), x)
-    return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
+    return _w_value(*_w_horner(params, operator.index(n), q, x, log=True), q * math.log(x),
+                    log_weight_eval(weight_e_ab(params), x))
+
+
+def _w_value(sign, lr, log_x: float, log_e: float):
+    """W_n^(q)(x) = sign exp(lr - log_x + log_e), +-inf past the double range,
+    from the log form (sign, lr) of its sum (floats or ndarrays), log_x = q
+    log x and log_e = log e(x), by ``specfun._exp``, for w_eval and _WBasis."""
+    lw = lr - log_x + log_e
+    if not isinstance(lw, np.ndarray):
+        return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(_exp(lw), sign)
+    w = _exp(np.minimum(lw, LOG_DOUBLE_MAX))
+    w[lw > LOG_DOUBLE_MAX] = math.inf
+    return np.copysign(w, sign)
 
 
 def w_crude_bound_check(params: GLParams, n: int, q: int, x: float) -> dict:

@@ -5,12 +5,12 @@ with ``alpha in (0, 1]`` and ``beta >= 1 - 1/alpha``.  Derived constants are
 computed once at construction and frozen; ``derived_constants`` re-derives
 them from scratch so tests can assert agreement to the last ulp.
 
-``coeff_table`` holds the package's one coefficient cache: a table of rows
-per (family, params), where the family is P_n (eigen) or R_n (coeigen).
-R_n's rows are exact Python integers, grown in n and never rebuilt; P_n's
-are its gamma ratios g_k in mpmath, rebuilt for a caller that needs more
-digits.  ``coeff_faces`` gives what a family forms from its rows (float64
-and double-double rows, signed binomials), held and dropped with the table.
+``coeff_table`` holds the package's one coefficient cache: a table per
+(family, params), where the family is P_n (eigen) or R_n (coeigen).  R_n's
+rows are exact Python integers, grown in n and never rebuilt.
+``coeff_faces`` gives what a family forms and holds in its table (P_n's
+g_k row of integer mantissas, float64 and double-double rows, signed
+binomials), dropped with the table.
 """
 
 from __future__ import annotations
@@ -391,27 +391,18 @@ TABLES_HELD = 16
 #: order 200)
 TABLE_BYTES_HELD = 64 << 20
 
-#: fewest digits mpmath rows are formed at; their float64 rounding is correct
-TABLE_MIN_DPS = 32
-
 _tables: "OrderedDict[tuple, _Table]" = OrderedDict()
 
 
-def table_dps(dps: int) -> int:
-    """The digits rows are formed at for a caller that needs dps: rounded up
-    to a multiple of 16, and at least TABLE_MIN_DPS."""
-    return max(TABLE_MIN_DPS, -(-dps // 16) * 16)
-
-
 class _Table(dict):
-    """Rows 0..N of a coefficient family, exact (dps = 0) or in mpmath at dps
-    digits, and as its items the faces formed from them; size is the bytes
-    of both.  Storing a face counts its bytes (``_nbytes``; a face that
-    holds a row, W_n's at q = 0, counts it again) and may drop others."""
+    """Rows 0..N of a coefficient family, exact and never rebuilt, and as
+    its items the faces formed from them; size is the bytes of both.
+    Storing a face counts its bytes (``_nbytes``; a face that holds a row,
+    W_n's at q = 0, counts it again) and may drop others."""
 
     def __init__(self):
         super().__init__()
-        self.dps, self.rows, self.size = 0, [], 0
+        self.rows, self.size = [], 0
 
     def __setitem__(self, key, value):
         added = _nbytes(value) - (_nbytes(self[key]) if key in self else 0)
@@ -456,9 +447,10 @@ def _evict(table: _Table, added: int) -> None:
     _held_at_most = held
 
 
-def _held(family: str, params: GLParams) -> _Table:
+def coeff_faces(family: str, params: GLParams) -> _Table:
     """The (family, params) table, made empty if it is not held, and marked
-    most recently used."""
+    most recently used: a dict of what the family's module forms and holds
+    (rows, rounded or exact), counting each item's bytes as it is stored."""
     key = (family, params)
     table = _tables.pop(key, None)
     _tables[key] = _Table() if table is None else table
@@ -467,39 +459,22 @@ def _held(family: str, params: GLParams) -> _Table:
     return _tables[key]
 
 
-def coeff_table(family: str, extend, params: GLParams, n: int, dps: int = 0) -> _Table:
-    """The package's one coefficient cache: the table of ``family`` ("P" for
-    P_n, "R" for R_n) at params, with rows 0..(at least) n.
-
-    ``extend(rows, params, n)`` appends rows len(rows)..n, so a table grows
-    in n as larger orders are asked for.  Exact rows (dps = 0) are never
-    rebuilt.  mpmath rows are built at ``table_dps(dps)`` digits and rebuilt
-    only for a caller that needs more digits than they hold.  After a table
-    grows, the least recently used others are dropped while all rows and
-    faces take more than TABLE_BYTES_HELD.  Tables are keyed by the family
-    name, so a wrapped ``extend`` finds the same table.
-    """
+def coeff_table(family: str, extend, params: GLParams, n: int) -> _Table:
+    """The package's one coefficient cache: the table of ``family`` at
+    params, with rows 0..(at least) n, which ``extend(rows, params, n)``
+    appends (rows len(rows)..n), so a table grows in n and its rows are
+    never rebuilt.  After a table grows, the least recently used others are
+    dropped while all rows and faces take more than TABLE_BYTES_HELD.
+    Tables are keyed by the family name, so a wrapped ``extend`` finds the
+    same table."""
     if n < 0:
         raise DomainError("order must be >= 0")
-    table = _held(family, params)
-    if table.dps < dps:
-        table.size -= sum(map(_nbytes, table.rows))
-        table.dps, table.rows = table_dps(dps), []
+    table = coeff_faces(family, params)
     if len(table.rows) <= n:
         built = len(table.rows)
-        with mp_ctx(table.dps or mp.mp.dps):    # exact rows need no precision
-            extend(table.rows, params, n)
+        extend(table.rows, params, n)
         added = sum(map(_nbytes, table.rows[built:]))
         table.size += added
         _evict(table, added)
     return table
 
-
-def coeff_faces(family: str, params: GLParams) -> dict:
-    """What the family's module forms from the rows of the (family, params)
-    table of ``coeff_table``: a dict of rounded rows (float64,
-    double-double) and exact ones: the table itself, whose bytes count each
-    as it is stored.  The faces outlive a rebuild of mpmath rows at more
-    digits, which round to the same floats, and are dropped with the
-    table."""
-    return _held(family, params)

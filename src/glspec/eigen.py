@@ -13,12 +13,10 @@ evaluation dispatches to the classical Laguerre polynomial
 (``laguerre_eval``, scipy's ``eval_genlaguerre``), rescaled so the constant
 term is 1.
 
-The float64 table comes from log-gammas (``p_coeffs``).  The "P" table of
-``core.coeff_table``, the package's one coefficient cache, holds the gamma
-ratios g_k in mpmath, from which the mpmath and exact rows are formed on
-demand; the float64 table, the signed binomials (-1)^k C(n, k), the
-double-double rows of the escalating Horner and the integer numerators of
-its exact tier are faces of that table.
+The float64 table comes from log-gammas (``p_coeffs``), the other faces of
+the "P" table from one row of the gamma ratios g_k, integer mantissas at
+one power-of-two scale (``_row``): the double-double g_k are its correct
+rounding, the exact tier's numerators (-1)^k C(n, k) times its mantissas.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ import mpmath as mp
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .core import (TABLE_MIN_DPS, ConvergenceError, DomainError, GLParams,
-                   RealFn, coeff_faces, coeff_table, make_params, mp_ctx)
-from .specfun import _Basis, _dd_mul, _dd_ratio, _escalating_horner, cal_I
+from .core import (ConvergenceError, DomainError, GLParams, RealFn, coeff_faces,
+                   make_params, mp_ctx)
+from .specfun import _Basis, _dd_mul, _dd_ratio, _escalating_horner, _exp, cal_I
 
 __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
            "p_growth_bound_check", "laguerre_eval", "p_sup"]
@@ -79,19 +77,37 @@ def p_coeffs(params: GLParams, N: int) -> PolySeq:
 
 
 def _g(params: GLParams, ks) -> list:
-    """g_k = Gamma(ab + 1) / Gamma(alpha k + ab + 1) for k in ks, at the
-    current working precision (g_0 = 1); c_{m,k} = (-1)^k C(m, k) g_k."""
-    am = mp.mpf(params.alpha)
-    ab = am * mp.mpf(params.beta)
-    g0 = mp.gamma(ab + 1)
-    return [g0 / mp.gamma(am * k + ab + 1) if k else mp.mpf(1) for k in ks]
+    """g_k = Gamma(ab + 1) / Gamma(alpha k + ab + 1), k in ks, as mpmath
+    (mantissa, exponent) pairs at the current working precision (g_0 = 1),
+    each gamma at its exact dyadic argument alpha k + ab + 1 = (A Db k +
+    A B + L) / L, where alpha = A / Da, beta = B / Db and L = Da Db."""
+    (A, Da), (B, Db) = params.alpha.as_integer_ratio(), params.beta.as_integer_ratio()
+    L = Da * Db
+
+    def gamma(X):
+        return mp.gamma(mp.make_mpf(mp.libmp.from_man_exp(X, 1 - L.bit_length())))
+    g0 = gamma(A * B + L)
+    return [(g0 / gamma(A * Db * k + A * B + L)).man_exp if k else (1, 0) for k in ks]
 
 
-def _extend(rows: list, params: GLParams, n: int) -> None:
-    """Append g_k for k = len(rows)..n to the "P" table, at the current
-    working precision: the table holds only the gamma ratios, and row m of
-    the coefficients is formed from them (``_coeffs_mp``)."""
-    rows += _g(params, range(len(rows), n + 1))
+def _row(params: GLParams, n: int, bits: int = 0) -> tuple:
+    """(mants, e, dps, c_bits): g_k = mants[k] / 2^e, k = 0..(at least) n,
+    by ``_g`` at dps digits, so known to a relative 2^-c_bits (4 bits less,
+    for two gammas and their ratio), c_bits >= bits.  Face "G" of the "P"
+    table, grown in k; first formed at 48 digits (the exact tier's first
+    pass to cond 1e25), again from k = 0 only for a caller asking more."""
+    faces = coeff_faces("P", params)
+    mants, e, dps, c_bits = faces.get("G", ([], 0, 0, -1))
+    if c_bits < bits:
+        dps = max(48, -(-(mp.libmp.prec_to_dps(bits) + 2) // 16) * 16)
+        mants, e, c_bits = [], 0, mp.libmp.dps_to_prec(dps) - 4
+    if len(mants) <= n:
+        with mp_ctx(dps):
+            mt = _g(params, range(len(mants), n + 1))
+        top = max(e, *(-t for _, t in mt))
+        mants, e = [m << top - e for m in mants] + [m << t + top for m, t in mt], top
+        faces["G"] = mants, e, dps, c_bits
+    return mants, e, dps, c_bits
 
 
 def _binomials(params: GLParams, n: int) -> list:
@@ -104,29 +120,18 @@ def _binomials(params: GLParams, n: int) -> list:
     return faces["C", n]
 
 
-def _coeffs_mp(params: GLParams, n: int) -> list:
-    """Coefficients of P_n as mpmath numbers with at least the current
-    working precision: the exact (-1)^k C(n, k) times g_k of the params'
-    "P" table, at the table's digits, one rounding at any n."""
-    table = coeff_table("P", _extend, params, n, mp.mp.dps)
-    with mp_ctx(table.dps):
-        return [g * c for g, c in zip(table.rows[:n + 1], _binomials(params, n))]
-
-
 def _exact(params: GLParams, n: int, bits: int) -> tuple:
     """(nums, den, c_bits): the coefficients of P_n as nums[k] / den, den =
-    2^e, the exact (-1)^k C(n, k) times g_k of the "P" table at digits
-    enough for ``bits``, known to a relative 2^-c_bits, its precision less 4
-    bits.  Held as face ("N", n) of the table with the digits they were
-    formed at, and formed again only once the table holds more."""
-    table = coeff_table("P", _extend, params, n, mp.libmp.prec_to_dps(bits) + 2)
-    held = table.get(("N", n))
-    if held is None or held[0] != table.dps:
-        mx = [g.man_exp for g in table.rows[:n + 1]]
-        e = max(0, *(-t for _, t in mx))
-        nums = [c * (m << (t + e)) for c, (m, t) in zip(_binomials(params, n), mx)]
-        table["N", n] = held = table.dps, (nums, 1 << e, mp.libmp.dps_to_prec(table.dps) - 4)
-    return held[1]
+    2^e, the exact (-1)^k C(n, k) times the mantissas of ``_row`` at the
+    least scale that holds g_0..g_n, known to 2^-c_bits, c_bits >= bits:
+    face ("N", n, dps) of the table, dps the row's digits."""
+    mants, e, dps, c_bits = _row(params, n, bits)
+    faces = coeff_faces("P", params)
+    if ("N", n, dps) not in faces:
+        d = min(e, *((m & -m).bit_length() - 1 for m in mants[:n + 1]))
+        faces["N", n, dps] = ([c * (m >> d) for c, m in zip(_binomials(params, n), mants)],
+                              1 << e - d, c_bits)
+    return faces["N", n, dps]
 
 
 def _exact_args(params: GLParams, n: int, x: float, bits: int) -> tuple:
@@ -138,21 +143,19 @@ def _exact_args(params: GLParams, n: int, x: float, bits: int) -> tuple:
 def _dd_args(params: GLParams, orders: list, x: float) -> tuple:
     """P_n, n in orders (increasing), at x for the double-double tier: x
     exact, and read-only double-double rows (hi, lo), each the exact
-    (-1)^k C(n, k) times the double-double g_k of face "g" (``_dd_ratio``
-    below its range), held as face n.  Rows not held are formed as one
-    block from g_k at TABLE_MIN_DPS digits (not the table's, which are the
-    exact tier's) and one ``_dd_mul``, which gives each row the bits of a
-    block of one.  A binomial past 2^1023 (n >= 1029) makes the value NaN."""
+    (-1)^k C(n, k) times face "g", held as face n.  Face "g" rounds the row
+    of ``_row`` correctly, hi = fl(g_k) and lo = fl(g_k - hi) (``_dd_ratio``).
+    Rows not held are formed as one block by one ``_dd_mul``, which gives
+    each row the bits of a block of one.  A binomial past 2^1023 (n >=
+    1029) makes the value NaN."""
     faces = coeff_faces("P", params)
     new = [n for n in orders if n not in faces]
     if new:
         top = new[-1]
         g = faces.get("g", (np.zeros(0), np.zeros(0)))
         if g[0].size <= top:
-            with mp_ctx(TABLE_MIN_DPS):    # g_k = m 2^t, exactly m 2^(t + e) / 2^e
-                mt = [v.man_exp for v in _g(params, range(g[0].size, top + 1))]
-            e = max(0, *(-t for _, t in mt))
-            more = _dd_ratio([m << (t + e) for m, t in mt], 1 << e)
+            mants, e, *_ = _row(params, top)
+            more = _dd_ratio(mants[g[0].size:top + 1], 1 << e)
             faces["g"] = g = tuple(np.concatenate(parts) for parts in zip(g, more))
         b_hi, b_lo = np.zeros((2, len(new), top + 1))
         for i, n in enumerate(new):
@@ -181,6 +184,22 @@ def _shifted(params: GLParams, p: int) -> GLParams:
     return make_params(params.alpha, params.beta + p, params.precision, params.eps)
 
 
+def _p_fac(params: GLParams, n, p: int):
+    """(-1)^p n! / (n - p)! Gamma(ab + 1) / Gamma(ab + ap + 1): P_n^(p) over
+    P_(n-p) of the (beta + p) family, at an order n or an ndarray of them,
+    by ``specfun._exp``, for ``p_eval`` and ``_PBasis`` alike."""
+    a, b = params.alpha, params.beta
+    return (-1.0) ** p * _exp(gammaln(n + 1.0) - gammaln(n - p + 1.0)
+                              + gammaln(a * b + 1.0) - gammaln(a * b + a * p + 1.0))
+
+
+def _l_scale(n, beta: float):
+    """n! Gamma(beta + 1) / Gamma(n + beta + 1), which scales L_n^(beta) to
+    P_n at alpha = 1 (constant term 1), at an order n or an ndarray of
+    them, by ``specfun._exp``."""
+    return _exp(gammaln(n + 1.0) + gammaln(beta + 1.0) - gammaln(n + beta + 1.0))
+
+
 def p_eval(seq: PolySeq, n: int, x, p: int = 0):
     """p-th derivative of P_n at a float x, or at every point of an ndarray
     x (the result then has x's shape).
@@ -197,15 +216,9 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
     if p > 0:
         if p > n:
             return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
-        a, b = params.alpha, params.beta
-        fac = ((-1.0) ** p) * math.exp(
-            gammaln(n + 1.0) - gammaln(n - p + 1.0)
-            + gammaln(a * b + 1.0) - gammaln(a * b + a * p + 1.0))
-        return fac * p_eval(p_coeffs(_shifted(params, p), n - p), n - p, x, 0)
+        return _p_fac(params, n, p) * p_eval(p_coeffs(_shifted(params, p), n - p), n - p, x, 0)
     if params.is_classical:
-        b2 = math.exp(gammaln(n + 1.0) + gammaln(params.beta + 1.0)
-                      - gammaln(n + params.beta + 1.0))
-        return b2 * laguerre_eval(n, params.beta, x)
+        return _l_scale(n, params.beta) * laguerre_eval(n, params.beta, x)
     return _escalating_horner(seq.coeff[n, :n + 1], x, params, n, x,
                               partial(_dd_args, params), partial(_exact_args, params))
 
@@ -215,28 +228,19 @@ class _PBasis:
     chunk of orders at a time: ``values(lo, hi, s)``, NaN at the orders the
     float64 tier did not keep, and ``escalate(n)`` for such an order (see
     ``specfun._Basis``).  The derivative goes to the (beta + p) family, as
-    in ``p_eval``; on the classical branch one ``eval_genlaguerre`` call
-    over the chunk's orders gives every value."""
+    in ``p_eval``, with the factors of ``_p_fac`` and ``_l_scale``, so each
+    value has the bits of ``p_eval``'s; on the classical branch one
+    ``eval_genlaguerre`` call over the chunk's orders gives every value."""
 
     def __init__(self, params: GLParams, x: float, nmax: int, p: int = 0):
         if not math.isfinite(x):
             raise DomainError(f"P_n is evaluated at finite x, got {x}")
-        a, b = params.alpha, params.beta
-        self.p, self.x, self.params = p, x, _shifted(params, p) if p else params
-        self.log_fac = gammaln(a * b + 1.0) - gammaln(a * b + a * p + 1.0) if p else 0.0
+        self.p, self.x, self.base, self.params = p, x, params, _shifted(params, p) if p else params
         self.basis = None
         if not params.is_classical:
             seq, sp = p_coeffs(self.params, max(nmax - p, 0)), self.params
             self.basis = _Basis(sp, x, x, lambda lo, hi: seq.coeff[lo:hi + 1, :hi + 1],
                                 partial(_dd_args, sp), partial(_exact_args, sp))
-
-    def _fac(self, n):
-        """(-1)^p n! / (n - p)! Gamma(ab + 1) / Gamma(ab + ap + 1), over an
-        array of orders n."""
-        if not self.p:
-            return 1.0
-        return (-1.0) ** self.p * np.exp(gammaln(n + 1.0) - gammaln(n - self.p + 1.0)
-                                         + self.log_fac)
 
     def span(self, lo: int, hi: int) -> tuple:
         """The basis and the rows of orders lo..hi in it, for
@@ -246,15 +250,14 @@ class _PBasis:
     def values(self, lo: int, hi: int, s) -> np.ndarray:
         """P_n^(p)(x), n = lo..hi, from the basis's first tier s of
         ``span(lo, hi)``."""
-        n = np.arange(float(lo), hi + 1.0)
         if self.basis is None:
             m, b = np.arange(lo - self.p, hi - self.p + 1), self.params.beta
-            scale = np.exp(gammaln(m + 1.0) + gammaln(b + 1.0) - gammaln(m + b + 1.0))
-            return self._fac(n) * scale * eval_genlaguerre(m, b, self.x)
-        return self._fac(n) * s if self.p else s
+            s = _l_scale(m, b) * eval_genlaguerre(m, b, self.x)
+        return _p_fac(self.base, np.arange(lo, hi + 1), self.p) * s if self.p else s
 
     def escalate(self, n: int) -> float:
-        return float(self._fac(np.float64(n))) * self.basis.escalate(n - self.p)
+        v = self.basis.escalate(n - self.p)
+        return _p_fac(self.base, n, self.p) * v if self.p else v
 
 
 def p_fn(params: GLParams, n: int) -> RealFn:

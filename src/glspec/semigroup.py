@@ -341,8 +341,9 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
     R_n on the nodes and P_n on the x are one array evaluation each.  Nodes
     whose quadrature weight is below 1e-20 of the maximum are skipped: their
     contribution is orders of magnitude below the tolerance, while the
-    kernel series there is at its most expensive.
-    """
+    kernel series there is at its most expensive.  TruncationError at the
+    cap, or once the largest weighted term of an order n >= 80 is above all
+    those 40 or more orders before: the terms then outpace e^(-nt)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if rule is None:
         rule = build_rule(weight_e_ab(params), 120)
@@ -351,19 +352,22 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
     wts = rule.weights[keep]
     seq = p_coeffs(params, nmax)
     acc = np.zeros((len(xs), nodes.size))
-    small = 0
+    small, rels = 0, []
     for n in range(nmax + 1):
         rn = r_eval_bell(params, n, nodes)
         pn = p_eval(seq, n, xs)
         term = math.exp(-n * t) * np.outer(pn, rn)
         acc += term
         rel = np.max(np.abs(term) * wts)
+        rels.append(rel)
         if rel <= tol / 10.0:
             small += 1
             if small >= 3:
                 break
         else:
             small = 0
+            if n >= 80 and rel > max(rels[:n - 39]):
+                raise TruncationError(f"kernel mass terms grew past orders 0..{n - 40}")
     else:
         raise TruncationError(f"kernel mass cap {nmax} reached")
     masses = acc @ wts

@@ -99,12 +99,12 @@ def _escalating_horner(coeffs, y, params: GLParams, n: int, x, dd_args, exact_ar
         s, mag = _horner_float(coeffs, y)
         cond = mag / abs(s) if s != 0.0 else math.inf
         if cond <= cond_max and params.precision.is_double:
-            return (math.copysign(1.0, s), math.log(abs(s))) if log else s
+            return _log_form(s) if log else s
         return _Tiers(params, n, float(x), [s], [mag], dd_args, exact_args, log).value(0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s, mag = _horner_float(coeffs, y.ravel())
         cond = np.where(s != 0.0, mag / np.abs(s), math.inf)
-        out = [np.copysign(1.0, s), np.log(np.abs(s))] if log else [s]
+    out = list(_log_form(s)) if log else [s]
     todo = np.flatnonzero(~(cond <= cond_max) | (not params.precision.is_double)).tolist()
     if todo:
         tiers = _Tiers(params, n, np.ravel(x), s.tolist(), mag.tolist(), dd_args, exact_args, log)
@@ -114,6 +114,20 @@ def _escalating_horner(coeffs, y, params: GLParams, n: int, x, dd_args, exact_ar
             o[j] = vo
     out = [o.reshape(y.shape) for o in out]
     return tuple(out) if log else out[0]
+
+
+def _exp(v):
+    """math.exp of a float, or of each value of an ndarray (numpy's exp can
+    round apart from libm's)."""
+    return np.array(list(map(math.exp, v.tolist()))) if isinstance(v, np.ndarray) else math.exp(v)
+
+
+def _log_form(v) -> tuple:
+    """(sign, log|v|) of a float v, or of each value of an ndarray, by math.log."""
+    if isinstance(v, np.ndarray):
+        return np.copysign(1.0, v), np.array([math.log(a) if a else -math.inf
+                                              for a in np.abs(v).tolist()])
+    return math.copysign(1.0, v), (math.log(abs(v)) if v else -math.inf)
 
 
 class _Tiers:
@@ -140,7 +154,7 @@ class _Tiers:
         if self.params.precision.is_double:
             s = self._dd(j)
             if mag <= _DD_COND * abs(s) < math.inf:
-                return (math.copysign(1.0, s), math.log(abs(s))) if self.log else s
+                return _log_form(s) if self.log else s
         cond = mag / abs(s) if s != 0.0 else math.inf
         return _horner_exact(cond, self.params,
                              lambda i, bits: self.exact_args(*self._at(i), bits), j, self.log)

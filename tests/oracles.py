@@ -338,6 +338,17 @@ def r_coeffs_bell_mp(params, n: int, dps: int = 80) -> list:
                 / mp.factorial(n) for j in range(n + 1)]
 
 
+def p_coeffs_mp(params, n: int, dps: int = 80) -> list:
+    """Coefficients (-1)^k C(n, k) g_k of P_n, g_k = Gamma(ab + 1) /
+    Gamma(alpha k + ab + 1), by mp.gamma at dps digits; alpha and beta are
+    the exact binary values of the floats."""
+    with mp.workdps(dps):
+        am, bm = mp.mpf(params.alpha), mp.mpf(params.beta)
+        g0 = mp.gamma(am * bm + 1)
+        return [(-1) ** k * math.comb(n, k) * g0 / mp.gamma(am * k + am * bm + 1)
+                for k in range(n + 1)]
+
+
 def w_coeffs_exact(params, n: int, q: int = 0) -> list:
     """Coefficients d_j of W_n^(q)(x) = x^(-q) e(x) sum_j d_j x^(j/alpha) as
     exact Fractions of the binary alpha and beta (the c_j of R_n at q = 0),

@@ -3,8 +3,9 @@ import json
 import numpy as np
 from click.testing import CliRunner
 
-from glspec.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
-from glspec.core import make_params
+from glspec import semigroup
+from glspec.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from glspec.core import ContourError, make_params
 from glspec.density import lambda_values
 
 VERIFY_ALL_CHECKS = [
@@ -56,6 +57,28 @@ def test_verify_all_reports_every_check_near_alpha_one():
     report = json.loads(res.stdout)
     assert [c["name"] for c in report] == VERIFY_ALL_CHECKS
     assert report[1]["pass"] is True
+
+
+def test_verify_runs_every_check_past_one_that_raises(monkeypatch):
+    # a check that raises reports its error, the others still run and
+    # report, and the exit code is that of a numerical failure
+    def contour_fails(*args, **kwargs):
+        raise ContourError("kernel contour failed to decay below tolerance")
+
+    monkeypatch.setattr(semigroup, "intertwine_check", contour_fails)
+    res = CliRunner().invoke(main, ["verify", "all"])
+    assert res.exit_code == EXIT_NUMERICAL, res.output
+    lines = res.stdout.splitlines()
+    assert len(lines) == len(VERIFY_ALL_CHECKS)
+    assert lines[4] == ("ERROR intertwine p_2: ContourError: kernel contour failed "
+                        "to decay below tolerance")
+    assert all(line.startswith("PASS  ") for i, line in enumerate(lines) if i != 4)
+    res = CliRunner().invoke(main, ["verify", "all", "--format", "json"])
+    assert res.exit_code == EXIT_NUMERICAL, res.output
+    report = json.loads(res.stdout)
+    assert [c["name"] for c in report] == VERIFY_ALL_CHECKS
+    assert report[4]["error"].startswith("ContourError: ") and report[4]["pass"] is False
+    assert all(c["pass"] is True and "error" not in c for i, c in enumerate(report) if i != 4)
 
 
 def test_verify_rejects_csv_format():

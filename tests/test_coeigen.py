@@ -8,6 +8,7 @@ import pytest
 
 from glspec.core import COND_THRESHOLD, DomainError, make_params
 from glspec import coeigen as ce
+from glspec import eigen as eg
 from glspec import density as d
 
 from oracles import (classical_laguerre, r_coeffs_bell_mp, richardson_derivative,
@@ -246,10 +247,12 @@ def test_r_and_w_faces_are_one_rounding_of_exact_values(alpha, beta):
 
 @pytest.mark.parametrize("alpha, beta", [(0.4123456789, 1.37), (0.75, 0.0),
                                          (1.0 / math.sqrt(2.0), 1.0 - math.sqrt(2.0))])
-def test_r_coeffs_mp_at_sixty_digits(alpha, beta):
+def test_r_rows_at_sixty_digits(alpha, beta):
+    # the exact row of R_30, each entry rounded once at 60 digits
     p = make_params(alpha, beta)
+    nums, den = ce._exact(p, 30)
     with mp.workdps(60):
-        got = ce.r_coeffs_mp(p, 30)
+        got = [mp.fdiv(c, den) for c in nums]
     ref = r_coeffs_bell_mp(p, 30, dps=80)
     for c, r in zip(got, ref):
         assert abs(c - r) <= mp.mpf("1e-58") * abs(r)
@@ -257,7 +260,7 @@ def test_r_coeffs_mp_at_sixty_digits(alpha, beta):
 
 def test_r_float_faces_do_no_mpmath_arithmetic(monkeypatch):
     # a fresh irrational pair: its exact rows and their float64 and
-    # double-double rounding form no mpmath number
+    # double-double rounding form no mpmath number (P's g_k row does)
     def no_mpmath(*args, **kwargs):
         raise AssertionError("an mpmath number was formed")
 
@@ -266,7 +269,7 @@ def test_r_float_faces_do_no_mpmath_arithmetic(monkeypatch):
     p = make_params(0.4123456789 + 2.0 ** -40, 1.37)
     assert ce.r_coeffs(p, 60).shape == (61,)
     with pytest.raises(AssertionError):
-        ce.r_coeffs_mp(p, 60)
+        eg._exact(p, 60, 0)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.75, 0.5), (0.4123456789, 1.37)])

@@ -9,8 +9,8 @@ from glspec import coeigen, core, eigen
 from glspec.core import (DomainError, Precision, asymp_constants,
                          derived_constants, make_params, parse_precision, phi)
 
-#: the module that extends each coefficient family, and its row reader
-_FAMILIES = {"P": (eigen, eigen._coeffs_mp), "R": (coeigen, coeigen.r_coeffs_mp)}
+#: each coefficient family's exact row reader (P's at the bits it first holds)
+_FAMILIES = {"P": lambda p, n: eigen._exact(p, n, 0), "R": coeigen._exact}
 
 
 def test_classical_identities():
@@ -137,36 +137,33 @@ def test_params_hash_and_key_the_tables_by_every_input():
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_table_extends_once_per_order(family, monkeypatch):
-    module, read = _FAMILIES[family]
-    p = make_params(0.61, 0.37)
+    # R's exact rows and P's g_k row grow one order at a time as the orders
+    # are asked for; R's are never rebuilt, P's row is formed again, from
+    # k = 0, once for more bits than it holds, and reused for fewer
+    read, p = _FAMILIES[family], make_params(0.61, 0.37)
     core._tables.pop((family, p), None)
     calls = []
-    extend = module._extend
-
-    def spy(rows, params, n):
-        calls.append((id(rows), len(rows), n))
-        extend(rows, params, n)
-
-    monkeypatch.setattr(module, "_extend", spy)
+    if family == "R":
+        extend = coeigen._extend
+        monkeypatch.setattr(coeigen, "_extend", lambda rows, params, n: (
+            calls.append((len(rows), n)), extend(rows, params, n)))
+    else:
+        g = eigen._g
+        monkeypatch.setattr(eigen, "_g", lambda params, ks: (
+            calls.append((ks.start, ks.stop - 1)), g(params, ks))[1])
     for n in range(41):
         read(p, n)
-    rows_id = calls[0][0]
-    assert calls == [(rows_id, n, n) for n in range(41)]
+    assert calls == [(n, n) for n in range(41)]
     table = core._tables[(family, p)]
-    with mp.workdps(40):
-        read(p, 40)
-    with mp.workdps(20):
+    with mp.workdps(200):
         read(p, 40)
     if family == "R":
-        # exact rows: never rebuilt, whatever the digits asked for
-        with mp.workdps(200):
-            read(p, 40)
-        assert len(calls) == 41 and table.dps == 0
-        assert core._tables[(family, p)].rows is table.rows
+        assert len(calls) == 41 and core._tables[(family, p)].rows is table.rows
     else:
-        # P's gamma ratios: more digits rebuild them once; fewer reuse them
-        assert table.dps == 48
-        assert len(calls) == 42 and calls[-1][1:] == (0, 40)
+        assert table["G"][2:] == (48, 159)
+        eigen._exact(p, 40, 200)
+        eigen._exact(p, 40, 180)
+        assert len(calls) == 42 and calls[-1] == (0, 40) and table["G"][2:] == (64, 212)
 
 
 def test_tables_held_are_bounded_in_bytes(monkeypatch):
@@ -174,16 +171,16 @@ def test_tables_held_are_bounded_in_bytes(monkeypatch):
     # used tables are dropped, but never the one just read
     monkeypatch.setattr(core, "_tables", type(core._tables)())
     fresh = [make_params(0.4123456789 + 0.001 * i, 1.37) for i in range(5)]
-    coeigen.r_coeffs_mp(fresh[0], 30)
+    coeigen._exact(fresh[0], 30)
     one = core._tables[("R", fresh[0])].size
     assert one > 100_000
     monkeypatch.setattr(core, "TABLE_BYTES_HELD", int(2.5 * one))
     for p in fresh[1:]:
-        coeigen.r_coeffs_mp(p, 30)
+        coeigen._exact(p, 30)
     assert [key[1] for key in core._tables] == fresh[-2:]
     assert sum(t.size for t in core._tables.values()) <= core.TABLE_BYTES_HELD
     monkeypatch.setattr(core, "TABLE_BYTES_HELD", one // 2)
-    coeigen.r_coeffs_mp(fresh[0], 30)
+    coeigen._exact(fresh[0], 30)
     assert list(core._tables) == [("R", fresh[0])]
 
 
@@ -210,7 +207,7 @@ def test_faces_count_in_the_bytes_held(monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_tables_held_are_bounded(family):
-    _, read = _FAMILIES[family]
+    read = _FAMILIES[family]
     fresh = [make_params(0.55 + 0.001 * i, 0.2) for i in range(core.TABLES_HELD + 3)]
     for p in fresh:
         read(p, 3)

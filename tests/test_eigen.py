@@ -10,7 +10,7 @@ from glspec.core import DomainError, make_params
 from glspec import eigen as eg
 from glspec.quad import inner_exact
 
-from oracles import classical_laguerre, richardson_derivative
+from oracles import classical_laguerre, p_coeffs_mp, richardson_derivative
 
 
 def test_p0_is_one(p_half):
@@ -149,33 +149,55 @@ def test_eval_stability_large_n(p_half):
     x = 9.5
     got = eg.p_eval(seq, 40, x)
     with mp.workdps(60):
-        cs = eg._coeffs_mp(p_half, 40)
         acc = mp.mpf(0)
-        for c in reversed(cs):
+        for c in reversed(p_coeffs_mp(p_half, 40, 60)):
             acc = acc * mp.mpf(x) + c
         ref = float(acc)
     assert got == pytest.approx(ref, rel=1e-7)
-    # repeated escalations read the shared table instead of rebuilding it
-    table = core._tables[("P", p_half)]
-    held = len(table.rows)
+    # repeated escalations read the shared g_k row instead of forming it again
+    faces = core.coeff_faces("P", p_half)
+    row = faces["G"]
     for _ in range(3):
         assert eg.p_eval(seq, 40, x) == got
-    assert core._tables[("P", p_half)] is table and len(table.rows) == held
+    assert core.coeff_faces("P", p_half) is faces and faces["G"] is row
 
 
 def test_p_rows_match_closed_form():
-    # each table entry is C(n, k) times the stored g_k: one rounding at any n
+    # each exact row is C(n, k) times the held g_k: one rounding at any n
     p = make_params(0.41, 1.3)
-    with mp.workdps(60):
-        rows = [eg._coeffs_mp(p, n) for n in range(61)]
+    rows = [eg._exact(p, n, 200) for n in range(61)]
     with mp.workdps(80):
         am, bm = mp.mpf(p.alpha), mp.mpf(p.beta)
         g0 = mp.gamma(am * bm + 1)
-        for n, row in enumerate(rows):
+        for n, (nums, den, _) in enumerate(rows):
             want = [g0 * (-1) ** k * mp.binomial(n, k) / mp.gamma(am * k + am * bm + 1)
                     for k in range(n + 1)]
+            row = [mp.mpf(c) / den for c in nums]
             assert len(row) == n + 1
             assert all(abs(c - w) <= mp.mpf("1e-50") * abs(w) for c, w in zip(row, want)), n
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.41, 1.3), (0.5, 1.0), (1.0 / math.sqrt(2.0), 0.3)])
+def test_double_double_g_is_the_correct_rounding_of_g(alpha, beta, monkeypatch):
+    # face "g" is hi = fl(g_k), lo = fl(g_k - hi) of the g_k of gammas at
+    # exact arguments, with the same bits whether the exact tier (at 300
+    # bits) or the double-double tier formed the g_k row first
+    p = make_params(alpha, beta)
+    faces = []
+    for first in (lambda: eg._exact(p, 200, 300), lambda: None):
+        monkeypatch.setattr(core, "_tables", type(core._tables)())
+        first()
+        eg._dd_args(p, [200], 1.0)
+        faces.append(core.coeff_faces("P", p)["g"])
+    assert [a.tobytes() for a in faces[0]] == [a.tobytes() for a in faces[1]]
+    hi, lo = faces[0]
+    assert hi.size == 201
+    with mp.workdps(60):
+        am, bm = mp.mpf(alpha), mp.mpf(beta)
+        g0 = mp.gamma(am * bm + 1)
+        for k in range(201):
+            g = g0 / mp.gamma(am * k + am * bm + 1)
+            assert hi[k] == float(g) and lo[k] == float(g - float(g)), k
 
 
 @pytest.mark.parametrize("N", [12, 40, 200])

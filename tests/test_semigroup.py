@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -278,6 +279,15 @@ def test_kernel_sums_past_n_200(p_half):
     rule = q.build_rule(d.weight_e_ab(p_half), 2)
     with pytest.raises(TruncationError):
         sg.heat_kernel_mass(p_half, 0.1, 1.0, rule=rule, nmax=201)
+
+
+def test_heat_kernel_mass_stops_once_its_terms_grow(p_half):
+    # at t = 0.1 the weighted terms grow past all earlier ones: TruncationError
+    # at n = 80, not at the cap of 200 after ever larger terms
+    start = time.process_time()
+    with pytest.raises(TruncationError, match="grew"):
+        sg.heat_kernel_mass(p_half, 0.1, 1.0)
+    assert time.process_time() - start < 2.0
 
 
 def test_laguerre_semigroup_eigen_and_closed_form():

@@ -10,8 +10,8 @@ from glspec.core import COND_THRESHOLD, DomainError, PoleError, make_params
 from glspec import specfun as sf
 
 from oracles import (bell_args, bell_partitions, bell_table, binet_log_gamma,
-                     euler_2f1, frak_I_mp, g_kernel_integral, r_coeffs_bell_mp,
-                     wright_series_mp)
+                     euler_2f1, frak_I_mp, g_kernel_integral, p_coeffs_mp,
+                     r_coeffs_bell_mp, wright_series_mp)
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def test_bell_table_domain():
 
 def test_escalating_horner_array_log_form_and_cond_max(p_half):
     # P_20 at alpha = 1/2: float64 below x of about 1, escalated past it
-    from glspec.eigen import _coeffs_mp, _dd_args, _exact_args, p_coeffs
+    from glspec.eigen import _dd_args, _exact_args, p_coeffs
     cs = p_coeffs(p_half, 20).coeff[20]
     ys = np.linspace(0.1, 9.0, 25)
     dd_args, exact_args = partial(_dd_args, p_half), partial(_exact_args, p_half)
@@ -297,7 +297,7 @@ def test_escalating_horner_array_log_form_and_cond_max(p_half):
     # double-double tier and beyond it to the exact tier, each then right
     # to 1e-15
     with mp.workdps(60):
-        exact = [float(mp.polyval(_coeffs_mp(p_half, 20)[::-1], mp.mpf(y))) for y in ys]
+        exact = [float(mp.polyval(p_coeffs_mp(p_half, 20, 60)[::-1], mp.mpf(y))) for y in ys]
     loose = run(ys)
     tight = run(ys, cond_max=1.0)
     np.testing.assert_allclose(tight, exact, rtol=1e-15)
@@ -321,15 +321,16 @@ def _tier_case(family, p, n):
     if family == "P":
         xs = np.geomspace(0.05, 30.0, 60)
         seq = eg.p_coeffs(p, n)
-        return seq.coeff[n], xs, eg.p_eval(seq, n, xs), lambda: eg._coeffs_mp(p, n), xs
+        return seq.coeff[n], xs, eg.p_eval(seq, n, xs), lambda: p_coeffs_mp(p, n, mp.mp.dps), xs
     xs = np.geomspace(0.05, 12.0, 60)
     ys = np.power(xs, 1.0 / a)
     if family == "R":
-        return ce.r_coeffs(p, n), ys, ce.r_eval_bell(p, n, xs), lambda: ce.r_coeffs_mp(p, n), xs
-    d = ce._w_coeffs(p, n, 1)
-    got = sf._escalating_horner(d[0], ys, p, n, xs, partial(ce._dd_args, p, 1),
-                                partial(ce._exact_args, p, 1))
-    nums, den = ce._exact(p, n, 1)
+        d, got = ce._w_coeffs(p, n, 0), ce.r_eval_bell(p, n, xs)
+    else:
+        d = ce._w_coeffs(p, n, 1)
+        got = sf._escalating_horner(d[0], ys, p, n, xs, partial(ce._dd_args, p, 1),
+                                    partial(ce._exact_args, p, 1))
+    nums, den = ce._exact(p, n, 0 if family == "R" else 1)
     return d[0], ys, got, lambda: [mp.fdiv(c, den) for c in nums], xs
 
 
@@ -399,6 +400,43 @@ def test_kernel_bases_and_pointwise_calls_give_one_value(alpha, beta):
                     escalated += 1
             lo, hi = hi + 1, min(hi + _CHUNK, N)
     assert escalated >= 1000
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.41, 1.3), (1.0, 0.0), (1.0, 1.5)])
+def test_kernel_bases_give_the_bits_of_the_scalar_calls_at_every_derivative(alpha, beta):
+    # each value of a kernel basis, kept by the float64 pass or escalated,
+    # is bitwise P_n^(p)(x) of p_eval and W_n^(q)(x) of w_eval, p, q <= 2
+    from glspec import coeigen as ce
+    from glspec import eigen as eg
+    p, N = make_params(alpha, beta), 40
+    seq = eg.p_coeffs(p, N)
+    for x in (0.3, 1.7, 6.0):
+        for d in (0, 1, 2):
+            pb, wb = eg._PBasis(p, x, N, d), ce._WBasis(p, x, d)
+            sw, sp = sf._basis_values([wb.span(d, N), pb.span(d, N)])
+            for n, w, v in zip(range(d, N + 1), wb.values(d, N, sw).tolist(),
+                               pb.values(d, N, sp).tolist()):
+                w = wb.escalate(n) if w != w else w
+                v = pb.escalate(n) if v != v else v
+                assert w.hex() == ce.w_eval(p, n, x, d).hex(), ("W", x, d, n)
+                assert v.hex() == eg.p_eval(seq, n, x, d).hex(), ("P", x, d, n)
+
+
+def test_array_log_form_is_bitwise_the_scalar_one(p_half):
+    # the log form of a sum the float64 tier keeps is math.log's at a point
+    # and over an array, also at doubles where numpy's vectorised log
+    # rounds apart from libm's
+    from glspec import coeigen as ce
+    cases = [(ce.r_coeffs(p_half, 12), np.geomspace(0.05, 40.0, 200))]
+    cases += [(np.array([float.fromhex(h)]), np.array([1.0, 2.0]))
+              for h in ("0x1.1c2010df7fcebp+1", "0x1.cd99629564b07p+0", "0x1.0074536b5f405p+0")]
+    for cs, ys in cases:
+        run = lambda y: sf._escalating_horner(cs, y, p_half, cs.size - 1, y, None, None,
+                                              log=True)
+        sign, lv = run(ys)
+        for i, y in enumerate(ys.tolist()):
+            s1, l1 = run(y)
+            assert sign[i] == s1 and lv[i].hex() == l1.hex(), (cs.size, y)
 
 
 def test_extended_precision_sends_every_point_to_the_exact_tier(monkeypatch):

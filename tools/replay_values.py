@@ -13,7 +13,8 @@ values: the points of a `points` op, the one value of a `kernel` or
 `verify` op, or the name of the exception an op raised.  For each workload
 and seed one line gives the number of values compared, the number that
 differ in any bit (NaN matches NaN; an exception matches the same
-exception) and the worst relative difference |change - base| / |base|.
+exception), the worst relative difference |change - base| / |base| and
+the worst difference in units in the last place of the base value.
 The tool exits 1 if any value differs or a child fails.
 """
 
@@ -81,6 +82,14 @@ def rel_diff(a, b) -> float:
     return d / abs(b) if b != 0.0 and math.isfinite(d) else d
 
 
+def ulp_diff(a, b) -> float:
+    """|a - b| in units in the last place of b; inf where they cannot be
+    compared (an exception, NaN or inf on one side only)."""
+    if not (isinstance(a, float) and isinstance(b, float) and math.isfinite(b)):
+        return 0.0 if same(a, b) else math.inf
+    return abs(a - b) / math.ulp(b)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", default="HEAD~1")
@@ -102,11 +111,13 @@ def main() -> int:
                 base = replay(Path(tmp), workload, seed, seconds)
                 change = replay(ROOT, workload, seed, seconds)
                 pairs = [(c, b) for cs, bs in zip(change, base) for c, b in zip(cs, bs)]
-                bad = [rel_diff(c, b) for c, b in pairs if not same(c, b)]
-                bad += [math.inf] * sum(len(cs) != len(bs) for cs, bs in zip(change, base))
+                bad = [(rel_diff(c, b), ulp_diff(c, b)) for c, b in pairs if not same(c, b)]
+                bad += [(math.inf, math.inf)] * sum(len(cs) != len(bs)
+                                                    for cs, bs in zip(change, base))
                 differ += len(bad)
+                rel, ulps = [max(d) for d in zip(*bad)] or [0.0, 0.0]
                 print(f"{workload} seed {seed}: {len(pairs)} values, {len(bad)} differ, "
-                      f"worst relative difference {max(bad, default=0.0):.3g}", flush=True)
+                      f"worst relative difference {rel:.3g}, worst {ulps:.3g} ulps", flush=True)
     return 1 if differ else 0
 
 
