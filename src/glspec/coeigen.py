@@ -338,7 +338,7 @@ def _w_value(sign, lr, log_x: float, log_e: float):
     log x and log_e = log e(x), by ``specfun._exp``, for w_eval and _WBasis."""
     lw = lr - log_x + log_e
     if not isinstance(lw, np.ndarray):
-        return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(_exp(lw), sign)
+        return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
     w = _exp(np.minimum(lw, LOG_DOUBLE_MAX))
     w[lw > LOG_DOUBLE_MAX] = math.inf
     return np.copysign(w, sign)
