@@ -25,14 +25,14 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 from scipy.special import loggamma as sp_cloggamma
 
 from .core import (LOG_DOUBLE_MAX, MAX_ESCALATED_DPS, ContourError, DomainError,
                    GLParams, RealFn, coeff_faces, coeff_table, mp_ctx, real_pow)
 from .density import log_weight_eval, weight_e_ab
 from .eigen import laguerre_eval
-from .specfun import _Basis, _dd_ratio, _escalating_horner, _exp, _log_form
+from .specfun import _Basis, _dd_ratio, _escalating_horner, _log_form
 
 __all__ = ["r_coeffs", "r_eval_bell", "r_fn", "w_eval_mellin",
            "w_eval", "w_crude_bound_check", "ContourSpec"]
@@ -155,8 +155,8 @@ def _w_horner(params: GLParams, n: int, q: int, x, log: bool):
     alpha = 1), by the escalating Horner at a float x or at every point of
     an ndarray x; with log, (sign, log|sum|)."""
     arr = isinstance(x, np.ndarray)
-    if (x <= 0.0).any() if arr else x <= 0.0:
-        raise DomainError("co-eigenfunctions are evaluated on x > 0")
+    if not (((0.0 < x) & (x < math.inf)).all() if arr else 0.0 < x < math.inf):
+        raise DomainError(f"co-eigenfunctions are evaluated on 0 < x < inf, got {x}")
     if n < 0:
         raise DomainError("order must be >= 0")
     if params.is_classical and q == 0:
@@ -211,13 +211,13 @@ def _w_rows(params: GLParams, q: int, hi: int) -> np.ndarray:
 
 
 class _WBasis:
-    """W_n^(q)(x) at one x > 0 for the orders of a kernel sum, a chunk of
-    orders at a time: ``values(lo, hi, s)``, NaN at the orders the float64
-    tier did not keep, and ``escalate(n)`` for such an order (see
-    ``specfun._Basis``), the sum in y = x^(1/alpha) over the stacked rows
-    of ``_w_rows``.  Each value is ``_w_value`` of its sum's log form, so it
-    has the bits of ``w_eval``'s; at alpha = 1 and q = 0 the sums are one
-    ``eval_genlaguerre`` call over the chunk's orders."""
+    """W_n^(q)(x) at one x > 0 for the orders of a kernel sum: ``value(n)``
+    reads the log form of the sum in y = x^(1/alpha) from ``basis``, whose
+    chunks of the stacked rows of ``_w_rows`` the caller loads
+    (``specfun._basis_values``), and gives ``_w_value`` of it, as
+    ``w_eval`` does, so each value has ``w_eval``'s bits.  At alpha = 1 and
+    q = 0 (``basis`` None) the sum is ``w_eval``'s ``eval_genlaguerre``
+    call."""
 
     def __init__(self, params: GLParams, x: float, q: int = 0):
         if q < 0:
@@ -234,20 +234,12 @@ class _WBasis:
                                 partial(_dd_args, params, q), partial(_exact_args, params, q),
                                 log=True)
 
-    def span(self, lo: int, hi: int) -> tuple:
-        """The basis and the rows of orders lo..hi in it, for
-        ``specfun._basis_values``."""
-        return self.basis, lo, hi
-
-    def values(self, lo: int, hi: int, s) -> np.ndarray:
-        """W_n^(q)(x), n = lo..hi, from the basis's first tier s of
-        ``span(lo, hi)``."""
+    def value(self, n: int) -> float:
         if self.basis is None:
-            s = eval_genlaguerre(np.arange(lo, hi + 1), self.params.beta, self.x)
-        return _w_value(*_log_form(s), self.log_x, self.log_e)
-
-    def escalate(self, n: int) -> float:
-        return _w_value(*self.basis.escalate(n), self.log_x, self.log_e)
+            s = _log_form(laguerre_eval(n, self.params.beta, self.x))
+        else:
+            s = self.basis.sum(n)
+        return _w_value(*s, self.log_x, self.log_e)
 
 
 # --------------------------------------------------------------------------
@@ -332,16 +324,12 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
                     log_weight_eval(weight_e_ab(params), x))
 
 
-def _w_value(sign, lr, log_x: float, log_e: float):
+def _w_value(sign: float, lr: float, log_x: float, log_e: float) -> float:
     """W_n^(q)(x) = sign exp(lr - log_x + log_e), +-inf past the double range,
-    from the log form (sign, lr) of its sum (floats or ndarrays), log_x = q
-    log x and log_e = log e(x), by ``specfun._exp``, for w_eval and _WBasis."""
+    from the log form (sign, lr) of its sum, log_x = q log x and log_e =
+    log e(x), by ``math.exp``, for w_eval and _WBasis."""
     lw = lr - log_x + log_e
-    if not isinstance(lw, np.ndarray):
-        return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
-    w = _exp(np.minimum(lw, LOG_DOUBLE_MAX))
-    w[lw > LOG_DOUBLE_MAX] = math.inf
-    return np.copysign(w, sign)
+    return sign * math.inf if lw > LOG_DOUBLE_MAX else math.copysign(math.exp(lw), sign)
 
 
 def w_crude_bound_check(params: GLParams, n: int, q: int, x: float) -> dict:

@@ -29,11 +29,11 @@ from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import cython_special, eval_genlaguerre, gammaln
 
 from .core import (ConvergenceError, DomainError, GLParams, RealFn, coeff_faces,
                    make_params, mp_ctx)
-from .specfun import _Basis, _dd_mul, _dd_ratio, _escalating_horner, _exp, cal_I
+from .specfun import _Basis, _dd_mul, _dd_ratio, _escalating_horner, cal_I
 
 __all__ = ["PolySeq", "p_coeffs", "p_eval", "p_fn", "jensen_check",
            "p_growth_bound_check", "laguerre_eval", "p_sup"]
@@ -80,13 +80,19 @@ def _g(params: GLParams, ks) -> list:
     """g_k = Gamma(ab + 1) / Gamma(alpha k + ab + 1), k in ks, as mpmath
     (mantissa, exponent) pairs at the current working precision (g_0 = 1),
     each gamma at its exact dyadic argument alpha k + ab + 1 = (A Db k +
-    A B + L) / L, where alpha = A / Da, beta = B / Db and L = Da Db."""
+    A B + L) / L, where alpha = A / Da, beta = B / Db and L = Da Db.
+    Gamma(ab + 1) is taken once per working precision, held with it as
+    face "G0" of the "P" table."""
     (A, Da), (B, Db) = params.alpha.as_integer_ratio(), params.beta.as_integer_ratio()
     L = Da * Db
 
     def gamma(X):
         return mp.gamma(mp.make_mpf(mp.libmp.from_man_exp(X, 1 - L.bit_length())))
-    g0 = gamma(A * B + L)
+    faces = coeff_faces("P", params)
+    prec, g0 = faces.get("G0", (0, None))
+    if prec != mp.mp.prec:
+        prec, g0 = mp.mp.prec, gamma(A * B + L)
+        faces["G0"] = prec, g0
     return [(g0 / gamma(A * Db * k + A * B + L)).man_exp if k else (1, 0) for k in ks]
 
 
@@ -171,11 +177,14 @@ def _dd_args(params: GLParams, orders: list, x: float) -> tuple:
 
 def laguerre_eval(n: int, beta: float, x, derivative: int = 0):
     """Classical generalized Laguerre value L_n^(b)(x) (scipy's
-    ``eval_genlaguerre``) at a float x or at every point of an ndarray x;
-    d/dx L_n^(b) = -L_{n-1}^(b+1) gives the derivatives (0 past order n,
-    where the ufunc's order is negative)."""
-    v = (-1.0) ** derivative * eval_genlaguerre(n - derivative, beta + derivative, x)
-    return v if isinstance(x, np.ndarray) else float(v)
+    ``eval_genlaguerre``) at every point of an ndarray x, or at a float x by
+    its ``cython_special`` form, the same function without the ufunc's cost
+    per call; d/dx L_n^(b) = -L_{n-1}^(b+1) gives the derivatives (0 past
+    order n, where the order is negative)."""
+    if isinstance(x, np.ndarray):
+        return (-1.0) ** derivative * eval_genlaguerre(n - derivative, beta + derivative, x)
+    return (-1.0) ** derivative * cython_special.eval_genlaguerre(
+        operator.index(n) - derivative, beta + derivative, float(x))
 
 
 @lru_cache(maxsize=64)
@@ -184,20 +193,21 @@ def _shifted(params: GLParams, p: int) -> GLParams:
     return make_params(params.alpha, params.beta + p, params.precision, params.eps)
 
 
-def _p_fac(params: GLParams, n, p: int):
+@lru_cache(maxsize=4096)
+def _p_fac(params: GLParams, n: int, p: int) -> float:
     """(-1)^p n! / (n - p)! Gamma(ab + 1) / Gamma(ab + ap + 1): P_n^(p) over
-    P_(n-p) of the (beta + p) family, at an order n or an ndarray of them,
-    by ``specfun._exp``, for ``p_eval`` and ``_PBasis`` alike."""
+    P_(n-p) of the (beta + p) family, by ``math.exp``, for ``p_eval`` and
+    ``_PBasis`` alike."""
     a, b = params.alpha, params.beta
-    return (-1.0) ** p * _exp(gammaln(n + 1.0) - gammaln(n - p + 1.0)
-                              + gammaln(a * b + 1.0) - gammaln(a * b + a * p + 1.0))
+    return (-1.0) ** p * math.exp(gammaln(n + 1.0) - gammaln(n - p + 1.0)
+                                  + gammaln(a * b + 1.0) - gammaln(a * b + a * p + 1.0))
 
 
-def _l_scale(n, beta: float):
+@lru_cache(maxsize=4096)
+def _l_scale(n: int, beta: float) -> float:
     """n! Gamma(beta + 1) / Gamma(n + beta + 1), which scales L_n^(beta) to
-    P_n at alpha = 1 (constant term 1), at an order n or an ndarray of
-    them, by ``specfun._exp``."""
-    return _exp(gammaln(n + 1.0) + gammaln(beta + 1.0) - gammaln(n + beta + 1.0))
+    P_n at alpha = 1 (constant term 1), by ``math.exp``."""
+    return math.exp(gammaln(n + 1.0) + gammaln(beta + 1.0) - gammaln(n + beta + 1.0))
 
 
 def p_eval(seq: PolySeq, n: int, x, p: int = 0):
@@ -208,8 +218,8 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
     identity, so only plain evaluations remain.
     """
     n = operator.index(n)
-    if n > seq.degree:
-        raise DomainError(f"n = {n} exceeds table degree {seq.degree}")
+    if not 0 <= n <= seq.degree:
+        raise DomainError(f"n = {n} is not an order of the table, 0..{seq.degree}")
     if p < 0:
         raise DomainError("derivative order must be >= 0")
     params = seq.params
@@ -218,45 +228,39 @@ def p_eval(seq: PolySeq, n: int, x, p: int = 0):
             return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
         return _p_fac(params, n, p) * p_eval(p_coeffs(_shifted(params, p), n - p), n - p, x, 0)
     if params.is_classical:
+        if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
+            raise DomainError(f"P_n is evaluated at finite x, got {x}")
         return _l_scale(n, params.beta) * laguerre_eval(n, params.beta, x)
     return _escalating_horner(seq.coeff[n, :n + 1], x, params, n, x,
                               partial(_dd_args, params), partial(_exact_args, params))
 
 
 class _PBasis:
-    """P_n^(p)(x) at one x for the orders n = p..nmax of a kernel sum, a
-    chunk of orders at a time: ``values(lo, hi, s)``, NaN at the orders the
-    float64 tier did not keep, and ``escalate(n)`` for such an order (see
-    ``specfun._Basis``).  The derivative goes to the (beta + p) family, as
-    in ``p_eval``, with the factors of ``_p_fac`` and ``_l_scale``, so each
-    value has the bits of ``p_eval``'s; on the classical branch one
-    ``eval_genlaguerre`` call over the chunk's orders gives every value."""
+    """P_n^(p)(x) at one x for the orders n >= p of a kernel sum: ``value(n)``
+    reads the sum of P_(n-p) of the (beta + p) family from ``basis``, whose
+    chunks of rows, read from ``p_coeffs`` up to the chunk's last order,
+    the caller loads (``specfun._basis_values``), and applies the factor of
+    ``_p_fac``, as ``p_eval`` does, so each value has ``p_eval``'s bits.
+    On the classical branch (``basis`` None) each value is ``p_eval``'s
+    scaled ``eval_genlaguerre`` call."""
 
-    def __init__(self, params: GLParams, x: float, nmax: int, p: int = 0):
+    def __init__(self, params: GLParams, x: float, p: int = 0):
         if not math.isfinite(x):
             raise DomainError(f"P_n is evaluated at finite x, got {x}")
         self.p, self.x, self.base, self.params = p, x, params, _shifted(params, p) if p else params
         self.basis = None
         if not params.is_classical:
-            seq, sp = p_coeffs(self.params, max(nmax - p, 0)), self.params
-            self.basis = _Basis(sp, x, x, lambda lo, hi: seq.coeff[lo:hi + 1, :hi + 1],
+            sp = self.params
+            self.basis = _Basis(sp, x, x, lambda lo, hi: p_coeffs(sp, hi).coeff[lo:hi + 1],
                                 partial(_dd_args, sp), partial(_exact_args, sp))
 
-    def span(self, lo: int, hi: int) -> tuple:
-        """The basis and the rows of orders lo..hi in it, for
-        ``specfun._basis_values``."""
-        return self.basis, lo - self.p, hi - self.p
-
-    def values(self, lo: int, hi: int, s) -> np.ndarray:
-        """P_n^(p)(x), n = lo..hi, from the basis's first tier s of
-        ``span(lo, hi)``."""
+    def value(self, n: int) -> float:
+        m = n - self.p
         if self.basis is None:
-            m, b = np.arange(lo - self.p, hi - self.p + 1), self.params.beta
-            s = _l_scale(m, b) * eval_genlaguerre(m, b, self.x)
-        return _p_fac(self.base, np.arange(lo, hi + 1), self.p) * s if self.p else s
-
-    def escalate(self, n: int) -> float:
-        v = self.basis.escalate(n - self.p)
+            b = self.params.beta
+            v = _l_scale(m, b) * laguerre_eval(m, b, self.x)
+        else:
+            v = self.basis.sum(m)
         return _p_fac(self.base, n, self.p) * v if self.p else v
 
 

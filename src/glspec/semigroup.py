@@ -16,16 +16,16 @@ converges for t above the threshold time t_alpha; generalized polynomials
 finitely and are valid for every t > 0 (the small-space regime).
 
 The heat kernel and the self-similar kernel sum their orders a chunk at a
-time (``_kernel_sum``): the float64 values of P_n(x) and W_n(y) for the
+time (``_kernel_sum``): the float64 sums of P_n(x) and W_n(y) for the
 whole chunk come from one Horner pass over the chunk's coefficient rows of
-both, stacked (``eigen._PBasis``, ``coeigen._WBasis`` on
-``specfun._Basis``).  An order whose float64 value fails the condition
-test is escalated only when the scan reaches it, by the tiers every
-evaluator shares (``specfun._Tiers``): the first such order runs the
-double-double pass for the chunk's remaining failing orders at once, and
-an order that fails that too goes to the exact tier alone.  So each value
-is bitwise that of ``p_eval`` or ``w_eval``, and no order past the
-truncation reaches the higher tiers.
+both, stacked (``specfun._basis_values``), and each term reads one value
+per order, ``value(n)`` of ``eigen._PBasis`` and ``coeigen._WBasis``.  A
+sum the float64 tier did not keep goes to the tiers every evaluator shares
+(``specfun._Tiers``) only when the scan reaches it: the first such order
+runs the double-double pass for the chunk's remaining failing orders at
+once, and an order that fails that too goes to the exact tier alone.  So
+each value is bitwise that of ``p_eval`` or ``w_eval``, and no order past
+the truncation reaches the higher tiers.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def expand(params: GLParams, f, t: float, rule: Optional[QuadRule] = None,
     Generalized polynomials stop exactly after their degree.  A warning is
     recorded when t <= t_alpha outside the small-space regime.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError("time must be >= 0")
     if rule is None and getattr(f, "powers", None) is None:
         rule = build_rule(weight_e_ab(params), 160)
@@ -285,12 +285,12 @@ def heat_kernel(params: GLParams, t: float, x: float, y: float, k: int = 0,
     truncated once three consecutive terms fall below tol times the running
     scale (``_kernel_sum``).  TruncationError when the cap is reached first.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError("heat kernel needs t > 0")
     k, p, q = map(operator.index, (k, p, q))
     if min(k, p, q) < 0:
         raise DomainError("derivative orders must be >= 0")
-    return _kernel_sum(_PBasis(params, x, nmax, p), _WBasis(params, y, q),
+    return _kernel_sum(_PBasis(params, x, p), _WBasis(params, y, q),
                        lambda n: np.exp(-n * t) * (-n) ** k, p, nmax, tol,
                        f"heat kernel cap {nmax} reached (t may be too small)")
 
@@ -300,26 +300,20 @@ def _kernel_sum(pb, wb, factor, lo: int, nmax: int, tol: float, cap: str) -> flo
     ``pb``, truncated once three consecutive terms fall below tol times the
     running scale; TruncationError(cap) where the terms run out first.
 
-    The orders come in chunks of _CHUNK (2 _CHUNK for the first): the
-    float64 values of W_n and P_n and the factors for a whole chunk at
-    once.  An order whose W_n or P_n the float64 tier did not keep is
-    escalated only when the scan reaches it, since past the truncation
-    nearly every order fails the condition test and the higher tiers cost
-    far more than the float64 one.
+    The orders come in chunks of _CHUNK (2 _CHUNK for the first): one
+    float64 pass gives the sums of W_n and P_n (P's rows counted from lo,
+    the derivative order of ``pb``) for a whole chunk, and the factors come
+    as one array.  The higher tiers run for an order only when the scan
+    reaches it (``value(n)``), since past the truncation nearly every order
+    fails the condition test and they cost far more than the float64 one.
     """
     acc = scale = 0.0
     small = 0
     c, hi = lo, min(lo + 2 * _CHUNK - 1, nmax)
     while c <= nmax:
-        sw, sp = _basis_values([wb.span(c, hi), pb.span(c, hi)])
-        chunk = zip(range(c, hi + 1), factor(np.arange(float(c), hi + 1.0)).tolist(),
-                    wb.values(c, hi, sw).tolist(), pb.values(c, hi, sp).tolist())
-        for n, f, w, pn in chunk:
-            if w != w:
-                w = wb.escalate(n)
-            if pn != pn:
-                pn = pb.escalate(n)
-            term = f * w * pn
+        _basis_values([(wb.basis, c, hi), (pb.basis, c - lo, hi - lo)])
+        for n, f in zip(range(c, hi + 1), factor(np.arange(float(c), hi + 1.0)).tolist()):
+            term = f * wb.value(n) * pb.value(n)
             acc += term
             scale = max(scale, abs(term), abs(acc))
             if abs(term) <= tol * max(scale, 1e-300):
@@ -344,6 +338,8 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
     kernel series there is at its most expensive.  TruncationError at the
     cap, or once the largest weighted term of an order n >= 80 is above all
     those 40 or more orders before: the terms then outpace e^(-nt)."""
+    if not t > 0.0:
+        raise DomainError("heat kernel needs t > 0")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if rule is None:
         rule = build_rule(weight_e_ab(params), 120)
@@ -390,7 +386,7 @@ def laguerre_semigroup(beta: float, t: float, f, x,
     over the nodes and every x together.  Each x stops on its own
     small-term test, so an array gives the values of the scalar calls.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError("time must be >= 0")
     pref = make_params(1.0, max(beta, 0.0))
     rule = build_rule(weight_classical(pref, beta), 180)
@@ -457,8 +453,8 @@ def selfsimilar_kernel(params: GLParams, t: float, x: float, y: float,
 
     Related to the heat kernel by P_s(x, z) = e^s K_{e^s - 1}(x, e^s z).
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError("self-similar kernel needs t > 0")
-    return _kernel_sum(_PBasis(params, x, nmax), _WBasis(params, y / (1.0 + t)),
+    return _kernel_sum(_PBasis(params, x), _WBasis(params, y / (1.0 + t)),
                        lambda n: (1.0 + t) ** (-n - 1.0), 0, nmax, tol,
                        f"self-similar kernel cap {nmax} reached")

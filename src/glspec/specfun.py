@@ -19,7 +19,6 @@ is, so that exact zeros and ties stay exact.
 
 from __future__ import annotations
 
-import bisect
 import math
 from itertools import accumulate
 
@@ -116,12 +115,6 @@ def _escalating_horner(coeffs, y, params: GLParams, n: int, x, dd_args, exact_ar
     return tuple(out) if log else out[0]
 
 
-def _exp(v):
-    """math.exp of a float, or of each value of an ndarray (numpy's exp can
-    round apart from libm's)."""
-    return np.array(list(map(math.exp, v.tolist()))) if isinstance(v, np.ndarray) else math.exp(v)
-
-
 def _log_form(v) -> tuple:
     """(sign, log|v|) of a float v, or of each value of an ndarray, by math.log."""
     if isinstance(v, np.ndarray):
@@ -134,7 +127,8 @@ class _Tiers:
     """The double-double and exact tiers for the sums s_j, j = 0, 1, ..., of a
     family's rows at x (order n at the point x[j] of an ndarray x, or order
     n + j at a float x) that the float64 tier, which gave their sums s and
-    mags, did not keep.
+    mags, did not keep.  A point that is not finite never passes that
+    tier's keep test, and raises DomainError here.
 
     ``value(j)`` gives s_j.  Its double-double tier, ``_dd(j)``, sums the
     row and point of ``dd_args(orders, point)`` by ``_dd_sum``, and its
@@ -148,6 +142,9 @@ class _Tiers:
         self.params, self.n, self.x, self.s, self.mag = params, n, x, s, mag
         self.dd_args, self.exact_args, self.log = dd_args, exact_args, log
         self.many = isinstance(x, np.ndarray)
+        if not (np.isfinite(x).all() if self.many else math.isfinite(x)):
+            bad = x[~np.isfinite(x)][0] if self.many else x
+            raise DomainError(f"sums are evaluated at finite points, got x = {bad}")
 
     def value(self, j: int):
         s, mag = self.s[j], self.mag[j]
@@ -287,11 +284,13 @@ class _Basis(_Tiers):
     """A family's sums s_n = sum_k c_{n,k} y^k at one point x, a chunk of
     orders at a time: ``_basis_values`` sums orders lo..hi in float64 by one
     ``_horner_float`` pass over their rows, ``rows(lo, hi)`` (zero past each
-    row's degree), bitwise each row's own pass, NaN where not kept.  The
-    first ``escalate`` at or past an order runs the double-double pass of
-    the chunk's failing orders from there on as one ``_dd_block`` on x's
+    row's degree), bitwise each row's own pass, and ``_take`` holds those
+    sums and which of them the float64 tier keeps.  ``sum(n)`` gives s_n
+    (with ``log`` its log form): the kept sum, or the higher tiers' value.
+    The first sum not kept at or past an order runs the double-double pass
+    of the chunk's failing orders from there on as one ``_dd_block`` on x's
     powers (error at most about (n + 5) u^2 mag, bitwise ``_dd_sum``'s), so
-    a caller escalating only the orders it reaches runs no tier past them."""
+    a caller reading only the orders it reaches runs no tier past them."""
 
     def __init__(self, params: GLParams, y: float, x: float, rows, dd_args, exact_args,
                  log: bool = False):
@@ -299,25 +298,24 @@ class _Basis(_Tiers):
         self.y, self.rows = y, rows
         self.pw = [[1.0], [0.0], (), ()]     # x's powers, as lists and as arrays
 
-    def _take(self, lo: int, s: np.ndarray, mag: np.ndarray) -> np.ndarray:
-        """Keep the first tier's sums s and mags of orders lo.. for
-        ``escalate``; the kept sums, NaN elsewhere."""
+    def _take(self, lo: int, s: np.ndarray, mag: np.ndarray) -> None:
+        """Hold the first tier's sums s and mags of orders lo.. and its keep
+        test of each."""
         with np.errstate(invalid="ignore", divide="ignore"):
             kept = np.where(s != 0.0, mag / np.abs(s), math.inf) <= COND_THRESHOLD
         kept &= self.params.precision.is_double
-        self.chunk, self.dd = (lo, s, mag, kept), None
-        return np.where(kept, s, math.nan)
+        self.n, self.s, self.mag, self.kept = lo, s.tolist(), mag.tolist(), kept.tolist()
+        self.dd = {}
 
-    def escalate(self, n: int):
-        if self.dd is None:
-            self.n, s, mag, kept = self.chunk
-            self.s, self.mag, self.todo = s.tolist(), mag.tolist(), np.flatnonzero(~kept).tolist()
-            self.dd = {}
-        return self.value(n - self.n)
+    def sum(self, n: int):
+        j = n - self.n
+        if self.kept[j]:
+            return _log_form(self.s[j]) if self.log else self.s[j]
+        return self.value(j)
 
     def _dd(self, j: int) -> float:
         if j not in self.dd:
-            J = [i for i in self.todo[bisect.bisect_left(self.todo, j):] if i not in self.dd]
+            J = [i for i in range(j, len(self.s)) if not (self.kept[i] or i in self.dd)]
             rows, point = self.dd_args([self.n + i for i in J], self.x)
             K = max(h.size for h, _ in rows)
             ph, pl, ph_a, pl_a = self.pw
@@ -328,11 +326,11 @@ class _Basis(_Tiers):
         return self.dd[j]
 
 
-def _basis_values(spans) -> list:
+def _basis_values(spans) -> None:
     """The first tier of several bases in one pass: for each (basis, lo,
-    hi) of spans, the sums of orders lo..hi, NaN where not kept (None for a
-    basis of None), from one ``_horner_float`` pass over the rows of all of
-    them stacked, each at its basis's point."""
+    hi) of spans (a basis of None is passed over), the sums of orders
+    lo..hi, from one ``_horner_float`` pass over the rows of all of them
+    stacked, each at its basis's point, held by the basis (``_take``)."""
     live = [sp for sp in spans if sp[0] is not None]
     blocks = [b.rows(lo, hi) for b, lo, hi in live]
     m = [B.shape[0] for B in blocks]
@@ -343,12 +341,9 @@ def _basis_values(spans) -> list:
         i += B.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         s, mag = _horner_float(C, np.repeat([b.y for b, _, _ in live], m))
-    out = []
     for (b, lo, _), k in zip(live, m):
-        out.append(b._take(lo, s[:k], mag[:k]))
+        b._take(lo, s[:k], mag[:k])
         s, mag = s[k:], mag[k:]
-    out = iter(out)
-    return [None if b is None else next(out) for b, _, _ in spans]
 
 
 def _dd_ratio(nums, den: int) -> tuple:

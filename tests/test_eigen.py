@@ -90,6 +90,46 @@ def test_index_error(p_half):
         eg.p_eval(seq, 4, 1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0, 0.0)])
+def test_non_finite_points_and_negative_orders_raise(alpha, beta):
+    # P_n lives on the whole line, R_n and W_n on 0 < x < inf: a point off
+    # those, at a float or in an array, and a negative order are DomainErrors
+    from glspec import coeigen as ce
+    p = make_params(alpha, beta)
+    seq = eg.p_coeffs(p, 12)
+    for x in (math.nan, math.inf, -math.inf):
+        for at in (x, np.array([0.5, x])):
+            for n in (0, 1, 12):
+                with pytest.raises(DomainError):
+                    eg.p_eval(seq, n, at)
+                with pytest.raises(DomainError):
+                    ce.r_eval_bell(p, n, at)
+                with pytest.raises(DomainError):
+                    ce.w_eval(p, n, at)
+            with pytest.raises(DomainError):
+                eg.p_eval(seq, 5, at, 2)
+            with pytest.raises(DomainError):
+                ce.w_eval(p, 5, at, 2)
+    with pytest.raises(DomainError):
+        eg.p_eval(seq, -1, 1.0)
+    with pytest.raises(DomainError):
+        ce.w_eval(p, -1, 1.0)
+    with pytest.raises(DomainError):
+        ce.r_eval_bell(p, -1, np.array([1.0, 2.0]))
+
+
+def test_g_row_grows_by_one_gamma_per_entry(monkeypatch):
+    # Gamma(ab + 1) is held with the row: growing it from k = 10 to 20
+    # takes the ten gammas of its new entries
+    monkeypatch.setattr(core, "_tables", type(core._tables)())
+    p, calls = make_params(0.5, 1.0), []
+    eg._row(p, 10)
+    gamma = mp.gamma
+    monkeypatch.setattr(mp, "gamma", lambda *a: (calls.append(a), gamma(*a))[1])
+    eg._row(p, 20)
+    assert len(calls) == 10
+
+
 def test_jensen_generating_function(p_half):
     assert eg.jensen_check(p_half, 0.0, 0.5, 40) <= 1e-12
     assert eg.jensen_check(p_half, 1.0, 0.5, 40) <= 1e-10
@@ -335,6 +375,17 @@ def test_numpy_integer_orders():
     assert ce.r_coeffs(q, np.int64(n)).tolist() == ce.r_coeffs(q, n).tolist()
 
 
+def test_kernel_basis_reads_p_rows_to_the_orders_it_reaches(monkeypatch):
+    # P's float64 table is read up to the chunk's last order, not built to
+    # the kernel sum's cap of 200 orders up front
+    from glspec import semigroup as sg
+    monkeypatch.setattr(core, "_tables", type(core._tables)())
+    eg.p_coeffs.cache_clear()
+    p = make_params(0.5, 1.0)
+    sg.heat_kernel(p, 1.0, 1.0, 1.0)
+    assert core._tables[("P", p)]["coeff"].degree < 200
+
+
 def test_p_basis_float_tier_is_each_rows_own_pass(p_half):
     # the block Horner over a chunk's padded rows gives each order the sum,
     # mag and keep test of its own row's pass; at x = 1e200 the pass
@@ -343,19 +394,21 @@ def test_p_basis_float_tier_is_each_rows_own_pass(p_half):
     from glspec import specfun as sf
     seq = eg.p_coeffs(p_half, 40)
     for x in (-2.0, 0.7, 3.5, 30.0):
-        basis = eg._PBasis(p_half, x, 40)
+        basis = eg._PBasis(p_half, x).basis
         for lo, hi in ((0, 15), (16, 31), (32, 40)):
-            got = basis.values(lo, hi, sf._basis_values([basis.span(lo, hi)])[0])
+            sf._basis_values([(basis, lo, hi)])
             for n in range(lo, hi + 1):
                 s, mag = sf._horner_float(seq.coeff[n, :n + 1], x)
                 kept = s != 0.0 and mag / abs(s) <= core.COND_THRESHOLD
-                assert (got[n - lo] == s) if kept else np.isnan(got[n - lo]), (x, n)
-                if not kept:
-                    assert basis.escalate(n) == eg.p_eval(seq, n, x), (x, n)
+                assert basis.kept[n - lo] == kept, (x, n)
+                if kept:
+                    assert basis.sum(n) == s, (x, n)
+                else:
+                    assert basis.sum(n) == eg.p_eval(seq, n, x), (x, n)
     x, seq = 1e200, eg.p_coeffs(p_half, 20)
-    basis = eg._PBasis(p_half, x, 20)
-    got = basis.values(0, 15, sf._basis_values([basis.span(0, 15)])[0])
-    assert got[:2].tolist() == [1.0, eg.p_eval(seq, 1, x)]
-    assert np.isnan(got[2:]).all()
+    basis = eg._PBasis(p_half, x).basis
+    sf._basis_values([(basis, 0, 15)])
+    assert basis.kept == [True, True] + [False] * 14
+    assert [basis.sum(0), basis.sum(1)] == [1.0, eg.p_eval(seq, 1, x)]
     for n in (2, 3, 15):
-        assert basis.escalate(n) == eg.p_eval(seq, n, x)
+        assert basis.sum(n) == eg.p_eval(seq, n, x)

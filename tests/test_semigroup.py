@@ -467,6 +467,23 @@ def test_kernel_sums_at_extended_precision(p_half_ext):
         assert getattr(sg, f"{kernel}_kernel")(p_half_ext, 1.0, 1.5, 2.0) == want
 
 
+@pytest.mark.parametrize("t", [math.nan, 0.0, -1.0, -math.inf])
+def test_invalid_times_raise_up_front(p_half, t):
+    # the kernels need t > 0, the expansions t >= 0; NaN fails both tests
+    f = poly_fn([1.0, 0.5])
+    calls = [lambda: sg.heat_kernel(p_half, t, 1.0, 1.5),
+             lambda: sg.selfsimilar_kernel(p_half, t, 1.0, 1.5),
+             lambda: sg.heat_kernel_mass(p_half, t, 1.0)]
+    if not t == 0.0:
+        calls += [lambda: sg.expand(p_half, f, t),
+                  lambda: sg.laguerre_semigroup(0.0, t, f, 1.0)]
+    for call in calls:
+        start = time.process_time()
+        with pytest.raises(DomainError):
+            call()
+        assert time.process_time() - start < 0.1
+
+
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0, 0.0)])
 def test_kernel_sums_reject_bad_points_and_orders(alpha, beta):
     p = make_params(alpha, beta)

@@ -5,6 +5,8 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glspec.core import COND_THRESHOLD, DomainError, PoleError, make_params
 from glspec import specfun as sf
@@ -386,17 +388,16 @@ def test_kernel_bases_and_pointwise_calls_give_one_value(alpha, beta):
     p, N = make_params(alpha, beta), 63
     seq, escalated = eg.p_coeffs(p, N), 0
     for x in np.geomspace(0.3, 30.0, 40).tolist():
-        pb, wb = eg._PBasis(p, x, N), ce._WBasis(p, x)
+        pb, wb = eg._PBasis(p, x), ce._WBasis(p, x)
         lo, hi = 0, 2 * _CHUNK - 1
         while lo <= N:
-            sw, sp = sf._basis_values([wb.span(lo, hi), pb.span(lo, hi)])
-            for n, w, v in zip(range(lo, hi + 1), wb.values(lo, hi, sw).tolist(),
-                               pb.values(lo, hi, sp).tolist()):
-                if w != w:
-                    assert wb.escalate(n) == ce.w_eval(p, n, x), ("W", x, n)
+            sf._basis_values([(wb.basis, lo, hi), (pb.basis, lo, hi)])
+            for n in range(lo, hi + 1):
+                if not wb.basis.kept[n - lo]:
+                    assert wb.value(n) == ce.w_eval(p, n, x), ("W", x, n)
                     escalated += 1
-                if v != v:
-                    assert pb.escalate(n) == eg.p_eval(seq, n, x), ("P", x, n)
+                if not pb.basis.kept[n - lo]:
+                    assert pb.value(n) == eg.p_eval(seq, n, x), ("P", x, n)
                     escalated += 1
             lo, hi = hi + 1, min(hi + _CHUNK, N)
     assert escalated >= 1000
@@ -412,14 +413,50 @@ def test_kernel_bases_give_the_bits_of_the_scalar_calls_at_every_derivative(alph
     seq = eg.p_coeffs(p, N)
     for x in (0.3, 1.7, 6.0):
         for d in (0, 1, 2):
-            pb, wb = eg._PBasis(p, x, N, d), ce._WBasis(p, x, d)
-            sw, sp = sf._basis_values([wb.span(d, N), pb.span(d, N)])
-            for n, w, v in zip(range(d, N + 1), wb.values(d, N, sw).tolist(),
-                               pb.values(d, N, sp).tolist()):
-                w = wb.escalate(n) if w != w else w
-                v = pb.escalate(n) if v != v else v
+            pb, wb = eg._PBasis(p, x, d), ce._WBasis(p, x, d)
+            sf._basis_values([(wb.basis, d, N), (pb.basis, 0, N - d)])
+            for n in range(d, N + 1):
+                w, v = wb.value(n), pb.value(n)
                 assert w.hex() == ce.w_eval(p, n, x, d).hex(), ("W", x, d, n)
                 assert v.hex() == eg.p_eval(seq, n, x, d).hex(), ("P", x, d, n)
+
+
+def _chunks(first: int, last: int):
+    """The (lo, hi) chunks of orders first..last a kernel sum takes."""
+    from glspec.semigroup import _CHUNK
+    lo, hi = first, first + 2 * _CHUNK - 1
+    while lo <= last:
+        yield lo, min(hi, last)
+        lo, hi = hi + 1, hi + _CHUNK
+
+
+@st.composite
+def _basis_case(draw):
+    alpha = draw(st.one_of(st.sampled_from([1.0, 0.5, 2.0 / 3.0, 3.0 / 7.0]),
+                           st.floats(0.35, 1.0)))
+    beta = draw(st.floats(1.0 - 1.0 / alpha, 2.5, exclude_min=True))
+    x = math.exp(draw(st.floats(math.log(0.05), math.log(30.0))))
+    return alpha, beta, x, draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0, 1, 2]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_basis_case())
+def test_kernel_basis_values_are_the_scalar_calls(case):
+    # value(n) of a kernel basis, read a chunk at a time as the kernel sums
+    # read it, has the bits of p_eval's P_n^(p)(x) and w_eval's W_n^(q)(x)
+    from glspec import coeigen as ce
+    from glspec import eigen as eg
+    alpha, beta, x, d, q = case
+    p, N = make_params(alpha, beta), 63
+    seq, pb, wb = eg.p_coeffs(p, N), eg._PBasis(p, x, d), ce._WBasis(p, x, q)
+    for lo, hi in _chunks(d, N):
+        sf._basis_values([(pb.basis, lo - d, hi - d)])
+        for n in range(lo, hi + 1):
+            assert pb.value(n).hex() == eg.p_eval(seq, n, x, d).hex(), ("P", n)
+    for lo, hi in _chunks(0, N):
+        sf._basis_values([(wb.basis, lo, hi)])
+        for n in range(lo, hi + 1):
+            assert wb.value(n).hex() == ce.w_eval(p, n, x, q).hex(), ("W", n)
 
 
 def test_array_log_form_is_bitwise_the_scalar_one(p_half):

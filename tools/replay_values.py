@@ -15,7 +15,9 @@ and seed one line gives the number of values compared, the number that
 differ in any bit (NaN matches NaN; an exception matches the same
 exception), the worst relative difference |change - base| / |base| and
 the worst difference in units in the last place of the base value.
-The tool exits 1 if any value differs or a child fails.
+Then each command of COMMANDS runs as `glspec ...` on both sides, and one
+line says whether its exit code and output bytes are the same.  The tool
+exits 1 if any value or command differs or a child fails.
 """
 
 from __future__ import annotations
@@ -63,6 +65,23 @@ def replay(checkout: Path, workload: str, seed: int, seconds: float) -> list:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n"
                            + proc.stderr[-2000:])
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+#: `glspec` commands run on both sides, each under a second
+COMMANDS = (("verify", "all"),
+            ("verify", "all", "--alpha", "0.4285714285714286", "--beta", "1"),
+            ("eval", "heat", "--alpha", "0.5", "--beta", "1"),
+            ("eval", "heat", "--alpha", "1", "--beta", "0"),
+            ("eval", "K", "--alpha", "0.75", "--beta", "0.5"),
+            ("eval", "W", "--alpha", "0.5", "--beta", "1", "--n", "12", "--q", "2"))
+
+
+def run_cli(checkout: Path, args: tuple) -> tuple:
+    """(exit code, output bytes) of `glspec args` on checkout's `src/`."""
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "glspec.cli", *args], cwd=checkout, env=env,
+                          capture_output=True)
+    return proc.returncode, proc.stdout
 
 
 def same(a, b) -> bool:
@@ -118,6 +137,12 @@ def main() -> int:
                 rel, ulps = [max(d) for d in zip(*bad)] or [0.0, 0.0]
                 print(f"{workload} seed {seed}: {len(pairs)} values, {len(bad)} differ, "
                       f"worst relative difference {rel:.3g}, worst {ulps:.3g} ulps", flush=True)
+        for args in COMMANDS:
+            (code_b, out_b), (code_c, out_c) = run_cli(Path(tmp), args), run_cli(ROOT, args)
+            verdict = "same" if (code_b, out_b) == (code_c, out_c) else "differing"
+            differ += verdict == "differing"
+            print(f"glspec {' '.join(args)}: {verdict} (exit {code_b} / {code_c}, "
+                  f"{len(out_b)} / {len(out_c)} bytes)", flush=True)
     return 1 if differ else 0
 
 
