@@ -377,6 +377,15 @@ def test_double_double_tier_accuracy(family, monkeypatch):
     assert min(exact_conds) < 1e17 and max(exact_conds) > 1e20
 
 
+def _chunks(first: int, last: int):
+    """The (lo, hi) chunks of orders first..last a kernel sum takes."""
+    from glspec.semigroup import _CHUNK
+    lo, hi = first, first + 2 * _CHUNK - 1
+    while lo <= last:
+        yield lo, min(hi, last)
+        lo, hi = hi + 1, hi + _CHUNK
+
+
 @pytest.mark.parametrize("alpha, beta", _TIER_PAIRS)
 def test_kernel_bases_and_pointwise_calls_give_one_value(alpha, beta):
     # every order a kernel basis escalates, a chunk of orders at a time as
@@ -384,13 +393,11 @@ def test_kernel_bases_and_pointwise_calls_give_one_value(alpha, beta):
     # which escalate that order alone
     from glspec import coeigen as ce
     from glspec import eigen as eg
-    from glspec.semigroup import _CHUNK
     p, N = make_params(alpha, beta), 63
     seq, escalated = eg.p_coeffs(p, N), 0
     for x in np.geomspace(0.3, 30.0, 40).tolist():
         pb, wb = eg._PBasis(p, x), ce._WBasis(p, x)
-        lo, hi = 0, 2 * _CHUNK - 1
-        while lo <= N:
+        for lo, hi in _chunks(0, N):
             sf._basis_values([(wb.basis, lo, hi), (pb.basis, lo, hi)])
             for n in range(lo, hi + 1):
                 if not wb.basis.kept[n - lo]:
@@ -399,7 +406,6 @@ def test_kernel_bases_and_pointwise_calls_give_one_value(alpha, beta):
                 if not pb.basis.kept[n - lo]:
                     assert pb.value(n) == eg.p_eval(seq, n, x), ("P", x, n)
                     escalated += 1
-            lo, hi = hi + 1, min(hi + _CHUNK, N)
     assert escalated >= 1000
 
 
@@ -419,15 +425,6 @@ def test_kernel_bases_give_the_bits_of_the_scalar_calls_at_every_derivative(alph
                 w, v = wb.value(n), pb.value(n)
                 assert w.hex() == ce.w_eval(p, n, x, d).hex(), ("W", x, d, n)
                 assert v.hex() == eg.p_eval(seq, n, x, d).hex(), ("P", x, d, n)
-
-
-def _chunks(first: int, last: int):
-    """The (lo, hi) chunks of orders first..last a kernel sum takes."""
-    from glspec.semigroup import _CHUNK
-    lo, hi = first, first + 2 * _CHUNK - 1
-    while lo <= last:
-        yield lo, min(hi, last)
-        lo, hi = hi + 1, hi + _CHUNK
 
 
 @st.composite
