@@ -54,9 +54,9 @@ class PolySeq:
 def p_coeffs(params: GLParams, N: int) -> PolySeq:
     """Coefficients of P_0 .. P_N in the monomial basis, from log-gammas in
     float64: the leading (N+1) x (N+1) block, read-only, of one table per
-    params (the "coeff" face of its "P" table), rebuilt only for a larger
-    N.  Each entry is formed on its own, so it is the same at any table
-    size."""
+    params (the "coeff" face of its "P" table), grown by the rows of the
+    new orders for a larger N (the held rows are 0 past their order).  Each
+    entry is formed on its own, so it is the same at any table size."""
     N = operator.index(N)
     if N < 0:
         raise DomainError("degree must be >= 0")
@@ -64,11 +64,16 @@ def p_coeffs(params: GLParams, N: int) -> PolySeq:
     seq = faces.get("coeff")
     if seq is None or seq.degree < N:
         a, b = params.alpha, params.beta
-        n, k = np.arange(N + 1.0)[:, None], np.arange(N + 1.0)
+        n0 = 0 if seq is None else seq.degree + 1
+        n, k = np.arange(n0, N + 1.0)[:, None], np.arange(N + 1.0)
         lbin = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(np.abs(n - k) + 1.0)
-        logmag = np.where(k <= n, gammaln(a * b + 1.0) + lbin - gammaln(a * k + a * b + 1.0),
-                          -np.inf)
-        coeff = np.where(np.isfinite(logmag), (1.0 - 2.0 * (k % 2)) * np.exp(logmag), 0.0)
+        new = np.where(k <= n, gammaln(a * b + 1.0) + lbin - gammaln(a * k + a * b + 1.0),
+                       -np.inf)
+        logmag, coeff = np.full((N + 1, N + 1), -np.inf), np.zeros((N + 1, N + 1))
+        logmag[n0:] = new
+        coeff[n0:] = np.where(np.isfinite(new), (1.0 - 2.0 * (k % 2)) * np.exp(new), 0.0)
+        if seq is not None:
+            logmag[:n0, :n0], coeff[:n0, :n0] = seq.logmag, seq.coeff
         logmag.flags.writeable = coeff.flags.writeable = False
         faces["coeff"] = seq = PolySeq(params, N, logmag, coeff)
     if seq.degree == N:
@@ -193,7 +198,6 @@ def _shifted(params: GLParams, p: int) -> GLParams:
     return make_params(params.alpha, params.beta + p, params.precision, params.eps)
 
 
-@lru_cache(maxsize=4096)
 def _p_fac(params: GLParams, n: int, p: int) -> float:
     """(-1)^p n! / (n - p)! Gamma(ab + 1) / Gamma(ab + ap + 1): P_n^(p) over
     P_(n-p) of the (beta + p) family, by ``math.exp``, for ``p_eval`` and

@@ -301,8 +301,8 @@ def _kernel_sum(pb, wb, factor, lo: int, nmax: int, tol: float, cap: str) -> flo
     running scale; TruncationError(cap) where the terms run out first.
 
     The orders come in chunks of _CHUNK (2 _CHUNK for the first): one
-    float64 pass gives the sums of W_n and P_n (P's rows counted from lo,
-    the derivative order of ``pb``) for a whole chunk, and the factors come
+    float64 pass gives the sums of W_n and P_n (P's rows counted from
+    ``pb.p``, its derivative order) for a whole chunk, and the factors come
     as one array.  The higher tiers run for an order only when the scan
     reaches it (``value(n)``), since past the truncation nearly every order
     fails the condition test and they cost far more than the float64 one.
@@ -311,7 +311,7 @@ def _kernel_sum(pb, wb, factor, lo: int, nmax: int, tol: float, cap: str) -> flo
     small = 0
     c, hi = lo, min(lo + 2 * _CHUNK - 1, nmax)
     while c <= nmax:
-        _basis_values([(wb.basis, c, hi), (pb.basis, c - lo, hi - lo)])
+        _basis_values([(wb.basis, c, hi), (pb.basis, c - pb.p, hi - pb.p)])
         for n, f in zip(range(c, hi + 1), factor(np.arange(float(c), hi + 1.0)).tolist()):
             term = f * wb.value(n) * pb.value(n)
             acc += term

@@ -323,6 +323,14 @@ def test_p_coeffs_slices_one_read_only_table():
     grown = eg.p_coeffs(p, 50)
     assert grown.coeff[:31, :31].tobytes() == big.coeff.tobytes()
     assert np.shares_memory(eg.p_coeffs(p, 40).coeff, grown.coeff)
+    assert not (grown.coeff.flags.writeable or grown.logmag.flags.writeable)
+    # grown by the rows of its new orders, it holds the bits of one build
+    core._tables.pop(("P", p))
+    eg.p_coeffs.cache_clear()
+    once = eg.p_coeffs(p, 50)
+    assert not np.shares_memory(once.coeff, grown.coeff)
+    assert grown.coeff.tobytes() == once.coeff.tobytes()
+    assert grown.logmag.tobytes() == once.logmag.tobytes()
 
 
 def test_p_eval_past_the_double_range_of_binomials(monkeypatch):
