@@ -320,6 +320,8 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
     q = operator.index(q)
     if q < 0:
         raise DomainError("derivative order must be >= 0")
+    if isinstance(x, np.ndarray) and x.ndim >= 1:
+        raise DomainError("w_eval takes one point x, not an array")
     return _w_value(*_w_horner(params, operator.index(n), q, x, log=True), q * math.log(x),
                     log_weight_eval(weight_e_ab(params), x))
 

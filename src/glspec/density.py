@@ -10,10 +10,15 @@ Gamma(alpha*s + alpha*beta + 1) / Gamma(alpha*beta + 1) and the multiplier
 factorisation M_lambda(s) * M_e(s) = Gamma(s + 1) holds exactly.
 
 The kernel density lambda (Mellin transform M_lambda) has one route at every
-precision, in float64 on arrays of points: its residue power series, summed
-by the package's one float64 Horner pass (``specfun._horner_float``), and a
-saddle-point Mellin-Barnes contour where that sum cancels or is not
-converged within its terms.
+precision, in float64: its residue power series, summed by the package's one
+float64 Horner pass (``specfun._horner_float``), and a saddle-point
+Mellin-Barnes contour where that sum cancels or is not converged within its
+terms.  The contour has two drivers, one per input type: ``lambda_values``
+(and ``_lambda_grid`` through it) runs ``_saddle`` and ``_contour_values`` on
+arrays of points, ``lambda_value`` on one float z, with numpy scalars and no
+index arrays.  They share every formula (``_slope``, ``_curvature``,
+``_newton``, ``_peak``, ``_pass``, ``_settled``, ``_from_sums``) and the
+ContourError conditions, so a point gets the same bits from either.
 """
 
 from __future__ import annotations
@@ -205,84 +210,185 @@ def _residue_sum(params: GLParams, z):
     return s, ok
 
 
-def _saddle(params: GLParams, lz: np.ndarray):
-    """Real minimum a0 of z^-a Gamma(a) / Gamma(alpha a + bb) at each log z
-    in lz, and the curvature of its log there.  The slope -log z + psi(a) -
-    alpha psi(alpha a + bb) increases in a, so a0 is its root: Newton in
-    log a from the large- or small-a asymptote, steps <= 2, bisecting in
-    [e^-30, e^700].  a0 = inf where the slope is still negative at e^700
-    (lambda < exp(-(1 - alpha) e^700))."""
+#: Newton steps of the saddle search; nodes per trapezoid pass and the node
+#: index a pass may not reach; step halvings of the contour
+_NEWTON_STEPS, _PASS, _LAST_NODE, _HALVINGS = 100, 128, 1 << 20, 6
+
+_NO_SADDLE = "kernel saddle search did not converge"
+_NO_DECAY = "kernel contour failed to decay below tolerance"
+_NO_SETTLE = "kernel contour sums did not settle under step halving"
+
+
+def _slope(params: GLParams, a, lz):
+    """d/da log(z^-a Gamma(a) / Gamma(alpha a + bb)): -log z + psi(a) -
+    alpha psi(alpha a + bb), increasing in a."""
     al, bb = params.alpha, params.bar_beta_alpha
-    slope = lambda u, lzu: -lzu + digamma(np.exp(u)) - al * digamma(al * np.exp(u) + bb)
-    # psi'(x) = zeta(2, x), the same bits as scipy's polygamma(1, x) without
-    # its per-call dispatch
-    curvature = lambda a: zeta(2.0, a) - al * al * zeta(2.0, al * a + bb)
+    return -lz + digamma(a) - al * digamma(al * a + bb)
+
+
+def _curvature(params: GLParams, a):
+    """The slope's derivative in a, psi'(a) - alpha^2 psi'(alpha a + bb).
+    psi'(x) = zeta(2, x), the same bits as scipy's polygamma(1, x) without
+    its per-call dispatch."""
+    al, bb = params.alpha, params.bar_beta_alpha
+    return zeta(2.0, a) - al * al * zeta(2.0, al * a + bb)
+
+
+def _saddle_start(params: GLParams, lz):
+    """log a of the large- or small-a asymptote's root, in [-30, 700]."""
+    al = params.alpha
+    u = np.maximum((lz + al * math.log(al)) / (1.0 - al), -np.log1p(np.maximum(-lz, 0.0)))
+    return u.clip(-30.0, 700.0)
+
+
+def _pick(c, x, y):
+    """np.where(c, x, y), by a plain branch at a scalar c: a choice, not
+    arithmetic, so either form gives the same bits."""
+    return np.where(c, x, y) if isinstance(c, np.ndarray) else (x if c else y)
+
+
+def _newton(params: GLParams, u, lz, lo, hi):
+    """One Newton step in log a from u, at most 2 long, inside the bracket
+    [lo, hi] that the slope's sign at u narrows (its midpoint where the step
+    leaves it): (u', lo', hi', whether u' moved more than 1e-12 relative)."""
+    a = np.exp(u)
+    g = _slope(params, a, lz)
+    lo, hi = _pick(g < 0.0, u, lo), _pick(g > 0.0, u, hi)
+    un = u - (g / (a * _curvature(params, a))).clip(-2.0, 2.0)
+    un = _pick((un >= lo) & (un <= hi), un, 0.5 * (lo + hi))
+    return un, lo, hi, abs(un - u) > 1e-12 * np.maximum(1.0, abs(u))
+
+
+def _saddle(params: GLParams, lz):
+    """Real minimum a0 of z^-a Gamma(a) / Gamma(alpha a + bb) at log z, a
+    float or each point of an ndarray lz, and the curvature of its log
+    there.  The slope increases in a, so a0 is its root: ``_newton`` steps
+    from ``_saddle_start``, bisecting in [e^-30, e^700].  a0 = inf where the
+    slope is still negative at e^700 (lambda < exp(-(1 - alpha) e^700)).
+    At a float the loop runs on numpy scalars, on an array over the index
+    array of the points still moving."""
+    if not isinstance(lz, np.ndarray):
+        if _slope(params, np.exp(700.0), lz) < 0.0:
+            return math.inf, _curvature(params, 1.0)
+        u, lo, hi, moved = _saddle_start(params, lz), -30.0, 700.0, True
+        for _ in range(_NEWTON_STEPS):
+            if not moved:
+                return np.exp(u), _curvature(params, np.exp(u))
+            u, lo, hi, moved = _newton(params, u, lz, lo, hi)
+        raise ContourError(_NO_SADDLE)
     lo, hi = np.full(lz.shape, -30.0), np.full(lz.shape, 700.0)
-    beyond = slope(hi, lz) < 0.0
-    u = np.clip(np.maximum((lz + al * math.log(al)) / (1.0 - al),
-                           -np.log1p(np.maximum(-lz, 0.0))), -30.0, 700.0)
+    beyond = _slope(params, np.exp(hi), lz) < 0.0
+    u = _saddle_start(params, lz)
     live = np.flatnonzero(~beyond)
-    for _ in range(100):
+    for _ in range(_NEWTON_STEPS):
         if not live.size:
             a0 = np.where(beyond, np.inf, np.exp(u))
-            return a0, curvature(np.where(beyond, 1.0, a0))
-        ul = u[live]
-        g = slope(ul, lz[live])
-        lo[live] = np.where(g < 0.0, ul, lo[live])
-        hi[live] = np.where(g > 0.0, ul, hi[live])
-        un = ul - np.clip(g / (np.exp(ul) * curvature(np.exp(ul))), -2.0, 2.0)
-        u[live] = np.where((un >= lo[live]) & (un <= hi[live]), un, 0.5 * (lo[live] + hi[live]))
-        live = live[np.abs(u[live] - ul) > 1e-12 * np.maximum(1.0, np.abs(ul))]
-    raise ContourError("kernel saddle search did not converge")
+            return a0, _curvature(params, np.where(beyond, 1.0, a0))
+        u[live], lo[live], hi[live], moved = _newton(params, u[live], lz[live], lo[live],
+                                                     hi[live])
+        live = live[moved]
+    raise ContourError(_NO_SADDLE)
 
 
-def _contour_values(params: GLParams, z: np.ndarray) -> np.ndarray:
-    """Kernel density at every z > 0 by Mellin-Barnes inversion,
+def _peak(params: GLParams, a0, lz, sigma):
+    """l0 = log f(a0), the integrand's log at the saddle (-inf at a0 = inf);
+    the settle tolerance, 1e-13 or the rounding of l0's parts; and whether
+    lambda can lie within the double range there."""
+    al, bb = params.alpha, params.bar_beta_alpha
+    beyond = np.isinf(a0)
+    a = _pick(beyond, 1.0, a0)
+    p0, p1 = -a * lz, loggamma(a + 0j).real
+    p2, p3 = gammaln(al * params.beta + 1.0), -loggamma(al * a + bb + 0j).real
+    l0 = _pick(beyond, -np.inf, p0 + p1 + p2 + p3)
+    mag = abs(p0) + abs(p1) + abs(p2) + abs(p3)
+    tol = np.maximum(1e-13, np.finfo(float).eps * mag)
+    return l0, tol, l0 + np.log(sigma + 1.0 / (1.0 - al)) >= -760.0
+
+
+def _pass(params: GLParams, a0, lz, l0, h, j):
+    """One trapezoid pass at the nodes j (index 0 halved): the sums of Re v,
+    of Re v at the even nodes (the rule at step 2h) and of |Re v|, each
+    added in node order, for v = f(a0 + i h j) / e^l0, and whether the
+    pass's last |v| is below 1e-17."""
+    al, bb = params.alpha, params.bar_beta_alpha
+    s = a0 + 1j * (h * j)
+    v = np.exp(-s * lz + loggamma(s) + gammaln(al * params.beta + 1.0)
+               - loggamma(al * s + bb) - l0)
+    v[..., 0] *= 0.5 if j[0] == 0 else 1.0
+    return (v.real.cumsum(axis=-1)[..., -1], v.real[..., ::2].cumsum(axis=-1)[..., -1],
+            abs(v.real).cumsum(axis=-1)[..., -1], abs(v[..., -1]) < 1e-17)
+
+
+def _settled(S, S2, A, tol):
+    """Whether the pass sums at step h agree with the rule at 2h."""
+    return abs(S - 2.0 * S2) <= tol * A
+
+
+def _from_sums(S, h, l0):
+    """lambda = (h / pi) S e^l0 from the settled sum S, by its log."""
+    v = S * h / math.pi
+    with np.errstate(divide="ignore"):
+        return np.copysign(np.exp(np.log(np.abs(v)) + l0), v)
+
+
+def _contour_values(params: GLParams, z):
+    """Kernel density at a float z > 0, or at every point of an ndarray, by
+    Mellin-Barnes inversion,
 
         lambda(z) = (1/pi) int_0^inf Re f(t) dt,
         f(t) = z^-s Gamma(s) Gamma(ab + 1) / Gamma(alpha s + bb),  s = a0 + i t,
 
-    on the line through the saddle a0, where f / e^l0 peaks at 1, close to
-    a Gaussian of width sigma = curvature^(-1/2): float64 suffices where
-    the series cancels.  Trapezoid rule at h = sigma/6 (Trefethen &
-    Weideman, SIAM Rev. 56, 2014), in passes of 128 points until the last
-    is below 1e-17; h is halved while the rule on the even points (step 2h)
-    differs by more than 1e-13, or the rounding of log f, of h sum|f|.  0.0
-    where l0 puts lambda below the double range.  Each node is independent.
+    on the line through the saddle a0 (``_saddle``), where f / e^l0 peaks at
+    1, close to a Gaussian of width sigma = curvature^(-1/2): float64
+    suffices where the series cancels.  Trapezoid rule at h = sigma/6
+    (Trefethen & Weideman, SIAM Rev. 56, 2014), in passes of 128 points
+    (``_pass``) until the last is below 1e-17; h is halved while the rule on
+    the even points (step 2h) differs by more than 1e-13, or the rounding of
+    log f, of h sum|f| (``_settled``).  0.0 where l0 puts lambda below the
+    double range (``_peak``).  At a float the passes run on numpy scalars
+    and give a float, on an array over the index arrays of the points not
+    yet settled or decayed; each point gets the same bits either way.
     """
-    al, bb = params.alpha, params.bar_beta_alpha
-    lg0 = gammaln(al * params.beta + 1.0)
     lz = np.log(z)
     a0, curv = _saddle(params, lz)
-    sigma, out, a = 1.0 / np.sqrt(curv), np.zeros(z.size), np.where(np.isinf(a0), 1.0, a0)
-    parts = np.array([-a * lz, loggamma(a + 0j).real, np.full(z.size, lg0),
-                      -loggamma(al * a + bb + 0j).real])
-    l0 = np.where(np.isinf(a0), -np.inf, parts.sum(axis=0))
-    tol = np.maximum(1e-13, np.finfo(float).eps * np.abs(parts).sum(axis=0))
-    todo = np.flatnonzero(l0 + np.log(sigma + 1.0 / (1.0 - al)) >= -760.0)
+    sigma = 1.0 / np.sqrt(curv)
+    l0, tol, reach = _peak(params, a0, lz, sigma)
+    if not isinstance(z, np.ndarray):
+        if not reach:
+            return 0.0
+        h = sigma / 6.0
+        for _ in range(_HALVINGS):
+            S = S2 = A = 0.0
+            j, decayed = np.arange(float(_PASS)), False
+            while not decayed:
+                if j[0] >= _LAST_NODE:
+                    raise ContourError(_NO_DECAY)
+                dS, dS2, dA, decayed = _pass(params, a0, lz, l0, h, j)
+                S, S2, A, j = S + dS, S2 + dS2, A + dA, j + _PASS
+            if _settled(S, S2, A, tol):
+                return float(_from_sums(S, h, l0))
+            h = h / 2.0
+        raise ContourError(_NO_SETTLE)
+    out, todo = np.zeros(z.size), np.flatnonzero(reach)
     h = sigma[todo] / 6.0
-    for _ in range(6):
+    for _ in range(_HALVINGS):
         S, S2, A = np.zeros(todo.size), np.zeros(todo.size), np.zeros(todo.size)
-        live, j = np.arange(todo.size), np.arange(128.0)
+        live, j = np.arange(todo.size), np.arange(float(_PASS))
         while live.size:
-            if j[0] >= 1 << 20:
-                raise ContourError("kernel contour failed to decay below tolerance")
+            if j[0] >= _LAST_NODE:
+                raise ContourError(_NO_DECAY)
             i = todo[live, None]
-            s = a0[i] + 1j * (h[live, None] * j)
-            v = np.exp(-s * lz[i] + loggamma(s) + lg0 - loggamma(al * s + bb) - l0[i])
-            v[:, 0] *= 0.5 if j[0] == 0 else 1.0
-            S[live] += np.cumsum(v.real, axis=1)[:, -1]
-            S2[live] += np.cumsum(v.real[:, ::2], axis=1)[:, -1]
-            A[live] += np.cumsum(np.abs(v.real), axis=1)[:, -1]
-            live, j = live[~(np.abs(v[:, -1]) < 1e-17)], j + 128
-        good = np.abs(S - 2.0 * S2) <= tol[todo] * A
-        v = S[good] * h[good] / math.pi
-        with np.errstate(divide="ignore"):
-            out[todo[good]] = np.copysign(np.exp(np.log(np.abs(v)) + l0[todo[good]]), v)
+            dS, dS2, dA, decayed = _pass(params, a0[i], lz[i], l0[i], h[live, None], j)
+            S[live] += dS
+            S2[live] += dS2
+            A[live] += dA
+            live, j = live[~decayed], j + _PASS
+        good = _settled(S, S2, A, tol[todo])
+        out[todo[good]] = _from_sums(S[good], h[good], l0[todo[good]])
         todo, h = todo[~good], h[~good] / 2.0
         if not todo.size:
             return out
-    raise ContourError("kernel contour sums did not settle under step halving")
+    raise ContourError(_NO_SETTLE)
 
 
 def lambda_values(params: GLParams, z) -> np.ndarray:
@@ -307,14 +413,15 @@ def lambda_values(params: GLParams, z) -> np.ndarray:
 
 
 def lambda_value(params: GLParams, z: float) -> float:
-    """Kernel density at one z >= 0: the scalar face of ``lambda_values``,
-    which sums the series in Python floats, with no array set-up."""
+    """Kernel density at one z >= 0, the bits of ``lambda_values`` at z: the
+    residue series summed in Python floats, else the contour's one-point
+    driver (``_contour_values`` at a float), with no array set-up."""
     z = float(z)
     if not (z > 0.0 and params.alpha < 1.0):
         return float(lambda_values(params, z))
     s, ok = _residue_sum(params, z)
     if not ok:
-        s = float(_contour_values(params, np.array([z]))[0])
+        s = _contour_values(params, z)
     return s if s > 0.0 else 0.0
 
 
@@ -324,6 +431,14 @@ def lambda_value(params: GLParams, z: float) -> float:
 
 #: Legendre panels on (0, Y] and nodes per panel of ``_lambda_grid``
 _NPANEL, _DEG = 12, 32
+
+
+@lru_cache(maxsize=1)
+def _legendre(deg: int):
+    """Gauss-Legendre nodes and weights of degree deg on [-1, 1], read-only."""
+    xl, wl = roots_legendre(deg)
+    xl.flags.writeable = wl.flags.writeable = False
+    return xl, wl
 
 
 def _chernoff_log_tail(params: GLParams):
@@ -356,7 +471,7 @@ def _lambda_grid(params: GLParams):
     """
     bound = _chernoff_log_tail(params)
     Y = _first_past(bound, 400.0, -60.0, 1.2)       # P(Y > y) below e^-60
-    xl, wl = roots_legendre(_DEG)
+    xl, wl = _legendre(_DEG)
     # bulk panels cover the mass; a single panel spans the expensive far tail
     T = min(_first_past(bound, Y, -23.0, 1.15), 0.98 * Y)
     edges = np.concatenate([[0.0], np.geomspace(Y / 256.0, T, _NPANEL - 1), [Y]])

@@ -260,8 +260,8 @@ def _moment_form(params: GLParams, la, s, lb, t, rows) -> np.ndarray:
     ab = params.alpha * params.beta
     lM = gammaln(np.add.outer(s, t) + ab + 1.0) - gammaln(ab + 1.0)
     with np.errstate(divide="ignore"):
-        lam = logsumexp(la[:, :, None] + lM, axis=1)
-        lS = float(np.max(logsumexp(lam[:, None, :] + lb, axis=2)))
+        lam = _log_sum_exp(la[:, :, None] + lM, axis=1)
+        lS = float(np.max(_log_sum_exp(lam[:, None, :] + lb, axis=2)))
     if lS == -math.inf:
         return np.zeros((len(la), len(lb)))
     dps = max(params.precision.dps, 20 + math.ceil(lS / math.log(10.0)))
@@ -278,6 +278,14 @@ def _moment_form(params: GLParams, la, s, lb, t, rows) -> np.ndarray:
     BM = [[sum(map(mul, mk, bm)) for mk in Mi] for bm in Bi]
     scale = 1 << 3 * bits
     return np.array([[_div(sum(map(mul, an, c)), scale) for c in BM] for an in Ai])
+
+
+def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(x) along axis, each term shifted by the largest (by 0
+    where that is not finite, so all -inf gives -inf)."""
+    m = np.max(x, axis=axis, keepdims=True, initial=-math.inf)
+    m[~np.isfinite(m)] = 0.0
+    return np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def _fix(num: int, den: int, e: int) -> int:

@@ -97,6 +97,22 @@ def test_w_classical_value():
         -0.5 * math.exp(-1.0), rel=1e-13)
 
 
+def test_w_eval_refuses_an_array_before_its_sum(monkeypatch):
+    # one point per call: an array x is a DomainError before any Horner
+    # work; float and np.float64 x give the same value
+    p = make_params(0.5, 1.0)
+    value = ce.w_eval(p, 3, 2.0)
+    assert ce.w_eval(p, 3, np.float64(2.0)) == value
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("Horner sum started")
+
+    monkeypatch.setattr(ce, "_w_horner", no_sum)
+    for x in (np.array([2.0]), np.array([0.5, 2.0, 3.0])):
+        with pytest.raises(DomainError):
+            ce.w_eval(p, 3, x)
+
+
 def test_w_oracle_highprec(p_half):
     # frozen from the 60-digit direct summation
     assert ce.w_eval(p_half, 2, 1.5) == pytest.approx(

@@ -200,6 +200,71 @@ def test_lambda_values_equal_scalar_calls(p_half, p_three_quarter):
         assert d._contour_values(p, nine)[0] == d.lambda_values(p, nine)[0]
 
 
+def _outcome(f, *args):
+    """f(*args) as its float's hex, or the type and message it raised."""
+    try:
+        return float(f(*args)).hex()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _array_pass(p, z):
+    return d._contour_values(p, np.array([z]))[0]
+
+
+@st.composite
+def _kernel_points(draw):
+    alpha = draw(st.one_of(st.sampled_from([0.5, 2.0 / 3.0, 0.75, 1.0 / 3.0]),
+                           st.floats(0.3, 0.98)))
+    beta = draw(st.floats(1.0 - 1.0 / alpha, 2.5, exclude_min=True))
+    z = math.exp(draw(st.floats(math.log(0.05), math.log(40.0))))
+    return alpha, beta, z
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_kernel_points())
+def test_lambda_value_is_the_array_pass_bit_for_bit(point):
+    # the one-point contour against the array pass, errors included
+    alpha, beta, z = point
+    p = make_params(alpha, beta)
+    assert _outcome(d.lambda_value, p, z) \
+        == _outcome(lambda p, z: d.lambda_values(p, np.array([z]))[0], p, z)
+    if not d._residue_sum(p, z)[1]:
+        assert _outcome(d._contour_values, p, z) == _outcome(_array_pass, p, z)
+
+
+@pytest.mark.parametrize("alpha, beta, z, event", [
+    (0.999, 0.0, 3.0, "a0 = inf"), (0.995, 1.0, 40.0, "a0 = inf"),
+    (0.98, 0.0, 1.0704, "past j = 128"), (0.98, 0.0, 1.0704, "halved"),
+    (0.999, 0.0, 0.9, "kernel contour failed to decay below tolerance")])
+def test_one_point_contour_at_its_edges(alpha, beta, z, event, monkeypatch):
+    # each case reaches its branch of the one-point driver, which gives the
+    # array pass's bits or raises its ContourError message
+    p, seen = make_params(alpha, beta), set()
+    saddle, one_pass, settled = d._saddle, d._pass, d._settled
+
+    def spy_saddle(params, lz):
+        a0, curv = saddle(params, lz)
+        seen.update(["a0 = inf"] if np.any(np.isinf(a0)) else [])
+        return a0, curv
+
+    def spy_pass(params, a0, lz, l0, h, j):
+        seen.update(["past j = 128"] if j[0] >= 128 else [])
+        return one_pass(params, a0, lz, l0, h, j)
+
+    def spy_settled(*args):
+        good = settled(*args)
+        seen.update([] if np.all(good) else ["halved"])
+        return good
+
+    monkeypatch.setattr(d, "_saddle", spy_saddle)
+    monkeypatch.setattr(d, "_pass", spy_pass)
+    monkeypatch.setattr(d, "_settled", spy_settled)
+    got = _outcome(d._contour_values, p, z)
+    assert event in seen or got == ("ContourError", event)
+    assert got == _outcome(_array_pass, p, z)
+
+
 def _lambda_oracle(alpha, beta, z):
     return lambda_series_mp(alpha, beta, z) if z <= 2.0 else lambda_contour_mp(alpha, beta, z)
 

@@ -73,7 +73,9 @@ COMMANDS = (("verify", "all"),
             ("eval", "heat", "--alpha", "0.5", "--beta", "1"),
             ("eval", "heat", "--alpha", "1", "--beta", "0"),
             ("eval", "K", "--alpha", "0.75", "--beta", "0.5"),
-            ("eval", "W", "--alpha", "0.5", "--beta", "1", "--n", "12", "--q", "2"))
+            ("eval", "W", "--alpha", "0.5", "--beta", "1", "--n", "12", "--q", "2"),
+            ("eval", "lambda", "--alpha", "0.75", "--beta", "0.5"),
+            ("eval", "lambda", "--alpha", "0.5", "--beta", "1"))
 
 
 def run_cli(checkout: Path, args: tuple) -> tuple:
