@@ -214,6 +214,9 @@ def _residue_sum(params: GLParams, z):
 #: index a pass may not reach; step halvings of the contour
 _NEWTON_STEPS, _PASS, _LAST_NODE, _HALVINGS = 100, 128, 1 << 20, 6
 
+#: the array driver's first pass, in parts of 64 and 16 nodes
+_PARTS = np.split(np.arange(float(_PASS)), (64, 80, 96, 112))
+
 _NO_SADDLE = "kernel saddle search did not converge"
 _NO_DECAY = "kernel contour failed to decay below tolerance"
 _NO_SETTLE = "kernel contour sums did not settle under step halving"
@@ -305,18 +308,21 @@ def _peak(params: GLParams, a0, lz, sigma):
     return l0, tol, l0 + np.log(sigma + 1.0 / (1.0 - al)) >= -760.0
 
 
-def _pass(params: GLParams, a0, lz, l0, h, j):
-    """One trapezoid pass at the nodes j (index 0 halved): the sums of Re v,
-    of Re v at the even nodes (the rule at step 2h) and of |Re v|, each
-    added in node order, for v = f(a0 + i h j) / e^l0, and whether the
-    pass's last |v| is below 1e-17."""
+def _pass(params: GLParams, a0, lz, l0, h, j, run=None):
+    """One trapezoid pass at the nodes j (index 0 halved, j[0] even): the
+    sums of Re v, of Re v at the even nodes (the rule at step 2h) and of
+    |Re v|, each added in node order, for v = f(a0 + i h j) / e^l0, and
+    whether the pass's last |v| is below 1e-17.  With run, the running
+    sums (S, S2, A) of earlier nodes, each sum continues from them."""
     al, bb = params.alpha, params.bar_beta_alpha
     s = a0 + 1j * (h * j)
     v = np.exp(-s * lz + loggamma(s) + gammaln(al * params.beta + 1.0)
                - loggamma(al * s + bb) - l0)
     v[..., 0] *= 0.5 if j[0] == 0 else 1.0
-    return (v.real.cumsum(axis=-1)[..., -1], v.real[..., ::2].cumsum(axis=-1)[..., -1],
-            abs(v.real).cumsum(axis=-1)[..., -1], abs(v[..., -1]) < 1e-17)
+    sums = v.real, v.real[..., ::2], abs(v.real)
+    if run is not None:
+        sums = [np.concatenate([r[:, None], x], axis=-1) for r, x in zip(run, sums)]
+    return (*(x.cumsum(axis=-1)[..., -1] for x in sums), abs(v[..., -1]) < 1e-17)
 
 
 def _settled(S, S2, A, tol):
@@ -347,7 +353,11 @@ def _contour_values(params: GLParams, z):
     log f, of h sum|f| (``_settled``).  0.0 where l0 puts lambda below the
     double range (``_peak``).  At a float the passes run on numpy scalars
     and give a float, on an array over the index arrays of the points not
-    yet settled or decayed; each point gets the same bits either way.
+    yet settled or decayed.  The array driver takes its first pass in the
+    parts ``_PARTS``, each continuing the sums, and a point leaves at the
+    first part whose last |v| is below 1e-17: the nodes it skips are below
+    1e-17 and the sums they would join at least about 0.25, so below their
+    half-ulp, and each point gets the same bits either way.
     """
     lz = np.log(z)
     a0, curv = _saddle(params, lz)
@@ -373,7 +383,16 @@ def _contour_values(params: GLParams, z):
     h = sigma[todo] / 6.0
     for _ in range(_HALVINGS):
         S, S2, A = np.zeros(todo.size), np.zeros(todo.size), np.zeros(todo.size)
-        live, j = np.arange(todo.size), np.arange(float(_PASS))
+        live = np.arange(todo.size)
+        for j in _PARTS:
+            if not live.size:
+                break
+            i = todo[live, None]
+            S[live], S2[live], A[live], decayed = _pass(params, a0[i], lz[i], l0[i],
+                                                        h[live, None], j,
+                                                        (S[live], S2[live], A[live]))
+            live = live[~decayed]
+        j = np.arange(float(_PASS), 2.0 * _PASS)
         while live.size:
             if j[0] >= _LAST_NODE:
                 raise ContourError(_NO_DECAY)
@@ -478,7 +497,9 @@ def _lambda_grid(params: GLParams):
     lo, hi = edges[:-1, None], edges[1:, None]
     nodes = (0.5 * (hi - lo) * xl + 0.5 * (hi + lo)).ravel()
     wts = (0.5 * (hi - lo) * wl).ravel()
-    skip = (nodes > 2.0) & (bound(0.85 * nodes) - np.log(nodes) < math.log(1e-30))
+    far = np.flatnonzero(nodes > 2.0)
+    skip = np.zeros(nodes.shape, dtype=bool)
+    skip[far] = bound(0.85 * nodes[far]) - np.log(nodes[far]) < math.log(1e-30)
     lam = np.zeros_like(nodes)
     lam[~skip] = lambda_values(params, nodes[~skip])
     for a in (nodes, wts, lam):         # one grid is shared by every caller

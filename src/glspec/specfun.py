@@ -172,8 +172,9 @@ def _horner_float(coeffs, y) -> tuple:
     the same bits.  A 2-D coeffs is a block of m rows, zero past each row's
     degree, row i summed at y[i] (an array of m points), column by column,
     the rows and their absolute values as one vector of 2m: a leading zero
-    leaves p = mag = 0, so each row gets the bits of its own pass.  Floats
-    overflow to inf quietly; arrays under errstate."""
+    leaves p = mag = 0, so each row gets the bits of its own pass.  Over an
+    ndarray y the steps run in place on fresh arrays.  Floats overflow to
+    inf quietly; arrays under errstate."""
     if coeffs.ndim == 2:
         m = coeffs.shape[0]
         acc, ys = np.zeros(2 * m), np.concatenate([y, np.abs(y)])
@@ -181,8 +182,16 @@ def _horner_float(coeffs, y) -> tuple:
             acc *= ys
             acc += c
         return acc[:m], acc[m:]
-    p = mag = 0.0
     ay = abs(y)
+    if isinstance(y, np.ndarray):
+        p, mag = np.zeros(y.shape), np.zeros(y.shape)
+        for c in coeffs[::-1].tolist():
+            p *= y
+            p += c
+            mag *= ay
+            mag += abs(c)
+        return p, mag
+    p = mag = 0.0
     for c in coeffs[::-1].tolist():
         p = p * y + c
         mag = mag * ay + abs(c)

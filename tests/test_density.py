@@ -248,9 +248,9 @@ def test_one_point_contour_at_its_edges(alpha, beta, z, event, monkeypatch):
         seen.update(["a0 = inf"] if np.any(np.isinf(a0)) else [])
         return a0, curv
 
-    def spy_pass(params, a0, lz, l0, h, j):
+    def spy_pass(params, a0, lz, l0, h, j, *run):
         seen.update(["past j = 128"] if j[0] >= 128 else [])
-        return one_pass(params, a0, lz, l0, h, j)
+        return one_pass(params, a0, lz, l0, h, j, *run)
 
     def spy_settled(*args):
         good = settled(*args)
@@ -263,6 +263,45 @@ def test_one_point_contour_at_its_edges(alpha, beta, z, event, monkeypatch):
     got = _outcome(d._contour_values, p, z)
     assert event in seen or got == ("ContourError", event)
     assert got == _outcome(_array_pass, p, z)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.4, 1.3), (0.5, 1.0), (0.75, 0.5), (0.9, 0.5)])
+def test_lambda_grid_is_lambda_value_bit_for_bit(alpha, beta, monkeypatch):
+    # the grid's contour points, taken in parts in 64-point chunks, against
+    # the one-point driver's whole passes; the nodes the Chernoff bound
+    # skips are 0.0
+    p, asked = make_params(alpha, beta), []
+    values = d.lambda_values
+
+    def spy_values(params, z):
+        asked.extend(z.tolist())
+        return values(params, z)
+
+    monkeypatch.setattr(d, "lambda_values", spy_values)
+    nodes, _, lam, _ = d._lambda_grid.__wrapped__(p)
+    assert not d._residue_sum(p, np.array(asked))[1].all()
+    asked = set(asked)
+    for z, v in zip(nodes.tolist(), lam.tolist()):
+        assert v.hex() == (d.lambda_value(p, z) if z in asked else 0.0).hex(), z
+
+
+def test_lambda_grid_contour_work(monkeypatch):
+    # nodes the trapezoid passes evaluate while building the grid at
+    # (0.4, 1.3): its 107 contour points, in 2 chunks, stop in the first
+    # pass's parts of 64 and 16 nodes, against 13,696 nodes in whole passes
+    work, one_pass = [0, 0, 0], d._pass
+
+    def spy_pass(params, a0, lz, l0, h, j, *run):
+        out = one_pass(params, a0, lz, l0, h, j, *run)
+        work[0] += out[0].size * j.size
+        work[1] += 1
+        work[2] += out[0].size if j[0] == 0 else 0
+        return out
+
+    monkeypatch.setattr(d, "_pass", spy_pass)
+    d._lambda_grid.__wrapped__(make_params(0.4, 1.3))
+    assert work == [8560, 5, 107]
+    assert work[0] < d._PASS * work[2]
 
 
 def _lambda_oracle(alpha, beta, z):

@@ -456,6 +456,25 @@ def test_kernel_basis_values_are_the_scalar_calls(case):
             assert wb.value(n).hex() == ce.w_eval(p, n, x, q).hex(), ("W", n)
 
 
+def test_horner_float_array_is_its_scalar_calls_bit_for_bit():
+    # random rows, rows that overflow to +-inf, and nan, +-0 and inf points;
+    # the caller's arrays are left as they were
+    rng = np.random.default_rng(7)
+    ys = np.concatenate([rng.uniform(-3.0, 3.0, 40),
+                         [math.nan, 0.0, -0.0, math.inf, 1e10, -1e10]])
+    rows = [rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5, n) for n in (1, 7, 40, 256)]
+    rows += [np.full(40, 1e300), np.resize([1e300, -1e300], 41)]
+    for c in rows:
+        c_before, y_before = c.copy(), ys.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = sf._horner_float(c, ys)
+        want = [sf._horner_float(c, y) for y in ys.tolist()]
+        for g, w in zip(got, zip(*want)):
+            assert [v.hex() for v in g.tolist()] == [v.hex() for v in w]
+        assert c.tobytes() == c_before.tobytes() and ys.tobytes() == y_before.tobytes()
+    assert math.isinf(sf._horner_float(rows[-2], 1e10)[0])
+
+
 def test_array_log_form_is_bitwise_the_scalar_one(p_half):
     # the log form of a sum the float64 tier keeps is math.log's at a point
     # and over an array, also at doubles where numpy's vectorised log

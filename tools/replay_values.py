@@ -75,7 +75,10 @@ COMMANDS = (("verify", "all"),
             ("eval", "K", "--alpha", "0.75", "--beta", "0.5"),
             ("eval", "W", "--alpha", "0.5", "--beta", "1", "--n", "12", "--q", "2"),
             ("eval", "lambda", "--alpha", "0.75", "--beta", "0.5"),
-            ("eval", "lambda", "--alpha", "0.5", "--beta", "1"))
+            ("eval", "lambda", "--alpha", "0.5", "--beta", "1"),
+            ("verify", "intertwine", "--format", "json", "--alpha", "0.4", "--beta", "1.3"),
+            ("verify", "intertwine", "--format", "json", "--alpha", "0.85", "--beta", "2"),
+            ("verify", "intertwine", "--format", "json", "--alpha", "0.9", "--beta", "0.5"))
 
 
 def run_cli(checkout: Path, args: tuple) -> tuple:
