@@ -173,8 +173,8 @@ def _horner_float(coeffs, y) -> tuple:
     degree, row i summed at y[i] (an array of m points), column by column,
     the rows and their absolute values as one vector of 2m: a leading zero
     leaves p = mag = 0, so each row gets the bits of its own pass.  Over an
-    ndarray y the steps run in place on fresh arrays.  Floats overflow to
-    inf quietly; arrays under errstate."""
+    ndarray y the first step makes fresh arrays and the rest run in place.
+    Floats overflow to inf quietly; arrays under errstate."""
     if coeffs.ndim == 2:
         m = coeffs.shape[0]
         acc, ys = np.zeros(2 * m), np.concatenate([y, np.abs(y)])
@@ -182,19 +182,13 @@ def _horner_float(coeffs, y) -> tuple:
             acc *= ys
             acc += c
         return acc[:m], acc[m:]
-    ay = abs(y)
-    if isinstance(y, np.ndarray):
-        p, mag = np.zeros(y.shape), np.zeros(y.shape)
-        for c in coeffs[::-1].tolist():
-            p *= y
-            p += c
-            mag *= ay
-            mag += abs(c)
-        return p, mag
     p = mag = 0.0
+    ay = abs(y)
     for c in coeffs[::-1].tolist():
-        p = p * y + c
-        mag = mag * ay + abs(c)
+        p *= y
+        p += c
+        mag *= ay
+        mag += abs(c)
     return p, mag
 
 
