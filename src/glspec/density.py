@@ -9,33 +9,29 @@ normalised to unit mass, so that its Mellin moments are
 Gamma(alpha*s + alpha*beta + 1) / Gamma(alpha*beta + 1) and the multiplier
 factorisation M_lambda(s) * M_e(s) = Gamma(s + 1) holds exactly.
 
-The kernel density lambda (Mellin transform M_lambda) has one route at every
-precision, in float64: its residue power series, summed by the package's one
-float64 Horner pass (``specfun._horner_float``), and a saddle-point
-Mellin-Barnes contour where that sum cancels or is not converged within its
-terms.  The contour has two drivers, one per input type: ``lambda_values``
-(and ``_lambda_grid`` through it) runs ``_saddle`` and ``_contour_values`` on
-arrays of points, ``lambda_value`` on one float z, with numpy scalars and no
-index arrays.  They share every formula (``_slope``, ``_curvature``,
-``_newton``, ``_peak``, ``_pass``, ``_settled``, ``_from_sums``) and the
-ContourError conditions, so a point gets the same bits from either.
+The kernel density lambda (Mellin transform M_lambda), the Wright function
+Gamma(ab + 1) phi(-alpha, bb; -z), bb = ab + 1 - alpha, has one route at
+every precision, in float64: its residue series cut to the terms that can
+matter, by the one float64 Horner pass (``specfun._horner_float``), else
+one trapezoid pass of its Hankel integral (``_plan``, ``_hankel``).  A
+float z and an array take the same steps, so to the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import (digamma, gammaln, gammasgn, loggamma, roots_jacobi,
-                           roots_legendre, zeta)
+from scipy.special import gammaln, gammasgn, roots_jacobi, roots_legendre
 
 from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
                    eval_on, real_pow)
-from .specfun import _horner_float, log_gamma, rgamma_c
+from .specfun import _horner_float, _horner_ragged, log_gamma, rgamma_c
 
 __all__ = [
     "Weight", "weight_e_ab", "weight_e_bar", "weight_classical", "weight_eval",
@@ -179,251 +175,150 @@ _RESIDUE_TERMS = 256
 #: logs (1e-13 at worst).  1e4 keeps about 11 digits; 1e6 would allow 1e-9
 _SERIES_COND = 1.0e4
 
+#: a sum runs to K(z), the last k with |c_k| z^k >= e^-_CUT = 1e-22 of the
+#: largest term; a tail term past e^_TAIL |s| stops it; K is tabled on a grid
+_CUT, _TAIL, _CUT_GRID = 22.0 * math.log(10.0), -17.0 * math.log(10.0), np.arange(-32, 33) / 4.0
+
 
 @lru_cache(maxsize=32)
 def _residue_row(params: GLParams):
-    """c_k = Gamma(ab + 1) (-1)^k / (Gamma(bb - a k) k!), k <
-    _RESIDUE_TERMS, in float64, read-only, and (k, log|c_k|) of the last
-    three.  bb is rounded from its exact value (ab + 1 - a cancels near beta
-    = 1 - 1/alpha, c_0 ~ bb); c_k = 0 at the poles of Gamma(bb - a k)."""
-    k, a = np.arange(float(_RESIDUE_TERMS)), Fraction(params.alpha)
+    """(c, tail, cells): c_k = Gamma(ab + 1) (-1)^k / (Gamma(bb - a k) k!),
+    k < _RESIDUE_TERMS, read-only (bb rounded from its exact value, as ab +
+    1 - a cancels near beta = 1 - 1/alpha; 0 at the poles of Gamma), (k,
+    log|c_k|) of the last three, and (K_i, a_i, b_i) per cell (g_{i-1},
+    g_i] of log z, g = _CUT_GRID, and one past it.  K(z) is nondecreasing
+    (a term past the peak within 1e-22 of it stays so until the peak passes
+    it), so K_i = K(e^g_i) bounds it; the largest term's log is convex and
+    increasing in log z, so under the cell's chord (before the grid under
+    its first value, past it on slope n - 1), and a_i + b_i log z, that
+    bound plus log 2 (K_i + 1) 1e-17, lies above 1e-17 mag >= 1e-17 |s|."""
+    n, a = _RESIDUE_TERMS, Fraction(params.alpha)
+    k = np.arange(float(n))
     w = float(a * Fraction(params.beta) + 1 - a) - params.alpha * k
     lc = gammaln(params.alpha * params.beta + 1.0) - gammaln(w) - gammaln(k + 1.0)
     c = np.where(k % 2 == 1, -1.0, 1.0) * np.nan_to_num(gammasgn(w)) * np.exp(lc)
     c.flags.writeable = False
-    return c, tuple(zip(range(_RESIDUE_TERMS - 3, _RESIDUE_TERMS), lc[-3:].tolist()))
+    terms = lc + _CUT_GRID[:, None] * k
+    peak = terms.max(axis=1)
+    cut = np.append(n - 1 - np.argmax((terms >= peak[:, None] - _CUT)[:, ::-1], axis=1), n - 1)
+    line_b = np.concatenate([[0.0], np.diff(peak) * 4.0, [n - 1.0]])
+    at = np.append(0, np.arange(peak.size))          # each line's grid point
+    line_a = peak[at] - line_b * _CUT_GRID[at] + np.log(2.0 * (cut + 1.0)) + _TAIL
+    return (c, tuple(zip(range(n - 3, n), lc[-3:].tolist())),
+            tuple(zip(cut.tolist(), line_a.tolist(), line_b.tolist())))
 
 
 def _residue_sum(params: GLParams, z):
     """lambda at a float z > 0, or at each point of an ndarray, by its
-    residue series, and whether each sum s stands: mag <= _SERIES_COND |s| <
-    inf, and the row's last three terms |c_k| z^k are at most 1e-17 |s| (the
-    terms' envelope Gamma(alpha k + 1 - bb) z^k / k! is log-concave in k, so
-    past three terms that small it only falls)."""
-    c, tail = _residue_row(params)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s, mag = _horner_float(c, z)
-        ok = (mag <= _SERIES_COND * np.abs(s)) & (mag < math.inf)
-        edge, lz = np.log(np.abs(s)) - 17.0 * math.log(10.0), np.log(z)
-        for k, lck in tail:
-            ok &= lck + k * lz <= edge
+    residue series cut at K(z), and whether each sum s stands: mag <=
+    _SERIES_COND |s| < inf, and the row's last three terms |c_k| z^k at most
+    1e-17 |s| (their envelope Gamma(alpha k + 1 - bb) z^k / k! is log-concave
+    in k).  A z with a tail term over its cell's line cannot stand and is
+    not summed (s = nan).  An array takes ``specfun._horner_ragged``, each
+    point's own bits.  Terms past K are below 1e-18 of a standing |s|, and a
+    standing cut sum has the whole row's bits: checked, not proved."""
+    c, tail, cells = _residue_row(params)
+    if not isinstance(z, np.ndarray):
+        lz = math.log(z)
+        cut, la, lb = cells[bisect_left(_CUT_GRID, lz)]
+        if max(lck + k * lz for k, lck in tail) > la + lb * lz:
+            return math.nan, False
+        s, mag = _horner_float(c[:cut + 1], z)
+        edge = (math.log(abs(s)) if s else -math.inf) + _TAIL
+        return s, (mag <= _SERIES_COND * abs(s) and mag < math.inf
+                   and all(lck + k * lz <= edge for k, lck in tail))
+    lz = np.array([math.log(x) for x in z.tolist()])
+    cut, la, lb = np.array(cells)[np.searchsorted(_CUT_GRID, lz)].T
+    top = np.max([lck + k * lz for k, lck in tail], axis=0)
+    todo = np.flatnonzero(top <= la + lb * lz)
+    s, ok = np.full(z.shape, math.nan), np.zeros(z.shape, dtype=bool)
+    if todo.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s[todo], mag = _horner_ragged(c, z[todo], cut[todo].astype(int))
+        edge = np.array([math.log(abs(x)) if x else -math.inf for x in s[todo].tolist()])
+        ok[todo] = ((mag <= _SERIES_COND * np.abs(s[todo])) & (mag < math.inf)
+                    & np.all([lck + k * lz[todo] <= edge + _TAIL for k, lck in tail], axis=0))
     return s, ok
 
 
-#: Newton steps of the saddle search; nodes per trapezoid pass and the node
-#: index a pass may not reach; step halvings of the contour
-_NEWTON_STEPS, _PASS, _LAST_NODE, _HALVINGS = 100, 128, 1 << 20, 6
-
-#: the array driver's first pass, in parts of 64 and 16 nodes
-_PARTS = np.split(np.arange(float(_PASS)), (64, 80, 96, 112))
-
-_NO_SADDLE = "kernel saddle search did not converge"
-_NO_DECAY = "kernel contour failed to decay below tolerance"
-_NO_SETTLE = "kernel contour sums did not settle under step halving"
+#: Hankel step in units of the integrand's width, node budget, settle test
+_H0, _MAX_NODES, _SETTLE = 1.0 / 12.0, 4096, 1e-13
 
 
-def _slope(params: GLParams, a, lz):
-    """d/da log(z^-a Gamma(a) / Gamma(alpha a + bb)): -log z + psi(a) -
-    alpha psi(alpha a + bb), increasing in a."""
+def _plan(params: GLParams, z: float):
+    """(sigma, c, h, n, l0) of ``_hankel`` at a float z > 0, or None where
+    lambda lies below the double range.  sigma >= 1 is the saddle of exp(tau
+    - z tau^alpha) tau^(1/2 - bb), the integrand with the Jacobian: T =
+    (alpha z)^(1/(1 - alpha)) at bb <= 1/2, else one Newton step from T +
+    (bb - 1/2) / (1 - alpha), which stays right of it (the equation is
+    convex).  h = _H0 min(1, (2 / a)^(1/2)), Re log v ~ -a u^2 near 0.  As sigma
+    >= T, |v(u)| <= exp(-kappa sigma (1 - alpha) u^2) (1 + u^2)^max(0, 1/2 -
+    bb), kappa = min(2, 1 / (1 - alpha)) (checked over alpha, not proved),
+    below 1e-17 past the n nodes; ContourError past _MAX_NODES."""
     al, bb = params.alpha, params.bar_beta_alpha
-    return -lz + digamma(a) - al * digamma(al * a + bb)
+    lt = (math.log(al) + math.log(z)) / (1.0 - al)
+    if lt > 700.0:                  # lambda < exp(-(1/alpha - 1) e^700)
+        return None
+    b = bb - 0.5
+    s = math.exp(lt) + max(b, 0.0) / (1.0 - al)
+    if b > 0.0:
+        w = al * z * s ** al
+        s -= (s - w - b) / (1.0 - al * w / s)
+    sigma = max(s, 1.0)
+    c = z * sigma ** al
+    rate = sigma * (1.0 - al)
+    h = _H0 * min(1.0, math.sqrt(2.0 / max(sigma + c * al * (1.0 - 2.0 * al) + b, rate)))
+    rate *= min(2.0, 1.0 / (1.0 - al))
+    u2 = 0.0
+    for _ in range(3):              # e^-39.2 < 1e-17
+        u2 = (39.2 + max(-b, 0.0) * math.log1p(u2)) / rate
+    n = math.ceil(math.sqrt(u2) / h) + 1
+    l0 = (math.lgamma(al * params.beta + 1.0) + math.log(2.0 * h / math.pi)
+          + (1.0 - bb) * math.log(sigma) + sigma - c)
+    if l0 + math.log(n) < -760.0:
+        return None
+    if n > _MAX_NODES:
+        raise ContourError("kernel contour failed to decay below tolerance")
+    return sigma, c, h, n, l0
 
 
-def _curvature(params: GLParams, a):
-    """The slope's derivative in a, psi'(a) - alpha^2 psi'(alpha a + bb).
-    psi'(x) = zeta(2, x), the same bits as scipy's polygamma(1, x) without
-    its per-call dispatch."""
+def _hankel(params: GLParams, plans) -> list:
+    """Kernel density at the points of plans (``_plan``) by the Wright
+    function's Hankel integral (Gorenflo, Luchko & Mainardi, FCAA 2, 1999),
+
+        lambda(z) = Gamma(ab + 1) (1/2 pi i) int_Ha exp(tau - z tau^alpha) tau^-bb dtau,
+
+    on tau = sigma (1 + i u)^2 (Weideman & Trefethen, Math. Comp. 76, 2007):
+    lambda = e^l0 (1/2 + sum_j Re v(j h)), v the integrand over its value
+    at u = 0, e^l0 = Gamma(ab + 1) (2 h / pi) sigma^(1 - bb) e^(sigma - c),
+    c = z sigma^alpha; (1 + i u)^(2 alpha) - 1 by expm1 of the log's parts.
+    One numpy pass over one row per point, zero past the row's n nodes,
+    each sum in node order: a row has the same bits alone or in any block.
+    ContourError where the even nodes' rule (step 2h) is off by more than
+    1e-13 sum |Re v|."""
     al, bb = params.alpha, params.bar_beta_alpha
-    return zeta(2.0, a) - al * al * zeta(2.0, al * a + bb)
-
-
-def _saddle_start(params: GLParams, lz):
-    """log a of the large- or small-a asymptote's root, in [-30, 700]."""
-    al = params.alpha
-    u = np.maximum((lz + al * math.log(al)) / (1.0 - al), -np.log1p(np.maximum(-lz, 0.0)))
-    return u.clip(-30.0, 700.0)
-
-
-def _pick(c, x, y):
-    """np.where(c, x, y), by a plain branch at a scalar c: a choice, not
-    arithmetic, so either form gives the same bits."""
-    return np.where(c, x, y) if isinstance(c, np.ndarray) else (x if c else y)
-
-
-def _newton(params: GLParams, u, lz, lo, hi):
-    """One Newton step in log a from u, at most 2 long, inside the bracket
-    [lo, hi] that the slope's sign at u narrows (its midpoint where the step
-    leaves it): (u', lo', hi', whether u' moved more than 1e-12 relative)."""
-    a = np.exp(u)
-    g = _slope(params, a, lz)
-    lo, hi = _pick(g < 0.0, u, lo), _pick(g > 0.0, u, hi)
-    un = u - (g / (a * _curvature(params, a))).clip(-2.0, 2.0)
-    un = _pick((un >= lo) & (un <= hi), un, 0.5 * (lo + hi))
-    return un, lo, hi, abs(un - u) > 1e-12 * np.maximum(1.0, abs(u))
-
-
-def _saddle(params: GLParams, lz):
-    """Real minimum a0 of z^-a Gamma(a) / Gamma(alpha a + bb) at log z, a
-    float or each point of an ndarray lz, and the curvature of its log
-    there.  The slope increases in a, so a0 is its root: ``_newton`` steps
-    from ``_saddle_start``, bisecting in [e^-30, e^700].  a0 = inf where the
-    slope is still negative at e^700 (lambda < exp(-(1 - alpha) e^700)).
-    At a float the loop runs on numpy scalars, on an array over the index
-    array of the points still moving."""
-    if not isinstance(lz, np.ndarray):
-        if _slope(params, np.exp(700.0), lz) < 0.0:
-            return math.inf, _curvature(params, 1.0)
-        u, lo, hi, moved = _saddle_start(params, lz), -30.0, 700.0, True
-        for _ in range(_NEWTON_STEPS):
-            if not moved:
-                return np.exp(u), _curvature(params, np.exp(u))
-            u, lo, hi, moved = _newton(params, u, lz, lo, hi)
-        raise ContourError(_NO_SADDLE)
-    lo, hi = np.full(lz.shape, -30.0), np.full(lz.shape, 700.0)
-    beyond = _slope(params, np.exp(hi), lz) < 0.0
-    u = _saddle_start(params, lz)
-    live = np.flatnonzero(~beyond)
-    for _ in range(_NEWTON_STEPS):
-        if not live.size:
-            a0 = np.where(beyond, np.inf, np.exp(u))
-            return a0, _curvature(params, np.where(beyond, 1.0, a0))
-        u[live], lo[live], hi[live], moved = _newton(params, u[live], lz[live], lo[live],
-                                                     hi[live])
-        live = live[moved]
-    raise ContourError(_NO_SADDLE)
-
-
-def _peak(params: GLParams, a0, lz, sigma):
-    """l0 = log f(a0), the integrand's log at the saddle (-inf at a0 = inf);
-    the settle tolerance, 1e-13 or the rounding of l0's parts; and whether
-    lambda can lie within the double range there."""
-    al, bb = params.alpha, params.bar_beta_alpha
-    beyond = np.isinf(a0)
-    a = _pick(beyond, 1.0, a0)
-    p0, p1 = -a * lz, loggamma(a + 0j).real
-    p2, p3 = gammaln(al * params.beta + 1.0), -loggamma(al * a + bb + 0j).real
-    l0 = _pick(beyond, -np.inf, p0 + p1 + p2 + p3)
-    mag = abs(p0) + abs(p1) + abs(p2) + abs(p3)
-    tol = np.maximum(1e-13, np.finfo(float).eps * mag)
-    return l0, tol, l0 + np.log(sigma + 1.0 / (1.0 - al)) >= -760.0
-
-
-def _pass(params: GLParams, a0, lz, l0, h, j, run=None):
-    """One trapezoid pass at the nodes j (index 0 halved, j[0] even): the
-    sums of Re v, of Re v at the even nodes (the rule at step 2h) and of
-    |Re v|, each added in node order, for v = f(a0 + i h j) / e^l0, and
-    whether the pass's last |v| is below 1e-17.  With run, the running
-    sums (S, S2, A) of earlier nodes, each sum continues from them."""
-    al, bb = params.alpha, params.bar_beta_alpha
-    s = a0 + 1j * (h * j)
-    v = np.exp(-s * lz + loggamma(s) + gammaln(al * params.beta + 1.0)
-               - loggamma(al * s + bb) - l0)
-    v[..., 0] *= 0.5 if j[0] == 0 else 1.0
-    sums = v.real, v.real[..., ::2], abs(v.real)
-    if run is not None:
-        sums = [np.concatenate([r[:, None], x], axis=-1) for r, x in zip(run, sums)]
-    return (*(x.cumsum(axis=-1)[..., -1] for x in sums), abs(v[..., -1]) < 1e-17)
-
-
-def _settled(S, S2, A, tol):
-    """Whether the pass sums at step h agree with the rule at 2h."""
-    return abs(S - 2.0 * S2) <= tol * A
-
-
-def _from_sums(S, h, l0):
-    """lambda = (h / pi) S e^l0 from the settled sum S, by its log."""
-    v = S * h / math.pi
-    with np.errstate(divide="ignore"):
-        return np.copysign(np.exp(np.log(np.abs(v)) + l0), v)
-
-
-def _contour_values(params: GLParams, z):
-    """Kernel density at a float z > 0, or at every point of an ndarray, by
-    Mellin-Barnes inversion,
-
-        lambda(z) = (1/pi) int_0^inf Re f(t) dt,
-        f(t) = z^-s Gamma(s) Gamma(ab + 1) / Gamma(alpha s + bb),  s = a0 + i t,
-
-    on the line through the saddle a0 (``_saddle``), where f / e^l0 peaks at
-    1, close to a Gaussian of width sigma = curvature^(-1/2): float64
-    suffices where the series cancels.  Trapezoid rule at h = sigma/6
-    (Trefethen & Weideman, SIAM Rev. 56, 2014), in passes of 128 points
-    (``_pass``) until the last is below 1e-17; h is halved while the rule on
-    the even points (step 2h) differs by more than 1e-13, or the rounding of
-    log f, of h sum|f| (``_settled``).  0.0 where l0 puts lambda below the
-    double range (``_peak``).  At a float the passes run on numpy scalars
-    and give a float, on an array over the index arrays of the points not
-    yet settled or decayed.  The array driver takes its first pass in the
-    parts ``_PARTS``, each continuing the sums, and a point leaves at the
-    first part whose last |v| is below 1e-17.  Each point gets the same bits
-    either way only while the nodes it skips are below the half-ulp of the
-    sums they would join.  Nothing here enforces that; it needs |v| to stay
-    below 1e-17 past the first node below it, and sums of at least about
-    0.25.  Both were checked, not proved: they held at every contour point
-    of the seed-1 verify list's 17 intertwine grids (no later node up to
-    4,095 back above 1e-17, the smallest S 7.52), and the tests compare the
-    parts with the one-point driver's whole passes
-    (``test_lambda_grid_is_lambda_value_bit_for_bit``, the hypothesis test
-    ``test_lambda_value_is_the_array_pass_bit_for_bit``); a change to the
-    contour must keep them.
-    """
-    lz = np.log(z)
-    a0, curv = _saddle(params, lz)
-    sigma = 1.0 / np.sqrt(curv)
-    l0, tol, reach = _peak(params, a0, lz, sigma)
-    if not isinstance(z, np.ndarray):
-        if not reach:
-            return 0.0
-        h = sigma / 6.0
-        for _ in range(_HALVINGS):
-            S = S2 = A = 0.0
-            j, decayed = np.arange(float(_PASS)), False
-            while not decayed:
-                if j[0] >= _LAST_NODE:
-                    raise ContourError(_NO_DECAY)
-                dS, dS2, dA, decayed = _pass(params, a0, lz, l0, h, j)
-                S, S2, A, j = S + dS, S2 + dS2, A + dA, j + _PASS
-            if _settled(S, S2, A, tol):
-                return float(_from_sums(S, h, l0))
-            h = h / 2.0
-        raise ContourError(_NO_SETTLE)
-    out, todo = np.zeros(z.size), np.flatnonzero(reach)
-    h = sigma[todo] / 6.0
-    for _ in range(_HALVINGS):
-        S, S2, A = np.zeros(todo.size), np.zeros(todo.size), np.zeros(todo.size)
-        live = np.arange(todo.size)
-        for j in _PARTS:
-            if not live.size:
-                break
-            i = todo[live, None]
-            S[live], S2[live], A[live], decayed = _pass(params, a0[i], lz[i], l0[i],
-                                                        h[live, None], j,
-                                                        (S[live], S2[live], A[live]))
-            live = live[~decayed]
-        j = np.arange(float(_PASS), 2.0 * _PASS)
-        while live.size:
-            if j[0] >= _LAST_NODE:
-                raise ContourError(_NO_DECAY)
-            i = todo[live, None]
-            dS, dS2, dA, decayed = _pass(params, a0[i], lz[i], l0[i], h[live, None], j)
-            S[live] += dS
-            S2[live] += dS2
-            A[live] += dA
-            live, j = live[~decayed], j + _PASS
-        good = _settled(S, S2, A, tol[todo])
-        out[todo[good]] = _from_sums(S[good], h[good], l0[todo[good]])
-        todo, h = todo[~good], h[~good] / 2.0
-        if not todo.size:
-            return out
-    raise ContourError(_NO_SETTLE)
+    sigma, c, h, n, _ = np.array(plans).T[:, :, None]
+    j = np.arange(float(max(p[3] for p in plans)))
+    u = h * j
+    u2 = u * u
+    ell = 0.5 * np.log1p(u2) + 1j * np.arctan(u)
+    e = (1.0 - 2.0 * bb) * ell + sigma * (2j * u - u2) - c * np.expm1((2.0 * al) * ell)
+    v = np.exp(e).real
+    if len(plans) > 1:
+        v[j >= n] = 0.0
+    v[:, 0] = 0.5
+    S, S2, A = (np.add.accumulate(x, axis=1)[:, -1].tolist() for x in (v, v[:, ::2], abs(v)))
+    if not all(abs(s - 2.0 * s2) <= _SETTLE * a for s, s2, a in zip(S, S2, A)):
+        raise ContourError("kernel contour sums did not settle at step h against 2h")
+    return [math.copysign(math.exp(math.log(abs(s)) + p[4]), s) if s else 0.0
+            for s, p in zip(S, plans)]
 
 
 def lambda_values(params: GLParams, z) -> np.ndarray:
     """Kernel density at every point of the array z >= 0, in float64 at
-    every precision of params: Gamma(ab + 1) / Gamma(bb) at 0, else the
-    residue sum where ``_residue_sum`` lets it stand, else the saddle-point
-    contour.  Round-off below 0 is 0.0.  Each value depends on its own z
-    only."""
+    every precision: Gamma(ab + 1) / Gamma(bb) at 0, else the residue sum
+    where it stands, else the Hankel pass in blocks of 64 points; round-off
+    below 0 is 0.0.  Each value depends on its own z only."""
     zs = np.asarray(z, dtype=float)
     if params.alpha >= 1.0:
         raise DomainError("alpha = 1: kernel is a point mass, no density")
@@ -434,21 +329,25 @@ def lambda_values(params: GLParams, z) -> np.ndarray:
     pos = np.flatnonzero(flat > 0.0)
     out[pos], ok = _residue_sum(params, flat[pos])
     rest = pos[~ok]
-    for c in (rest[i:i + 64] for i in range(0, rest.size, 64)):   # bounds the contour's arrays
-        out[c] = _contour_values(params, flat[c])
+    out[rest] = 0.0
+    live = [(i, p) for i, p in zip(rest.tolist(), (_plan(params, x) for x in flat[rest].tolist()))
+            if p is not None]
+    for part in (live[i:i + 64] for i in range(0, len(live), 64)):
+        idx, plans = zip(*part)
+        out[list(idx)] = _hankel(params, plans)
     return np.where(out <= 0.0, 0.0, out).reshape(zs.shape)
 
 
 def lambda_value(params: GLParams, z: float) -> float:
     """Kernel density at one z >= 0, the bits of ``lambda_values`` at z: the
-    residue series summed in Python floats, else the contour's one-point
-    driver (``_contour_values`` at a float), with no array set-up."""
+    cut residue sum in Python floats, else the Hankel pass on one row."""
     z = float(z)
     if not (z > 0.0 and params.alpha < 1.0):
         return float(lambda_values(params, z))
     s, ok = _residue_sum(params, z)
     if not ok:
-        s = _contour_values(params, z)
+        plan = _plan(params, z)
+        s = _hankel(params, [plan])[0] if plan is not None else 0.0
     return s if s > 0.0 else 0.0
 
 

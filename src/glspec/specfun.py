@@ -192,6 +192,25 @@ def _horner_float(coeffs, y) -> tuple:
     return p, mag
 
 
+def _horner_ragged(coeffs, y, cut) -> tuple:
+    """``_horner_float`` of each point of the ndarray y over its own row
+    cut, coeffs[:cut[i] + 1] (cut an int array), with the bits of that
+    pass: the points run sorted by cut, and each joins at its first term
+    from p = mag = 0, the sums and magnitudes side by side.  Under
+    errstate, as ``_horner_float`` over an array."""
+    order = np.argsort(-cut, kind="stable")
+    ys, acc = y[order], np.zeros((y.size, 2))
+    ys = np.stack([ys, np.abs(ys)], axis=1)
+    cs = np.stack([coeffs, np.abs(coeffs)], axis=1)
+    joined = np.searchsorted(-cut[order], -np.arange(cut.max() + 1), side="right").tolist()
+    for k in range(len(joined) - 1, -1, -1):
+        part = acc[:joined[k]]
+        part *= ys[:joined[k]]
+        part += cs[k]
+    acc[order] = acc.copy()
+    return acc[:, 0], acc[:, 1]
+
+
 def _dd_mul(ah, al, bh, bl) -> tuple:
     """(ah + al)(bh + bl) as a double-double (hi, lo), elementwise: the
     product of the leading parts exactly by Dekker's TwoProduct (Numer.

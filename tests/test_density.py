@@ -113,6 +113,13 @@ def test_lambda_nonnegative_grid(p_half):
     assert min(vals) >= 0.0
 
 
+def _hankel_pass(p, z):
+    """The Hankel pass alone at z, on a block of one row (0.0 where its
+    plan puts lambda below the double range)."""
+    plan = d._plan(p, z)
+    return d._hankel(p, [plan])[0] if plan else 0.0
+
+
 def test_lambda_series_vs_contour(p_half, p_three_quarter, p_half_ext,
                                   p_three_quarter_ext):
     # the contour alone against the mpmath residue series; lambda is float64
@@ -121,30 +128,46 @@ def test_lambda_series_vs_contour(p_half, p_three_quarter, p_half_ext,
     for p, p_ext in ((p_half, p_half_ext), (p_three_quarter, p_three_quarter_ext)):
         for z in (2.5, 4.0, 6.0):
             s = lambda_series_mp(p.alpha, p.beta, z)
-            m = float(d._contour_values(p, np.array([z]))[0])
+            m = _hankel_pass(p, z)
             assert m == pytest.approx(s, rel=2e-9), (p.alpha, z)
         assert d.lambda_values(p_ext, zs).tolist() == d.lambda_values(p, zs).tolist()
 
 
 def test_lambda_below_double_range_is_zero():
-    # at (0.9, 0) the log-integrand at the saddle is -2,289 for z = 3; at
-    # z = 6 the saddle lies near a = 2.4e7, and the contour must pass there
-    from scipy.special import digamma
+    # at (0.9, 0) the integrand's log at the saddle T = (0.9 z)^10 is T (1 -
+    # 1/0.9), -2,288 for z = 3 and -2.3e6 for z = 6: the plan sees it and
+    # runs no pass
     p = make_params(0.9, 0.0)
     for z in (3.0, 6.0):
         assert d.lambda_value(p, z) == 0.0
-        a0, _ = d._saddle(p, np.array([math.log(z)]))
-        slope = (-math.log(z) + digamma(a0[0])
-                 - 0.9 * digamma(0.9 * a0[0] + p.bar_beta_alpha))
-        assert abs(slope) <= 1e-10 * (1.0 + abs(math.log(z)))
+        assert not d._residue_sum(p, z)[1] and d._plan(p, z) is None
 
 
-def test_saddle_curvature_zeta_is_polygamma_bitwise():
-    # _saddle takes psi'(x) as zeta(2, x); scipy's polygamma(1, x) is
-    # (-1)^2 1! zeta(2, x), so every bit must agree, or lambda would move
-    from scipy.special import polygamma, zeta
-    x = np.concatenate([np.linspace(0.01, 500.0, 10001), np.geomspace(1e-6, 1e300, 601)])
-    assert np.array_equal(zeta(2.0, x), polygamma(1, x))
+SADDLE_PAIRS = [(0.1, 1.0), (0.5, 1.0), (0.5, 40.0), (0.75, -1.0 / 3.0), (0.9, 0.5),
+                (0.95, 10.0), (0.99, 0.0), (0.99, 100.0), (0.999, 1.0)]
+
+
+@pytest.mark.parametrize("alpha, beta", SADDLE_PAIRS)
+def test_hankel_plan_places_its_nodes(alpha, beta):
+    # sigma lies on or right of the saddle of tau - z tau^alpha - (bb - 1/2)
+    # log tau and is at least T and 1; past the plan's n nodes |v(u)| stays
+    # below 1e-17 (its bound is checked here, not proved), and the settle
+    # test holds at the plan's h
+    p = make_params(alpha, beta)
+    bb = p.bar_beta_alpha
+    for z in np.geomspace(0.05, 40.0, 23).tolist():
+        plan = d._plan(p, z)
+        if plan is None:
+            continue
+        sigma, c, h, n, _ = plan
+        T = (alpha * z) ** (1.0 / (1.0 - alpha))
+        assert sigma >= max(T, 1.0) * (1.0 - 1e-14), z
+        assert sigma == 1.0 or sigma - alpha * c - (bb - 0.5) >= -1e-9 * sigma, z
+        u = h * np.arange(n - 1.0, 4.0 * n)
+        ell = 0.5 * np.log1p(u * u) + 1j * np.arctan(u)
+        e = (1.0 - 2.0 * bb) * ell + sigma * (2j * u - u * u) - c * np.expm1(2.0 * alpha * ell)
+        assert np.exp(e.real).max() < 1e-17, z
+        d._hankel(p, [plan])
 
 
 def test_lambda_sine_form_nondegenerate():
@@ -180,11 +203,28 @@ def test_lambda_values_vs_oracles(alpha, beta):
 
 
 def test_lambda_near_alpha_one_vs_oracle():
-    # at (0.95, 1) the residue series cancels at every z
+    # at (0.95, 1) the residue sums stand at these z (the contour takes over
+    # past z = 1.1)
     p = make_params(0.95, 1.0)
     zs = np.array([0.05, 0.5, 1.0])
     for z, v in zip(zs.tolist(), d.lambda_values(p, zs).tolist()):
         assert v == pytest.approx(lambda_series_mp(0.95, 1.0, z), rel=1e-12, abs=0.0), z
+
+
+#: z of the near-one test past z = 1, near the spike at 1/alpha, where the
+#: Hankel pass takes over (the oracle's cost grows fast past these)
+NEAR_ONE_SPIKE = {0.9: (1.5, 2.0), 0.95: (1.2,), 0.97: (1.1, 1.2), 0.99: (1.05,)}
+
+
+@pytest.mark.parametrize("alpha", sorted(NEAR_ONE_SPIKE))
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_lambda_near_alpha_one_both_routes_vs_oracle(alpha, beta):
+    # residue sums below z = 1 and Hankel passes near the spike, against
+    # the mpmath residue series
+    p = make_params(alpha, beta)
+    zs = np.array([0.05, 0.5, 1.0, *NEAR_ONE_SPIKE[alpha]])
+    for z, v in zip(zs.tolist(), d.lambda_values(p, zs).tolist()):
+        assert v == pytest.approx(lambda_series_mp(alpha, beta, z), rel=1e-12, abs=0.0), z
 
 
 def test_lambda_values_equal_scalar_calls(p_half, p_three_quarter):
@@ -196,8 +236,7 @@ def test_lambda_values_equal_scalar_calls(p_half, p_three_quarter):
         assert got.tolist() == [d.lambda_value(p, float(z)) for z in zs]
         assert d.lambda_values(p, zs[::-1].reshape(-1, 1)).ravel().tolist() \
             == got[::-1].tolist()
-        nine = np.array([9.0])
-        assert d._contour_values(p, nine)[0] == d.lambda_values(p, nine)[0]
+        assert _hankel_pass(p, 9.0) == d.lambda_values(p, [9.0])[0]
 
 
 def _outcome(f, *args):
@@ -208,8 +247,14 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
-def _array_pass(p, z):
-    return d._contour_values(p, np.array([z]))[0]
+def _in_a_block(p, z):
+    """The Hankel pass at z as one row of a block whose other rows run
+    more and fewer nodes, or the outcome of its plan."""
+    plan = d._plan(p, z)
+    if plan is None:
+        return 0.0
+    rows = [d._plan(p, x) for x in (0.5 * z, 2.0 * z, 1.07)]
+    return d._hankel(p, [r for r in rows if r is not None] + [plan])[-1]
 
 
 @st.composite
@@ -224,45 +269,61 @@ def _kernel_points(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_kernel_points())
 def test_lambda_value_is_the_array_pass_bit_for_bit(point):
-    # the one-point contour against the array pass, errors included
+    # lambda_value against lambda_values, errors included, and the Hankel
+    # pass on one row against the same row in a block of rows that run
+    # more and fewer nodes
     alpha, beta, z = point
     p = make_params(alpha, beta)
     assert _outcome(d.lambda_value, p, z) \
         == _outcome(lambda p, z: d.lambda_values(p, np.array([z]))[0], p, z)
     if not d._residue_sum(p, z)[1]:
-        assert _outcome(d._contour_values, p, z) == _outcome(_array_pass, p, z)
+        assert _outcome(_hankel_pass, p, z) == _outcome(_in_a_block, p, z)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_kernel_points())
+def test_cut_residue_sums_are_the_whole_rows(point):
+    # every standing sum cut at K(z) has the bits of the whole row's sum,
+    # and a z the cut table sends on unsummed fails the whole row's tests
+    from glspec.specfun import _horner_float
+    alpha, beta, z = point
+    p = make_params(alpha, beta)
+    c, tail, _ = d._residue_row(p)
+    whole, mag = _horner_float(c, z)
+    stands = (mag <= d._SERIES_COND * abs(whole) and mag < math.inf and whole != 0.0
+              and all(lck + k * math.log(z) <= math.log(abs(whole)) + d._TAIL
+                      for k, lck in tail))
+    s, ok = d._residue_sum(p, z)
+    assert ok == stands and (not ok or s.hex() == whole.hex())
+    sa, oka = d._residue_sum(p, np.array([z]))
+    assert bool(oka[0]) == ok and (not ok or sa[0].hex() == s.hex())
 
 
 @pytest.mark.parametrize("alpha, beta, z, event", [
-    (0.999, 0.0, 3.0, "a0 = inf"), (0.995, 1.0, 40.0, "a0 = inf"),
-    (0.98, 0.0, 1.0704, "past j = 128"), (0.98, 0.0, 1.0704, "halved"),
-    (0.999, 0.0, 0.9, "kernel contour failed to decay below tolerance")])
-def test_one_point_contour_at_its_edges(alpha, beta, z, event, monkeypatch):
-    # each case reaches its branch of the one-point driver, which gives the
-    # array pass's bits or raises its ContourError message
-    p, seen = make_params(alpha, beta), set()
-    saddle, one_pass, settled = d._saddle, d._pass, d._settled
-
-    def spy_saddle(params, lz):
-        a0, curv = saddle(params, lz)
-        seen.update(["a0 = inf"] if np.any(np.isinf(a0)) else [])
-        return a0, curv
-
-    def spy_pass(params, a0, lz, l0, h, j, *run):
-        seen.update(["past j = 128"] if j[0] >= 128 else [])
-        return one_pass(params, a0, lz, l0, h, j, *run)
-
-    def spy_settled(*args):
-        good = settled(*args)
-        seen.update([] if np.all(good) else ["halved"])
-        return good
-
-    monkeypatch.setattr(d, "_saddle", spy_saddle)
-    monkeypatch.setattr(d, "_pass", spy_pass)
-    monkeypatch.setattr(d, "_settled", spy_settled)
-    got = _outcome(d._contour_values, p, z)
-    assert event in seen or got == ("ContourError", event)
-    assert got == _outcome(_array_pass, p, z)
+    (0.999, 0.0, 3.0, "below range"), (0.995, 1.0, 40.0, "below range"),
+    (0.99, 0.0, 1.0, "past node 128"), (0.98, 0.0, 1.0704, "coarse step"),
+    (0.9999, 0.0, 0.9, "budget")])
+def test_hankel_pass_at_its_edges(alpha, beta, z, event, monkeypatch):
+    # each case reaches its branch of the plan or the pass: no pass below
+    # the double range, a long pass near the spike of alpha -> 1 (against
+    # the oracle), a step too coarse to settle, and a node count past the
+    # budget, whose ContourError comes before any pass; the one-row pass
+    # and the block give the same outcome
+    p = make_params(alpha, beta)
+    if event == "coarse step":
+        monkeypatch.setattr(d, "_H0", 1.0)
+    got = _outcome(d.lambda_value, p, z)
+    assert got == _outcome(_in_a_block, p, z)
+    if event == "below range":
+        assert d._plan(p, z) is None and got == 0.0.hex()
+    elif event == "past node 128":
+        assert d._plan(p, z)[3] > 128
+        assert d.lambda_value(p, z) == pytest.approx(lambda_series_mp(alpha, beta, z),
+                                                     rel=1e-11)
+    elif event == "coarse step":
+        assert got[0] == "ContourError" and "settle" in got[1]
+    else:
+        assert got == ("ContourError", "kernel contour failed to decay below tolerance")
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.4, 1.3), (0.5, 1.0), (0.75, 0.5), (0.9, 0.5)])
@@ -286,22 +347,22 @@ def test_lambda_grid_is_lambda_value_bit_for_bit(alpha, beta, monkeypatch):
 
 
 def test_lambda_grid_contour_work(monkeypatch):
-    # nodes the trapezoid passes evaluate while building the grid at
-    # (0.4, 1.3): its 107 contour points, in 2 chunks, stop in the first
-    # pass's parts of 64 and 16 nodes, against 13,696 nodes in whole passes
-    work, one_pass = [0, 0, 0], d._pass
+    # nodes the Hankel pass evaluates while building the grid at (0.4,
+    # 1.3): its 107 contour points in 2 blocks, each as wide as its longest
+    # row, 6,612 nodes (the Mellin-Barnes contour took 8,560 in parts)
+    work, hankel = [0, 0, 0], d._hankel
 
-    def spy_pass(params, a0, lz, l0, h, j, *run):
-        out = one_pass(params, a0, lz, l0, h, j, *run)
-        work[0] += out[0].size * j.size
+    def spy_hankel(params, plans):
+        width = max(plan[3] for plan in plans)
+        work[0] += len(plans) * width
         work[1] += 1
-        work[2] += out[0].size if j[0] == 0 else 0
-        return out
+        work[2] += len(plans)
+        return hankel(params, plans)
 
-    monkeypatch.setattr(d, "_pass", spy_pass)
+    monkeypatch.setattr(d, "_hankel", spy_hankel)
     d._lambda_grid.__wrapped__(make_params(0.4, 1.3))
-    assert work == [8560, 5, 107]
-    assert work[0] < d._PASS * work[2]
+    assert work == [6612, 2, 107]
+    assert work[0] < 64 * work[2]
 
 
 def _lambda_oracle(alpha, beta, z):

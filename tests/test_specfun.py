@@ -475,6 +475,26 @@ def test_horner_float_array_is_its_scalar_calls_bit_for_bit():
     assert math.isinf(sf._horner_float(rows[-2], 1e10)[0])
 
 
+def test_horner_float_ragged_pass_is_each_points_own_cut_row():
+    # each point of the ragged pass gets the bits of its own row cut at its
+    # cut, in any order of the cuts and with overflowing rows; the caller's
+    # arrays are left as they were
+    rng = np.random.default_rng(11)
+    ys = np.concatenate([rng.uniform(-3.0, 3.0, 40), [0.0, -0.0, 1e10, -1e10]])
+    cut = rng.integers(0, 256, ys.size)
+    cut[:3] = 0, 255, 255
+    rows = [rng.standard_normal(256) * 10.0 ** rng.uniform(-5, 5, 256), np.full(256, 1e300)]
+    for c in rows:
+        c_before, y_before, cut_before = c.copy(), ys.copy(), cut.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = sf._horner_ragged(c, ys, cut)
+        want = [sf._horner_float(c[:k + 1], y) for k, y in zip(cut.tolist(), ys.tolist())]
+        for g, w in zip(got, zip(*want)):
+            assert [v.hex() for v in g.tolist()] == [v.hex() for v in w]
+        assert c.tobytes() == c_before.tobytes() and ys.tobytes() == y_before.tobytes()
+        assert cut.tobytes() == cut_before.tobytes()
+
+
 def test_array_log_form_is_bitwise_the_scalar_one(p_half):
     # the log form of a sum the float64 tier keeps is math.log's at a point
     # and over an array, also at doubles where numpy's vectorised log

@@ -14,10 +14,12 @@ values: the points of a `points` op, the one value of a `kernel` or
 and seed one line gives the number of values compared, the number that
 differ in any bit (NaN matches NaN; an exception matches the same
 exception), the worst relative difference |change - base| / |base| and
-the worst difference in units in the last place of the base value.
-Then each command of COMMANDS runs as `glspec ...` on both sides, and one
-line says whether its exit code and output bytes are the same.  The tool
-exits 1 if any value or command differs or a child fails.
+the worst difference in units in the last place of the base value; an
+indented line per op kind (P, R, W, lambda, heat, ..., intertwine) gives
+that kind's values compared, values differing and worst relative
+difference.  Then each command of COMMANDS runs as `glspec ...` on both
+sides, and one line says whether its exit code and output bytes are the
+same.  The tool exits 1 if any value or command differs or a child fails.
 """
 
 from __future__ import annotations
@@ -46,15 +48,17 @@ pp, out = work.Params(), []
 for op in make_ops(workload, seed, seconds):
     try:
         value = work.run_op(op, pp)
-        out.append([float(v) for v in value] if isinstance(value, list) else [float(value)])
+        value = [float(v) for v in value] if isinstance(value, list) else [float(value)]
     except Exception as exc:
-        out.append([type(exc).__name__])
+        value = [type(exc).__name__]
+    out.append([op[0], value])
 print(json.dumps(out))
 """
 
 
 def replay(checkout: Path, workload: str, seed: int, seconds: float) -> list:
-    """Per op of the list, its values (or exception name) in checkout."""
+    """Per op of the list, its kind and its values (or exception name) in
+    checkout."""
     env = dict(os.environ, PYTHONHASHSEED="0", OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
@@ -134,14 +138,23 @@ def main() -> int:
             for seed in args.seeds:
                 base = replay(Path(tmp), workload, seed, seconds)
                 change = replay(ROOT, workload, seed, seconds)
-                pairs = [(c, b) for cs, bs in zip(change, base) for c, b in zip(cs, bs)]
-                bad = [(rel_diff(c, b), ulp_diff(c, b)) for c, b in pairs if not same(c, b)]
-                bad += [(math.inf, math.inf)] * sum(len(cs) != len(bs)
-                                                    for cs, bs in zip(change, base))
+                kinds = {}
+                for (kind, cs), (_, bs) in zip(change, base):
+                    pairs, bad = kinds.setdefault(kind, ([], []))
+                    pairs += zip(cs, bs)
+                    bad += [(rel_diff(c, b), ulp_diff(c, b)) for c, b in zip(cs, bs)
+                            if not same(c, b)]
+                    bad += [(math.inf, math.inf)] * (len(cs) != len(bs))
+                count = sum(len(pairs) for pairs, _ in kinds.values())
+                bad = [d for _, kind_bad in kinds.values() for d in kind_bad]
                 differ += len(bad)
                 rel, ulps = [max(d) for d in zip(*bad)] or [0.0, 0.0]
-                print(f"{workload} seed {seed}: {len(pairs)} values, {len(bad)} differ, "
+                print(f"{workload} seed {seed}: {count} values, {len(bad)} differ, "
                       f"worst relative difference {rel:.3g}, worst {ulps:.3g} ulps", flush=True)
+                for kind, (pairs, kind_bad) in sorted(kinds.items()):
+                    worst = max((d[0] for d in kind_bad), default=0.0)
+                    print(f"  {kind}: {len(pairs)} values, {len(kind_bad)} differ, "
+                          f"worst relative difference {worst:.3g}", flush=True)
         for args in COMMANDS:
             (code_b, out_b), (code_c, out_c) = run_cli(Path(tmp), args), run_cli(ROOT, args)
             verdict = "same" if (code_b, out_b) == (code_c, out_c) else "differing"
