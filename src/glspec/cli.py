@@ -148,8 +148,7 @@ def cmd_eval(subject, alpha, beta, precision, quad_order, tol, fmt, out,
             _emit(rows, ["z", "lambda"], fmt, out)
         elif subject == "e_ab":
             xs = _parse_grid(xgrid)
-            w = dens.weight_e_ab(params)
-            rows = [(float(x), dens.weight_eval(w, float(x))) for x in xs]
+            rows = [(float(x), dens.weight_eval(params, float(x))) for x in xs]
             _emit(rows, ["x", "e_ab"], fmt, out)
         elif subject == "heat":
             xs = _parse_grid(xgrid)
@@ -157,15 +156,13 @@ def cmd_eval(subject, alpha, beta, precision, quad_order, tol, fmt, out,
             x0 = float(xs[0])
             rows = [(x0, float(y), sg.heat_kernel(params, tval, x0, float(y)))
                     for y in ys]
-            mass, _ = sg.heat_kernel_mass(params, tval, x0,
-                                          qd.build_rule(dens.weight_e_ab(params),
-                                                        quad_order))
+            mass, _ = sg.heat_kernel_mass(params, tval, x0, qd.build_rule(params, quad_order))
             click.echo(f"# row mass at x={_fmt(x0)}: {_fmt(mass)}", err=True)
             _emit(rows, ["x", "y", "P_t"], fmt, out)
         elif subject == "expand":
             xs = _parse_grid(xgrid)
             f = _parse_fn(params, fexpr)
-            rule = qd.build_rule(dens.weight_e_ab(params), quad_order)
+            rule = qd.build_rule(params, quad_order)
             exp = sg.expand(params, f, tval, rule, tol=tol)
             rows = [(float(x), sg.evaluate_expansion(exp, float(x))) for x in xs]
             _emit(rows, ["x", f"P_t[{fexpr}]"], fmt, out)
@@ -263,11 +260,10 @@ def cmd_verify(suite, alpha, beta, precision, fmt, out, n_cap, seed_check):
     if suite in ("representations", "all"):
         with check("representation agreement", 5e-7) as put:
             nmax = 3 if seed_check else 8
-            w = dens.weight_e_ab(params)
             worst = 0.0
             for n in (1, nmax // 2, nmax):
                 for x in (0.5, 1.0) if seed_check else (0.1, 0.5, 1.0, 2.0, 5.0):
-                    bell = ce.r_eval_bell(params, n, x) * dens.weight_eval(w, x)
+                    bell = ce.r_eval_bell(params, n, x) * dens.weight_eval(params, x)
                     wt = ce.w_eval(params, n, x)
                     me = ce.w_eval_mellin(params, n, x) if params.alpha < 1 else wt
                     r = max(abs(bell - wt), abs(bell - me)) / max(abs(bell), 1e-300)

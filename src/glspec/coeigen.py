@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional
 
 import mpmath as mp
 import numpy as np
@@ -30,12 +28,12 @@ from scipy.special import loggamma as sp_cloggamma
 
 from .core import (LOG_DOUBLE_MAX, MAX_ESCALATED_DPS, ContourError, DomainError,
                    GLParams, RealFn, coeff_faces, coeff_table, mp_ctx, real_pow)
-from .density import log_weight_eval, weight_e_ab
+from .density import log_weight_eval
 from .eigen import laguerre_eval
 from .specfun import _Basis, _dd_ratio, _escalating_horner, _log_form
 
 __all__ = ["r_coeffs", "r_eval_bell", "r_fn", "w_eval_mellin",
-           "w_eval", "w_crude_bound_check", "ContourSpec"]
+           "w_eval", "w_crude_bound_check"]
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +223,7 @@ class _WBasis:
         if not 0.0 < x < math.inf:
             raise DomainError(f"co-eigenfunctions are evaluated on 0 < x < inf, got {x}")
         self.params, self.x = params, x
-        self.log_x, self.log_e = q * math.log(x), log_weight_eval(weight_e_ab(params), x)
+        self.log_x, self.log_e = q * math.log(x), log_weight_eval(params, x)
         self.basis = None
         if not (params.is_classical and q == 0):
             a = params.alpha
@@ -246,47 +244,29 @@ class _WBasis:
 # Mellin-Barnes path
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Vertical-contour parameters for the Mellin inversion of W_n."""
-
-    a: float                  # abscissa, > max(0, 1 - beta - 1/alpha)
-    h: float                  # trapezoid step
-    height: float             # truncation height B
-
-
-def default_contour(params: GLParams, n: int = 0) -> ContourSpec:
-    a0 = max(1.0, 1.5 - params.beta - 1.0 / params.alpha)
-    h = 0.05 / params.alpha
-    # height solves a pi B / 2 - n log B = 18 log 10 + 6 (polynomial factor
-    # from the gamma ratio slows the exponential decay)
-    B = 2.0 * 18.0 * math.log(10.0) / (params.alpha * math.pi)
-    for _ in range(4):
-        B = 2.0 * (18.0 * math.log(10.0) + 6.0 + n * math.log(max(B, 3.0))) \
-            / (params.alpha * math.pi)
-    return ContourSpec(a0, h, B)
-
-
-def w_eval_mellin(params: GLParams, n: int, x: float,
-                  contour: Optional[ContourSpec] = None) -> float:
+def w_eval_mellin(params: GLParams, n: int, x: float) -> float:
     """W_n(x) by trapezoid quadrature of the Mellin-Barnes inversion
 
         W_n(x) = (-1)^n/(2 pi n! G(ab+1)) Int x^{-s} prod_{j=1}^n (s-j)
-                 * Gamma(alpha s - alpha + alpha beta + 1) dt,  s = a + i t.
+                 * Gamma(alpha s - alpha + alpha beta + 1) dt,  s = c + i t,
 
-    The gamma ratio G(s)/G(s-n) is the degree-n polynomial prod (s-j), so the
-    integrand has no poles on the contour.  Raises ContourError when the
+    on the abscissa c = max(1, 3/2 - beta - 1/alpha), right of the strip
+    edge max(0, 1 - beta - 1/alpha), at step h = 0.05/alpha up to the
+    height B of alpha pi B / 2 - n log B = 18 log 10 + 6 (the polynomial
+    factor slows the gamma's exponential decay).  The gamma ratio
+    G(s)/G(s-n) is the degree-n polynomial prod (s-j), so the integrand has
+    no poles on the contour.  DomainError for x <= 0; ContourError when the
     integrand fails its decay estimate at the truncation height.
     """
     if x <= 0.0:
         raise DomainError("W_n is evaluated on x > 0")
     a, b = params.alpha, params.beta
-    if contour is None:
-        contour = default_contour(params, n)
-    if contour.a <= max(0.0, 1.0 - b - 1.0 / a):
-        raise DomainError("contour abscissa left of the analyticity strip")
-    t = np.arange(0.0, contour.height, contour.h)
-    s = contour.a + 1j * t
+    h = 0.05 / a
+    B = 2.0 * 18.0 * math.log(10.0) / (a * math.pi)
+    for _ in range(4):
+        B = 2.0 * (18.0 * math.log(10.0) + 6.0 + n * math.log(max(B, 3.0))) / (a * math.pi)
+    t = np.arange(0.0, B, h)
+    s = max(1.0, 1.5 - b - 1.0 / a) + 1j * t
     lv = -s * math.log(x) + sp_cloggamma(a * s - a + a * b + 1.0)
     with np.errstate(divide="ignore"):
         for j in range(1, n + 1):
@@ -294,10 +274,9 @@ def w_eval_mellin(params: GLParams, n: int, x: float,
     vals = np.exp(lv)
     peak = float(np.max(np.abs(vals)))
     if abs(vals[-1]) > 1e-12 * peak:
-        raise ContourError("Mellin contour integrand not decayed at height B; "
-                           "increase height or adjust the abscissa")
+        raise ContourError("Mellin contour integrand not decayed at height B")
     vals[0] *= 0.5
-    integral = 2.0 * float(np.sum(vals.real)) * contour.h
+    integral = 2.0 * float(np.sum(vals.real)) * h
     pref = (-1.0) ** n / (2.0 * math.pi) * math.exp(-gammaln(n + 1.0)
                                                     - gammaln(a * b + 1.0))
     return pref * integral
@@ -323,7 +302,7 @@ def w_eval(params: GLParams, n: int, x: float, q: int = 0) -> float:
     if isinstance(x, np.ndarray) and x.ndim >= 1:
         raise DomainError("w_eval takes one point x, not an array")
     return _w_value(*_w_horner(params, operator.index(n), q, x, log=True), q * math.log(x),
-                    log_weight_eval(weight_e_ab(params), x))
+                    log_weight_eval(params, x))
 
 
 def _w_value(sign: float, lr: float, log_x: float, log_e: float) -> float:

@@ -1,13 +1,14 @@
-"""Invariant density, auxiliary weights, the multiplicative kernel density,
-Mellin multipliers, and the Markov operator with its adjoint.
+"""The invariant density, the multiplicative kernel density, Mellin
+multipliers, and the Markov operator with its adjoint.
 
-The invariant density is
+The invariant density, the weight of L2(e) and of every quadrature rule, is
 
     e(x) = x**(beta + 1/alpha - 1) * exp(-x**(1/alpha)) / (alpha * Gamma(alpha*beta + 1))
 
 normalised to unit mass, so that its Mellin moments are
 Gamma(alpha*s + alpha*beta + 1) / Gamma(alpha*beta + 1) and the multiplier
-factorisation M_lambda(s) * M_e(s) = Gamma(s + 1) holds exactly.
+factorisation M_lambda(s) * M_e(s) = Gamma(s + 1) holds exactly.  At
+alpha = 1 it is the classical Laguerre weight x**beta exp(-x) / Gamma(beta + 1).
 
 The kernel density lambda (Mellin transform M_lambda), the Wright function
 Gamma(ab + 1) phi(-alpha, bb; -z), bb = ab + 1 - alpha, has one route at
@@ -21,10 +22,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, gammasgn, roots_jacobi, roots_legendre
@@ -34,83 +33,30 @@ from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
 from .specfun import _horner_float, _horner_ragged, log_gamma, rgamma_c
 
 __all__ = [
-    "Weight", "weight_e_ab", "weight_e_bar", "weight_classical", "weight_eval",
-    "log_weight_eval", "lambda_values",
+    "weight_eval", "log_weight_eval", "lambda_values",
     "moment", "moment_s", "mellin_e", "mellin_lambda", "lambda_value",
     "markov_lambda_apply", "markov_lambda_adjoint_apply",
 ]
 
 
 # --------------------------------------------------------------------------
-# Weights
+# The invariant density
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Weight:
-    """One of the three weights used for integration on (0, inf)."""
-
-    kind: str                      # "e_ab" | "e_bar" | "e_classical"
-    params: GLParams
-    gamma_: float = 0.0            # e_bar only: 0 < gamma_ < alpha
-    eta_bar: float = 1.0           # e_bar only
-    cl_beta: float = 0.0           # e_classical only
-
-    def __post_init__(self):
-        if self.kind not in ("e_ab", "e_bar", "e_classical"):
-            raise DomainError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "e_bar":
-            if not (0.0 < self.gamma_ < self.params.alpha):
-                raise DomainError("e_bar requires 0 < gamma < alpha")
-            if self.eta_bar <= 0.0:
-                raise DomainError("e_bar requires eta_bar > 0")
-        if self.kind == "e_classical" and self.cl_beta < 0.0:
-            raise DomainError("classical weight requires beta >= 0")
-
-    @property
-    def normalizer(self) -> float:
-        if self.kind == "e_ab":
-            a, b = self.params.alpha, self.params.beta
-            return a * math.exp(gammaln(a * b + 1.0))
-        if self.kind == "e_classical":
-            return math.exp(gammaln(self.cl_beta + 1.0))
-        return 1.0  # e_bar carries no normalisation
-
-
-def weight_e_ab(params: GLParams) -> Weight:
-    return Weight("e_ab", params)
-
-
-def weight_e_bar(params: GLParams, gamma_: float, eta_bar: float = 1.0) -> Weight:
-    return Weight("e_bar", params, gamma_=gamma_, eta_bar=eta_bar)
-
-
-def weight_classical(params: GLParams, beta: Optional[float] = None) -> Weight:
-    b = params.beta if beta is None else float(beta)
-    return Weight("e_classical", params, cl_beta=b)
-
-
-def log_weight_eval(w: Weight, x: float) -> float:
-    """Log of the pointwise weight value; finite where the value itself
-    under- or overflows.  DomainError for x <= 0."""
+def log_weight_eval(params: GLParams, x: float) -> float:
+    """Log of the invariant density e at x, finite where e(x) itself under-
+    or overflows.  DomainError for x <= 0."""
     if x <= 0.0:
         raise DomainError(f"weights live on (0, inf), got x = {x}")
-    p = w.params
-    if w.kind == "e_ab":
-        a, b = p.alpha, p.beta
-        return ((b + 1.0 / a - 1.0) * math.log(x) - real_pow(x, 1.0 / a)
-                - math.log(w.normalizer))
-    if w.kind == "e_classical":
-        b = w.cl_beta
-        return b * math.log(x) - x - gammaln(b + 1.0)
-    a = p.alpha
-    return ((p.beta + 1.0 / a - 1.0) * math.log(x)
-            + w.eta_bar * real_pow(x, 1.0 / w.gamma_))
+    a, b = params.alpha, params.beta
+    return ((b + 1.0 / a - 1.0) * math.log(x) - real_pow(x, 1.0 / a)
+            - math.log(a * math.exp(gammaln(a * b + 1.0))))
 
 
-def weight_eval(w: Weight, x: float) -> float:
-    """Pointwise weight value; DomainError for x <= 0.  Past the double
-    range it is 0.0 (e_ab, e_classical) or inf (the growing e_bar)."""
-    lw = log_weight_eval(w, x)
+def weight_eval(params: GLParams, x: float) -> float:
+    """Invariant density e at x; DomainError for x <= 0, 0.0 below the
+    double range and inf above it."""
+    lw = log_weight_eval(params, x)
     return math.inf if lw > LOG_DOUBLE_MAX else math.exp(lw)
 
 
@@ -454,7 +400,6 @@ def markov_lambda_adjoint_apply(params: GLParams, f, x: float) -> float:
         if params.beta == 0.0:
             return float(f(x))
         raise DomainError("adjoint at alpha = 1 implemented for beta = 0 only")
-    w_e = weight_e_ab(params)
     nodes, wts, lam, _ = _lambda_grid(params)
     acc = 0.0
     for wnode, wq, lv in zip(nodes, wts, lam):
@@ -462,7 +407,7 @@ def markov_lambda_adjoint_apply(params: GLParams, f, x: float) -> float:
         if lv == 0.0 or wn == 0.0:
             continue
         z = x / wn
-        ez = weight_eval(w_e, z)
+        ez = weight_eval(params, z)
         if ez == 0.0:
             continue
         acc += wq * f(z) * ez * lv / wn

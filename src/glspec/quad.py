@@ -4,9 +4,11 @@ biorthogonality matrices, and Bessel-inequality checks.
 Products of generalized polynomials (P_n, R_n, any f with a power
 expansion) use no rule: ``_moment_form`` sums them against their exact
 moments in Python integers, every input rounded once to a fixed point sized
-from the cancellation; the auxiliary norm of R_n, against a growing weight, is a float64
-double-exponential rule.  The rules of ``build_rule`` integrate general f.
-For rational alpha = p/q, v = x**(1/p) turns the weight into
+from the cancellation; the auxiliary norm of R_n, against a growing weight,
+is a float64 double-exponential rule of its own.  The Gauss rules of
+``build_rule`` integrate general f against the invariant density.  At
+alpha = 1 it is the classical Laguerre weight, with the generalized
+Gauss-Laguerre rule.  For rational alpha = p/q, v = x**(1/p) turns it into
 p v**(p b + q - 1) exp(-v**q), whose Gauss rule (Stieltjes recurrence,
 Golub-Welsch nodes, Christoffel weights) is checked against its exact
 moments of degree 0..2m-1; irrational alpha falls back to the
@@ -29,7 +31,6 @@ from scipy.special import gammaln, logsumexp, roots_legendre
 
 from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError, eval_on,
                    make_params)
-from .density import Weight, weight_e_ab
 from .eigen import _exact as _exact_p
 from .eigen import p_coeffs, p_eval
 from .coeigen import _dyadic, _exact, _w_coeffs, r_coeffs
@@ -43,18 +44,14 @@ _MAX_ORDER = 500
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Nodes/weights for integration of f against a weight on (0, inf).
+    """Order-m Gauss rule for integration of f against the invariant density
+    of params on (0, inf): ``nodes`` in x-space, ``weights`` summing to its
+    unit mass."""
 
-    ``nodes`` live in x-space; ``weights`` include the weight normalisation,
-    so sum(weights) equals the weight's total mass (1 for the invariant
-    density).  ``half`` is the order-m/2 rule used for error estimates.
-    """
-
-    weight: Weight
+    params: GLParams
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-    half: Optional["QuadRule"] = None
 
 
 def _rational_alpha(alpha: float):
@@ -161,25 +158,16 @@ def _check_v_moments(vn, wn, p, q, beta, m) -> float:
 
 
 @lru_cache(maxsize=32)
-def build_rule(w: Weight, m: int) -> QuadRule:
-    """Quadrature rule of order m for the given weight.
-
-    DomainError for m outside [1, 500] and for the growing auxiliary weight,
-    whose norms ``r_norm`` takes by its own double-exponential rule.
-    """
+def build_rule(params: GLParams, m: int) -> QuadRule:
+    """Gauss rule of order m for the invariant density of params, and only
+    that rule.  DomainError for m outside [1, 500]."""
     if not (1 <= m <= _MAX_ORDER):
         raise DomainError(f"order must lie in [1, {_MAX_ORDER}]")
-    if w.kind == "e_bar":
-        raise DomainError("no fixed rule for the growing weight; "
-                          "r_norm integrates against it by its own rule")
-    params = w.params
-    half = build_rule(w, m // 2) if m >= 2 else None
-    if w.kind == "e_classical" or params.alpha == 1.0:
-        b = w.cl_beta if w.kind == "e_classical" else params.beta
-        un, uw = _classical_laguerre_rule(b, m)
-        return QuadRule(w, un, uw / uw.sum(), m, half)
-    pq = _rational_alpha(params.alpha)
     a, b = params.alpha, params.beta
+    if a == 1.0:
+        un, uw = _classical_laguerre_rule(b, m)
+        return QuadRule(params, un, uw / uw.sum(), m)
+    pq = _rational_alpha(a)
     if pq is not None:
         p, q = pq
         for refine in (1, 2, 4):
@@ -188,10 +176,10 @@ def build_rule(w: Weight, m: int) -> QuadRule:
                 break
         else:
             raise QuadratureError("Stieltjes recurrence failed its moment check")
-        return QuadRule(w, np.power(vn, p), wn / mu0, m, half)
+        return QuadRule(params, np.power(vn, p), wn / mu0, m)
     # irrational alpha: u-substitution generalized Gauss-Laguerre
     un, uw = _classical_laguerre_rule(a * b, m)
-    return QuadRule(w, np.power(un, a), uw / uw.sum(), m, half)
+    return QuadRule(params, np.power(un, a), uw / uw.sum(), m)
 
 
 def integrate(rule: QuadRule, f) -> float:
@@ -205,21 +193,28 @@ def integrate(rule: QuadRule, f) -> float:
     return out
 
 
+def _product(f, g):
+    return lambda x: np.asarray(f(x)) * np.asarray(g(x))
+
+
 def inner_with_error(rule: QuadRule, f, g):
-    """Inner product <f, g> with an order-m vs order-m/2 error estimate."""
-    fg = lambda x: np.asarray(f(x)) * np.asarray(g(x))
+    """Inner product <f, g> and its error estimate |full - coarse|, coarse
+    by the order-m/2 rule of ``build_rule`` (inf at m = 1)."""
+    fg = _product(f, g)
     full = integrate(rule, fg)
-    if rule.half is None:
+    if rule.order < 2:
         return full, math.inf
-    coarse = integrate(rule.half, fg)
-    return full, abs(full - coarse)
+    return full, abs(full - integrate(build_rule(rule.params, rule.order // 2), fg))
 
 
 def inner(rule: QuadRule, f, g, rtol: Optional[float] = None) -> float:
-    """Inner product; QuadratureError when the two-order estimate disagrees
-    beyond rtol (relative, with an absolute floor)."""
+    """Inner product; with rtol, QuadratureError when the two-order estimate
+    of ``inner_with_error`` disagrees beyond it (relative, with an absolute
+    floor)."""
+    if rtol is None:
+        return integrate(rule, _product(f, g))
     val, err = inner_with_error(rule, f, g)
-    if rtol is not None and err > rtol * max(1.0, abs(val)):
+    if err > rtol * max(1.0, abs(val)):
         raise QuadratureError(
             f"quadrature estimate unstable: value {val:.6e}, "
             f"order-m vs m/2 discrepancy {err:.2e}")
@@ -388,7 +383,7 @@ def bessel_check(params: GLParams, f, N: int, rule: Optional[QuadRule] = None) -
     the norm; the report carries the monotone partial sums.
     """
     if rule is None:
-        rule = build_rule(weight_e_ab(params), max(120, 2 * N + 30))
+        rule = build_rule(params, max(120, 2 * N + 30))
     norm2 = inner(rule, f, f)
     seq = p_coeffs(params, N)
     coefs = []

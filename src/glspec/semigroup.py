@@ -42,8 +42,7 @@ from scipy.special import gammaln, hyp2f1, rgamma
 from .core import (DomainError, GLParams, RealFn, TruncationError, eval_on,
                    make_params, phi)
 from .coeigen import _WBasis, r_eval_bell, r_fn
-from .density import (markov_lambda_apply, mellin_lambda, weight_classical,
-                      weight_e_ab, weight_eval)
+from .density import markov_lambda_apply, mellin_lambda, weight_eval
 from .eigen import _PBasis, p_coeffs, p_eval, p_sup
 from .quad import QuadRule, build_rule, inner_exact
 from .specfun import _basis_values
@@ -198,22 +197,22 @@ def _coeff_against_r(params: GLParams, f, n: int, rule: QuadRule) -> float:
 
 
 def expand(params: GLParams, f, t: float, rule: Optional[QuadRule] = None,
-           tol: float = 1e-10, nmax: int = _NMAX_DEFAULT,
-           regime: str = "auto") -> SpectralExpansion:
+           tol: float = 1e-10, nmax: int = _NMAX_DEFAULT) -> SpectralExpansion:
     """Spectral coefficients of P_t f until the tail estimate drops below tol.
 
-    The tail estimate is |a_n| times the sup of |P_n| over the default
-    evaluation window; three consecutive sub-tolerance terms stop the scan.
-    Generalized polynomials stop exactly after their degree.  A warning is
-    recorded when t <= t_alpha outside the small-space regime.
+    A generalized polynomial (f with ``powers``) is in the small-space
+    regime; one of integer degree d stops exactly after it, and raises
+    TruncationError where d > nmax.  Otherwise the tail estimate is |a_n|
+    times the sup of |P_n| over the default evaluation window, and three
+    consecutive sub-tolerance terms from n = 6 on stop the scan.  A warning
+    is recorded when t <= t_alpha in the full-space regime.
     """
     if not t >= 0.0:
         raise DomainError("time must be >= 0")
-    if rule is None and getattr(f, "powers", None) is None:
-        rule = build_rule(weight_e_ab(params), 160)
     powers = getattr(f, "powers", None)
-    if regime == "auto":
-        regime = "small_space" if powers is not None else "full_space"
+    if rule is None and powers is None:
+        rule = build_rule(params, 160)
+    regime = "small_space" if powers is not None else "full_space"
     warns = []
     if regime == "full_space" and t <= params.t_alpha and not params.is_classical:
         warns.append(
@@ -227,17 +226,16 @@ def expand(params: GLParams, f, t: float, rule: Optional[QuadRule] = None,
     coeffs = []
     small = 0
     tail = math.inf
-    min_n = max_deg if max_deg is not None else 6
     for n in range(nmax + 1):
-        c = _coeff_against_r(params, f, n, rule)
-        a_n = math.exp(-n * t) * c
+        a_n = math.exp(-n * t) * _coeff_against_r(params, f, n, rule)
         coeffs.append(a_n)
-        if max_deg is not None and n >= max_deg:
-            # generalized polynomial: expansion is exactly finite
-            tail = 0.0
+        if max_deg is not None:
+            if n < max_deg:
+                continue
+            tail = 0.0              # generalized polynomial: exactly finite
             break
         tail = abs(a_n) * p_sup(params, max(n, 1))
-        if tail < tol and n >= min_n:
+        if tail < tol and n >= 6:
             small += 1
             if small >= 3:
                 break
@@ -342,7 +340,7 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
         raise DomainError("heat kernel needs t > 0")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if rule is None:
-        rule = build_rule(weight_e_ab(params), 120)
+        rule = build_rule(params, 120)
     keep = rule.weights >= 1e-20 * rule.weights.max()
     nodes = rule.nodes[keep]
     wts = rule.weights[keep]
@@ -367,7 +365,7 @@ def heat_kernel_mass(params: GLParams, t: float, x, rule: Optional[QuadRule] = N
     else:
         raise TruncationError(f"kernel mass cap {nmax} reached")
     masses = acc @ wts
-    dens = np.array([weight_eval(weight_e_ab(params), float(yy)) for yy in nodes])
+    dens = np.array([weight_eval(params, float(yy)) for yy in nodes])
     kmin = float((acc * dens).min())
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(masses[0]), kmin
@@ -388,8 +386,7 @@ def laguerre_semigroup(beta: float, t: float, f, x,
     """
     if not t >= 0.0:
         raise DomainError("time must be >= 0")
-    pref = make_params(1.0, max(beta, 0.0))
-    rule = build_rule(weight_classical(pref, beta), 180)
+    rule = build_rule(make_params(1.0, beta), 180)
     m = rule.nodes.size
     xa = np.asarray(x, dtype=float)
     fv = eval_on(f, rule.nodes)
@@ -427,16 +424,9 @@ def intertwine_check(params: GLParams, f, t: float, xs,
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     powers = getattr(f, "powers", None)
-    if powers is not None:
-        lam_f = RealFn(
-            lambda xx: sum(c * mellin_lambda(params, pw).real * xx ** pw
-                           for c, pw in powers),
-            description="Lam f",
-            powers=tuple((c * mellin_lambda(params, pw).real, pw)
-                         for c, pw in powers))
-    else:
-        lam_f = RealFn(lambda xx: markov_lambda_apply(params, f, xx),
-                       description="Lam f")
+    lam_f = RealFn(lambda xx: markov_lambda_apply(params, f, xx), description="Lam f",
+                   powers=None if powers is None else
+                   tuple((c * mellin_lambda(params, pw).real, pw) for c, pw in powers))
     exp_left = expand(params, lam_f, t, rule)
     left = np.array([evaluate_expansion(exp_left, float(xx)) for xx in xs])
     qt = RealFn(lambda yy: laguerre_semigroup(0.0, t, f, yy), description="Q_t f")

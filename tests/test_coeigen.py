@@ -76,19 +76,17 @@ def test_r1_closed_form(p_half):
 
 
 def test_bell_vs_wright_cross(p_half):
-    w = d.weight_e_ab(p_half)
     for n in (1, 2, 4):
         for x in (0.2, 1.0):
-            bell = ce.r_eval_bell(p_half, n, x) * d.weight_eval(w, x)
+            bell = ce.r_eval_bell(p_half, n, x) * d.weight_eval(p_half, x)
             assert w_density_mp(0.5, 1.0, n, 0, x) == pytest.approx(
                 bell, rel=1e-10)
 
 
 def test_w0_is_the_weight(p_half):
-    w = d.weight_e_ab(p_half)
     for x in (0.4, 1.7):
         assert ce.w_eval(p_half, 0, x) == pytest.approx(
-            d.weight_eval(w, x), rel=1e-13)
+            d.weight_eval(p_half, x), rel=1e-13)
 
 
 def test_w_classical_value():
@@ -141,19 +139,17 @@ def test_w_classical_derivative():
 
 
 def test_mellin_matches_weight_at_n0(p_half):
-    w = d.weight_e_ab(p_half)
     assert ce.w_eval_mellin(p_half, 0, 1.0) == pytest.approx(
-        d.weight_eval(w, 1.0), rel=1e-12)
+        d.weight_eval(p_half, 1.0), rel=1e-12)
 
 
 def test_representation_cross_agreement(p_half_ext, p_three_quarter_ext):
     # the table route, the Mellin route and the mpmath Wright series agree
     # pointwise (extended precision)
     for p in (p_half_ext, p_three_quarter_ext):
-        w = d.weight_e_ab(p)
         for n in (2, 5, 8):
             for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-                bell = ce.r_eval_bell(p, n, x) * d.weight_eval(w, x)
+                bell = ce.r_eval_bell(p, n, x) * d.weight_eval(p, x)
                 wr = w_density_mp(p.alpha, p.beta, n, 0, x)
                 me = ce.w_eval_mellin(p, n, x)
                 scale = max(abs(bell), 1e-280)
@@ -162,29 +158,27 @@ def test_representation_cross_agreement(p_half_ext, p_three_quarter_ext):
 
 
 def test_mellin_specific_points(p_half, p_three_quarter):
-    w = d.weight_e_ab(p_half)
-    bell = ce.r_eval_bell(p_half, 2, 1.5) * d.weight_eval(w, 1.5)
+    bell = ce.r_eval_bell(p_half, 2, 1.5) * d.weight_eval(p_half, 1.5)
     assert ce.w_eval_mellin(p_half, 2, 1.5) == pytest.approx(bell, rel=1e-8)
-    w2 = d.weight_e_ab(p_three_quarter)
-    bell2 = ce.r_eval_bell(p_three_quarter, 5, 3.0) * d.weight_eval(w2, 3.0)
+    bell2 = ce.r_eval_bell(p_three_quarter, 5, 3.0) * d.weight_eval(p_three_quarter, 3.0)
     assert ce.w_eval_mellin(p_three_quarter, 5, 3.0) == pytest.approx(
         bell2, rel=1e-7)
 
 
-def test_contour_abscissa_domain(p_half):
-    with pytest.raises(DomainError):
-        ce.w_eval_mellin(p_half, 1, 1.0, ce.ContourSpec(-4.0, 0.1, 50.0))
+def test_mellin_route_domain(p_half):
+    # W_n lives on x > 0: the Mellin route refuses x <= 0 before its contour
+    for x in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            ce.w_eval_mellin(p_half, 1, x)
 
 
 def test_rodrigues_oracle(p_half):
     # n-fold Richardson differentiation of x^n e(x) against n! W_n(x)
-    w = d.weight_e_ab(p_half)
-
     for n in (1, 2, 3, 4):
         x = 1.1
         h = 1e-2
         num = richardson_derivative(
-            lambda t, n=n: t ** n * d.weight_eval(w, t), x, n, h0=h)
+            lambda t, n=n: t ** n * d.weight_eval(p_half, t), x, n, h0=h)
         assert num == pytest.approx(
             math.factorial(n) * ce.w_eval(p_half, n, x), rel=1e-5), n
 

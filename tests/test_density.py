@@ -16,18 +16,16 @@ from oracles import (lambda_contour_mp, lambda_series_mp, lambda_sine_form,
 
 def test_weight_classical_case():
     p = make_params(1, 0)
-    w = d.weight_e_ab(p)
     for x in (0.3, 1.0, 4.0):
-        assert d.weight_eval(w, x) == pytest.approx(math.exp(-x), rel=1e-14)
+        assert d.weight_eval(p, x) == pytest.approx(math.exp(-x), rel=1e-14)
 
 
 def test_weight_value_gamma_oracle(p_half):
     # x^2 e^{-x^2} / (alpha Gamma(1.5)) at x = 1
-    w = d.weight_e_ab(p_half)
     expect = math.exp(-1.0) / (0.5 * math.gamma(1.5))
-    assert d.weight_eval(w, 1.0) == pytest.approx(expect, rel=1e-14)
+    assert d.weight_eval(p_half, 1.0) == pytest.approx(expect, rel=1e-14)
     with pytest.raises(DomainError):
-        d.weight_eval(w, 0.0)
+        d.weight_eval(p_half, 0.0)
 
 
 def test_weight_unit_mass_by_quadrature(p_half, p_three_quarter):
@@ -483,11 +481,8 @@ def test_multiplier_vertical_decay(p_half):
 
 def test_weight_past_double_range():
     p = make_params(0.01, 0)
-    assert d.weight_eval(d.weight_e_ab(p), 1e4) == 0.0
-    assert d.log_weight_eval(d.weight_e_ab(p), 1e4) == -math.inf
-    # the growing weight overflows to inf, not to an exception
-    assert d.weight_eval(d.weight_e_bar(p, 0.005), 1e4) == math.inf
-    assert d.weight_eval(d.weight_e_bar(p, 0.005), 2.0) == math.inf
+    assert d.weight_eval(p, 1e4) == 0.0
+    assert d.log_weight_eval(p, 1e4) == -math.inf
 
 
 def test_markov_scalar_only_f_matches_vector_twin(p_half):

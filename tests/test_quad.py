@@ -18,12 +18,11 @@ from oracles import (inner_exact_mp, moment_form_mp, r_aux_norm_mp, r_coeffs_bel
 
 
 def rule_for(p, m=120):
-    return q.build_rule(d.weight_e_ab(p), m)
+    return q.build_rule(p, m)
 
 
 def test_order_one_classical():
-    p = make_params(1, 0)
-    r = q.build_rule(d.weight_classical(p, 0.0), 1)
+    r = q.build_rule(make_params(1, 0), 1)
     assert r.nodes[0] == pytest.approx(1.0, rel=1e-14)
     assert r.weights[0] == pytest.approx(1.0, rel=1e-14)
 
@@ -66,11 +65,9 @@ def test_fractional_power_exactness(p_half):
 
 def test_build_rule_domain(p_half):
     with pytest.raises(DomainError):
-        q.build_rule(d.weight_e_ab(p_half), 0)
+        q.build_rule(p_half, 0)
     with pytest.raises(DomainError):
-        q.build_rule(d.weight_e_ab(p_half), 501)
-    with pytest.raises(DomainError):
-        q.build_rule(d.weight_e_bar(p_half, 0.25), 50)
+        q.build_rule(p_half, 501)
     # x**149 overflows at the far nodes: at order 200 against a weight that
     # underflowed to 0 (0 * inf = nan), at order 120 against a finite one
     for m in (200, 120):
@@ -100,6 +97,28 @@ def test_inner_error_estimate(p_half):
     # a wild integrand trips the two-order check
     with pytest.raises(QuadratureError):
         q.inner(r, lambda x: math.sin(40.0 * x * x), lambda x: 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 120])
+def test_inner_error_is_the_half_order_difference(p_half, m):
+    # the estimate is |full - coarse|, coarse by build_rule's order-m//2 rule,
+    # and inf at m = 1; without rtol, inner is the full value alone
+    f, g = monomial(2), lambda x: np.exp(-x)
+    fg = lambda x: np.asarray(f(x)) * np.asarray(g(x))
+    r = q.build_rule(p_half, m)
+    val, err = q.inner_with_error(r, f, g)
+    assert val == q.integrate(r, fg) == q.inner(r, f, g)
+    if m == 1:
+        assert err == math.inf
+    else:
+        assert err == abs(val - q.integrate(q.build_rule(p_half, m // 2), fg))
+
+
+def test_build_rule_builds_only_the_order_asked_for():
+    # one cold call is one cache miss, with no rules of order m/2, m/4, ...
+    q.build_rule.cache_clear()
+    q.build_rule(make_params(0.5, 1.0), 160)
+    assert q.build_rule.cache_info().misses == 1
 
 
 def test_gram_identity_double(p_half, p_three_quarter):
@@ -293,7 +312,7 @@ def test_r_aux_norm_error_test_raises_on_a_coarse_step(p_half, monkeypatch):
 def test_u_rule_fallback_irrational_alpha():
     # non-rational alpha: u-substitution rule; accuracy degrades gracefully
     p = make_params(1.0 / math.pi, 2.0)
-    r = q.build_rule(d.weight_e_ab(p), 160)
+    r = q.build_rule(p, 160)
     assert float(r.weights.sum()) == pytest.approx(1.0, abs=1e-12)
     got = q.integrate(r, lambda x: x)
     assert got == pytest.approx(d.moment(p, 1), rel=1e-5)

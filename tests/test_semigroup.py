@@ -165,7 +165,7 @@ def test_semigroup_law(p_half):
     e_t = sg.expand(p_half, f, t)
     ft = sg.expansion_fn(e_t)
     # P_s applied to P_t f: quadrature route (no power shortcut)
-    rule = q.build_rule(d.weight_e_ab(p_half), 160)
+    rule = q.build_rule(p_half, 160)
     e_s = sg.expand(p_half, ft, s, rule, tol=1e-9)
     for x in (0.5, 1.5, 3.0):
         assert sg.evaluate_expansion(e_s, x) == pytest.approx(
@@ -174,7 +174,7 @@ def test_semigroup_law(p_half):
 
 def test_invariance_and_contraction(p_half):
     rng = np.random.default_rng(3)
-    rule = q.build_rule(d.weight_e_ab(p_half), 160)
+    rule = q.build_rule(p_half, 160)
     for _ in range(5):
         coeffs = rng.uniform(-1, 1, size=5)
         from glspec.core import poly_fn
@@ -222,7 +222,7 @@ def test_heat_kernel_mass_matches_scalar_loop(alpha, beta):
     p = make_params(alpha, beta)
     t, xs = p.t_alpha + 0.5, np.array([0.5, 1.0, 3.0])
     masses, kmin = sg.heat_kernel_mass(p, t, xs)
-    rule = q.build_rule(d.weight_e_ab(p), 120)
+    rule = q.build_rule(p, 120)
     keep = rule.weights >= 1e-20 * rule.weights.max()
     nodes, wts = rule.nodes[keep], rule.weights[keep]
     seq = p_coeffs(p, 200)
@@ -236,7 +236,7 @@ def test_heat_kernel_mass_matches_scalar_loop(alpha, beta):
         small = small + 1 if np.max(np.abs(term) * wts) <= 1e-10 else 0
         if small >= 3:
             break
-    dens = np.array([d.weight_eval(d.weight_e_ab(p), float(yy)) for yy in nodes])
+    dens = np.array([d.weight_eval(p, float(yy)) for yy in nodes])
     np.testing.assert_allclose(masses, acc @ wts, rtol=1e-14)
     assert kmin == pytest.approx(float((acc * dens).min()), rel=1e-14)
 
@@ -245,9 +245,8 @@ def test_heat_kernel_symmetry_breaking(p_half):
     # e(x) P_t(x,y) != e(y) P_t(y,x) for alpha < 1
     t = p_half.t_alpha + 0.5
     x, y = 0.7, 2.0
-    w = d.weight_e_ab(p_half)
-    lhs = d.weight_eval(w, x) * sg.heat_kernel(p_half, t, x, y)
-    rhs = d.weight_eval(w, y) * sg.heat_kernel(p_half, t, y, x)
+    lhs = d.weight_eval(p_half, x) * sg.heat_kernel(p_half, t, x, y)
+    rhs = d.weight_eval(p_half, y) * sg.heat_kernel(p_half, t, y, x)
     assert abs(lhs - rhs) / abs(lhs) > 1e-4
 
 
@@ -276,7 +275,7 @@ def test_kernel_sums_past_n_200(p_half):
     K = math.exp(s) * sg.selfsimilar_kernel(p_half, math.expm1(s), 1.0, math.exp(s), nmax=500)
     assert math.isfinite(hk) and hk == pytest.approx(K, rel=1e-12)
     # the mass sum at t = 0.1 reaches n = 201: it stops at its cap
-    rule = q.build_rule(d.weight_e_ab(p_half), 2)
+    rule = q.build_rule(p_half, 2)
     with pytest.raises(TruncationError):
         sg.heat_kernel_mass(p_half, 0.1, 1.0, rule=rule, nmax=201)
 
@@ -299,6 +298,9 @@ def test_laguerre_semigroup_eigen_and_closed_form():
     assert sg.laguerre_semigroup(b, 1.0, monomial(1), 2.0) == pytest.approx(
         1.0 + (2.0 - 1.0) * math.exp(-1.0), rel=1e-10)
     assert sg.laguerre_semigroup(b, 0.7, const_fn(), 1.1) == pytest.approx(1.0)
+    # the order-beta Gauss rule needs beta >= 0
+    with pytest.raises(DomainError):
+        sg.laguerre_semigroup(-0.5, 1.0, monomial(1), 1.0)
 
 
 def test_intertwine_on_laguerre_and_constants(p_half):
@@ -325,13 +327,12 @@ def test_intertwine_alpha_near_one(alpha, beta):
 def test_selfsimilar_mass_and_moments(p_half):
     # mass by quadrature at a kernel-series-friendly time
     tt = 0.8
-    rule = q.build_rule(d.weight_e_ab(p_half), 120)
+    rule = q.build_rule(p_half, 120)
     keep = rule.weights > 1e-18
     xs = rule.nodes[keep]
-    w = d.weight_e_ab(p_half)
     x0 = 1.0
     kv = np.array([sg.selfsimilar_kernel(p_half, tt, x0, float(y)) for y in xs])
-    ev = np.array([d.weight_eval(w, float(y)) for y in xs])
+    ev = np.array([d.weight_eval(p_half, float(y)) for y in xs])
     mass = float(rule.weights[keep] @ (kv / ev))
     mean_quad = float(rule.weights[keep] @ (xs * kv / ev))
     assert mass == pytest.approx(1.0, abs=1e-6)

@@ -18,8 +18,9 @@ the worst difference in units in the last place of the base value; an
 indented line per op kind (P, R, W, lambda, heat, ..., intertwine) gives
 that kind's values compared, values differing and worst relative
 difference.  Then each command of COMMANDS runs as `glspec ...` on both
-sides, and one line says whether its exit code and output bytes are the
-same.  The tool exits 1 if any value or command differs or a child fails.
+sides, and one line says whether its exit code, stdout bytes and stderr
+bytes are the same.  The tool exits 1 if any value or command differs or a
+child fails.
 """
 
 from __future__ import annotations
@@ -76,21 +77,26 @@ COMMANDS = (("verify", "all"),
             ("verify", "all", "--alpha", "0.4285714285714286", "--beta", "1"),
             ("eval", "heat", "--alpha", "0.5", "--beta", "1"),
             ("eval", "heat", "--alpha", "1", "--beta", "0"),
+            ("eval", "heat", "--alpha", "0.6180339887", "--beta", "1"),
+            ("eval", "heat", "--alpha", "0.75", "--beta", "0.5", "--quad-order", "60"),
+            ("eval", "e_ab", "--alpha", "0.5", "--beta", "1"),
             ("eval", "K", "--alpha", "0.75", "--beta", "0.5"),
             ("eval", "W", "--alpha", "0.5", "--beta", "1", "--n", "12", "--q", "2"),
             ("eval", "lambda", "--alpha", "0.75", "--beta", "0.5"),
             ("eval", "lambda", "--alpha", "0.5", "--beta", "1"),
+            ("verify", "representations", "--alpha", "0.75", "--beta", "0.5"),
             ("verify", "intertwine", "--format", "json", "--alpha", "0.4", "--beta", "1.3"),
             ("verify", "intertwine", "--format", "json", "--alpha", "0.85", "--beta", "2"),
             ("verify", "intertwine", "--format", "json", "--alpha", "0.9", "--beta", "0.5"))
 
 
 def run_cli(checkout: Path, args: tuple) -> tuple:
-    """(exit code, output bytes) of `glspec args` on checkout's `src/`."""
+    """(exit code, stdout bytes, stderr bytes) of `glspec args` on
+    checkout's `src/`."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-m", "glspec.cli", *args], cwd=checkout, env=env,
                           capture_output=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def same(a, b) -> bool:
@@ -156,11 +162,12 @@ def main() -> int:
                     print(f"  {kind}: {len(pairs)} values, {len(kind_bad)} differ, "
                           f"worst relative difference {worst:.3g}", flush=True)
         for args in COMMANDS:
-            (code_b, out_b), (code_c, out_c) = run_cli(Path(tmp), args), run_cli(ROOT, args)
-            verdict = "same" if (code_b, out_b) == (code_c, out_c) else "differing"
+            base, change = run_cli(Path(tmp), args), run_cli(ROOT, args)
+            verdict = "same" if base == change else "differing"
             differ += verdict == "differing"
-            print(f"glspec {' '.join(args)}: {verdict} (exit {code_b} / {code_c}, "
-                  f"{len(out_b)} / {len(out_c)} bytes)", flush=True)
+            print(f"glspec {' '.join(args)}: {verdict} (exit {base[0]} / {change[0]}, "
+                  f"stdout {len(base[1])} / {len(change[1])} bytes, "
+                  f"stderr {len(base[2])} / {len(change[2])} bytes)", flush=True)
     return 1 if differ else 0
 
 
