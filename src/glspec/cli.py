@@ -45,6 +45,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     try:
         if ":" in spec:
             lo, hi, step = (float(t) for t in spec.split(":"))
+            if not step > 0.0:
+                raise click.UsageError(f"grid step must be > 0 in {spec!r}")
             n = int(math.floor((hi - lo) / step + 1e-9)) + 1
             return lo + step * np.arange(n)
         if "," in spec:
@@ -184,19 +186,21 @@ def _parse_fn(params, token: str):
     if token == "1":
         from .core import const_fn
         return const_fn()
-    if token.startswith("x^"):
-        return monomial(float(token[2:]))
-    if token.startswith("p"):
-        return monomial(float(token[1:]))
-    if token.startswith("L"):
-        k = int(token[1:])
+    kind, arg = ("x^", token[2:]) if token.startswith("x^") else (token[:1], token[1:])
+    try:
+        k = float(arg) if kind in ("x^", "p") else int(arg)
+    except ValueError:
+        raise click.UsageError(f"cannot parse function token {token!r}") from None
+    if kind in ("x^", "p"):
+        return monomial(k)
+    if kind == "L":
         cs = [(-1.0) ** j * math.exp(math.lgamma(k + 1) - math.lgamma(j + 1)
                                      - math.lgamma(k - j + 1) - math.lgamma(j + 1))
               for j in range(k + 1)]
         from .core import poly_fn
         return poly_fn(cs)
-    if token.startswith("P"):
-        return eig.p_fn(params, int(token[1:]))
+    if kind == "P":
+        return eig.p_fn(params, k)
     raise click.UsageError(f"cannot parse function token {token!r}")
 
 

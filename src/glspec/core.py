@@ -81,8 +81,10 @@ class Precision:
     """Evaluation precision: plain binary64 or software extended precision.
 
     Extended precision sums P_n, R_n and W_n^(q) on Python integers from
-    inputs of no fewer than ``mantissa_bits`` bits.  Exact inner products
-    are sized from their coefficient magnitudes at every precision, ``dps``
+    inputs of no fewer than ``mantissa_bits`` bits.  Inner products against
+    R_n come from its Rodrigues identity at every precision (float64 in
+    ``semigroup.expand``, exact in ``quad.r_norm``); the moment form of
+    ``quad.gram_biorth`` is sized from its coefficient magnitudes, ``dps``
     only a floor; the kernel density lambda is float64 at every precision.
     """
 
@@ -122,7 +124,7 @@ def parse_precision(spec) -> Precision:
             return EXT128
         if s == "ext256":
             return EXT256
-        if s.startswith("ext"):
+        if s.startswith("ext") and s[3:].isdecimal():
             return Precision("extended", int(s[3:]))
     raise DomainError(f"cannot parse precision spec {spec!r}")
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, roots_jacobi, roots_legendre
+from scipy.special import gammaln, gammasgn, poch, roots_jacobi, roots_legendre
 
 from .core import (LOG_DOUBLE_MAX, ContourError, DomainError, GLParams,
                    eval_on, real_pow)
@@ -72,12 +72,13 @@ def moment(params: GLParams, k: int) -> float:
 
 
 def moment_s(params: GLParams, s: float) -> float:
-    """Real-order moment, valid for s > -(beta + 1/alpha)."""
+    """Real-order moment Gamma(a s + a b + 1) / Gamma(a b + 1), valid for
+    s > -(beta + 1/alpha): the Pochhammer symbol (ab + 1)_(a s), inf above
+    the double range and 0 below it."""
     a, b = params.alpha, params.beta
-    arg = a * s + a * b + 1.0
-    if arg <= 0.0:
+    if a * s + a * b + 1.0 <= 0.0:
         raise DomainError(f"moment of order {s} diverges")
-    return math.exp(gammaln(arg) - gammaln(a * b + 1.0))
+    return float(poch(a * b + 1.0, a * s))
 
 
 def mellin_e(params: GLParams, s) -> complex:

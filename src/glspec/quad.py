@@ -1,18 +1,19 @@
 """Quadrature against the invariant density, inner products, norms,
 biorthogonality matrices, and Bessel-inequality checks.
 
-Products of generalized polynomials (P_n, R_n, any f with a power
-expansion) use no rule: ``_moment_form`` sums them against their exact
-moments in Python integers, every input rounded once to a fixed point sized
-from the cancellation; the auxiliary norm of R_n, against a growing weight,
-is a float64 double-exponential rule of its own.  The Gauss rules of
-``build_rule`` integrate general f against the invariant density.  At
-alpha = 1 it is the classical Laguerre weight, with the generalized
-Gauss-Laguerre rule.  For rational alpha = p/q, v = x**(1/p) turns it into
+Inner products against R_n take no rule: its Rodrigues form
+R_n e = (x^n e)^(n) / n!, integrated by parts n times, gives <x^p, R_n> =
+(-1)^n C(p, n) M_e(p), which ``semigroup.expand`` sums in float64 and
+``r_norm`` over R_n's exact row in Python integers.  ``gram_biorth`` sums
+<P_n, R_m> by ``_moment_form``, against exact moments the tables did not
+make.  The auxiliary norm of R_n, against a growing weight, is a float64
+double-exponential rule.  The Gauss rules of ``build_rule`` integrate
+general f against the invariant density: at alpha = 1 the generalized
+Gauss-Laguerre rule; for rational alpha = p/q, v = x**(1/p) turns it into
 p v**(p b + q - 1) exp(-v**q), whose Gauss rule (Stieltjes recurrence,
 Golub-Welsch nodes, Christoffel weights) is checked against its exact
-moments of degree 0..2m-1; irrational alpha falls back to the
-u = x**(1/alpha) generalized Gauss-Laguerre rule.
+moments of degree 0..2m-1; irrational alpha falls back to the u =
+x**(1/alpha) generalized Gauss-Laguerre rule.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, logsumexp, roots_legendre
+from scipy.special import gammaln, roots_legendre
 
 from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, QuadratureError, eval_on,
                    make_params)
@@ -37,7 +38,7 @@ from .coeigen import _dyadic, _exact, _w_coeffs, r_coeffs
 from .specfun import _div, _escalating_horner
 
 __all__ = ["QuadRule", "build_rule", "integrate", "inner", "inner_with_error",
-           "gram_biorth", "bessel_check", "r_norm", "inner_exact"]
+           "gram_biorth", "bessel_check", "r_norm"]
 
 _MAX_ORDER = 500
 
@@ -151,7 +152,7 @@ def _check_v_moments(vn, wn, p, q, beta, m) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         lw = np.log(wn)
         lv = np.log(vn)
-    got = logsumexp(lw[None, :] + r[:, None] * lv[None, :], axis=1)
+    got = _log_sum_exp(lw[None, :] + r[:, None] * lv[None, :], axis=1)
     exact = math.log(p / q) + gammaln((p * beta + q + r) / q)
     err = np.abs(np.expm1(got - exact))
     return float(err.max()) if np.all(np.isfinite(err)) else math.inf
@@ -307,38 +308,6 @@ def _rising(rho, X: int, lg: int, count: int, prec: int) -> list:
     return out
 
 
-def _log_abs(rows) -> np.ndarray:
-    """log|c| of coefficient rows, padded with -inf to the longest."""
-    w = max(map(len, rows))
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs([list(r) + [0.0] * (w - len(r)) for r in rows]))
-
-
-def _dyadic_row(cs) -> tuple:
-    """Floats cs as one exact row (nums, den), den a power of 2."""
-    pairs = [float(c).as_integer_ratio() for c in cs]
-    den = max(d for _, d in pairs)
-    return [n * (den // d) for n, d in pairs], den
-
-
-def inner_exact(params: GLParams, fpowers, gpowers) -> float:
-    """<f, g> against the invariant density for generalized polynomials
-    given as (coefficient, x-exponent) pairs: the 1 x 1 ``_moment_form``,
-    the float coefficients exact, each moment one mpmath gamma ratio."""
-    a = params.alpha
-    (cf, pf), (cg, pg) = (([c for c, _ in w], [p for _, p in w]) for w in (fpowers, gpowers))
-
-    def rows(prec):
-        with mp.workprec(prec):
-            ab1 = mp.mpf(a) * params.beta + 1
-            g0 = mp.gamma(ab1)
-            M = [[(mp.gamma(a * mp.mpf(p) + a * mp.mpf(q) + ab1) / g0).man_exp for q in pg]
-                 for p in pf]
-        return [_dyadic_row(cf)], M, [_dyadic_row(cg)]
-    return float(_moment_form(params, _log_abs([cf]), a * np.array(pf),
-                              _log_abs([cg]), a * np.array(pg), rows)[0, 0])
-
-
 def gram_biorth(params: GLParams, N: int) -> np.ndarray:
     """Matrix G_{nm} = <P_n, R_m> for n, m <= N; identity when everything
     works.  The ``_moment_form`` with rows P_n (s_k = alpha k) and R_m
@@ -361,7 +330,8 @@ def gram_biorth(params: GLParams, N: int) -> np.ndarray:
             g = [mp.gamma(mp.make_mpf(mp.libmp.from_man_exp(X, -lg))) for X in xs]
             M = [_rising(gk / g[0], X, lg, N + 1, prec) for gk, X in zip(g, xs)]
         return P, M, [_exact(params, m) for m in ns]
-    lb = _log_abs([r_coeffs(params, m) for m in ns[::-1]][::-1])     # so is the "R" table
+    with np.errstate(divide="ignore"):      # R_N first: so is the "R" table
+        lb = np.log(np.abs([np.pad(r_coeffs(params, m), (0, N - m)) for m in ns[::-1]][::-1]))
     return _moment_form(params, p_coeffs(params, N).logmag, params.alpha * np.arange(N + 1),
                         lb, np.arange(N + 1.0), rows)
 
@@ -448,30 +418,27 @@ def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
     """(||R_n|| in the invariant-density space, ||R_n e/ebar|| in the
     auxiliary space), ebar(x) = x^(beta + 1/alpha - 1) e^(eta_bar x^(1/gamma)).
 
-    The first norm is the moment form of ``_moment_form`` with the exact
-    row of R_n on both sides, sized from the coefficient magnitudes at every
-    precision; its moments (ab + 1)_(k+j) are a rising factorial of the
-    exact ab + 1, with no gamma.  The
-    second is the float64 double-exponential rule of ``_log_aux_norm2`` in
-    u = x**(1/alpha), where R_n is the polynomial sum_j c_j u^j; it raises
-    QuadratureError when its step-h and step-2h sums differ by more than
-    1e-10 relative.
+    The first norm is exact: the Rodrigues identity <x^p, R_n> = (-1)^n
+    C(p, n) M_e(p) over R_n's row c_j gives ||R_n||^2 = (-1)^n sum_j c_j
+    C(j/alpha, n) (ab + 1)_j.  With alpha = A/Da and ab + 1 = (AB + L)/L
+    (``coeigen._dyadic``) that is one integer over den A^n n! L^n, den the
+    row's, and one correctly rounded division.  The second is the float64
+    double-exponential rule of ``_log_aux_norm2`` in u = x**(1/alpha),
+    where R_n is the polynomial sum_j c_j u^j; it raises QuadratureError
+    when its step-h and step-2h sums differ by more than 1e-10 relative.
     """
     a = params.alpha
     if gamma_ is None:
         gamma_ = 0.5 * a
     if not (0.0 < gamma_ < a) and a < 1.0:
         raise DomainError("gamma must lie in (0, alpha)")
-    lr, js = _log_abs([r_coeffs(params, n)]), np.arange(n + 1.0)
-
-    def rows(prec):         # R_n on both sides, M_kj = (ab + 1)_(k + j)
-        An, Bn, L, _ = _dyadic(params)
-        rise = _rising(mp.mpf(1), An * Bn + L, L.bit_length() - 1, 2 * n + 1, prec)
-        row = [_exact(params, n)]
-        return row, [rise[k:k + n + 1] for k in range(n + 1)], row
-    nrm2 = _moment_form(params, lr, js, lr, js, rows)[0, 0]
-    if nrm2 < 0.0:
-        raise QuadratureError(f"norm^2 of R_{n} came out negative: {nrm2:.3e}")
+    A, B, L, Db = _dyadic(params)
+    (nums, den), Da = _exact(params, n), L // Db
+    acc, rise = 0, 1            # rise = (ab + 1)_j L^j; the product, C(j/alpha, n) A^n n!
+    for j, c in enumerate(nums):
+        acc += c * math.prod(j * Da - i * A for i in range(n)) * rise * L ** (n - j)
+        rise *= A * B + L + j * L
+    nrm2 = _div((-1) ** n * acc, den * A ** n * math.factorial(n) * L ** n)
     log_aux = 0.5 * _log_aux_norm2(params, n, gamma_, eta_bar)
     aux = math.exp(log_aux) if log_aux <= LOG_DOUBLE_MAX else math.inf
     return math.sqrt(nrm2), aux

@@ -11,9 +11,11 @@ y = 1 - v^(1/(1-alpha)) and integrated on double-exponential nodes in v.
 At alpha = 1 the generator degenerates to x f'' + (beta + 1 - x) f'.
 
 Spectral side: P_t f = sum_n e^{-n t} <f, R_n> P_n.  The full-space expansion
-converges for t above the threshold time t_alpha; generalized polynomials
-(the image of the reference space under the intertwining operator) expand
-finitely and are valid for every t > 0 (the small-space regime).
+converges for t above the threshold time t_alpha, with <f, R_n> from a Gauss
+rule; generalized polynomials (the image of the reference space under the
+intertwining operator) are valid for every t > 0 (the small-space regime),
+with <f, R_n> in closed form from R_n's Rodrigues identity, and polynomials
+expand finitely.
 
 The heat kernel and the self-similar kernel sum their orders a chunk at a
 time (``_kernel_sum``): the float64 sums of P_n(x) and W_n(y) for the
@@ -30,6 +32,7 @@ the truncation reaches the higher tiers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,12 +42,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, hyp2f1, rgamma
 
-from .core import (DomainError, GLParams, RealFn, TruncationError, eval_on,
-                   make_params, phi)
+from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, RealFn, TruncationError,
+                   eval_on, make_params, phi)
 from .coeigen import _WBasis, r_eval_bell, r_fn
-from .density import markov_lambda_apply, mellin_lambda, weight_eval
+from .density import markov_lambda_apply, mellin_lambda, moment_s, weight_eval
 from .eigen import _PBasis, p_coeffs, p_eval, p_sup
-from .quad import QuadRule, build_rule, inner_exact
+from .quad import QuadRule, build_rule, inner
 from .specfun import _basis_values
 
 __all__ = [
@@ -188,30 +191,50 @@ class SpectralExpansion:
         return len(self.coeffs) - 1
 
 
-def _coeff_against_r(params: GLParams, f, n: int, rule: QuadRule) -> float:
-    powers, rn = getattr(f, "powers", None), r_fn(params, n)
-    if powers is not None:
-        return inner_exact(params, powers, rn.powers)
-    fg = np.array([float(f(float(x))) * rn(float(x)) for x in rule.nodes])
-    return float(rule.weights @ fg)
+def _against_r(params: GLParams, powers):
+    """<f, R_n>, n = 0, 1, ..., for f = sum_i c_i x^(p_i): the Rodrigues form
+    R_n e = (x^n e)^(n) / n!, integrated by parts n times, gives
+
+        <x^p, R_n> = (-1)^n C(p, n) M_e(p),  C(p, n) = p (p-1) ... (p-n+1) / n!,
+
+    M_e of ``density.moment_s`` (DomainError where it diverges).  Each term
+    c_i M_e(p_i) C(p_i, n) is a float64 product, c_i M_e(p_i) from logs where
+    M_e(p_i) leaves the double range (P_k's tiny c_k against a huge M_e(k)),
+    and math.fsum adds them; DomainError where a c_i M_e(p_i) overflows."""
+    a, ab = params.alpha, params.alpha * params.beta
+    cms = []
+    for c, p in powers:
+        m = moment_s(params, p)
+        if c != 0.0 and not 2.0 ** -1022 <= m < math.inf:     # M_e(p) not a normal double
+            lg = math.log(abs(c)) + gammaln(a * p + ab + 1.0) - gammaln(ab + 1.0)
+            m, c = 1.0, math.copysign(math.exp(lg) if lg <= LOG_DOUBLE_MAX else math.inf, c)
+        cms.append(c * m)
+    if not all(map(math.isfinite, cms)):
+        raise DomainError("inner products against R_n leave the double range")
+    binom = [1.0] * len(powers)
+    for n in itertools.count():
+        yield (-1.0) ** n * math.fsum(map(operator.mul, cms, binom))
+        binom = [b * (p - n) / (n + 1) for b, (_, p) in zip(binom, powers)]
 
 
 def expand(params: GLParams, f, t: float, rule: Optional[QuadRule] = None,
            tol: float = 1e-10, nmax: int = _NMAX_DEFAULT) -> SpectralExpansion:
-    """Spectral coefficients of P_t f until the tail estimate drops below tol.
+    """Spectral coefficients a_n = e^(-nt) <f, R_n> of P_t f until the tail
+    estimate drops below tol.
 
     A generalized polynomial (f with ``powers``) is in the small-space
-    regime; one of integer degree d stops exactly after it, and raises
-    TruncationError where d > nmax.  Otherwise the tail estimate is |a_n|
-    times the sup of |P_n| over the default evaluation window, and three
+    regime, with <f, R_n> in closed form (``_against_r``).  One whose powers
+    are all nonnegative integers stops exactly after its degree d, as C(p,
+    n) = 0 past n = p, and raises TruncationError where d > nmax.  Any other
+    f takes <f, R_n> from the rule (order 160 by default) by ``quad.inner``.
+    Where the sum does not stop exactly, the tail estimate is |a_n| times
+    the sup of |P_n| over the default evaluation window, and three
     consecutive sub-tolerance terms from n = 6 on stop the scan.  A warning
     is recorded when t <= t_alpha in the full-space regime.
     """
     if not t >= 0.0:
         raise DomainError("time must be >= 0")
     powers = getattr(f, "powers", None)
-    if rule is None and powers is None:
-        rule = build_rule(params, 160)
     regime = "small_space" if powers is not None else "full_space"
     warns = []
     if regime == "full_space" and t <= params.t_alpha and not params.is_classical:
@@ -219,15 +242,16 @@ def expand(params: GLParams, f, t: float, rule: Optional[QuadRule] = None,
             f"t = {t} is at or below the full-space threshold {params.t_alpha:.6f}; "
             "convergence only guaranteed on the smaller spaces")
     max_deg = None
-    if powers is not None:
-        fr = [p for _, p in powers]
-        if all(abs(p - round(p)) < 1e-12 for p in fr):
-            max_deg = int(max(round(p) for p in fr))
-    coeffs = []
-    small = 0
-    tail = math.inf
-    for n in range(nmax + 1):
-        a_n = math.exp(-n * t) * _coeff_against_r(params, f, n, rule)
+    if powers is None:
+        rule = build_rule(params, 160) if rule is None else rule
+        against_r = (inner(rule, f, r_fn(params, n)) for n in itertools.count())
+    else:
+        against_r = _against_r(params, powers)
+        if all(abs(p - round(p)) < 1e-12 and round(p) >= 0 for _, p in powers):
+            max_deg = max((round(p) for _, p in powers), default=0)
+    coeffs, small, tail = [], 0, math.inf
+    for n, c_n in zip(range(nmax + 1), against_r):
+        a_n = math.exp(-n * t) * c_n
         coeffs.append(a_n)
         if max_deg is not None:
             if n < max_deg:

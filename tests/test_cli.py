@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from glspec import semigroup
@@ -85,6 +86,15 @@ def test_verify_rejects_csv_format():
     res = CliRunner().invoke(main, ["verify", "all", "--format", "csv"])
     assert res.exit_code == EXIT_USAGE
     assert "Invalid value for '--format'" in res.output
+
+
+@pytest.mark.parametrize("args", [["eval", "P", "--x", "0:1:0"], ["eval", "P", "--x", "0:1:-0.5"],
+                                  ["eval", "expand", "--f", "x^a"],
+                                  ["eval", "expand", "--f", "L2.5"]])
+def test_usage_errors_exit_with_the_usage_code(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_eval_lambda_near_alpha_one():

@@ -113,9 +113,13 @@ def test_precision_parsing():
     assert parse_precision("double").is_double
     assert parse_precision("ext128").mantissa_bits == 128
     assert parse_precision("ext256").mantissa_bits == 256
+    assert parse_precision("ext64").mantissa_bits == 64
     assert not parse_precision(Precision("extended", 200)).is_double
+    for spec in ("floats", "extfoo", "ext", "ext1.5"):
+        with pytest.raises(DomainError):
+            parse_precision(spec)
     with pytest.raises(DomainError):
-        parse_precision("floats")
+        make_params(0.5, 1, "extfoo")
 
 
 def test_params_hash_and_key_the_tables_by_every_input():

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from glspec.core import DomainError, make_params, monomial, poly_fn
 from glspec import density as d
 from glspec.specfun import log_gamma
 
-from oracles import (lambda_contour_mp, lambda_series_mp, lambda_sine_form,
-                     mellin_e_quad, quad_against_weight)
+from oracles import (inner_exact_mp, lambda_contour_mp, lambda_series_mp,
+                     lambda_sine_form, mellin_e_quad, quad_against_weight)
 
 
 def test_weight_classical_case():
@@ -40,6 +41,16 @@ def test_moments(p_half):
     assert d.moment(p1, 3) == pytest.approx(6.0, rel=1e-14)
     # Gamma(2.5)/Gamma(1.5) = 1.5
     assert d.moment(p_half, 2) == pytest.approx(1.5, rel=1e-14)
+
+
+def test_moment_past_the_double_range(p_half):
+    # inf above the double range and 0 below it, as weight_eval
+    assert d.moment(p_half, 400) == math.inf
+    assert d.moment_s(make_params(0.5, 1000.0), -990.0) == 0.0
+    for s in (-1.5, 0.7, 3.5, 20.0):
+        with mp.workdps(40):
+            ref = mp.gamma(mp.mpf(0.5) * s + 1.5) / mp.gamma(mp.mpf(1.5))
+        assert d.moment_s(p_half, s) == pytest.approx(float(ref), rel=1e-15), s
 
 
 def test_moment_quadrature_cross(p_half, p_three_quarter):
@@ -462,10 +473,8 @@ def test_markov_contraction(coeffs):
     p = make_params(0.5, 1.0)
     f = poly_fn(coeffs)
     lam_pw = tuple((c * d.mellin_lambda(p, pw).real, pw) for c, pw in f.powers)
-    from glspec.quad import inner_exact
-    lhs = inner_exact(p, lam_pw, lam_pw)
-    pe = make_params(1.0, 0.0)
-    rhs = inner_exact(pe, f.powers, f.powers)
+    lhs = inner_exact_mp(0.5, 1.0, lam_pw, lam_pw)
+    rhs = inner_exact_mp(1.0, 0.0, f.powers, f.powers)
     assert lhs <= rhs * (1.0 + 1e-12)
 
 

@@ -8,9 +8,8 @@ from scipy.special import gammaln
 from glspec import core
 from glspec.core import DomainError, make_params
 from glspec import eigen as eg
-from glspec.quad import inner_exact
 
-from oracles import classical_laguerre, p_coeffs_mp, richardson_derivative
+from oracles import classical_laguerre, inner_exact_mp, p_coeffs_mp, richardson_derivative
 
 
 def test_p0_is_one(p_half):
@@ -179,7 +178,7 @@ def test_growth_bound_ratios(p_half):
 
 def test_non_orthogonality(p_half):
     from glspec.eigen import p_fn
-    g12 = inner_exact(p_half, p_fn(p_half, 1).powers, p_fn(p_half, 2).powers)
+    g12 = inner_exact_mp(0.5, 1.0, p_fn(p_half, 1).powers, p_fn(p_half, 2).powers)
     assert abs(g12) > 1e-6
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from glspec.core import (DomainError, Precision, QuadratureError, make_params,
                          monomial, poly_fn)
 from glspec import density as d
 from glspec import quad as q
+from glspec import semigroup as sg
 from glspec.eigen import p_fn
 from glspec.coeigen import r_eval_bell, r_fn
 
@@ -198,13 +200,13 @@ def test_inner_symmetric_bilinear(cf, cg):
 @given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6),
        st.integers(0, 6))
 def test_cauchy_schwarz(coeffs, n):
+    # the Rodrigues identity's <f, R_n> within ||f|| ||R_n||, ||f|| by the
+    # oracle's pairwise moment sum and ||R_n|| by r_norm's integer sum
     p = make_params(0.5, 1.0)
     f = poly_fn(coeffs)
-    rn = r_fn(p, n)
-    lhs = abs(q.inner_exact(p, f.powers, rn.powers))
-    nf = math.sqrt(max(q.inner_exact(p, f.powers, f.powers), 0.0))
-    nr = math.sqrt(max(q.inner_exact(p, rn.powers, rn.powers), 0.0))
-    assert lhs <= nf * nr * (1.0 + 1e-9) + 1e-12
+    lhs = abs(next(itertools.islice(sg._against_r(p, f.powers), n, None)))
+    nf = math.sqrt(max(float(inner_exact_mp(0.5, 1.0, f.powers, f.powers)), 0.0))
+    assert lhs <= nf * q.r_norm(p, n)[0] * (1.0 + 1e-9) + 1e-12
 
 
 def test_bessel_inequality(p_half):

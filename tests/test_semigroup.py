@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,7 +14,8 @@ from glspec import quad as q
 from glspec.coeigen import r_eval_bell
 from glspec.eigen import laguerre_eval, p_coeffs, p_eval, p_fn, p_sup
 
-from oracles import kernel_sum_per_term, moment_ode_evolution, richardson_derivative
+from oracles import (inner_exact_mp, kernel_sum_per_term, moment_ode_evolution,
+                     r_coeffs_bell_mp, richardson_derivative)
 
 
 def test_generator_on_p1(p_half):
@@ -110,6 +112,60 @@ def test_expand_of_p_k_is_delta(alpha, beta, k):
     assert np.abs(c - np.eye(len(c))[k]).max() <= 1e-9
 
 
+def _r_row_mp(params, n):
+    """R_n as (coefficient, exponent) pairs at the working precision: the
+    partial-Bell row of ``r_coeffs_bell_mp``, at alpha = 1 the classical
+    Laguerre row (-1)^j C(n + beta, n - j) / j!."""
+    a = mp.mpf(params.alpha)
+    if params.is_classical:
+        cs = [(-1) ** j * mp.binomial(n + mp.mpf(params.beta), n - j) / mp.factorial(j)
+              for j in range(n + 1)]
+    else:
+        cs = r_coeffs_bell_mp(params, n, dps=mp.mp.dps)
+    return [(c, j / a) for j, c in enumerate(cs)]
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.75, 0.5), (0.3, 2.0), (0.999, 0.0),
+                                         (1.0, 0.5), (0.6, 1.0 - 1.0 / 0.6)])
+def test_inner_products_against_r_n_by_the_rodrigues_identity(alpha, beta):
+    # <x^p, R_n> = (-1)^n C(p, n) M_e(p) against the oracle's pairwise sum of
+    # exact moments over 60-digit rows of R_n
+    par = make_params(alpha, beta)
+    with mp.workdps(60):
+        rows = [_r_row_mp(par, n) for n in range(9)]
+    for p in (-0.5, 0.0, 0.7, 2.0, 3.5, 5.0):
+        got = list(itertools.islice(sg._against_r(par, ((1.0, p),)), 9))
+        for n, row in enumerate(rows):
+            ref = float(inner_exact_mp(alpha, beta, [(1, mp.mpf(p))], row, dps=60))
+            assert abs(got[n] - ref) <= 1e-14 * d.moment_s(par, p), (p, n)
+
+
+def test_identity_takes_logs_past_the_double_range(p_half):
+    # c M_e(400) with M_e(400) = Gamma(201.5) / Gamma(1.5) above the double range
+    got = list(itertools.islice(sg._against_r(p_half, ((1e-300, 400.0),)), 4))
+    with mp.workdps(30):
+        m = mp.mpf(1e-300) * mp.gamma(mp.mpf(201.5)) / mp.gamma(mp.mpf(1.5))
+        ref = [float((-1) ** n * math.comb(400, n) * m) for n in range(4)]
+    assert got == pytest.approx(ref, rel=1e-12)
+    # 400! - 401! overflows, and so does each term: a named error, not inf - inf
+    f = ((1.0, 400.0), (-1.0, 401.0))
+    with pytest.raises(DomainError):
+        next(sg._against_r(make_params(1.0, 0.0), f))
+
+
+def test_expand_stops_exactly_only_at_nonnegative_integer_powers(p_half):
+    # C(p, n) vanishes past n = p only for integer p >= 0: <x^-1, R_n> = M_e(-1)
+    # = 2 / sqrt(pi) at every n
+    e = sg.expand(p_half, monomial(-1), 1.0)
+    assert e.N > 1 and e.tail_estimate > 0.0
+    expect = 2.0 / math.sqrt(math.pi) * np.exp(-np.arange(e.N + 1.0))
+    assert np.allclose(e.coeffs, expect, rtol=1e-14, atol=0.0)
+    f = RealFn(lambda x: x ** 2 + 1.0 / x, powers=((1.0, 2.0), (1.0, -1.0)))
+    assert sg.expand(p_half, f, 1.0).N > 2
+    with pytest.raises(DomainError):            # alpha p + alpha beta + 1 = -1/2
+        sg.expand(p_half, monomial(-4), 1.0)
+
+
 def test_expand_constant(p_half):
     e = sg.expand(p_half, const_fn(), 1.0)
     assert e.coeffs[0] == pytest.approx(1.0, rel=1e-12)
@@ -183,11 +239,11 @@ def test_invariance_and_contraction(p_half):
         e = sg.expand(p_half, f, t)
         ptf = sg.expansion_fn(e)
         # invariance of the mean
-        mean_f = q.inner_exact(p_half, f.powers, ((1.0, 0.0),))
+        mean_f = float(inner_exact_mp(0.5, 1.0, f.powers, ((1.0, 0.0),)))
         mean_ptf = q.integrate(rule, ptf)
         assert mean_ptf == pytest.approx(mean_f, rel=1e-8, abs=1e-8)
         # contraction of the norm
-        nf = q.inner_exact(p_half, f.powers, f.powers)
+        nf = float(inner_exact_mp(0.5, 1.0, f.powers, f.powers))
         nptf = q.inner(rule, ptf, ptf)
         assert nptf <= nf * (1.0 + 1e-9)
 
