@@ -117,8 +117,8 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @out_option
-@click.option("--n", type=int, default=3, show_default=True)
-@click.option("--q", type=int, default=0, show_default=True,
+@click.option("--n", type=click.IntRange(min=0), default=3, show_default=True)
+@click.option("--q", type=click.IntRange(min=0), default=0, show_default=True,
               help="derivative order for W")
 @click.option("--x", "xgrid", type=str, default="0.1:5:0.5")
 @click.option("--y", "ygrid", type=str, default=None)
@@ -193,6 +193,8 @@ def _parse_fn(params, token: str):
         raise click.UsageError(f"cannot parse function token {token!r}") from None
     if kind in ("x^", "p"):
         return monomial(k)
+    if kind in ("L", "P") and k < 0:
+        raise click.UsageError(f"order must be >= 0 in function token {token!r}")
     if kind == "L":
         cs = [(-1.0) ** j * math.exp(math.lgamma(k + 1) - math.lgamma(j + 1)
                                      - math.lgamma(k - j + 1) - math.lgamma(j + 1))
@@ -217,7 +219,7 @@ def _parse_fn(params, token: str):
               default="text", show_default=True,
               help="json: a list of {name, value, bound, pass[, error]}")
 @out_option
-@click.option("--n", "n_cap", type=int, default=None,
+@click.option("--n", "n_cap", type=click.IntRange(min=0), default=None,
               help="override the suite's matrix/order size")
 @click.option("--seed-check", is_flag=True, default=False,
               help="quick smoke subset of 'all'")

@@ -8,6 +8,11 @@ Generator on twice-differentiable f:
 where gt collects the hypergeometric kernel and the sin(alpha pi)/pi factor;
 gt(y) ~ (1 - y)^(-alpha) at the right endpoint, flattened by the substitution
 y = 1 - v^(1/(1-alpha)) and integrated on double-exponential nodes in v.
+On a generalized polynomial f = sum_i c_i x^(p_i) at double precision the
+integral is sum_i c_i p_i (p_i - 1) x^(p_i - 1) m(p_i - 2), with the moments
+m(s) = Int y^s gt(y) dy taken once per (params, exponents) on those nodes;
+where that float64 sum is not finite or its condition passes
+COND_THRESHOLD, and for every other f, f'' is summed on the node array.
 At alpha = 1 the generator degenerates to x f'' + (beta + 1 - x) f'.
 
 Spectral side: P_t f = sum_n e^{-n t} <f, R_n> P_n.  The full-space expansion
@@ -42,8 +47,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, hyp2f1, rgamma
 
-from .core import (LOG_DOUBLE_MAX, DomainError, GLParams, RealFn, TruncationError,
-                   eval_on, make_params, phi)
+from .core import (COND_THRESHOLD, LOG_DOUBLE_MAX, DomainError, GLParams, RealFn,
+                   TruncationError, eval_on, make_params, phi, real_pow)
 from .coeigen import _WBasis, r_eval_bell, r_fn
 from .density import markov_lambda_apply, mellin_lambda, moment_s, weight_eval
 from .eigen import _PBasis, p_coeffs, p_eval, p_sup
@@ -134,29 +139,67 @@ def _generator_grid(params: GLParams):
     return y, s * wv * gt_jac
 
 
+@lru_cache(maxsize=64)
+def _grid_moments(params: GLParams, exps: tuple) -> tuple:
+    """m(s) = sum_j gw_j y_j^s over the generator grid (``_generator_grid``),
+    for each s of ``exps``: Int y^s gt(y) dy by the same nodes and weights
+    that the node route sums f'' on.  inf or nan where y^s leaves the
+    double range."""
+    y, gw = _generator_grid(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(float(gw @ np.power(y, s)) for s in exps)
+
+
+def _moment_integral(params: GLParams, powers, x: float) -> Optional[float]:
+    """x Int_0^1 f''(x y) gt(y) dy for f = sum_i c_i x^(p_i) from the grid's
+    moments: sum_i c_i p_i (p_i - 1) x^(p_i - 1) m(p_i - 2), added by
+    math.fsum.  None where that float64 sum is not finite or its condition
+    sum |t_i| / |sum t_i| passes COND_THRESHOLD; a sum of exact zeros (the
+    powers 0 and 1 only) is 0."""
+    terms = [(c * p * (p - 1.0), p) for c, p in powers if p * (p - 1.0) != 0.0]
+    ms = _grid_moments(params, tuple(p - 2.0 for _, p in terms))
+    ts = [k * m * real_pow(x, p - 1.0) for (k, p), m in zip(terms, ms)]
+    try:
+        total, mag = math.fsum(ts), math.fsum(map(abs, ts))
+    except (OverflowError, ValueError):      # inf - inf, or a partial sum past the range
+        return None
+    if not mag <= COND_THRESHOLD * abs(total):
+        return None
+    return total
+
+
 def generator_apply(params: GLParams, f: RealFn, x: float) -> float:
     """Generator value L f(x) for twice-differentiable f.
 
     Uses exact derivatives when the RealFn carries them, central finite
-    differences otherwise.  f'' is taken on the whole x * y node array of
-    the singular integral in one call (``core.eval_on``), or point by point
-    where it takes floats only.
+    differences otherwise.  For f with ``powers`` at double precision the
+    singular integral is a sum over the grid's moments of gt
+    (``_moment_integral``), without f''.  Everywhere else, and where that
+    sum is not finite or is ill-conditioned, f'' is taken on the whole
+    x * y node array of the singular integral in one call
+    (``core.eval_on``), or point by point where it takes floats only.
     """
     if x <= 0.0:
         raise DomainError("generator acts on functions of x > 0")
     a, b = params.alpha, params.beta
     if params.is_classical:
         return x * f.deriv2(x) + (b + 1.0 - x) * f.deriv1(x)
-    y, gw = _generator_grid(params)
-    vals = eval_on(f.deriv2, x * y)
-    return (params.d_ab - x) * f.deriv1(x) + x * float(gw @ vals)
+    powers = getattr(f, "powers", None)
+    integral = None
+    if powers is not None and params.precision.is_double:
+        integral = _moment_integral(params, powers, x)
+    if integral is None:
+        y, gw = _generator_grid(params)
+        integral = x * float(gw @ eval_on(f.deriv2, x * y))
+    return (params.d_ab - x) * f.deriv1(x) + integral
 
 
 def generator_moment_identity_check(params: GLParams, k: int) -> float:
     """Residual |k(k-1) Int y^(k-2) gt(y) dy - (k phi(k) - k d_ab)|.
 
-    Both sides vanish at k = 1; the left side is the quadrature route, the
-    right side the gamma-ratio route.
+    Both sides vanish at k = 1; the left side is the quadrature route (the
+    grid moment that ``generator_apply`` sums, ``_grid_moments``), the right
+    side the gamma-ratio route.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -166,8 +209,7 @@ def generator_moment_identity_check(params: GLParams, k: int) -> float:
     if params.is_classical:
         # integral term of the classical generator acting on x^k
         return abs(k * (k - 1.0) - (k * phi(params, k).real - k * params.d_ab))
-    y, gw = _generator_grid(params)
-    lhs = k * (k - 1.0) * float(gw @ np.power(y, k - 2))
+    lhs = k * (k - 1.0) * _grid_moments(params, (k - 2.0,))[0]
     return abs(lhs - rhs)
 
 

@@ -90,7 +90,10 @@ def test_verify_rejects_csv_format():
 
 @pytest.mark.parametrize("args", [["eval", "P", "--x", "0:1:0"], ["eval", "P", "--x", "0:1:-0.5"],
                                   ["eval", "expand", "--f", "x^a"],
-                                  ["eval", "expand", "--f", "L2.5"]])
+                                  ["eval", "expand", "--f", "L2.5"],
+                                  ["eval", "expand", "--f", "L-1"], ["eval", "expand", "--f", "P-3"],
+                                  ["eval", "P", "--n", "-1"], ["eval", "W", "--q", "-1"],
+                                  ["verify", "eigen", "--n", "-1"]])
 def test_usage_errors_exit_with_the_usage_code(args):
     res = CliRunner().invoke(main, args)
     assert res.exit_code == EXIT_USAGE, res.output

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -6,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from glspec.core import (DomainError, RealFn, TruncationError, const_fn,
+from glspec.core import (COND_THRESHOLD, DomainError, RealFn, TruncationError, const_fn,
                          make_params, monomial, phi, poly_fn)
 from glspec import semigroup as sg
 from glspec import density as d
@@ -58,6 +59,11 @@ def test_generator_finite_difference_fallback(p_half):
     assert got == pytest.approx(expect, rel=1e-5)
 
 
+def _without_powers(f):
+    """f without its ``powers``: the generator takes f'' on the node array."""
+    return dataclasses.replace(f, powers=None)
+
+
 def _generator_point_by_point(p, f, x):
     """L f(x) with f'' taken one node at a time, as a scalar-only f needs."""
     y, gw = sg._generator_grid(p)
@@ -69,22 +75,114 @@ def test_generator_array_second_derivative_matches_point_by_point(p_half, p_thre
     fns = [monomial(3), monomial(2.5), poly_fn([1.0, -2.0, 0.5, 3.0], 0.5), const_fn(2.0),
            RealFn(lambda x: x ** 3)]               # the last has no d2: finite differences
     for p in (p_half, p_three_quarter):
+        p6 = _without_powers(p_fn(p, 6))           # P_6 on the node route
         for x in (0.3, 1.7, 6.0):
-            got = sg.generator_apply(p, p_fn(p, 6), x)
-            assert got == _generator_point_by_point(p, p_fn(p, 6), x)
+            got = sg.generator_apply(p, p6, x)
+            assert got == _generator_point_by_point(p, p6, x)
             for f in fns:
                 assert sg.generator_apply(p, f, x) == pytest.approx(
                     _generator_point_by_point(p, f, x), rel=1e-14, abs=1e-14)
 
 
 def test_generator_takes_f2_once_per_call(p_half):
-    # one array evaluation of P_6'' for the whole singular integral
-    f = p_fn(p_half, 6)
+    # one array evaluation of P_6'' for the whole singular integral on the node route
+    f = _without_powers(p_fn(p_half, 6))
     seen = []
     counted = RealFn(f.f, d1=f.d1, d2=lambda x: seen.append(np.shape(x)) or f.d2(x))
     got = sg.generator_apply(p_half, counted, 1.3)
     assert len(seen) == 1 and seen[0] == sg._generator_grid(p_half)[0].shape
     assert got == sg.generator_apply(p_half, f, 1.3)
+
+
+#: pairs of the moment-route tests: half, three quarters, a third, an
+#: irrational-looking pair and beta just above its lower bound
+_MOMENT_PAIRS = ((0.5, 1.0), (0.75, 0.5), (1.0 / 3.0, 2.0), (0.5377, 0.713),
+                 (0.6, 1.0 - 1.0 / 0.6 + 1e-9))
+_MOMENT_XS = (0.05, 0.7, 2.3, 6.0, 10.0)
+
+
+def _moment_terms(p, f, x):
+    """The terms c p (p-1) x^(p-1) m(p-2) of the moment route, with m over the
+    generator grid."""
+    y, gw = sg._generator_grid(p)
+    return [c * e * (e - 1.0) * x ** (e - 1.0) * float(gw @ y ** (e - 2.0))
+            for c, e in f.powers]
+
+
+def _d2_counted(f, seen):
+    return dataclasses.replace(f, d2=lambda x: seen.append(x) or f.d2(x))
+
+
+def test_generator_on_powers_by_the_moments(p_half):
+    # a generalized polynomial takes the singular integral from the grid's
+    # moments, without f'', and agrees with the node route on a copy of f
+    # without powers within 1e-12 of the moment sum's sum |t_i|
+    for ab in _MOMENT_PAIRS:
+        p = make_params(*ab)
+        fns = [p_fn(p, n) for n in range(9)] + [
+            monomial(2.5), poly_fn([1.0, -2.0, 0.5, 3.0], 0.5), const_fn(2.0)]
+        for f in fns:
+            for x in _MOMENT_XS:
+                seen = []
+                got = sg.generator_apply(p, _d2_counted(f, seen), x)
+                assert seen == []
+                node = sg.generator_apply(p, _without_powers(f), x)
+                mag = math.fsum(map(abs, _moment_terms(p, f, x)))
+                assert abs(got - node) <= 1e-12 * mag, (ab, f.description, x)
+
+
+def test_generator_moment_guard_keeps_the_node_route():
+    # P_20 cancels: where the moment sum's condition passes COND_THRESHOLD the
+    # value is bitwise the node route's (at (1/2, 1), x = 5 the condition is
+    # about 1e14 and the float64 moment sum is off by about 1e-2 relative)
+    sent = 0
+    for ab in _MOMENT_PAIRS:
+        p = make_params(*ab)
+        f = p_fn(p, 20)
+        for x in _MOMENT_XS + (5.0,):
+            ts = _moment_terms(p, f, x)
+            mag = math.fsum(map(abs, ts))
+            got, node = sg.generator_apply(p, f, x), sg.generator_apply(p, _without_powers(f), x)
+            if mag > COND_THRESHOLD * abs(math.fsum(ts)):
+                assert got == node, (ab, x)
+                sent += 1
+            else:
+                assert abs(got - node) <= 1e-12 * mag, (ab, x)
+    assert sent >= 1
+    p = make_params(0.5, 1.0)
+    ts = _moment_terms(p, p_fn(p, 20), 5.0)
+    assert math.fsum(map(abs, ts)) > 1e13 * abs(math.fsum(ts))
+
+
+def test_generator_at_extended_precision_takes_the_node_route(p_half_ext, p_three_quarter_ext):
+    for p in (p_half_ext, p_three_quarter_ext):
+        for f in [p_fn(p, n) for n in (2, 6, 8)] + [monomial(2.5), const_fn(2.0)]:
+            for x in (0.3, 2.3, 10.0):
+                seen = []
+                got = sg.generator_apply(p, _d2_counted(f, seen), x)
+                assert seen != []
+                assert got == sg.generator_apply(p, _without_powers(f), x)
+
+
+def test_generator_moment_overflow_falls_back(p_half):
+    # a term past the double range, a partial sum past it and inf - inf go to
+    # the node route: its value, whatever it is, and no bare exception
+    m0 = sg._grid_moments(p_half, (0.0,))[0]
+    c = 0.6e308 / (2.0 * m0)                     # c p (p-1) x^(p-1) m(0) = 0.6e308 at x = 1
+
+    def gen(powers):
+        def fn(k):
+            return lambda x: sum(cc * np.prod([e - j for j in range(k)]) * np.power(x, e - k)
+                                 for cc, e in powers)
+        return RealFn(fn(0), d1=fn(1), d2=fn(2), powers=powers)
+
+    with np.errstate(all="ignore"):
+        for f in (gen(((1.0, -300.0),)),                 # m(-302) is inf
+                  gen(((c, 2.0), (c, 2.0))),             # fsum overflows
+                  gen(((1.0, -300.0), (-1.0, -300.0)))):  # inf - inf
+            got = sg.generator_apply(p_half, f, 1.0)
+            node = sg.generator_apply(p_half, _without_powers(f), 1.0)
+            assert got == node or (math.isnan(got) and math.isnan(node))
 
 
 def test_moment_identity(p_half, p_three_quarter):

@@ -85,6 +85,7 @@ COMMANDS = (("verify", "all"),
             ("eval", "lambda", "--alpha", "0.75", "--beta", "0.5"),
             ("eval", "lambda", "--alpha", "0.5", "--beta", "1"),
             ("verify", "representations", "--alpha", "0.75", "--beta", "0.5"),
+            ("verify", "eigen", "--alpha", "0.75", "--beta", "0.5"),
             ("verify", "intertwine", "--format", "json", "--alpha", "0.4", "--beta", "1.3"),
             ("verify", "intertwine", "--format", "json", "--alpha", "0.85", "--beta", "2"),
             ("verify", "intertwine", "--format", "json", "--alpha", "0.9", "--beta", "0.5"))
