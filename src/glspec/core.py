@@ -83,8 +83,8 @@ class Precision:
     Extended precision sums P_n, R_n and W_n^(q) on Python integers from
     inputs of no fewer than ``mantissa_bits`` bits.  Inner products against
     R_n come from its Rodrigues identity at every precision (float64 in
-    ``semigroup.expand``, exact in ``quad.r_norm``); the moment form of
-    ``quad.gram_biorth`` is sized from its coefficient magnitudes, ``dps``
+    ``semigroup.expand``, exact in ``quad.r_norm``); ``quad.gram_biorth``
+    takes its bits from the magnitude of its exact terms, ``mantissa_bits``
     only a floor; the kernel density lambda is float64 at every precision.
     """
 
@@ -294,9 +294,16 @@ def real_pow(x: float, p: float) -> float:
         return math.inf
 
 
+def _const_on(x, c):
+    """c at x: c itself, or for an ndarray x a float array of its shape,
+    so that ``eval_on`` takes one call."""
+    return np.full(x.shape, c, dtype=float) if isinstance(x, np.ndarray) else c
+
+
 def const_fn(c: float = 1.0) -> RealFn:
-    return RealFn(lambda x: c, d1=lambda x: 0.0, d2=lambda x: 0.0,
-                  description=f"constant {c}", powers=((c, 0.0),))
+    return RealFn(lambda x: _const_on(x, c), d1=lambda x: _const_on(x, 0.0),
+                  d2=lambda x: _const_on(x, 0.0), description=f"constant {c}",
+                  powers=((c, 0.0),))
 
 
 def monomial(k: float) -> RealFn:
@@ -304,8 +311,9 @@ def monomial(k: float) -> RealFn:
     kk = float(k)
     return RealFn(
         lambda x: x ** kk,
-        d1=lambda x: kk * x ** (kk - 1.0) if kk != 0.0 else 0.0,
-        d2=lambda x: kk * (kk - 1.0) * x ** (kk - 2.0) if kk not in (0.0, 1.0) else 0.0,
+        d1=lambda x: kk * x ** (kk - 1.0) if kk != 0.0 else _const_on(x, 0.0),
+        d2=lambda x: (kk * (kk - 1.0) * x ** (kk - 2.0) if kk not in (0.0, 1.0)
+                      else _const_on(x, 0.0)),
         description=f"x^{k}",
         powers=((1.0, kk),),
     )

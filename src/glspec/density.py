@@ -374,8 +374,14 @@ def markov_lambda_apply(params: GLParams, f, x: float) -> float:
         raise DomainError("markov operator acts on functions of x > 0")
     powers = getattr(f, "powers", None)
     if powers is not None:
-        return float(sum(c * mellin_lambda(params, p).real * x ** p
-                         for c, p in powers))
+        try:                                        # past the double range, or inf - inf
+            out = math.fsum(c * mellin_lambda(params, p).real * real_pow(x, p)
+                            for c, p in powers)
+        except (OverflowError, ValueError):
+            out = math.inf
+        if not math.isfinite(out):
+            raise DomainError(f"the Markov image at x = {x} leaves the double range")
+        return out
     if params.alpha == 1.0:
         if params.beta == 0.0:
             return float(f(x))

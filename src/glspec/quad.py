@@ -5,15 +5,15 @@ Inner products against R_n take no rule: its Rodrigues form
 R_n e = (x^n e)^(n) / n!, integrated by parts n times, gives <x^p, R_n> =
 (-1)^n C(p, n) M_e(p), which ``semigroup.expand`` sums in float64 and
 ``r_norm`` over R_n's exact row in Python integers.  ``gram_biorth`` sums
-<P_n, R_m> by ``_moment_form``, against exact moments the tables did not
-make.  The auxiliary norm of R_n, against a growing weight, is a float64
-double-exponential rule.  The Gauss rules of ``build_rule`` integrate
-general f against the invariant density: at alpha = 1 the generalized
-Gauss-Laguerre rule; for rational alpha = p/q, v = x**(1/p) turns it into
-p v**(p b + q - 1) exp(-v**q), whose Gauss rule (Stieltjes recurrence,
-Golub-Welsch nodes, Christoffel weights) is checked against its exact
-moments of degree 0..2m-1; irrational alpha falls back to the u =
-x**(1/alpha) generalized Gauss-Laguerre rule.
+<P_n, R_m> as one integer per entry over the factored exact moments, with
+gammas the tables did not make.  The auxiliary norm of R_n, against a
+growing weight, is a float64 double-exponential rule.  The Gauss rules of
+``build_rule`` integrate general f against the invariant density: at
+alpha = 1 the generalized Gauss-Laguerre rule; for rational alpha = p/q,
+v = x**(1/p) turns it into p v**(p b + q - 1) exp(-v**q), whose Gauss rule
+(Stieltjes recurrence, Golub-Welsch nodes, Christoffel weights) is checked
+against its exact moments of degree 0..2m-1; irrational alpha falls back
+to the u = x**(1/alpha) generalized Gauss-Laguerre rule.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import accumulate
 from typing import Optional
 
 import mpmath as mp
@@ -158,6 +158,14 @@ def _check_v_moments(vn, wn, p, q, beta, m) -> float:
     return float(err.max()) if np.all(np.isfinite(err)) else math.inf
 
 
+def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(x) along axis, each term shifted by the largest (by 0
+    where that is not finite, so all -inf gives -inf)."""
+    m = np.max(x, axis=axis, keepdims=True, initial=-math.inf)
+    m[~np.isfinite(m)] = 0.0
+    return np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
+
+
 @lru_cache(maxsize=32)
 def build_rule(params: GLParams, m: int) -> QuadRule:
     """Gauss rule of order m for the invariant density of params, and only
@@ -222,118 +230,55 @@ def inner(rule: QuadRule, f, g, rtol: Optional[float] = None) -> float:
     return val
 
 
-# --------------------------------------------------------------------------
-# Exact bilinear forms for generalized polynomials
-# --------------------------------------------------------------------------
-
-#: bits the moment form carries past its error budget, and the moment rows
-#: past the form's bits
-_GUARD_BITS = 16
+def _rising(X: int, L: int, count: int) -> list:
+    """X (X + L) ... (X + (j - 1) L) = (x)_j L^j, x = X / L, for j < count."""
+    return list(accumulate(range(X, X + (count - 1) * L, L), lambda r, t: r * t, initial=1))
 
 
-def _moment_form(params: GLParams, la, s, lb, t, rows) -> np.ndarray:
-    """F = A M B^T: F_nm = <f_n, g_m> for f_n = sum_k a_nk x^(s_k/alpha) and
-    g_m = sum_j b_mj x^(t_j/alpha), M_kj = Gamma(s_k + t_j + ab + 1) /
-    Gamma(ab + 1) the exact moments, summed exactly in Python integers.
-
-    la, lb = log|a|, log|b| (-inf at 0) and s, t in float64 give S =
-    max_nm sum_kj |a_nk| M_kj |b_mj|, and with it the digits that keep each
-    entry right to about 1e-20 however far its terms cancel: max(precision
-    dps, 20 + log10 S).  Column k of A and column j of B are scaled by
-    powers of two to magnitude about 1, M by the inverse ones, and every
-    entry of the three is rounded once to an integer at scale 2^-bits: bits
-    are those digits, the bits S lies below 1, and enough for the
-    2 (n_A + n_B) S + K J units of 2^-bits the roundings can move F by.
-    The products are added exactly, so the rounding of the inputs is the
-    only error (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005), and
-    each entry of F is one correctly rounded division.
-
-    rows(prec) gives (A, M, B): A and B as exact rows (nums, den), nums[k]
-    / den, and M as rows of (mantissa, exponent) pairs known to a relative
-    2^-prec, prec = bits + _GUARD_BITS.  Rows may stop short of K or J; the
-    rest is 0.
-    """
-    ab = params.alpha * params.beta
-    lM = gammaln(np.add.outer(s, t) + ab + 1.0) - gammaln(ab + 1.0)
-    with np.errstate(divide="ignore"):
-        lam = _log_sum_exp(la[:, :, None] + lM, axis=1)
-        lS = float(np.max(_log_sum_exp(lam[:, None, :] + lb, axis=2)))
-    if lS == -math.inf:
-        return np.zeros((len(la), len(lb)))
-    dps = max(params.precision.dps, 20 + math.ceil(lS / math.log(10.0)))
-    moves = 2 * (len(la) + len(lb)) + lM.size + 1
-    bits = (mp.libmp.dps_to_prec(dps) + max(0, math.ceil(-lS / math.log(2.0)))
-            + moves.bit_length() + _GUARD_BITS)
-    ea, eb = ([int(math.ceil(c / math.log(2.0))) if c > -math.inf else 0
-               for c in x.max(axis=0).tolist()] for x in (la, lb))
-    A, M, B = rows(bits + _GUARD_BITS)
-    Ai = [[_fix(c, den, bits - e) for c, e in zip(nums, ea)] for nums, den in A]
-    Bi = [[_fix(c, den, bits - e) for c, e in zip(nums, eb)] for nums, den in B]
-    Mi = [[_fix(m, 1, x + bits + e + f) for (m, x), f in zip(row, eb)]
-          for row, e in zip(M, ea)]
-    BM = [[sum(map(mul, mk, bm)) for mk in Mi] for bm in Bi]
-    scale = 1 << 3 * bits
-    return np.array([[_div(sum(map(mul, an, c)), scale) for c in BM] for an in Ai])
-
-
-def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
-    """log sum exp(x) along axis, each term shifted by the largest (by 0
-    where that is not finite, so all -inf gives -inf)."""
-    m = np.max(x, axis=axis, keepdims=True, initial=-math.inf)
-    m[~np.isfinite(m)] = 0.0
-    return np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
-
-
-def _fix(num: int, den: int, e: int) -> int:
-    """num 2^e / den (den > 0) rounded to the nearest integer."""
-    if e >= 0:
-        num <<= e
-    else:
-        den <<= -e
-    return (2 * num + den) // (2 * den)
-
-
-def _rising(rho, X: int, lg: int, count: int, prec: int) -> list:
-    """rho (x)_j for j < count, x = X / 2^lg > 0 and rho an mpf known to
-    2^-prec, as (mantissa, exponent) pairs at rho's exponent.  Each step is
-    one exact product and one truncating shift; the mantissas start with
-    the log2(count / min(x, 1)) bits those shifts can cost past prec."""
-    m, e = rho.man_exp
-    sh = max(0, prec + count.bit_length() + ((1 << lg) // X).bit_length() - m.bit_length())
-    m, e = m << sh, e - sh
-    out = [(m, e)]
-    for j in range(count - 1):
-        m = m * (X + (j << lg)) >> lg
-        out.append((m, e))
-    return out
+#: bits past the terms' magnitude S that ``gram_biorth`` takes P's row and
+#: the gammas to: S 2^-70 < 1e-21 per entry
+_GRAM_BITS = 70
 
 
 def gram_biorth(params: GLParams, N: int) -> np.ndarray:
     """Matrix G_{nm} = <P_n, R_m> for n, m <= N; identity when everything
-    works.  The ``_moment_form`` with rows P_n (s_k = alpha k) and R_m
-    (t_j = j) at every precision: P_n exact from the g_k of the "P" table,
-    R_m the exact rows of the "R" table, and M_kj = Gamma(x_k) (x_k)_j /
-    Gamma(ab + 1), x_k = alpha k + ab + 1, from N + 1 fresh gammas and a
-    rising-factorial recurrence, so that G compares the table's g_k with
-    gammas it did not make."""
+    works.  The moments of x^k x^(j/alpha) factor exactly, Gamma(x_k + j) /
+    Gamma(x_0) = gamma_k (x_k)_j with x_k = alpha k + ab + 1 = xs[k] / L
+    (``coeigen._dyadic``), so for P_n = sum_k a_nk x^k, the g_k row the "P"
+    table holds (``eigen._exact``), and R_m = sum_j b_mj x^(j/alpha), its
+    exact rows (``coeigen._exact``),
+
+        G_nm = sum_k a_nk gamma_k T_mk,   T_mk = sum_j b_mj (x_k)_j,
+
+    T exact in integers and gamma_k = Gamma(x_k) / Gamma(x_0) from N + 1
+    fresh gammas, which G compares with the table's g_k.  Exactly, a_nk
+    gamma_k = (-1)^k C(n, k) and T_mk = (-1)^m C(k, m), so S = max_m sum_k
+    C(N, k) |T_mk| bounds the terms; P's row and the gammas are taken to
+    _GRAM_BITS past S (to ``mantissa_bits`` at extended precision if more),
+    and each entry is one integer ratio, one correctly rounded division."""
     if N < 0:
         raise DomainError("N must be >= 0")
     ns = range(N + 1)
-    An, Bn, L, Db = _dyadic(params)
-    lg = L.bit_length() - 1
-    xs = [An * Db * k + An * Bn + L for k in ns]      # x_k = xs[k] / 2^lg exactly
-
-    def rows(prec):
-        # row N first: the "P" table is then extended once, not once per order
-        P = [_exact_p(params, n, prec)[:2] for n in ns[::-1]][::-1]
-        with mp.workprec(prec):
-            g = [mp.gamma(mp.make_mpf(mp.libmp.from_man_exp(X, -lg))) for X in xs]
-            M = [_rising(gk / g[0], X, lg, N + 1, prec) for gk, X in zip(g, xs)]
-        return P, M, [_exact(params, m) for m in ns]
-    with np.errstate(divide="ignore"):      # R_N first: so is the "R" table
-        lb = np.log(np.abs([np.pad(r_coeffs(params, m), (0, N - m)) for m in ns[::-1]][::-1]))
-    return _moment_form(params, p_coeffs(params, N).logmag, params.alpha * np.arange(N + 1),
-                        lb, np.arange(N + 1.0), rows)
+    A, B, L, Db = _dyadic(params)
+    xs = [A * Db * k + A * B + L for k in ns]
+    R = [_exact(params, m) for m in ns[::-1]][::-1]     # R_N first: the "R" table grows once
+    Bm = np.array([[c * L ** (m - j) for j, c in enumerate(nums)] + [0] * (N - m)
+                   for m, (nums, _) in enumerate(R)], dtype=object)    # b_mj den_m L^(m - j)
+    T = Bm @ np.array([_rising(X, L, N + 1) for X in xs], dtype=object).T
+    dens = [den * L ** m for m, (_, den) in enumerate(R)]       # T_mk = T[m, k] / dens[m]
+    S = np.abs(T) @ np.array([math.comb(N, k) for k in ns], dtype=object)
+    bits = max(_GRAM_BITS + max(s.bit_length() - d.bit_length() + 1 for s, d in zip(S, dens)),
+               0 if params.precision.is_double else params.precision.mantissa_bits)
+    P = [_exact_p(params, n, bits) for n in ns[::-1]][::-1]     # P_N first: so is "P"
+    with mp.workprec(bits + 4):
+        g = [mp.gamma(mp.make_mpf(mp.libmp.from_man_exp(X, 1 - L.bit_length()))) for X in xs]
+        gam = [(gk / g[0]).man_exp for gk in g]
+    e0 = min(e for _, e in gam)
+    U = np.array([[c * m << e - e0 for c, (m, e) in zip(nums, gam)] + [0] * (N - n)
+                  for n, (nums, *_) in enumerate(P)], dtype=object)    # a_nk gamma_k den_n 2^-e0
+    F = U @ T.T
+    return np.array([[_div(F[n, m], den * d << -e0) for m, d in enumerate(dens)]
+                     for n, (_, den, _) in enumerate(P)])
 
 
 @dataclass
@@ -434,10 +379,9 @@ def r_norm(params: GLParams, n: int, gamma_: Optional[float] = None,
         raise DomainError("gamma must lie in (0, alpha)")
     A, B, L, Db = _dyadic(params)
     (nums, den), Da = _exact(params, n), L // Db
-    acc, rise = 0, 1            # rise = (ab + 1)_j L^j; the product, C(j/alpha, n) A^n n!
-    for j, c in enumerate(nums):
+    acc = 0                     # rise = (ab + 1)_j L^j; the product, C(j/alpha, n) A^n n!
+    for j, (c, rise) in enumerate(zip(nums, _rising(A * B + L, L, n + 1))):
         acc += c * math.prod(j * Da - i * A for i in range(n)) * rise * L ** (n - j)
-        rise *= A * B + L + j * L
     nrm2 = _div((-1) ** n * acc, den * A ** n * math.factorial(n) * L ** n)
     log_aux = 0.5 * _log_aux_norm2(params, n, gamma_, eta_bar)
     aux = math.exp(log_aux) if log_aux <= LOG_DOUBLE_MAX else math.inf

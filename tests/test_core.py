@@ -1,13 +1,14 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glspec import coeigen, core, eigen
-from glspec.core import (DomainError, Precision, asymp_constants,
-                         derived_constants, make_params, parse_precision, phi)
+from glspec.core import (DomainError, Precision, asymp_constants, const_fn,
+                         derived_constants, make_params, monomial, parse_precision, phi)
 
 #: each coefficient family's exact row reader (P's at the bits it first holds)
 _FAMILIES = {"P": lambda p, n: eigen._exact(p, n, 0), "R": coeigen._exact}
@@ -107,6 +108,16 @@ def test_asymp_constants_ordering_alpha_one():
     c = asymp_constants(1.0)
     assert c.A_bar == pytest.approx(4.0)
     assert c.C_bar == pytest.approx(0.0, abs=1e-15)
+
+
+def test_constant_and_monomial_derivatives_take_arrays():
+    # an array in, an array of its shape out, with the scalar calls' values
+    x = np.linspace(0.5, 3.0, 6)
+    for f in (const_fn(2.0), const_fn(), monomial(0), monomial(1)):
+        for g in (f.f, f.d1, f.d2):
+            got = g(x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            assert [v.hex() for v in got.tolist()] == [float(g(float(v))).hex() for v in x]
 
 
 def test_precision_parsing():

@@ -431,6 +431,13 @@ def test_markov_multiplier_on_monomials(p_half):
     assert got_q == pytest.approx(got, rel=1e-9)
 
 
+def test_markov_multiplier_raises_past_the_double_range(p_half):
+    with pytest.raises(DomainError, match="double range"):
+        d.markov_lambda_apply(p_half, monomial(2), 1e200)
+    with pytest.raises(DomainError, match="double range"):
+        d.markov_lambda_apply(p_half, poly_fn([1e300, 0.0, 1e300]), 1e5)
+
+
 def test_markov_maps_laguerre_to_eigenpolynomial(p_half):
     from glspec.eigen import laguerre_eval, p_coeffs, p_eval
     seq = p_coeffs(p_half, 2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from glspec.core import (DomainError, Precision, QuadratureError, make_params,
                          monomial, poly_fn)
+from glspec import coeigen, core, eigen
 from glspec import density as d
 from glspec import quad as q
 from glspec import semigroup as sg
@@ -337,6 +338,53 @@ def test_gram_biorth_builds_the_p_rows_in_one_pass(monkeypatch):
     assert np.abs(G - np.eye(N + 1)).max() < 1e-20
     count[0] = 0
     assert math.isfinite(q.r_norm(p, 25)[0]) and count[0] == 0
+
+
+def _drop_tables(p):
+    for family in ("P", "R"):
+        core._tables.pop((family, p), None)
+
+
+@pytest.mark.parametrize("m, j", [(8, 4), (3, 1)])
+def test_gram_biorth_sees_a_corrupted_r_row(m, j):
+    # one entry of the held exact row of R_m off by 2^-40 relative
+    p, N = make_params(0.6180339887, 0.8), 8
+    _drop_tables(p)
+    try:
+        row = core.coeff_table("R", coeigen._extend, p, N).rows[m]
+        row[j] += row[j] >> 40
+        assert np.abs(q.gram_biorth(p, N) - np.eye(N + 1)).max() > 1e-12
+    finally:
+        _drop_tables(p)
+
+
+def test_gram_biorth_checks_the_held_g_row():
+    # g_3 of the 48-digit row the evaluators hold off by 2^-40 relative: G
+    # is taken against that row, not against one formed again at more digits
+    p, N = make_params(0.6180339887, 0.8), 8
+    _drop_tables(p)
+    try:
+        mants = eigen._row(p, N)[0]
+        mants[3] += mants[3] >> 40
+        assert np.abs(q.gram_biorth(p, N) - np.eye(N + 1)).max() > 1e-12
+    finally:
+        _drop_tables(p)
+
+
+@pytest.mark.parametrize("N", [4, 8, 20, 40])
+def test_cold_gram_biorth_reads_no_float_tables(N):
+    # no float64 "coeff" face of P, no double-double R rows, and the "P"
+    # table's g_k row stays at its first 48 digits
+    p = make_params(0.5377, 0.713)
+    _drop_tables(p)
+    for cached in (eigen.p_coeffs, coeigen.r_coeffs, coeigen._w_coeffs):
+        cached.cache_clear()
+    G = q.gram_biorth(p, N)
+    faces = core.coeff_faces("P", p)
+    assert "coeff" not in faces and faces["G"][2] == 48
+    for cached in (eigen.p_coeffs, coeigen.r_coeffs, coeigen._w_coeffs):
+        assert cached.cache_info().misses == 0
+    assert np.abs(G - np.eye(N + 1)).max() <= 1e-20
 
 
 def _p_rows_mp(p, N, dps):

@@ -7,8 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from glspec.core import (COND_THRESHOLD, DomainError, RealFn, TruncationError, const_fn,
-                         make_params, monomial, phi, poly_fn)
+from glspec.core import (COND_THRESHOLD, EXT128, DomainError, RealFn, TruncationError,
+                         const_fn, make_params, monomial, phi, poly_fn)
 from glspec import semigroup as sg
 from glspec import density as d
 from glspec import quad as q
@@ -17,6 +17,15 @@ from glspec.eigen import laguerre_eval, p_coeffs, p_eval, p_fn, p_sup
 
 from oracles import (inner_exact_mp, kernel_sum_per_term, moment_ode_evolution,
                      r_coeffs_bell_mp, richardson_derivative)
+
+
+def test_generator_node_route_calls_a_constants_d2_once():
+    # extended precision takes the node route: one d2 call on the node array
+    base, calls = const_fn(2.0), []
+    f = RealFn(base.f, d1=base.d1, d2=lambda x: calls.append(x) or base.d2(x),
+               powers=base.powers)
+    assert sg.generator_apply(make_params(0.5, 1, EXT128), f, 1.0) == 0.0
+    assert len(calls) == 1
 
 
 def test_generator_on_p1(p_half):

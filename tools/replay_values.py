@@ -88,7 +88,10 @@ COMMANDS = (("verify", "all"),
             ("verify", "eigen", "--alpha", "0.75", "--beta", "0.5"),
             ("verify", "intertwine", "--format", "json", "--alpha", "0.4", "--beta", "1.3"),
             ("verify", "intertwine", "--format", "json", "--alpha", "0.85", "--beta", "2"),
-            ("verify", "intertwine", "--format", "json", "--alpha", "0.9", "--beta", "0.5"))
+            ("verify", "intertwine", "--format", "json", "--alpha", "0.9", "--beta", "0.5"),
+            ("verify", "biorth", "--alpha", "0.7071067811865476"),
+            ("verify", "biorth", "--n", "40"),
+            ("verify", "biorth", "--precision", "ext128"))
 
 
 def run_cli(checkout: Path, args: tuple) -> tuple:
